@@ -1,8 +1,8 @@
 // Microbenchmarks for the crypto substrate (google-benchmark).
 //
 // These measure the host CPU's software implementations — the operations
-// the paper offloads. A software ECDSA verification in the hundreds of
-// microseconds is exactly the §4.3 observation that motivates parallel
+// the paper offloads. A software ECDSA verification costs about a hundred
+// microseconds of one core, the §4.3 observation that motivates parallel
 // ecdsa_engines (145 us each in hardware).
 #include <benchmark/benchmark.h>
 
@@ -54,10 +54,13 @@ void BM_DerRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DerRoundTrip);
 
+// Field and scalar-field operations in the forms the point arithmetic and
+// ECDSA use: Montgomery-domain products mod p (a dependent chain, so these
+// read as latency), the binary-Euclid inverses, and products mod n.
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(2);
-  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
-  const U256 b = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
+  U256 a = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  const U256 b = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
   for (auto _ : state) {
     a = fp_mul(a, b);
     benchmark::DoNotOptimize(a);
@@ -65,9 +68,19 @@ void BM_FieldMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul);
 
+void BM_FieldSqr(benchmark::State& state) {
+  Rng rng(2);
+  U256 a = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  for (auto _ : state) {
+    a = fp_sqr(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldSqr);
+
 void BM_FieldInv(benchmark::State& state) {
   Rng rng(3);
-  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
+  U256 a = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
   for (auto _ : state) {
     a = fp_inv(a);
     benchmark::DoNotOptimize(a);
@@ -75,17 +88,26 @@ void BM_FieldInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInv);
 
-void BM_ModNReduce(benchmark::State& state) {
-  // The scalar-field workhorse: 512-bit product reduced mod n via the
-  // limb-wise Knuth division (bit-by-bit before the fast path landed).
+void BM_ScalarMul(benchmark::State& state) {
   Rng rng(4);
-  U512 a;
-  for (auto& w : a.w) w = rng.next_u64();
+  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
+  const U256 b = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mod(a, p256_n()));
+    a = fn_mul(a, b);
+    benchmark::DoNotOptimize(a);
   }
 }
-BENCHMARK(BM_ModNReduce);
+BENCHMARK(BM_ScalarMul);
+
+void BM_ScalarInv(benchmark::State& state) {
+  Rng rng(4);
+  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
+  for (auto _ : state) {
+    a = fn_inv(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarInv);
 
 void BM_ScalarMultNaive(benchmark::State& state) {
   const AffinePoint q = key_from_seed(to_bytes("sm")).public_key().point;

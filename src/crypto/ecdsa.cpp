@@ -101,16 +101,13 @@ U256 rfc6979_nonce(const U256& d, const Digest& digest,
 }
 
 Signature sign(const PrivateKey& key, const Digest& digest) {
-  const U256& n = p256_n();
   const U256 e = reduce_n(digest_to_scalar(digest));
   for (std::uint32_t attempt = 0;; ++attempt) {
     const U256 k = rfc6979_nonce(key.d, digest, attempt);
     const AffinePoint kg = to_affine(base_mult(k));
-    const U256 r = mod(kg.x, n);
+    const U256 r = reduce_n(kg.x);
     if (r.is_zero()) continue;
-    const U256 kinv = inv_mod_prime(k, n);
-    const U256 rd = mul_mod(r, key.d, n);
-    const U256 s = mul_mod(kinv, add_mod(e, rd, n), n);
+    const U256 s = fn_mul(fn_inv(k), fn_add(e, fn_mul(r, key.d)));
     if (s.is_zero()) continue;
     return Signature{r, s};
   }
@@ -130,13 +127,8 @@ bool verify_impl(const PublicKey& key, const Digest& digest,
   if (key.point.infinity || !on_curve(key.point)) return false;
 
   const U256 e = reduce_n(digest_to_scalar(digest));
-  const U256 w = inv_mod_prime(sig.s, n);
-  const U256 u1 = mul_mod(e, w, n);
-  const U256 u2 = mul_mod(sig.r, w, n);
-  const JacobianPoint p = mul(u1, u2);
-  if (p.is_infinity()) return false;
-  const AffinePoint pa = to_affine(p);
-  return mod(pa.x, n) == sig.r;
+  const U256 w = fn_inv(sig.s);
+  return x_equals_mod_n(mul(fn_mul(e, w), fn_mul(sig.r, w)), sig.r);
 }
 
 }  // namespace

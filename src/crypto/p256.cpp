@@ -2,17 +2,29 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdlib>
 
 namespace bm::crypto {
 
 namespace {
 
-const U256 kP = U256::from_hex(
-    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
-const U256 kN = U256::from_hex(
-    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
+constexpr U256 kP{{0xffffffffffffffff, 0x00000000ffffffff, 0x0000000000000000,
+                   0xffffffff00000001}};
+constexpr U256 kN{{0xf3b9cac2fc632551, 0xbce6faada7179e84, 0xffffffffffffffff,
+                   0xffffffff00000000}};
+/// -n^-1 mod 2^64, the Montgomery reduction multiplier for n (the one for
+/// p is 1, which fe_reduce builds in).
+constexpr std::uint64_t kNInv0 = 0xccd1c8aaee00bc4f;
+/// 2^512 mod p and 2^512 mod n: a Montgomery product with these moves a
+/// value into the Montgomery domain.
+constexpr U256 kR2ModP{{0x0000000000000003, 0xfffffffbffffffff,
+                        0xfffffffffffffffe, 0x00000004fffffffd}};
+constexpr U256 kR2ModN{{0x83244c95be79eea2, 0x4699799c49bd6fa6,
+                        0x2845b2392b6bec59, 0x66e12d94f3d95620}};
+/// 2^256 mod p: the field's one in the Montgomery domain.
+constexpr U256 kPOne{{0x0000000000000001, 0xffffffff00000000,
+                      0xffffffffffffffff, 0x00000000fffffffe}};
+
 const U256 kB = U256::from_hex(
     "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
 const AffinePoint kG = {
@@ -22,6 +34,112 @@ const AffinePoint kG = {
         "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"),
     false};
 
+// Montgomery-domain field operations. They are written out limb by limb,
+// with no loops, so every optimisation level keeps the limbs in registers
+// once they are inlined into the point formulas.
+
+using u64 = std::uint64_t;
+
+/// One Montgomery round for p: adds q * p to the limbs from x0 up, with
+/// q = x0, which clears x0. Since -p^-1 = 1 mod 2^64 the multiplier needs no
+/// product, and q * p adds as two shifted words and one product with p's top
+/// limb: x0 + q * (2^64 - 1) is q * 2^64, which carries q into x1, where
+/// with q * (2^32 - 1) it makes q * 2^32; p's third limb is zero. `top`
+/// carries in and out at x4.
+[[gnu::always_inline]] inline void reduce_round(u64 x0, u64& x1, u64& x2,
+                                                u64& x3, u64& x4, u64& top) {
+  u64 hi = 0;
+  const u64 lo = mul_hilo(x0, kP.w[3], hi);
+  std::uint8_t c = add_carry(0, x1, x0 << 32, x1);
+  c = add_carry(c, x2, x0 >> 32, x2);
+  c = add_carry(c, x3, lo, x3);
+  c = add_carry(c, x4, hi, x4);
+  const std::uint8_t c2 = add_carry(0, x4, top, x4);
+  top = static_cast<u64>(c) + c2;
+}
+
+/// Montgomery reduction of t (< p * 2^256): t * 2^-256 mod p.
+[[gnu::always_inline]] inline U256 fe_reduce(const U512& t) {
+  u64 x0 = t.w[0], x1 = t.w[1], x2 = t.w[2], x3 = t.w[3];
+  u64 x4 = t.w[4], x5 = t.w[5], x6 = t.w[6], x7 = t.w[7];
+  u64 top = 0;
+  reduce_round(x0, x1, x2, x3, x4, top);
+  reduce_round(x1, x2, x3, x4, x5, top);
+  reduce_round(x2, x3, x4, x5, x6, top);
+  reduce_round(x3, x4, x5, x6, x7, top);
+  return subtract_once(U256{{x4, x5, x6, x7}}, top, kP);
+}
+
+[[gnu::always_inline]] inline U256 fe_mul(const U256& a, const U256& b) {
+  return fe_reduce(mul_wide(a, b));
+}
+
+/// fe_mul(a, a) with the six cross products computed once and doubled:
+/// 10 limb products instead of 16.
+[[gnu::always_inline]] inline U256 fe_sqr(const U256& a) {
+  const u64 a0 = a.w[0], a1 = a.w[1], a2 = a.w[2], a3 = a.w[3];
+  u64 x1 = 0, x2 = 0, x3 = 0, x4 = 0, x5 = 0, x6 = 0, x7 = 0;
+  u64 c = 0;
+  mul_add(a0, a1, x1, c); mul_add(a0, a2, x2, c); mul_add(a0, a3, x3, c);
+  x4 = c;
+  c = 0;
+  mul_add(a1, a2, x3, c); mul_add(a1, a3, x4, c);
+  x5 = c;
+  c = 0;
+  mul_add(a2, a3, x5, c);
+  x6 = c;
+  // Double the cross products.
+  x7 = x6 >> 63;
+  x6 = (x6 << 1) | (x5 >> 63);
+  x5 = (x5 << 1) | (x4 >> 63);
+  x4 = (x4 << 1) | (x3 >> 63);
+  x3 = (x3 << 1) | (x2 >> 63);
+  x2 = (x2 << 1) | (x1 >> 63);
+  x1 <<= 1;
+  // Add the squares a_i^2 at limb 2i.
+  u64 hi = 0;
+  const u64 x0 = mul_hilo(a0, a0, hi);
+  std::uint8_t k = add_carry(0, x1, hi, x1);
+  u64 lo = mul_hilo(a1, a1, hi);
+  k = add_carry(k, x2, lo, x2);
+  k = add_carry(k, x3, hi, x3);
+  lo = mul_hilo(a2, a2, hi);
+  k = add_carry(k, x4, lo, x4);
+  k = add_carry(k, x5, hi, x5);
+  lo = mul_hilo(a3, a3, hi);
+  k = add_carry(k, x6, lo, x6);
+  add_carry(k, x7, hi, x7);
+  return fe_reduce(U512{{x0, x1, x2, x3, x4, x5, x6, x7}});
+}
+
+[[gnu::always_inline]] inline U256 fe_add(const U256& a, const U256& b) {
+  U256 r;
+  std::uint8_t c = add_carry(0, a.w[0], b.w[0], r.w[0]);
+  c = add_carry(c, a.w[1], b.w[1], r.w[1]);
+  c = add_carry(c, a.w[2], b.w[2], r.w[2]);
+  c = add_carry(c, a.w[3], b.w[3], r.w[3]);
+  return subtract_once(r, c, kP);
+}
+
+[[gnu::always_inline]] inline U256 fe_sub(const U256& a, const U256& b) {
+  U256 r;
+  std::uint8_t c = sub_borrow(0, a.w[0], b.w[0], r.w[0]);
+  c = sub_borrow(c, a.w[1], b.w[1], r.w[1]);
+  c = sub_borrow(c, a.w[2], b.w[2], r.w[2]);
+  c = sub_borrow(c, a.w[3], b.w[3], r.w[3]);
+  // Add p back when the difference went negative.
+  const u64 mask = 0 - static_cast<u64>(c);
+  c = add_carry(0, r.w[0], kP.w[0] & mask, r.w[0]);
+  c = add_carry(c, r.w[1], kP.w[1] & mask, r.w[1]);
+  c = add_carry(c, r.w[2], kP.w[2] & mask, r.w[2]);
+  add_carry(c, r.w[3], kP.w[3] & mask, r.w[3]);
+  return r;
+}
+
+inline U256 fe_neg(const U256& a) { return fe_sub(U256{}, a); }
+
+const U256 kBMont = fp_to_mont(kB);
+
 }  // namespace
 
 const U256& p256_p() { return kP; }
@@ -29,190 +147,126 @@ const U256& p256_n() { return kN; }
 const U256& p256_b() { return kB; }
 const AffinePoint& p256_generator() { return kG; }
 
-U256 fp_add(const U256& a, const U256& b) { return add_mod(a, b, kP); }
-U256 fp_sub(const U256& a, const U256& b) { return sub_mod(a, b, kP); }
+U256 fp_to_mont(const U256& a) { return fe_mul(a, kR2ModP); }
 
-U256 fp_reduce(const U512& a) {
-  // Split the 512-bit input into sixteen 32-bit words c[0..15] (little
-  // endian) and combine per Hankerson Alg. 2.29:
-  //   r = s1 + 2*s2 + 2*s3 + s4 + s5 - s6 - s7 - s8 - s9 (mod p).
-  std::uint32_t c[16];
-  for (int i = 0; i < 8; ++i) {
-    c[2 * i] = static_cast<std::uint32_t>(a.w[i]);
-    c[2 * i + 1] = static_cast<std::uint32_t>(a.w[i] >> 32);
-  }
-
-  // Per-lane signed accumulation (each lane sums at most 9 32-bit words, so
-  // an int64 cannot overflow).
-  std::int64_t acc[8] = {};
-  auto lane = [&](int j) -> std::int64_t& { return acc[j]; };
-
-  // s1
-  for (int j = 0; j < 8; ++j) lane(j) += c[j];
-  // 2*s2 = 2*(c15,c14,c13,c12,c11,0,0,0)
-  for (int j = 3; j < 8; ++j) lane(j) += 2 * static_cast<std::int64_t>(c[j + 8]);
-  // 2*s3 = 2*(0,c15,c14,c13,c12,0,0,0)
-  for (int j = 3; j < 7; ++j) lane(j) += 2 * static_cast<std::int64_t>(c[j + 9]);
-  // s4 = (c15,c14,0,0,0,c10,c9,c8)
-  lane(0) += c[8]; lane(1) += c[9]; lane(2) += c[10];
-  lane(6) += c[14]; lane(7) += c[15];
-  // s5 = (c8,c13,c15,c14,c13,c11,c10,c9)
-  lane(0) += c[9]; lane(1) += c[10]; lane(2) += c[11]; lane(3) += c[13];
-  lane(4) += c[14]; lane(5) += c[15]; lane(6) += c[13]; lane(7) += c[8];
-  // s6 = (c10,c8,0,0,0,c13,c12,c11)
-  lane(0) -= c[11]; lane(1) -= c[12]; lane(2) -= c[13];
-  lane(6) -= c[8]; lane(7) -= c[10];
-  // s7 = (c11,c9,0,0,c15,c14,c13,c12)
-  lane(0) -= c[12]; lane(1) -= c[13]; lane(2) -= c[14]; lane(3) -= c[15];
-  lane(6) -= c[9]; lane(7) -= c[11];
-  // s8 = (c12,0,c10,c9,c8,c15,c14,c13)
-  lane(0) -= c[13]; lane(1) -= c[14]; lane(2) -= c[15]; lane(3) -= c[8];
-  lane(4) -= c[9]; lane(5) -= c[10]; lane(7) -= c[12];
-  // s9 = (c13,0,c11,c10,c9,0,c15,c14)
-  lane(0) -= c[14]; lane(1) -= c[15]; lane(3) -= c[9]; lane(4) -= c[10];
-  lane(5) -= c[11]; lane(7) -= c[13];
-
-  // Carry-propagate the signed lanes into a 256-bit value plus a signed
-  // overflow word.
-  U256 r;
-  std::int64_t carry = 0;
-  for (int j = 0; j < 8; ++j) {
-    const std::int64_t t = acc[j] + carry;
-    const auto low = static_cast<std::uint32_t>(t & 0xffffffff);
-    carry = (t - low) >> 32;
-    if (j % 2 == 0) {
-      r.w[j / 2] = low;
-    } else {
-      r.w[j / 2] |= static_cast<std::uint64_t>(low) << 32;
-    }
-  }
-
-  // Fold the overflow word: total value = carry * 2^256 + r. |carry| is tiny
-  // (< 8), so a short loop of +/- p suffices.
-  while (carry < 0) {
-    carry += static_cast<std::int64_t>(add(r, r, kP));
-  }
-  while (carry > 0) {
-    carry -= static_cast<std::int64_t>(sub(r, r, kP));
-  }
-  while (cmp(r, kP) >= 0) sub(r, r, kP);
-  return r;
+U256 fp_from_mont(const U256& a) {
+  return fe_reduce(U512{{a.w[0], a.w[1], a.w[2], a.w[3], 0, 0, 0, 0}});
 }
 
-U256 fp_mul(const U256& a, const U256& b) {
-  return fp_reduce(mul_wide(a, b));
-}
-
-U256 fp_sqr(const U256& a) { return fp_mul(a, a); }
+U256 fp_add(const U256& a, const U256& b) { return fe_add(a, b); }
+U256 fp_sub(const U256& a, const U256& b) { return fe_sub(a, b); }
+U256 fp_mul(const U256& a, const U256& b) { return fe_mul(a, b); }
+U256 fp_sqr(const U256& a) { return fe_sqr(a); }
 
 U256 fp_inv(const U256& a) {
-  // Fermat: a^(p-2) by square-and-multiply over the fast P-256 reduction.
-  // p - 2 = ffffffff00000001000000000000000000000000fffffffffffffffffffffffd.
-  static const U256 kPMinus2 = U256::from_hex(
-      "ffffffff00000001000000000000000000000000fffffffffffffffffffffffd");
-  U256 result = U256::from_u64(1);
-  for (int i = kPMinus2.top_bit(); i >= 0; --i) {
-    result = fp_sqr(result);
-    if (kPMinus2.bit(i)) result = fp_mul(result, a);
-  }
-  return result;
+  // inv_mod(a R) = a^-1 R^-1; two products with R^2 bring it to a^-1 R.
+  return fe_mul(fe_mul(inv_mod(a, kP), kR2ModP), kR2ModP);
 }
+
+U256 fn_add(const U256& a, const U256& b) { return add_mod(a, b, kN); }
+
+U256 fn_mul(const U256& a, const U256& b) {
+  const U256 abr = mont_reduce(mul_wide(a, b), kN, kNInv0);  // a b R^-1
+  return mont_reduce(mul_wide(abr, kR2ModN), kN, kNInv0);
+}
+
+U256 fn_inv(const U256& a) { return inv_mod(a, kN); }
 
 JacobianPoint to_jacobian(const AffinePoint& p) {
   if (p.infinity) return JacobianPoint{};
-  return JacobianPoint{p.x, p.y, U256::from_u64(1)};
+  return JacobianPoint{fp_to_mont(p.x), fp_to_mont(p.y), kPOne};
 }
 
 AffinePoint to_affine(const JacobianPoint& p) {
   if (p.is_infinity()) return AffinePoint{{}, {}, true};
   const U256 zinv = fp_inv(p.z);
-  const U256 zinv2 = fp_sqr(zinv);
-  const U256 zinv3 = fp_mul(zinv2, zinv);
-  return AffinePoint{fp_mul(p.x, zinv2), fp_mul(p.y, zinv3), false};
+  const U256 zinv2 = fe_sqr(zinv);
+  const U256 zinv3 = fe_mul(zinv2, zinv);
+  return AffinePoint{fp_from_mont(fe_mul(p.x, zinv2)),
+                     fp_from_mont(fe_mul(p.y, zinv3)), false};
 }
 
 JacobianPoint point_double(const JacobianPoint& p) {
   if (p.is_infinity() || p.y.is_zero()) return JacobianPoint{};
   // dbl-2001-b formulas for a = -3.
-  const U256 delta = fp_sqr(p.z);
-  const U256 gamma = fp_sqr(p.y);
-  const U256 beta = fp_mul(p.x, gamma);
-  const U256 alpha =
-      fp_mul(fp_add(fp_add(fp_sub(p.x, delta), fp_sub(p.x, delta)),
-                    fp_sub(p.x, delta)),
-             fp_add(p.x, delta));
-  const U256 beta8 = fp_add(fp_add(fp_add(beta, beta), fp_add(beta, beta)),
-                            fp_add(fp_add(beta, beta), fp_add(beta, beta)));
+  const U256 delta = fe_sqr(p.z);
+  const U256 gamma = fe_sqr(p.y);
+  const U256 beta = fe_mul(p.x, gamma);
+  const U256 t = fe_mul(fe_sub(p.x, delta), fe_add(p.x, delta));
+  const U256 alpha = fe_add(fe_add(t, t), t);
+  const U256 beta2 = fe_add(beta, beta);
+  const U256 beta4 = fe_add(beta2, beta2);
   JacobianPoint r;
-  r.x = fp_sub(fp_sqr(alpha), beta8);
-  const U256 ypz = fp_add(p.y, p.z);
-  r.z = fp_sub(fp_sub(fp_sqr(ypz), gamma), delta);
-  const U256 beta4 = fp_add(fp_add(beta, beta), fp_add(beta, beta));
-  const U256 gamma2 = fp_sqr(gamma);
-  const U256 gamma2_8 =
-      fp_add(fp_add(fp_add(gamma2, gamma2), fp_add(gamma2, gamma2)),
-             fp_add(fp_add(gamma2, gamma2), fp_add(gamma2, gamma2)));
-  r.y = fp_sub(fp_mul(alpha, fp_sub(beta4, r.x)), gamma2_8);
+  r.x = fe_sub(fe_sqr(alpha), fe_add(beta4, beta4));
+  r.z = fe_sub(fe_sub(fe_sqr(fe_add(p.y, p.z)), gamma), delta);
+  const U256 gamma2 = fe_sqr(gamma);
+  const U256 gamma2_2 = fe_add(gamma2, gamma2);
+  const U256 gamma2_4 = fe_add(gamma2_2, gamma2_2);
+  r.y = fe_sub(fe_mul(alpha, fe_sub(beta4, r.x)), fe_add(gamma2_4, gamma2_4));
   return r;
 }
 
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q) {
   if (p.is_infinity()) return q;
   if (q.is_infinity()) return p;
-  const U256 z1z1 = fp_sqr(p.z);
-  const U256 z2z2 = fp_sqr(q.z);
-  const U256 u1 = fp_mul(p.x, z2z2);
-  const U256 u2 = fp_mul(q.x, z1z1);
-  const U256 s1 = fp_mul(p.y, fp_mul(z2z2, q.z));
-  const U256 s2 = fp_mul(q.y, fp_mul(z1z1, p.z));
+  const U256 z1z1 = fe_sqr(p.z);
+  const U256 z2z2 = fe_sqr(q.z);
+  const U256 u1 = fe_mul(p.x, z2z2);
+  const U256 u2 = fe_mul(q.x, z1z1);
+  const U256 s1 = fe_mul(p.y, fe_mul(z2z2, q.z));
+  const U256 s2 = fe_mul(q.y, fe_mul(z1z1, p.z));
   if (u1 == u2) {
     if (s1 == s2) return point_double(p);
     return JacobianPoint{};  // p + (-p)
   }
-  const U256 h = fp_sub(u2, u1);
-  const U256 r = fp_sub(s2, s1);
-  const U256 h2 = fp_sqr(h);
-  const U256 h3 = fp_mul(h2, h);
-  const U256 u1h2 = fp_mul(u1, h2);
+  const U256 h = fe_sub(u2, u1);
+  const U256 r = fe_sub(s2, s1);
+  const U256 h2 = fe_sqr(h);
+  const U256 h3 = fe_mul(h2, h);
+  const U256 u1h2 = fe_mul(u1, h2);
   JacobianPoint out;
-  out.x = fp_sub(fp_sub(fp_sqr(r), h3), fp_add(u1h2, u1h2));
-  out.y = fp_sub(fp_mul(r, fp_sub(u1h2, out.x)), fp_mul(s1, h3));
-  out.z = fp_mul(fp_mul(p.z, q.z), h);
+  out.x = fe_sub(fe_sub(fe_sqr(r), h3), fe_add(u1h2, u1h2));
+  out.y = fe_sub(fe_mul(r, fe_sub(u1h2, out.x)), fe_mul(s1, h3));
+  out.z = fe_mul(fe_mul(p.z, q.z), h);
   return out;
 }
 
-JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q) {
-  if (q.infinity) return p;
-  if (p.is_infinity()) return to_jacobian(q);
-  // Mixed addition (madd-2007-bl shape, Z2 = 1).
-  const U256 z1z1 = fp_sqr(p.z);
-  const U256 u2 = fp_mul(q.x, z1z1);
-  const U256 s2 = fp_mul(q.y, fp_mul(z1z1, p.z));
+namespace {
+
+/// Mixed addition (madd-2007-bl shape, Z2 = 1) with q finite and given by
+/// Montgomery-domain coordinates, as the precomputed tables store it.
+JacobianPoint add_mont_affine(const JacobianPoint& p, const AffinePoint& q) {
+  if (p.is_infinity()) return JacobianPoint{q.x, q.y, kPOne};
+  const U256 z1z1 = fe_sqr(p.z);
+  const U256 u2 = fe_mul(q.x, z1z1);
+  const U256 s2 = fe_mul(q.y, fe_mul(z1z1, p.z));
   if (p.x == u2) {
     if (p.y == s2) return point_double(p);
     return JacobianPoint{};  // p + (-p)
   }
-  const U256 h = fp_sub(u2, p.x);
-  const U256 r = fp_sub(s2, p.y);
-  const U256 h2 = fp_sqr(h);
-  const U256 h3 = fp_mul(h2, h);
-  const U256 v = fp_mul(p.x, h2);
+  const U256 h = fe_sub(u2, p.x);
+  const U256 r = fe_sub(s2, p.y);
+  const U256 h2 = fe_sqr(h);
+  const U256 h3 = fe_mul(h2, h);
+  const U256 v = fe_mul(p.x, h2);
   JacobianPoint out;
-  out.x = fp_sub(fp_sub(fp_sqr(r), h3), fp_add(v, v));
-  out.y = fp_sub(fp_mul(r, fp_sub(v, out.x)), fp_mul(p.y, h3));
-  out.z = fp_mul(p.z, h);
+  out.x = fe_sub(fe_sub(fe_sqr(r), h3), fe_add(v, v));
+  out.y = fe_sub(fe_mul(r, fe_sub(v, out.x)), fe_mul(p.y, h3));
+  out.z = fe_mul(p.z, h);
   return out;
 }
 
-std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) {
-  // Montgomery's trick: one inversion plus 3(n-1) multiplications inverts
-  // every Z at once; infinities pass through with Z treated as 1.
+/// Montgomery's trick: one inversion plus 3(n-1) multiplications inverts
+/// every Z at once. The results keep Montgomery-domain coordinates, as the
+/// tables want them; infinities pass through with Z treated as 1.
+std::vector<AffinePoint> batch_normalize(
+    const std::vector<JacobianPoint>& pts) {
   std::vector<AffinePoint> out(pts.size());
   std::vector<U256> prefix(pts.size());
-  U256 acc = U256::from_u64(1);
+  U256 acc = kPOne;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     prefix[i] = acc;
-    if (!pts[i].is_infinity()) acc = fp_mul(acc, pts[i].z);
+    if (!pts[i].is_infinity()) acc = fe_mul(acc, pts[i].z);
   }
   U256 inv = fp_inv(acc);
   for (std::size_t i = pts.size(); i-- > 0;) {
@@ -220,11 +274,28 @@ std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) 
       out[i] = AffinePoint{{}, {}, true};
       continue;
     }
-    const U256 zinv = fp_mul(inv, prefix[i]);
-    inv = fp_mul(inv, pts[i].z);
-    const U256 zinv2 = fp_sqr(zinv);
-    out[i] = AffinePoint{fp_mul(pts[i].x, zinv2),
-                         fp_mul(pts[i].y, fp_mul(zinv2, zinv)), false};
+    const U256 zinv = fe_mul(inv, prefix[i]);
+    inv = fe_mul(inv, pts[i].z);
+    const U256 zinv2 = fe_sqr(zinv);
+    out[i] = AffinePoint{fe_mul(pts[i].x, zinv2),
+                         fe_mul(pts[i].y, fe_mul(zinv2, zinv)), false};
+  }
+  return out;
+}
+
+}  // namespace
+
+JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q) {
+  if (q.infinity) return p;
+  return add_mont_affine(p, AffinePoint{fp_to_mont(q.x), fp_to_mont(q.y)});
+}
+
+std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) {
+  std::vector<AffinePoint> out = batch_normalize(pts);
+  for (AffinePoint& a : out) {
+    if (a.infinity) continue;
+    a.x = fp_from_mont(a.x);
+    a.y = fp_from_mont(a.y);
   }
   return out;
 }
@@ -232,13 +303,11 @@ std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) 
 namespace {
 
 JacobianPoint jac_negate(const JacobianPoint& p) {
-  if (p.is_infinity() || p.y.is_zero()) return p;
-  return JacobianPoint{p.x, sub_mod(U256{}, p.y, kP), p.z};
+  return JacobianPoint{p.x, fe_neg(p.y), p.z};
 }
 
 AffinePoint affine_negate(const AffinePoint& p) {
-  if (p.infinity || p.y.is_zero()) return p;
-  return AffinePoint{p.x, sub_mod(U256{}, p.y, kP), false};
+  return AffinePoint{p.x, fe_neg(p.y), false};
 }
 
 /// Width-w NAF digits of k, least significant first. Digits are zero or odd
@@ -285,7 +354,7 @@ std::vector<JacobianPoint> odd_multiples(const AffinePoint& p, int w) {
 /// Precomputed affine odd multiples of G for the joint-wNAF verify path.
 const std::vector<AffinePoint>& base_wnaf_table() {
   static const std::vector<AffinePoint> tbl =
-      batch_to_affine(odd_multiples(kG, kWnafWidthBase));
+      batch_normalize(odd_multiples(kG, kWnafWidthBase));
   return tbl;
 }
 
@@ -304,7 +373,7 @@ std::vector<AffinePoint> build_comb_entries(const AffinePoint& p) {
     entries[d] =
         d == (1u << t) ? spine[t] : point_add(entries[d & (d - 1)], spine[t]);
   }
-  return batch_to_affine(entries);
+  return batch_normalize(entries);
 }
 
 const std::vector<AffinePoint>& base_comb_table() {
@@ -364,7 +433,7 @@ JacobianPoint base_mult(const U256& k) {
   for (int col = kCombSpacing - 1; col >= 0; --col) {
     acc = point_double(acc);
     const unsigned d = comb_digit(kr, col);
-    if (d != 0) acc = point_add_affine(acc, tbl[d]);
+    if (d != 0) acc = add_mont_affine(acc, tbl[d]);
   }
   return acc;
 }
@@ -383,7 +452,7 @@ JacobianPoint PointCombTable::mult(const U256& k) const {
   for (int col = kCombSpacing - 1; col >= 0; --col) {
     acc = point_double(acc);
     const unsigned d = comb_digit(kr, col);
-    if (d != 0) acc = point_add_affine(acc, entries_[d]);
+    if (d != 0) acc = add_mont_affine(acc, entries_[d]);
   }
   return acc;
 }
@@ -399,9 +468,9 @@ JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
   for (int col = kCombSpacing - 1; col >= 0; --col) {
     acc = point_double(acc);
     const unsigned d1 = comb_digit(u1r, col);
-    if (d1 != 0) acc = point_add_affine(acc, gtbl[d1]);
+    if (d1 != 0) acc = add_mont_affine(acc, gtbl[d1]);
     const unsigned d2 = comb_digit(u2r, col);
-    if (d2 != 0) acc = point_add_affine(acc, q.entry(d2));
+    if (d2 != 0) acc = add_mont_affine(acc, q.entries_[d2]);
   }
   return acc;
 }
@@ -427,7 +496,7 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
     if (i < len1 && d1[i] != 0) {
       const int d = d1[i];
       const AffinePoint& g = gtbl[static_cast<std::size_t>(std::abs(d) / 2)];
-      acc = point_add_affine(acc, d > 0 ? g : affine_negate(g));
+      acc = add_mont_affine(acc, d > 0 ? g : affine_negate(g));
     }
     if (i < len2 && d2[i] != 0) {
       const int d = d2[i];
@@ -438,15 +507,29 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
   return acc;
 }
 
+bool x_equals_mod_n(const JacobianPoint& p, const U256& r) {
+  if (p.is_infinity()) return false;
+  // The affine x is X / Z^2 and lies in [0, p), so x mod n == r means x is
+  // r or, when that is still < p, r + n. Test X == x * Z^2 for both: a
+  // Montgomery product of an ordinary-domain x and the Montgomery-domain
+  // Z^2 lands in the ordinary domain, where X is compared.
+  const U256 x = fp_from_mont(p.x);
+  const U256 zz = fe_sqr(p.z);
+  if (fe_mul(r, zz) == x) return true;
+  U256 r_plus_n;
+  if (add(r_plus_n, r, kN) != 0 || cmp(r_plus_n, kP) >= 0) return false;
+  return fe_mul(r_plus_n, zz) == x;
+}
+
 bool on_curve(const AffinePoint& p) {
   if (p.infinity) return true;
   if (cmp(p.x, kP) >= 0 || cmp(p.y, kP) >= 0) return false;
-  const U256 y2 = fp_sqr(p.y);
-  const U256 x3 = fp_mul(fp_sqr(p.x), p.x);
-  // x^3 - 3x + b
-  const U256 three_x = fp_add(fp_add(p.x, p.x), p.x);
-  const U256 rhs = fp_add(fp_sub(x3, three_x), kB);
-  return y2 == rhs;
+  const U256 x = fp_to_mont(p.x);
+  const U256 y = fp_to_mont(p.y);
+  // y^2 == x^3 - 3x + b
+  const U256 x3 = fe_mul(fe_sqr(x), x);
+  const U256 three_x = fe_add(fe_add(x, x), x);
+  return fe_sqr(y) == fe_add(fe_sub(x3, three_x), kBMont);
 }
 
 }  // namespace bm::crypto

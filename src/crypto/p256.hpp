@@ -1,8 +1,10 @@
 // NIST P-256 (secp256r1) curve arithmetic.
 //
-// Field elements are U256 values < p with a dedicated fast reduction for the
-// NIST prime (Hankerson et al., Alg. 2.29). Points use Jacobian projective
-// coordinates; the point at infinity is represented by Z = 0.
+// Field elements inside point arithmetic live in the Montgomery domain
+// (a * 2^256 mod p): a field multiply is one 4x64-limb product plus a
+// division-free Montgomery reduction. Points use Jacobian projective
+// coordinates; the point at infinity is represented by Z = 0. Affine points
+// (public keys, curve constants) stay in the ordinary domain.
 #pragma once
 
 #include <vector>
@@ -16,14 +18,28 @@ const U256& p256_p();
 const U256& p256_n();
 const U256& p256_b();
 
-/// Field arithmetic mod p (inputs must be < p).
+/// Field arithmetic mod p. Inputs must be < p; results are < p.
+U256 fp_to_mont(const U256& a);    ///< a * 2^256 mod p
+U256 fp_from_mont(const U256& a);  ///< a * 2^-256 mod p
+/// Addition and subtraction are the same in either domain.
 U256 fp_add(const U256& a, const U256& b);
 U256 fp_sub(const U256& a, const U256& b);
+/// Montgomery product a * b * 2^-256 mod p: the product of two
+/// Montgomery-domain elements, again in the Montgomery domain.
 U256 fp_mul(const U256& a, const U256& b);
+/// fp_mul(a, a) with a dedicated squaring (10 limb products instead of 16).
 U256 fp_sqr(const U256& a);
+/// Inverse of a Montgomery-domain element, in the Montgomery domain; 0 maps
+/// to 0.
 U256 fp_inv(const U256& a);
-/// Fast reduction of a 512-bit product modulo the P-256 prime.
-U256 fp_reduce(const U512& a);
+
+/// Arithmetic mod the group order n, ordinary domain. Inputs must be < n.
+U256 fn_add(const U256& a, const U256& b);
+/// a * b mod n as two Montgomery products (the second undoes the first's
+/// factor 2^-256).
+U256 fn_mul(const U256& a, const U256& b);
+/// Binary extended Euclid; 0 maps to 0.
+U256 fn_inv(const U256& a);
 
 struct AffinePoint {
   U256 x;
@@ -34,7 +50,7 @@ struct AffinePoint {
 };
 
 struct JacobianPoint {
-  U256 x;
+  U256 x;  ///< Montgomery domain, like y and z; read through to_affine.
   U256 y;
   U256 z;  ///< Zero limbs mean the point at infinity.
 
@@ -50,11 +66,11 @@ AffinePoint to_affine(const JacobianPoint& p);
 JacobianPoint point_double(const JacobianPoint& p);
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
 /// Mixed Jacobian + affine addition (Z2 = 1), ~30% cheaper than the general
-/// formulas; used with the precomputed affine tables.
+/// formulas; the precomputed tables feed the same formulas.
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 
 /// Convert many Jacobian points with one field inversion (Montgomery's
-/// simultaneous-inversion trick); used to build the fixed-base tables.
+/// simultaneous-inversion trick).
 std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts);
 
 /// k * P. Dispatches to the fixed-base comb when P is the generator and to
@@ -80,6 +96,11 @@ JacobianPoint base_mult(const U256& k);
 JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
                                  const AffinePoint& q);
 
+/// True iff p is finite and its affine x, reduced mod n, equals r (r < n):
+/// the ECDSA acceptance test, evaluated as r * Z^2 == X (and, when
+/// r + n < p, (r + n) * Z^2 == X) so no field inversion is needed.
+bool x_equals_mod_n(const JacobianPoint& p, const U256& r);
+
 /// Per-point Lim–Lee comb table, the same 8-teeth x 32-column layout the
 /// generator's fixed-base table uses: 255 affine entries (~16 KiB). Building
 /// one costs a few hundred point operations — roughly two generic scalar
@@ -97,14 +118,16 @@ class PointCombTable {
   /// mod n first, like scalar_mult).
   JacobianPoint mult(const U256& k) const;
 
-  /// Comb entry d (1..255): sum over set bits t of d of 2^(32t) * P.
-  const AffinePoint& entry(unsigned d) const { return entries_[d]; }
-
  private:
+  friend JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
+                                               const PointCombTable& q);
+
   PointCombTable() = default;
 
   AffinePoint point_{{}, {}, true};
-  std::vector<AffinePoint> entries_;  ///< 256 entries; entry 0 unused
+  /// Entry d (1..255): sum over set bits t of d of 2^(32t) * P, with
+  /// Montgomery-domain coordinates; entry 0 unused.
+  std::vector<AffinePoint> entries_;
 };
 
 /// u1*G + u2*Q with Q on a prebuilt comb table: ONE shared 31-doubling

@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define BM_SHA256_SHANI 1
+#endif
+
 namespace bm::crypto {
 
 namespace {
@@ -25,7 +31,143 @@ constexpr std::uint32_t kRound[64] = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef BM_SHA256_SHANI
+
+#define BM_SHANI_TARGET __attribute__((target("sha,sse4.1")))
+
+/// Four big-endian message words.
+BM_SHANI_TARGET inline __m128i load4(const std::uint8_t* p) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+                          byteswap);
+}
+
+/// Four rounds: message words `w` plus the round constants k[0..3].
+BM_SHANI_TARGET inline void rounds4(__m128i& abef, __m128i& cdgh, __m128i w,
+                                    const std::uint32_t* k) {
+  const __m128i wk =
+      _mm_add_epi32(w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+/// The next four schedule words from the previous sixteen (w0 oldest):
+/// W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+BM_SHANI_TARGET inline __m128i schedule4(__m128i w0, __m128i w1, __m128i w2,
+                                         __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+
+/// Intel's SHA-extensions round structure: the state as ABEF/CDGH lane
+/// pairs, two rounds per sha256rnds2.
+BM_SHANI_TARGET void blocks_shani(std::uint32_t* state,
+                                  const std::uint8_t* blocks,
+                                  std::size_t count) {
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  dcba = _mm_shuffle_epi32(dcba, 0xB1);                 // CDAB
+  hgfe = _mm_shuffle_epi32(hgfe, 0x1B);                 // EFGH
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);        // ABEF
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);     // CDGH
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = load4(blocks);
+    __m128i w1 = load4(blocks + 16);
+    __m128i w2 = load4(blocks + 32);
+    __m128i w3 = load4(blocks + 48);
+    rounds4(abef, cdgh, w0, kRound);
+    rounds4(abef, cdgh, w1, kRound + 4);
+    rounds4(abef, cdgh, w2, kRound + 8);
+    rounds4(abef, cdgh, w3, kRound + 12);
+    for (int t = 16; t < 64; t += 16) {
+      w0 = schedule4(w0, w1, w2, w3);
+      rounds4(abef, cdgh, w0, kRound + t);
+      w1 = schedule4(w1, w2, w3, w0);
+      rounds4(abef, cdgh, w1, kRound + t + 4);
+      w2 = schedule4(w2, w3, w0, w1);
+      rounds4(abef, cdgh, w2, kRound + t + 8);
+      w3 = schedule4(w3, w0, w1, w2);
+      rounds4(abef, cdgh, w3, kRound + t + 12);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));     // HGFE
+}
+
+bool cpu_has_shani() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse41 && (ebx & (1u << 29)) != 0;
+}
+
+#endif  // BM_SHA256_SHANI
+
+/// SHA-NI when the CPU has it, else the scalar rounds.
+Sha256BlockFn block_fn() {
+  const Sha256BlockFn shani = sha256_blocks_shani();
+  return shani != nullptr ? shani : sha256_blocks_scalar;
+}
+
 }  // namespace
+
+void sha256_blocks_scalar(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    const std::uint8_t* block = blocks;
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(block[4 * i]) << 24) |
+             (std::uint32_t(block[4 * i + 1]) << 16) |
+             (std::uint32_t(block[4 * i + 2]) << 8) |
+             std::uint32_t(block[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+Sha256BlockFn sha256_blocks_shani() {
+#ifdef BM_SHA256_SHANI
+  static const Sha256BlockFn fn = cpu_has_shani() ? blocks_shani : nullptr;
+  return fn;
+#else
+  return nullptr;
+#endif
+}
 
 Sha256::Sha256() { reset(); }
 
@@ -33,38 +175,6 @@ void Sha256::reset() {
   std::memcpy(state_.data(), kInit, sizeof(kInit));
   total_len_ = 0;
   buffer_len_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
 }
 
 void Sha256::update(ByteView data) {
@@ -76,13 +186,14 @@ void Sha256::update(ByteView data) {
     buffer_len_ += take;
     pos += take;
     if (buffer_len_ == 64) {
-      compress(buffer_.data());
+      block_fn()(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (pos + 64 <= data.size()) {
-    compress(data.data() + pos);
-    pos += 64;
+  const std::size_t blocks = (data.size() - pos) / 64;
+  if (blocks > 0) {
+    block_fn()(state_.data(), data.data() + pos, blocks);
+    pos += 64 * blocks;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -91,16 +202,18 @@ void Sha256::update(ByteView data) {
 }
 
 Digest Sha256::finish() {
+  // Pad in place: 0x80, zeros up to byte 56 of a block, the bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(ByteView(&zero, 1));
-
-  std::uint8_t len_bytes[8];
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    block_fn()(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(ByteView(len_bytes, 8));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  block_fn()(state_.data(), buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

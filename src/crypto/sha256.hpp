@@ -14,6 +14,19 @@ namespace bm::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
 
+/// A SHA-256 block function: runs the compression function over `count`
+/// consecutive 64-byte blocks, updating the eight-word `state` in place.
+using Sha256BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                               std::size_t count);
+
+/// The portable block function: the fallback, and the oracle for SHA-NI.
+void sha256_blocks_scalar(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count);
+
+/// The block function on the x86 SHA extensions, or null when the CPU lacks
+/// them (asked once, by cpuid). Sha256 uses it whenever it is non-null.
+Sha256BlockFn sha256_blocks_shani();
+
 class Sha256 {
  public:
   Sha256();
@@ -29,8 +42,6 @@ class Sha256 {
   void reset();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_len_ = 0;

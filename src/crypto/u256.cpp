@@ -97,21 +97,6 @@ std::uint64_t sub(U256& r, const U256& a, const U256& b) {
   return borrow;
 }
 
-U512 mul_wide(const U256& a, const U256& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      carry += static_cast<unsigned __int128>(a.w[i]) * b.w[j];
-      carry += r.w[i + j];
-      r.w[i + j] = static_cast<std::uint64_t>(carry);
-      carry >>= 64;
-    }
-    r.w[i + 4] = static_cast<std::uint64_t>(carry);
-  }
-  return r;
-}
-
 namespace {
 
 bool u512_bit(const U512& a, int i) {
@@ -264,6 +249,56 @@ U256 inv_mod_prime(const U256& a, const U256& m) {
   const U256 two = U256::from_u64(2);
   sub(e, e, two);
   return pow_mod(a, e, m);
+}
+
+namespace {
+
+void shr1(U256& v) {
+  for (int i = 0; i < 3; ++i) v.w[i] = (v.w[i] >> 1) | (v.w[i + 1] << 63);
+  v.w[3] >>= 1;
+}
+
+/// x / 2 mod m for odd m: an odd x gets m added first (the carry becomes
+/// the top bit after the shift).
+void halve_mod(U256& x, const U256& m) {
+  const std::uint64_t carry = (x.w[0] & 1) != 0 ? add(x, x, m) : 0;
+  shr1(x);
+  x.w[3] |= carry << 63;
+}
+
+bool is_one(const U256& v) {
+  return v.w[0] == 1 && (v.w[1] | v.w[2] | v.w[3]) == 0;
+}
+
+}  // namespace
+
+U256 inv_mod(const U256& a, const U256& m) {
+  if (a.is_zero()) return U256{};
+  // Hankerson et al., Alg. 2.22. Invariants: x1 * a == u and x2 * a == v
+  // (mod m); halving u or v halves its coefficient mod m.
+  U256 u = a;
+  U256 v = m;
+  U256 x1 = U256::from_u64(1);
+  U256 x2;
+  while (!is_one(u) && !is_one(v)) {
+    while ((u.w[0] & 1) == 0) {
+      shr1(u);
+      halve_mod(x1, m);
+    }
+    while ((v.w[0] & 1) == 0) {
+      shr1(v);
+      halve_mod(x2, m);
+    }
+    if (cmp(u, v) >= 0) {
+      sub(u, u, v);
+      if (u.is_zero()) return U256{};  // gcd(a, m) > 1: no inverse
+      x1 = sub_mod(x1, x2, m);
+    } else {
+      sub(v, v, u);
+      x2 = sub_mod(x2, x1, m);
+    }
+  }
+  return is_one(u) ? x1 : x2;
 }
 
 }  // namespace bm::crypto

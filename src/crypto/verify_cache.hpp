@@ -10,7 +10,7 @@
 // Analysis of Hyperledger Fabric" pins this as a dominant commit-path
 // cost). The cache memoizes verify() outcomes keyed by the full triple
 // (public key, digest, signature bytes), so a repeat costs one SHA-256 and
-// a hash-table probe instead of ~300 us of point arithmetic.
+// a hash-table probe instead of ~100 us of point arithmetic.
 //
 // Correctness: the key commits to every input of the verification — a
 // matching signature over a DIFFERENT digest, or the same digest under a

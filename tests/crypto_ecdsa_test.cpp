@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/der.hpp"
@@ -374,6 +379,97 @@ TEST(Ecdsa, SignatureMalleabilityCounterpartIsDistinct) {
   flipped.s = sub_mod(U256{}, sig.s, p256_n());
   EXPECT_TRUE(verify(key.public_key(), d, flipped));
   EXPECT_NE(der_encode_signature(sig), der_encode_signature(flipped));
+}
+
+/// ECDSA verification the way the library computed it before the
+/// Montgomery rewrite: Fermat inverse and scalar products over generic
+/// division, two separate scalar multiplications, and the affine x through
+/// a field inversion. Oracle for the inversion-free verify().
+bool reference_verify(const PublicKey& key, const Digest& digest,
+                      const Signature& sig) {
+  const U256& n = p256_n();
+  if (sig.r.is_zero() || sig.s.is_zero()) return false;
+  if (cmp(sig.r, n) >= 0 || cmp(sig.s, n) >= 0) return false;
+  if (key.point.infinity || !on_curve(key.point)) return false;
+  const U256 e = mod(U256::from_bytes_be(digest_view(digest)), n);
+  const U256 w = inv_mod_prime(sig.s, n);
+  const JacobianPoint p =
+      point_add(scalar_mult_wnaf(mul_mod(e, w, n), p256_generator()),
+                scalar_mult_wnaf(mul_mod(sig.r, w, n), key.point));
+  if (p.is_infinity()) return false;
+  return mod(to_affine(p).x, n) == sig.r;
+}
+
+TEST(Ecdsa, VerifyMatchesReferenceOnRandomTamperedAndEdgeInputs) {
+  std::vector<PrivateKey> keys;
+  for (int i = 0; i < 8; ++i)
+    keys.push_back(key_from_seed(to_bytes("diff-" + std::to_string(i))));
+  U256 n_minus_1 = p256_n();
+  sub(n_minus_1, n_minus_1, U256::from_u64(1));
+  const U256 one = U256::from_u64(1);
+  Rng rng(21);
+  int accepted = 0;
+  int checked = 0;
+  for (int i = 0; i < 300; ++i) {
+    const PrivateKey& key = keys[i % keys.size()];
+    const PublicKey pub = key.public_key();
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    if (i % 50 == 1) d.fill(0);     // e = 0: u1 = 0
+    if (i % 50 == 2) d.fill(0xff);  // e >= n: reduced before use
+    const Signature sig = sign(key, d);
+    Digest flipped = d;
+    flipped[rng.next_u64() % 32] ^=
+        static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
+    const std::vector<std::pair<Digest, Signature>> cases = {
+        {d, sig},
+        {d, Signature{sig.r, sub_mod(U256{}, sig.s, p256_n())}},  // n - s
+        {flipped, sig},
+        {d, Signature{add_mod(sig.r, one, p256_n()), sig.s}},
+        {d, Signature{sig.r, add_mod(sig.s, one, p256_n())}},
+        {d, Signature{one, sig.s}},
+        {d, Signature{n_minus_1, n_minus_1}},
+        {d, Signature{sig.r, one}},
+    };
+    for (const auto& [digest, candidate] : cases) {
+      const bool expected = reference_verify(pub, digest, candidate);
+      EXPECT_EQ(verify(pub, digest, candidate), expected) << "case " << i;
+      // A key other than the signer's.
+      const PublicKey other = keys[(i + 1) % keys.size()].public_key();
+      EXPECT_EQ(verify(other, digest, candidate),
+                reference_verify(other, digest, candidate))
+          << "case " << i;
+      accepted += expected ? 1 : 0;
+      checked += 2;
+    }
+  }
+  EXPECT_EQ(accepted, 600);  // the signature and its (r, n - s) twin
+  EXPECT_EQ(checked, 4800);
+}
+
+TEST(P256Curve, ProjectiveXComparisonCoversBothCandidates) {
+  // Jacobian points built directly, not on the curve: x_equals_mod_n reads
+  // only X and Z. An affine x in [n, p) must match r = x - n, the case a
+  // real verification meets with probability about 2^-128.
+  const U256& n = p256_n();
+  const U256 z = fp_to_mont(U256::from_u64(0x1234567));
+  const auto with_affine_x = [&](const U256& x) {
+    return JacobianPoint{fp_mul(fp_to_mont(x), fp_sqr(z)), z, z};
+  };
+  const U256 r = U256::from_u64(5);
+  U256 r_plus_n;
+  add(r_plus_n, r, n);
+  EXPECT_TRUE(x_equals_mod_n(with_affine_x(r), r));
+  EXPECT_TRUE(x_equals_mod_n(with_affine_x(r_plus_n), r));
+  EXPECT_FALSE(x_equals_mod_n(with_affine_x(r_plus_n), U256::from_u64(6)));
+  EXPECT_FALSE(x_equals_mod_n(with_affine_x(U256::from_u64(6)), r));
+  // r + n past p has no second candidate.
+  U256 big_r;
+  sub(big_r, p256_p(), n);  // p - n: r + n == p, not a field element
+  EXPECT_FALSE(x_equals_mod_n(with_affine_x(U256{}), big_r));
+  EXPECT_TRUE(x_equals_mod_n(with_affine_x(big_r), big_r));
+  EXPECT_FALSE(x_equals_mod_n(JacobianPoint{}, r));
 }
 
 TEST(Der, Rfc6979SampleSignatureEncoding) {

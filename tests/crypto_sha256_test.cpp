@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/hmac.hpp"
@@ -79,6 +81,26 @@ TEST(Sha256, DistinctInputsDistinctDigests) {
   Bytes b = a;
   b[20] ^= 1;
   EXPECT_NE(sha256(a), sha256(b));
+}
+
+TEST(Sha256, ShaNiBlocksMatchScalarBlocks) {
+  // The block function Sha256 runs on SHA-NI hosts against the portable
+  // one, from random states over runs of 1..9 random blocks.
+  const Sha256BlockFn shani = sha256_blocks_shani();
+  if (shani == nullptr) GTEST_SKIP() << "CPU without the SHA extensions";
+  Rng rng(10);
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t count = 1 + rng.next_u64() % 9;
+    const Bytes data = rng.bytes(64 * count);
+    std::uint32_t expected[8];
+    for (std::uint32_t& word : expected)
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t actual[8];
+    std::copy(expected, expected + 8, actual);
+    sha256_blocks_scalar(expected, data.data(), count);
+    shani(actual, data.data(), count);
+    EXPECT_TRUE(std::equal(expected, expected + 8, actual)) << "case " << i;
+  }
 }
 
 // RFC 4231 HMAC-SHA256 test vectors.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/u256.hpp"
@@ -124,47 +126,125 @@ TEST(U256, InverseModPrime) {
   }
 }
 
-TEST(P256, FastReductionMatchesGenericMod) {
-  // fp_reduce is the dedicated NIST-prime reduction; cross-check against the
-  // generic shift-subtract division on random products a*b with a,b < p.
-  Rng rng(8);
-  const U256& p = p256_p();
-  for (int i = 0; i < 500; ++i) {
-    const U256 a = mod(random_u256(rng), p);
-    const U256 b = mod(random_u256(rng), p);
-    const U512 wide = mul_wide(a, b);
-    EXPECT_EQ(fp_reduce(wide), mod(wide, p));
+/// Values that stress carries and the final conditional subtraction: 0, 1,
+/// 2, m - 1, m - 2, 2^255, 2^256 mod m and m with its low limb cleared.
+std::vector<U256> edge_values(const U256& m) {
+  std::vector<U256> out = {U256{}, U256::from_u64(1), U256::from_u64(2)};
+  U256 v;
+  sub(v, m, U256::from_u64(1));
+  out.push_back(v);
+  sub(v, m, U256::from_u64(2));
+  out.push_back(v);
+  U256 top;
+  top.w[3] = std::uint64_t{1} << 63;
+  out.push_back(mod(top, m));
+  sub(v, U256{}, m);  // 2^256 - m
+  out.push_back(mod(v, m));
+  v = m;
+  v.w[0] = 0;
+  out.push_back(v);
+  return out;
+}
+
+/// a * 2^256 mod m by generic division.
+U256 times_r(const U256& a, const U256& m) {
+  U512 shifted;
+  for (int i = 0; i < 4; ++i) shifted.w[4 + i] = a.w[i];
+  return mod(shifted, m);
+}
+
+TEST(U256, MontgomeryReductionOnRandomOddModuli) {
+  // r = mont_reduce(t) must satisfy r < m and r * 2^256 == t (mod m).
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    U256 m = random_u256(rng);
+    m.w[0] |= 1;
+    if (i % 3 == 0) m.w[3] |= std::uint64_t{1} << 63;
+    if (m.w[3] == 0) m.w[3] = 1;
+    std::uint64_t inv = 1;  // Newton: doubles the correct low bits per step
+    for (int k = 0; k < 6; ++k) inv *= 2 - m.w[0] * inv;
+    const U256 a = mod(random_u256(rng), m);
+    const U256 b = i % 5 == 0 ? a : mod(random_u256(rng), m);
+    const U512 t = mul_wide(a, b);
+    const U256 r = mont_reduce(t, m, 0 - inv);
+    EXPECT_LT(cmp(r, m), 0) << "iteration " << i;
+    EXPECT_EQ(times_r(r, m), mod(t, m)) << "iteration " << i;
   }
 }
 
-TEST(P256, FastReductionEdgeCases) {
-  const U256& p = p256_p();
-  U256 p_minus_1;
-  sub(p_minus_1, p, U256::from_u64(1));
-
-  // 0, 1, (p-1)^2, p*p-ish values.
-  EXPECT_EQ(fp_reduce(U512{}), U256{});
-  EXPECT_EQ(fp_reduce(mul_wide(p_minus_1, p_minus_1)),
-            mod(mul_wide(p_minus_1, p_minus_1), p));
-  EXPECT_EQ(fp_reduce(mul_wide(p, p)), U256{});
-
-  U512 max;
-  for (auto& w : max.w) w = ~0ull;
-  EXPECT_EQ(fp_reduce(max), mod(max, p));
+TEST(U256, BinaryInverseMatchesFermat) {
+  Rng rng(12);
+  for (const U256& m : {p256_p(), p256_n()}) {
+    std::vector<U256> inputs = edge_values(m);
+    for (int i = 0; i < 40; ++i) inputs.push_back(mod(random_u256(rng), m));
+    for (const U256& a : inputs) {
+      if (a.is_zero()) {
+        EXPECT_EQ(inv_mod(a, m), U256{});
+        continue;
+      }
+      const U256 inv = inv_mod(a, m);
+      EXPECT_EQ(inv, inv_mod_prime(a, m));
+      EXPECT_EQ(mul_mod(a, inv, m), U256::from_u64(1));
+    }
+  }
+  // No inverse when a shares a factor with m.
+  EXPECT_EQ(inv_mod(U256::from_u64(5), U256::from_u64(15)), U256{});
+  EXPECT_EQ(inv_mod(U256::from_u64(2), U256::from_u64(15)), U256::from_u64(8));
 }
 
-TEST(P256, FieldOpsConsistency) {
+TEST(P256, MontgomeryDomainRoundTrip) {
+  Rng rng(8);
+  const U256& p = p256_p();
+  std::vector<U256> inputs = edge_values(p);
+  for (int i = 0; i < 300; ++i) inputs.push_back(mod(random_u256(rng), p));
+  for (const U256& a : inputs) {
+    EXPECT_EQ(fp_to_mont(a), times_r(a, p));
+    EXPECT_EQ(fp_from_mont(fp_to_mont(a)), a);
+  }
+}
+
+TEST(P256, FieldOpsMatchGenericDivision) {
+  // Montgomery products, mapped back to the ordinary domain, against the
+  // Knuth-division reference; edge values crossed with each other.
   Rng rng(9);
   const U256& p = p256_p();
-  for (int i = 0; i < 100; ++i) {
-    const U256 a = mod(random_u256(rng), p);
-    const U256 b = mod(random_u256(rng), p);
-    EXPECT_EQ(fp_mul(a, b), mul_mod(a, b, p));
-    EXPECT_EQ(fp_add(a, b), add_mod(a, b, p));
-    EXPECT_EQ(fp_sub(a, b), sub_mod(a, b, p));
+  std::vector<U256> inputs = edge_values(p);
+  for (int i = 0; i < 60; ++i) inputs.push_back(mod(random_u256(rng), p));
+  for (const U256& a : inputs) {
+    const U256 am = fp_to_mont(a);
+    for (const U256& b : inputs) {
+      const U256 bm = fp_to_mont(b);
+      EXPECT_EQ(fp_from_mont(fp_mul(am, bm)), mul_mod(a, b, p));
+      EXPECT_EQ(fp_mul(a, b), fp_mul(b, a));
+      EXPECT_EQ(fp_add(a, b), add_mod(a, b, p));
+      EXPECT_EQ(fp_sub(a, b), sub_mod(a, b, p));
+    }
+    EXPECT_EQ(fp_sqr(am), fp_mul(am, am));
     EXPECT_EQ(fp_sqr(a), fp_mul(a, a));
-    if (!a.is_zero())
-      EXPECT_EQ(fp_mul(a, fp_inv(a)), U256::from_u64(1));
+    if (a.is_zero()) {
+      EXPECT_EQ(fp_inv(am), U256{});
+    } else {
+      EXPECT_EQ(fp_from_mont(fp_inv(am)), inv_mod_prime(a, p));
+      EXPECT_EQ(fp_mul(am, fp_inv(am)), fp_to_mont(U256::from_u64(1)));
+    }
+  }
+}
+
+TEST(P256, ScalarFieldMatchesGenericDivision) {
+  Rng rng(13);
+  const U256& n = p256_n();
+  std::vector<U256> inputs = edge_values(n);
+  for (int i = 0; i < 60; ++i) inputs.push_back(mod(random_u256(rng), n));
+  for (const U256& a : inputs) {
+    for (const U256& b : inputs) {
+      EXPECT_EQ(fn_mul(a, b), mul_mod(a, b, n));
+      EXPECT_EQ(fn_add(a, b), add_mod(a, b, n));
+    }
+    if (a.is_zero()) {
+      EXPECT_EQ(fn_inv(a), U256{});
+    } else {
+      EXPECT_EQ(fn_mul(a, fn_inv(a)), U256::from_u64(1));
+    }
   }
 }
 
