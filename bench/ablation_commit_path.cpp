@@ -1,16 +1,15 @@
 // Ablation: commit-path scale-out — endorsement-verification cache,
-// per-identity comb tables, sharded/batched StateDb, and dependency-aware
-// parallel commit.
+// sharded/batched StateDb, and dependency-aware parallel commit, each
+// against the shipped default backend (whose crypto::verify already runs
+// hot keys over per-key comb tables).
 //
 // Part 1 measures REAL wall-clock software validation (full parse +
 // ECDSA + MVCC + commit, no simulated timing) on a repeated-endorser
 // workload: every transaction's rwset is drawn from a small pool of hot
 // rwsets, so the same endorser signs the same endorsement digest over and
 // over — deterministic RFC 6979 signing makes those signatures
-// bit-identical, which is exactly what the VerifyCache memoizes. The comb
-// lane attacks the orthogonal axis: the same *identity* signs different
-// digests, so the cache misses but the per-point comb table still turns
-// the double-scalar multiply into table lookups. This is the shape
+// bit-identical, which is exactly what the VerifyCache memoizes. This is
+// the shape
 // "Performance Characterization and Bottleneck Analysis of Hyperledger
 // Fabric" reports for smallbank-style contracts. The check for all lanes
 // producing identical commit hashes is part of the bench.
@@ -23,7 +22,7 @@
 // Part 3 is the round-two headline: full validate_and_commit on a
 // read+write workload with intra-block anti-dependencies, sequential
 // baseline vs the combined configuration (N verify threads + verify cache
-// + comb tables + dependency-aware parallel commit) at 1/2/4/8 threads.
+// + dependency-aware parallel commit) at 1/2/4/8 threads.
 // The parallel lanes must produce byte-identical commit hashes to the
 // sequential lane — that equality always gates the exit code; the >= 4x
 // speedup gate only applies when the host actually has >= 8 hardware
@@ -152,7 +151,6 @@ struct LaneResult {
   double tps = 0;
   crypto::Digest final_hash{};
   std::uint64_t cache_hits = 0;
-  std::uint64_t comb_hits = 0;
   fabric::ValidationStats stats;
 };
 
@@ -170,12 +168,9 @@ LaneResult run_lane(const Workload& w, fabric::SoftwareBackendOptions options) {
   result.final_hash = ledger.last().commit_hash;
   result.stats = backend->stats();
   if (const auto* sw =
-          dynamic_cast<const fabric::SoftwareValidator*>(backend.get())) {
-    if (sw->verify_cache() != nullptr)
-      result.cache_hits = sw->verify_cache()->hits();
-    if (sw->comb_cache() != nullptr)
-      result.comb_hits = sw->comb_cache()->hits();
-  }
+          dynamic_cast<const fabric::SoftwareValidator*>(backend.get());
+      sw != nullptr && sw->verify_cache() != nullptr)
+    result.cache_hits = sw->verify_cache()->hits();
   return result;
 }
 
@@ -235,7 +230,6 @@ bool parallel_commit_sweep(int blocks, int block_size, bool* speedup_ok) {
     const LaneResult par = run_lane(
         w, {.parallelism = threads,
             .verify_cache_capacity = 8192,
-            .comb_table_capacity = 64,
             .parallel_commit = true});
     const double waves_per_block =
         static_cast<double>(par.stats.commit_waves) /
@@ -280,8 +274,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
   bench::title(
-      "Ablation - endorsement-verification cache + comb tables (real "
-      "validation wall clock)");
+      "Ablation - endorsement-verification cache (real validation wall "
+      "clock)");
   const int blocks = quick ? 3 : 12;
   const int block_size = quick ? 40 : 100;
   const int hot_rwsets = 16;
@@ -290,34 +284,25 @@ int main(int argc, char** argv) {
               blocks, block_size, hot_rwsets);
   const Workload w = repeated_endorser_workload(blocks, block_size, hot_rwsets);
 
-  std::printf("%-28s %10s %10s %12s %12s\n", "backend", "tps", "speedup",
-              "cache hits", "comb hits");
-  bench::rule(78);
+  std::printf("%-28s %10s %10s %12s\n", "backend", "tps", "speedup",
+              "cache hits");
+  bench::rule(65);
   const LaneResult off = run_lane(w, {.parallelism = 1});
-  std::printf("%-28s %10.0f %9.2fx %12s %12s\n", "cache off, 1 thread",
-              off.tps, 1.0, "-", "-");
-  const LaneResult comb =
-      run_lane(w, {.parallelism = 1, .comb_table_capacity = 64});
-  std::printf("%-28s %10.0f %9.2fx %12s %12llu\n", "comb 64, 1 thread",
-              comb.tps, comb.tps / off.tps, "-",
-              static_cast<unsigned long long>(comb.comb_hits));
+  std::printf("%-28s %10.0f %9.2fx %12s\n", "cache off, 1 thread", off.tps,
+              1.0, "-");
   const LaneResult on =
       run_lane(w, {.parallelism = 1, .verify_cache_capacity = 8192});
-  std::printf("%-28s %10.0f %9.2fx %12llu %12s\n", "cache 8192, 1 thread",
-              on.tps, on.tps / off.tps,
-              static_cast<unsigned long long>(on.cache_hits), "-");
-  const LaneResult both = run_lane(w, {.parallelism = 4,
-                                       .verify_cache_capacity = 8192,
-                                       .comb_table_capacity = 64});
-  std::printf("%-28s %10.0f %9.2fx %12llu %12llu\n",
-              "cache+comb, 4 threads", both.tps, both.tps / off.tps,
-              static_cast<unsigned long long>(both.cache_hits),
-              static_cast<unsigned long long>(both.comb_hits));
-  bench::rule(78);
+  std::printf("%-28s %10.0f %9.2fx %12llu\n", "cache 8192, 1 thread", on.tps,
+              on.tps / off.tps, static_cast<unsigned long long>(on.cache_hits));
+  const LaneResult both =
+      run_lane(w, {.parallelism = 4, .verify_cache_capacity = 8192});
+  std::printf("%-28s %10.0f %9.2fx %12llu\n", "cache 8192, 4 threads",
+              both.tps, both.tps / off.tps,
+              static_cast<unsigned long long>(both.cache_hits));
+  bench::rule(65);
 
-  const bool hashes_match = off.final_hash == on.final_hash &&
-                            off.final_hash == comb.final_hash &&
-                            off.final_hash == both.final_hash;
+  const bool hashes_match =
+      off.final_hash == on.final_hash && off.final_hash == both.final_hash;
   std::printf("commit hashes identical across lanes: %s\n",
               hashes_match ? "PASS" : "FAIL");
   std::printf("acceptance: cache >= 2x on repeated endorsers: %s "
@@ -332,10 +317,11 @@ int main(int argc, char** argv) {
       quick ? 4 : 16, quick ? 50 : 120, &speedup_ok);
 
   std::printf("paper tie-in: the cache is the software mirror of the BMac "
-              "identity cache's\nparse-once semantics; the comb tables "
-              "mirror its per-identity key store; the\nsharded batch commit "
-              "and dependency waves mirror the hardware's per-block\nwrite "
-              "burst into the on-chip KVS (one version stamp per block).\n");
+              "identity cache's\nparse-once semantics (crypto::verify's "
+              "per-key comb tables mirror its key\nstore); the sharded batch "
+              "commit and dependency waves mirror the hardware's\nper-block "
+              "write burst into the on-chip KVS (one version stamp per "
+              "block).\n");
   return hashes_match && parallel_hashes_match && speedup_ok &&
                  on.tps / off.tps >= 2.0
              ? 0

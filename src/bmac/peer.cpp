@@ -397,9 +397,7 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         pending_blocks_.erase(it);
         if (result.block_valid) {
           assert(result.flags.size() == block.envelopes.size());
-          for (std::size_t i = 0; i < result.flags.size(); ++i)
-            block.metadata.tx_flags[i] =
-                static_cast<std::uint8_t>(result.flags[i]);
+          block.set_tx_flags(result.flags);
           co_await sim_.delay(t.ledger_commit_fixed +
                               t.ledger_commit_per_tx *
                                   static_cast<sim::Time>(result.flags.size()));
@@ -586,9 +584,7 @@ sim::Process BmacPeer::host_commit_proc() {
 
     if (result.block_valid) {
       assert(result.flags.size() == block.envelopes.size());
-      for (std::size_t i = 0; i < result.flags.size(); ++i)
-        block.metadata.tx_flags[i] =
-            static_cast<std::uint8_t>(result.flags[i]);
+      block.set_tx_flags(result.flags);
       co_await sim_.delay(
           t.ledger_commit_fixed +
           t.ledger_commit_per_tx * static_cast<sim::Time>(result.flags.size()));

@@ -2,88 +2,61 @@
 
 namespace bm::crypto {
 
-namespace {
-
-std::string encode_key(const PublicKey& key) {
-  const Bytes encoded = key.encode();
-  return std::string(encoded.begin(), encoded.end());
+std::size_t CombCache::PointHash::operator()(const AffinePoint& p) const {
+  // Public coordinates of a bounded set: fold two limbs.
+  return static_cast<std::size_t>(p.x.w[0] ^
+                                  (p.y.w[0] * 0x9e3779b97f4a7c15ull));
 }
 
-}  // namespace
-
 CombCache::CombCache(std::size_t max_tables)
-    : capacity_(max_tables == 0 ? 1 : max_tables) {}
+    : tables_(max_tables), seen_once_(max_tables) {}
+
+CombCache& CombCache::shared() {
+  static CombCache cache;
+  return cache;
+}
 
 std::shared_ptr<const PointCombTable> CombCache::table_for(
     const PublicKey& key) {
-  const std::string k = encode_key(key);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.table;
+    if (const auto* table = tables_.find(key.point)) {
+      ++counters_.hits;
+      return *table;
     }
-    ++misses_;
+    if (!seen_once_.erase(key.point)) {
+      seen_once_.insert(key.point, true);
+      ++counters_.first_sights;
+      return nullptr;
+    }
+    ++counters_.builds;
   }
   // Build outside the lock: table construction is the expensive part, and
   // workers building tables for distinct keys must not serialize.
   auto table =
       std::make_shared<const PointCombTable>(PointCombTable::build(key.point));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      // Another worker built the same table while we did; both are
-      // identical — keep the incumbent.
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.table;
-    }
-    if (entries_.size() >= capacity_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-      ++evictions_;
-    }
-    lru_.push_front(k);
-    entries_.emplace(k, Entry{table, lru_.begin()});
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Another worker may have built the same table meanwhile; both are
+  // identical — keep the incumbent.
+  if (const auto* held = tables_.find(key.point)) return *held;
+  if (tables_.insert(key.point, table)) ++counters_.evictions;
   return table;
 }
 
-bool CombCache::verify(const PublicKey& key, const Digest& digest,
-                       const Signature& sig) {
-  // Invalid keys are rejected by the prechecks either way; skip them here so
-  // they never cost a table build or an eviction.
-  if (key.point.infinity || !on_curve(key.point))
-    return crypto::verify(key, digest, sig);
-  return verify_comb(key, digest, sig, *table_for(key));
+CombCache::Counters CombCache::counters() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return counters_;
 }
 
 std::size_t CombCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t CombCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t CombCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t CombCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
+  return tables_.size();
 }
 
 void CombCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
+  tables_.clear();
+  seen_once_.clear();
 }
 
 }  // namespace bm::crypto

@@ -1,74 +1,79 @@
-// Per-identity fixed-base comb tables for ECDSA verification.
+// Per-key fixed-base comb tables behind crypto::verify.
 //
 // Endorser populations are small and stable: the same few public keys sign
 // the overwhelming majority of endorsements a committing peer ever checks.
 // Agrawal et al.'s FPGA ECDSA verification engine wins by amortizing
-// per-public-key precomputation across many verifies; this is the software
-// mirror of that trick. The first verification under a key builds a Lim–Lee
-// comb table for its point (~2 generic multiplies of one-time work, ~16 KiB)
-// and every later verification under the same key runs the u1*G + u2*Q
-// combine as two comb lookups per column on ONE shared 31-doubling chain —
-// ~4x fewer field operations than the generic joint-wNAF walk.
+// per-public-key precomputation across many verifies, and the BMac identity
+// cache keeps each sender identity once for every ecdsa_engine check; this
+// is the software mirror of both. crypto::verify asks the process-wide
+// cache for the key's Lim–Lee comb table after its range and curve checks
+// pass. A key's first sight gets no table: the verify runs the generic
+// joint-wNAF multiply and the key enters a bounded seen-once set. Its
+// second sight builds the table (~2 generic multiplies of one-time work,
+// ~16 KiB), and every later verification runs the u1*G + u2*Q combine as
+// two comb lookups per column on ONE shared 31-doubling chain — ~3x
+// cheaper than the generic walk. A stream of fresh keys therefore never
+// builds a table or evicts a hot one.
 //
-// Correctness: the combine is algebraically the same sum, so outcomes are
-// bit-identical to crypto::verify for every input (differential-tested).
-// Tables are cached under a bounded LRU budget keyed by the encoded public
-// key; eviction only costs the rebuild on next sight. Thread-safe: table
-// construction runs outside the lock so parallel vscc workers verifying
-// under distinct keys never serialize, and entries are handed out as
-// shared_ptr so an eviction never invalidates an in-flight verify.
+// Correctness: the combine is algebraically the same sum, so verdicts are
+// bit-identical on either path (differential-tested against the pre-rewrite
+// reference verify). Tables hold only public multiples of a key, never
+// verdicts, so sharing them across every validator of a process keeps each
+// peer's verdicts independent. Thread-safe: tables are built outside the
+// lock so parallel vscc workers verifying under distinct keys never
+// serialize, and entries are handed out as shared_ptr so an eviction never
+// invalidates an in-flight verify.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "crypto/ecdsa.hpp"
+#include "crypto/lru_map.hpp"
 
 namespace bm::crypto {
 
 class CombCache {
  public:
-  /// Default budget: 64 tables x ~16 KiB = ~1 MiB, comfortably above any
-  /// realistic endorser population (a few orgs x a few peers).
-  static constexpr std::size_t kDefaultTables = 64;
+  /// The process-wide budget: 64 tables x ~16 KiB = ~1 MiB, comfortably
+  /// above any realistic endorser population (a few orgs x a few peers).
+  static constexpr std::size_t kTables = 64;
 
-  explicit CombCache(std::size_t max_tables = kDefaultTables);
+  explicit CombCache(std::size_t max_tables = kTables);
 
-  /// crypto::verify with the double-scalar multiply run over this key's
-  /// cached comb table (built and inserted on first sight). Outcomes are
-  /// identical to crypto::verify for every input.
-  bool verify(const PublicKey& key, const Digest& digest, const Signature& sig);
+  /// The cache crypto::verify uses.
+  static CombCache& shared();
 
-  /// The cached table for a key, building + caching on a miss. Never null.
+  /// The comb table for a key from its second sight on (built on that
+  /// sight); null on a first sight, which enters the seen-once set. A key
+  /// whose table was evicted starts over as a first sight. `key` must have
+  /// passed the curve checks.
   std::shared_ptr<const PointCombTable> table_for(const PublicKey& key);
 
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
+  struct Counters {
+    std::uint64_t first_sights = 0;  ///< lookups answered with no table
+    std::uint64_t builds = 0;        ///< tables built (second sights)
+    std::uint64_t hits = 0;          ///< lookups answered by a held table
+    std::uint64_t evictions = 0;     ///< tables dropped by the LRU bound
+  };
+  Counters counters() const;
+  std::size_t size() const;  ///< tables held
+  std::size_t capacity() const { return tables_.capacity(); }
 
   void clear();
 
  private:
-  struct Entry {
-    std::shared_ptr<const PointCombTable> table;
-    std::list<std::string>::iterator lru;
+  struct PointHash {
+    std::size_t operator()(const AffinePoint& p) const;
   };
 
-  std::size_t capacity_;
   mutable std::mutex mutex_;
-  /// Keyed by the 65-byte uncompressed SEC1 encoding of the public key.
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  /// Both keyed by the key's point, which has passed the curve checks.
+  LruMap<AffinePoint, std::shared_ptr<const PointCombTable>, PointHash>
+      tables_;
+  LruMap<AffinePoint, bool, PointHash> seen_once_;
+  Counters counters_;
 };
 
 }  // namespace bm::crypto

@@ -1,5 +1,6 @@
 #include "crypto/ecdsa.hpp"
 
+#include "crypto/comb_cache.hpp"
 #include "crypto/hmac.hpp"
 
 namespace bm::crypto {
@@ -113,14 +114,7 @@ Signature sign(const PrivateKey& key, const Digest& digest) {
   }
 }
 
-namespace {
-
-/// Shared ECDSA verification skeleton; `mul` evaluates u1*G + u2*Q for the
-/// public key's point Q. Every range/curve check runs before `mul`, so the
-/// comb and generic paths agree on all malformed inputs.
-template <typename Mul>
-bool verify_impl(const PublicKey& key, const Digest& digest,
-                 const Signature& sig, Mul&& mul) {
+bool verify(const PublicKey& key, const Digest& digest, const Signature& sig) {
   const U256& n = p256_n();
   if (sig.r.is_zero() || sig.s.is_zero()) return false;
   if (cmp(sig.r, n) >= 0 || cmp(sig.s, n) >= 0) return false;
@@ -128,22 +122,13 @@ bool verify_impl(const PublicKey& key, const Digest& digest,
 
   const U256 e = reduce_n(digest_to_scalar(digest));
   const U256 w = fn_inv(sig.s);
-  return x_equals_mod_n(mul(fn_mul(e, w), fn_mul(sig.r, w)), sig.r);
-}
-
-}  // namespace
-
-bool verify(const PublicKey& key, const Digest& digest, const Signature& sig) {
-  return verify_impl(key, digest, sig, [&](const U256& u1, const U256& u2) {
-    return double_scalar_mult(u1, u2, key.point);
-  });
-}
-
-bool verify_comb(const PublicKey& key, const Digest& digest,
-                 const Signature& sig, const PointCombTable& table) {
-  return verify_impl(key, digest, sig, [&](const U256& u1, const U256& u2) {
-    return double_scalar_mult_comb(u1, u2, table);
-  });
+  const U256 u1 = fn_mul(e, w);
+  const U256 u2 = fn_mul(sig.r, w);
+  const auto table = CombCache::shared().table_for(key);
+  return x_equals_mod_n(table != nullptr
+                            ? double_scalar_mult_comb(u1, u2, *table)
+                            : double_scalar_mult(u1, u2, key.point),
+                        sig.r);
 }
 
 }  // namespace bm::crypto

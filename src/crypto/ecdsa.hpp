@@ -41,16 +41,12 @@ PrivateKey key_from_seed(ByteView seed);
 /// Sign a 32-byte message digest.
 Signature sign(const PrivateKey& key, const Digest& digest);
 
-/// Verify a signature over a 32-byte message digest.
+/// Verify a signature over a 32-byte message digest; the one verification
+/// entry point. After the range and curve checks pass, u1*G + u2*Q runs
+/// over the key's comb table from the key's second sight on, and over the
+/// generic joint-wNAF multiply before that (crypto/comb_cache.hpp). The
+/// verdict is the same either way.
 bool verify(const PublicKey& key, const Digest& digest, const Signature& sig);
-
-/// verify() with the u1*G + u2*Q combine evaluated over a prebuilt
-/// per-identity comb table for the public key (two comb lookups per column
-/// on one shared doubling chain instead of the generic joint-wNAF walk).
-/// `table` must have been built from `key.point`; outcomes are identical to
-/// verify() bit for bit.
-bool verify_comb(const PublicKey& key, const Digest& digest,
-                 const Signature& sig, const PointCombTable& table);
 
 /// RFC 6979 deterministic nonce (exposed for the known-answer tests).
 U256 rfc6979_nonce(const U256& d, const Digest& digest, std::uint32_t attempt);

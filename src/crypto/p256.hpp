@@ -92,7 +92,8 @@ JacobianPoint base_mult(const U256& k);
 
 /// u1*G + u2*Q by joint wNAF (Shamir's trick): one shared doubling chain,
 /// G digits resolved against a precomputed affine odd-multiples table and Q
-/// digits against a per-call table; the generic ECDSA verification path.
+/// digits against a per-call table; ECDSA verification's path for a key
+/// that has no comb table yet.
 JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
                                  const AffinePoint& q);
 

@@ -1,7 +1,5 @@
 #include "crypto/verify_cache.hpp"
 
-#include "crypto/comb_cache.hpp"
-
 namespace bm::crypto {
 
 namespace {
@@ -28,48 +26,26 @@ std::size_t VerifyCache::DigestHash::operator()(const Digest& d) const {
   return out;
 }
 
-bool VerifyCache::DigestEq::operator()(const Digest& a, const Digest& b) const {
-  return a == b;
-}
-
-VerifyCache::VerifyCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+VerifyCache::VerifyCache(std::size_t capacity) : entries_(capacity) {}
 
 bool VerifyCache::verify(const PublicKey& key, const Digest& digest,
-                         ByteView sig_bytes, const Signature& sig,
-                         CombCache* comb) {
+                         ByteView sig_bytes, const Signature& sig) {
   const Digest k = cache_key(key, digest, sig_bytes);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(k);
-    if (it != entries_.end()) {
+    if (const bool* valid = entries_.find(k)) {
       ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.valid;
+      return *valid;
     }
     ++misses_;
   }
   // The expensive check runs outside the lock so parallel vscc workers
   // verifying distinct signatures never serialize on the cache.
-  const bool valid = comb != nullptr ? comb->verify(key, digest, sig)
-                                     : crypto::verify(key, digest, sig);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      // Another worker inserted the same triple while we verified; both
-      // computed the same deterministic outcome.
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.valid;
-    }
-    if (entries_.size() >= capacity_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-      ++evictions_;
-    }
-    lru_.push_front(k);
-    entries_.emplace(k, Entry{valid, lru_.begin()});
-  }
+  const bool valid = crypto::verify(key, digest, sig);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Another worker may have inserted the same triple while we verified;
+  // both computed the same deterministic outcome.
+  if (entries_.find(k) == nullptr && entries_.insert(k, valid)) ++evictions_;
   return valid;
 }
 
@@ -96,7 +72,6 @@ std::uint64_t VerifyCache::evictions() const {
 void VerifyCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-  lru_.clear();
 }
 
 }  // namespace bm::crypto

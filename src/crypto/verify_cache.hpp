@@ -18,18 +18,22 @@
 // negative outcomes are cached (a forged signature stays forged). Bounded
 // LRU capacity; thread-safe so the parallel vscc workers of one validator
 // can share it.
+//
+// Counts: every verify() call adds exactly one hit or one miss, so hits +
+// misses always equals the number of calls. The split is exact only for
+// sequential callers (a miss per distinct triple not yet held). The check
+// on a miss runs outside the lock, so workers that meet the same new
+// triple concurrently each count a miss — up to one per worker — before the
+// first insert lands; verdicts are unaffected.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
-#include <unordered_map>
 
 #include "crypto/ecdsa.hpp"
+#include "crypto/lru_map.hpp"
 
 namespace bm::crypto {
-
-class CombCache;
 
 class VerifyCache {
  public:
@@ -42,14 +46,11 @@ class VerifyCache {
 
   /// Memoized crypto::verify. `sig_bytes` is the signature as it appeared
   /// on the wire (DER); `sig` the already-decoded form used on a miss.
-  /// When `comb` is given, misses compute through its per-identity comb
-  /// tables instead of the generic double-scalar multiply — same outcome,
-  /// cheaper miss.
   bool verify(const PublicKey& key, const Digest& digest, ByteView sig_bytes,
-              const Signature& sig, CombCache* comb = nullptr);
+              const Signature& sig);
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return entries_.capacity(); }
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -58,22 +59,12 @@ class VerifyCache {
   void clear();
 
  private:
-  struct Entry {
-    bool valid;
-    std::list<Digest>::iterator lru;
-  };
-
   struct DigestHash {
     std::size_t operator()(const Digest& d) const;
   };
-  struct DigestEq {
-    bool operator()(const Digest& a, const Digest& b) const;
-  };
 
-  std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::unordered_map<Digest, Entry, DigestHash, DigestEq> entries_;
-  std::list<Digest> lru_;  ///< front = most recently used
+  LruMap<Digest, bool, DigestHash> entries_;  ///< cache key -> verdict
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

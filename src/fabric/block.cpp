@@ -82,6 +82,12 @@ crypto::Digest Block::signing_digest() const {
   return h.finish();
 }
 
+void Block::set_tx_flags(const std::vector<TxValidationCode>& codes) {
+  metadata.tx_flags.clear();
+  for (const TxValidationCode code : codes)
+    metadata.tx_flags.push_back(static_cast<std::uint8_t>(code));
+}
+
 Bytes Block::marshal() const {
   wire::ProtoWriter w;
   w.bytes_field(kHeader, header.marshal());

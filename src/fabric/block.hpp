@@ -49,6 +49,12 @@ struct Block {
 
   std::size_t tx_count() const { return envelopes.size(); }
 
+  /// Replace metadata.tx_flags with one code per transaction. A delivered
+  /// block's flags field is outside the orderer's signature and may have
+  /// any length, so committers rebuild it whole, as Fabric's committer
+  /// rebuilds TRANSACTIONS_FILTER. `codes` holds tx_count() entries.
+  void set_tx_flags(const std::vector<TxValidationCode>& codes);
+
   /// Hash over the concatenated envelopes (header.data_hash must match).
   crypto::Digest compute_data_hash() const;
 

@@ -217,6 +217,11 @@ bool replay_chain(const FileBlockStore::RecoveredChain& chain, Ledger& ledger,
                   StateDb* state) {
   if (ledger.height() != chain.first_height) return false;
   for (const CommittedBlock& committed : chain.blocks) {
+    // One flag per envelope, or the state replay below would index past
+    // the flags: the CRC and the hash chain only prove the record is the
+    // one that was written, not that it was well formed.
+    if (committed.block.metadata.tx_flags.size() != committed.block.tx_count())
+      return false;
     crypto::Digest recomputed;
     try {
       recomputed = ledger.append(committed.block);

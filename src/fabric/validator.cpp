@@ -46,16 +46,6 @@ void SoftwareValidator::set_verify_cache(
   verify_cache_ = std::move(cache);
 }
 
-void SoftwareValidator::enable_comb_cache(std::size_t tables) {
-  comb_cache_ =
-      tables > 0 ? std::make_shared<crypto::CombCache>(tables) : nullptr;
-}
-
-void SoftwareValidator::set_comb_cache(
-    std::shared_ptr<crypto::CombCache> cache) {
-  comb_cache_ = std::move(cache);
-}
-
 bool SoftwareValidator::verify_block_signature(const Block& block) {
   ++stats_.block_signature_checks;
   const auto cert = Certificate::unmarshal(block.metadata.orderer_cert);
@@ -63,11 +53,8 @@ bool SoftwareValidator::verify_block_signature(const Block& block) {
     return false;
   const auto sig = crypto::der_decode_signature(block.metadata.orderer_sig);
   if (!sig) return false;
-  const crypto::Digest digest = block.signing_digest();
-  const bool ok = comb_cache_ != nullptr
-                      ? comb_cache_->verify(cert->public_key, digest, *sig)
-                      : crypto::verify(cert->public_key, digest, *sig);
-  if (!ok) return false;
+  if (!crypto::verify(cert->public_key, block.signing_digest(), *sig))
+    return false;
   // Retrieving block data also re-checks the data hash.
   return equal(block.header.data_hash,
                crypto::digest_view(block.compute_data_hash()));
@@ -78,19 +65,14 @@ TxValidationCode SoftwareValidator::validate_transaction(
   // Step 2a: transaction verification — creator identity and signature.
   // Creator payloads are unique per transaction (tx id), so the verify
   // cache never hits here — but the creator's KEY repeats constantly, which
-  // is exactly what the per-identity comb tables amortize.
+  // is exactly what crypto::verify's per-key comb tables amortize.
   if (!msp_.validate(tx.creator)) return TxValidationCode::kBadCreatorSignature;
   const auto creator_sig = crypto::der_decode_signature(tx.signature);
   if (!creator_sig) return TxValidationCode::kBadCreatorSignature;
   ++stats.creator_signature_checks;
-  const crypto::Digest payload_digest = crypto::sha256(tx.payload_bytes);
-  const bool creator_ok =
-      comb_cache_ != nullptr
-          ? comb_cache_->verify(tx.creator.public_key, payload_digest,
-                                *creator_sig)
-          : crypto::verify(tx.creator.public_key, payload_digest,
-                           *creator_sig);
-  if (!creator_ok) return TxValidationCode::kBadCreatorSignature;
+  if (!crypto::verify(tx.creator.public_key, crypto::sha256(tx.payload_bytes),
+                      *creator_sig))
+    return TxValidationCode::kBadCreatorSignature;
 
   // Step 2b: vscc — verify endorsements, then evaluate the policy.
   const auto policy_it = policies_.find(tx.chaincode_id);
@@ -109,19 +91,12 @@ TxValidationCode SoftwareValidator::validate_transaction(
     ++stats.endorsement_signature_checks;
     const crypto::Digest digest = digester.digest(endorsement.cert_bytes);
     // The memoized path keys on (public key, digest, DER bytes) — the full
-    // verification input — so flags are identical with the cache attached;
-    // cache misses (and the uncached path) run through the per-identity
-    // comb tables when those are enabled.
-    bool ok;
-    if (verify_cache_ != nullptr) {
-      ok = verify_cache_->verify(endorsement.cert.public_key, digest,
-                                 endorsement.signature, *sig,
-                                 comb_cache_.get());
-    } else if (comb_cache_ != nullptr) {
-      ok = comb_cache_->verify(endorsement.cert.public_key, digest, *sig);
-    } else {
-      ok = crypto::verify(endorsement.cert.public_key, digest, *sig);
-    }
+    // verification input — so flags are identical with the cache attached.
+    const bool ok =
+        verify_cache_ != nullptr
+            ? verify_cache_->verify(endorsement.cert.public_key, digest,
+                                    endorsement.signature, *sig)
+            : crypto::verify(endorsement.cert.public_key, digest, *sig);
     if (!ok) continue;
     if (const auto id = msp_.encode(endorsement.cert))
       valid_endorsers.push_back(*id);
@@ -258,9 +233,9 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
   // appended to the ledger. Batch order preserves transaction order, so the
   // final state matches the equivalent sequence of put() calls exactly.
   Block committed = block;
+  committed.set_tx_flags(result.flags);
   StateDb::WriteBatch batch = db.make_batch();
   for (std::size_t i = 0; i < block.tx_count(); ++i) {
-    committed.metadata.tx_flags[i] = static_cast<std::uint8_t>(result.flags[i]);
     if (result.flags[i] != TxValidationCode::kValid) continue;
     ++result.valid_tx_count;
     const ParsedTransaction& tx = parsed[i];
@@ -316,28 +291,6 @@ void SoftwareValidator::publish_metrics(obs::Registry& registry,
                  ? static_cast<double>(stats_.commit_deps) /
                        static_cast<double>(stats_.blocks_processed)
                  : 0.0);
-  }
-  if (comb_cache_ != nullptr) {
-    registry
-        .counter(prefix + "_comb_table_hits_total",
-                 "verifications run over a cached per-identity comb table")
-        .set(comb_cache_->hits());
-    registry
-        .counter(prefix + "_comb_table_misses_total",
-                 "per-identity comb tables built on first sight of a key")
-        .set(comb_cache_->misses());
-    registry
-        .counter(prefix + "_comb_table_evictions_total",
-                 "comb-table LRU evictions (budget pressure)")
-        .set(comb_cache_->evictions());
-    registry
-        .gauge(prefix + "_comb_table_capacity",
-               "per-identity comb tables the cache can hold")
-        .set(static_cast<double>(comb_cache_->capacity()));
-    registry
-        .gauge(prefix + "_comb_table_entries",
-               "per-identity comb tables held")
-        .set(static_cast<double>(comb_cache_->size()));
   }
   if (verify_cache_ != nullptr) {
     registry

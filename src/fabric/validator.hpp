@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "common/thread_pool.hpp"
-#include "crypto/comb_cache.hpp"
 #include "crypto/verify_cache.hpp"
 #include "fabric/ledger.hpp"
 #include "fabric/policy.hpp"
@@ -99,15 +98,6 @@ class SoftwareValidator final : public ValidatorBackend {
     return verify_cache_.get();
   }
 
-  /// Attach a fresh per-identity comb-table cache holding up to `tables`
-  /// tables (0 detaches). Hot endorser/creator keys then verify through two
-  /// comb lookups per column instead of the generic double-scalar multiply;
-  /// flags, commit hashes, and stats are identical either way.
-  void enable_comb_cache(std::size_t tables = crypto::CombCache::kDefaultTables);
-  /// Share an existing comb cache (endorsers repeat across validators too).
-  void set_comb_cache(std::shared_ptr<crypto::CombCache> cache);
-  const crypto::CombCache* comb_cache() const { return comb_cache_.get(); }
-
   /// Dependency-aware parallel commit: schedule mvcc verdicts by rw-set
   /// dependency waves across the worker pool and commit out of order
   /// (sequential when no pool is configured). Flags, version stamps, and
@@ -148,7 +138,6 @@ class SoftwareValidator final : public ValidatorBackend {
   ValidationStats stats_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when sequential
   std::shared_ptr<crypto::VerifyCache> verify_cache_;  ///< null = uncached
-  std::shared_ptr<crypto::CombCache> comb_cache_;  ///< null = generic mults
   bool parallel_commit_ = false;
 };
 

@@ -11,8 +11,6 @@ std::unique_ptr<ValidatorBackend> make_software_backend(
                                                      options.parallelism);
   if (options.verify_cache_capacity > 0)
     backend->enable_verify_cache(options.verify_cache_capacity);
-  if (options.comb_table_capacity > 0)
-    backend->enable_comb_cache(options.comb_table_capacity);
   backend->set_parallel_commit(options.parallel_commit);
   return backend;
 }

@@ -61,10 +61,6 @@ struct SoftwareBackendOptions {
   unsigned parallelism = 0;
   /// Memoize endorsement verifications; 0 disables the cache.
   std::size_t verify_cache_capacity = 0;
-  /// Per-identity comb-table budget (tables held, ~16 KiB each); 0 disables.
-  /// Hot endorser/creator keys then verify through two comb lookups per
-  /// column instead of the generic double-scalar multiply.
-  std::size_t comb_table_capacity = 0;
   /// Dependency-aware parallel commit: decide mvcc verdicts in rw-set
   /// dependency waves across the worker pool and commit out of order.
   /// Commit hashes stay byte-identical to the sequential path.

@@ -180,6 +180,60 @@ TEST(Equivalence, TamperedBlockRejectedByBoth) {
   EXPECT_EQ(result.sw_commit_hash, result.hw_commit_hash);
 }
 
+TEST(Equivalence, StrippedFlagsCommitLikeTheWellFormedBlock) {
+  // The flags field is outside the orderer's signature, so a delivered
+  // block may carry it short or not at all. Both peers rebuild it from
+  // their own verdicts and commit the well-formed block's flags and hash.
+  // The degraded peer drops every packet of block 1, so its software
+  // fallback commits that block.
+  NetworkOptions options;
+  options.block_size = 6;
+  options.seed = 900;
+  options.bad_signature_rate = 0.2;
+  options.missing_endorsement_rate = 0.2;
+  for (const bool degraded : {false, true}) {
+    FabricNetworkHarness harness(options);
+    fabric::SoftwareValidator sw_validator(harness.msp(), harness.policies());
+    fabric::StateDb sw_db;
+    fabric::Ledger sw_ledger;
+    sim::Simulation sim;
+    BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+    if (degraded) {
+      BmacPeer::DegradeConfig degrade;
+      degrade.result_budget = 50 * sim::kMillisecond;
+      peer.enable_graceful_degradation(degrade);
+    }
+    peer.start();
+    ProtocolSender sender(harness.msp());
+    constexpr int kBlocks = 3;
+    for (int i = 0; i < kBlocks; ++i) {
+      fabric::Block block = harness.next_block();
+      block.metadata.tx_flags.resize(i == 0 ? 0 : 1);
+      const auto sw = sw_validator.validate_and_commit(block, sw_db, sw_ledger);
+      EXPECT_EQ(sw.flags, harness.reference_result(i).flags) << i;
+      if (!degraded || i != 1)
+        for (auto& packet : sender.send(block).packets)
+          peer.deliver_packet(std::move(packet));
+      peer.deliver_block(std::move(block));
+    }
+    sim.run();
+
+    const fabric::Ledger& reference = harness.reference_ledger();
+    ASSERT_EQ(sw_ledger.height(), static_cast<std::uint64_t>(kBlocks));
+    ASSERT_EQ(peer.ledger().height(), static_cast<std::uint64_t>(kBlocks));
+    ASSERT_EQ(peer.results().size(), static_cast<std::size_t>(kBlocks));
+    for (std::uint64_t h = 0; h < kBlocks; ++h) {
+      EXPECT_EQ(sw_ledger.at(h).commit_hash, reference.at(h).commit_hash) << h;
+      EXPECT_EQ(peer.ledger().at(h).commit_hash, reference.at(h).commit_hash)
+          << "degraded " << degraded << ", block " << h;
+      EXPECT_EQ(peer.results()[h].flags, harness.reference_result(h).flags);
+    }
+    if (degraded) {
+      EXPECT_EQ(peer.degrade_metrics().fallback_blocks, 1u);
+    }
+  }
+}
+
 TEST(Equivalence, DifferentHardwareConfigsSameVerdicts) {
   // Throughput knobs (V, E) must never change validation outcomes.
   NetworkOptions options;

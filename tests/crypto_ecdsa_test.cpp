@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
+#include "crypto/comb_cache.hpp"
 #include "crypto/der.hpp"
 #include "crypto/ecdsa.hpp"
 
@@ -400,13 +402,35 @@ bool reference_verify(const PublicKey& key, const Digest& digest,
   return mod(to_affine(p).x, n) == sig.r;
 }
 
+/// The signature over `d` and its tampered and edge-value variants. Every
+/// r and s lies in [1, n-1], so each case passes the range checks and
+/// reaches the multiply.
+std::vector<std::pair<Digest, Signature>> signature_cases(const PrivateKey& key,
+                                                          const Digest& d,
+                                                          Rng& rng) {
+  U256 n_minus_1 = p256_n();
+  sub(n_minus_1, n_minus_1, U256::from_u64(1));
+  const U256 one = U256::from_u64(1);
+  const Signature sig = sign(key, d);
+  Digest flipped = d;
+  flipped[rng.next_u64() % 32] ^=
+      static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
+  return {
+      {d, sig},
+      {d, Signature{sig.r, sub_mod(U256{}, sig.s, p256_n())}},  // n - s
+      {flipped, sig},
+      {d, Signature{add_mod(sig.r, one, p256_n()), sig.s}},
+      {d, Signature{sig.r, add_mod(sig.s, one, p256_n())}},
+      {d, Signature{one, sig.s}},
+      {d, Signature{n_minus_1, n_minus_1}},
+      {d, Signature{sig.r, one}},
+  };
+}
+
 TEST(Ecdsa, VerifyMatchesReferenceOnRandomTamperedAndEdgeInputs) {
   std::vector<PrivateKey> keys;
   for (int i = 0; i < 8; ++i)
     keys.push_back(key_from_seed(to_bytes("diff-" + std::to_string(i))));
-  U256 n_minus_1 = p256_n();
-  sub(n_minus_1, n_minus_1, U256::from_u64(1));
-  const U256 one = U256::from_u64(1);
   Rng rng(21);
   int accepted = 0;
   int checked = 0;
@@ -418,21 +442,7 @@ TEST(Ecdsa, VerifyMatchesReferenceOnRandomTamperedAndEdgeInputs) {
     std::copy(raw.begin(), raw.end(), d.begin());
     if (i % 50 == 1) d.fill(0);     // e = 0: u1 = 0
     if (i % 50 == 2) d.fill(0xff);  // e >= n: reduced before use
-    const Signature sig = sign(key, d);
-    Digest flipped = d;
-    flipped[rng.next_u64() % 32] ^=
-        static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
-    const std::vector<std::pair<Digest, Signature>> cases = {
-        {d, sig},
-        {d, Signature{sig.r, sub_mod(U256{}, sig.s, p256_n())}},  // n - s
-        {flipped, sig},
-        {d, Signature{add_mod(sig.r, one, p256_n()), sig.s}},
-        {d, Signature{sig.r, add_mod(sig.s, one, p256_n())}},
-        {d, Signature{one, sig.s}},
-        {d, Signature{n_minus_1, n_minus_1}},
-        {d, Signature{sig.r, one}},
-    };
-    for (const auto& [digest, candidate] : cases) {
+    for (const auto& [digest, candidate] : signature_cases(key, d, rng)) {
       const bool expected = reference_verify(pub, digest, candidate);
       EXPECT_EQ(verify(pub, digest, candidate), expected) << "case " << i;
       // A key other than the signer's.
@@ -446,6 +456,159 @@ TEST(Ecdsa, VerifyMatchesReferenceOnRandomTamperedAndEdgeInputs) {
   }
   EXPECT_EQ(accepted, 600);  // the signature and its (r, n - s) twin
   EXPECT_EQ(checked, 4800);
+}
+
+// --- verify() across the states of its per-key comb table --------------------
+
+struct SignedMessage {
+  PublicKey key;
+  Digest digest;
+  Signature sig;
+};
+
+SignedMessage signed_message(const std::string& seed) {
+  const PrivateKey key = key_from_seed(to_bytes(seed));
+  const Digest digest = sha256(to_bytes("message of " + seed));
+  return {key.public_key(), digest, sign(key, digest)};
+}
+
+TEST(Ecdsa, VerifyMatchesReferenceInEveryTableState) {
+  // Each case runs under its key at the first sight (generic multiply), the
+  // second (table build), while cached, and after the key's table was
+  // evicted by capacity newer tables (first sight again, then a rebuild).
+  CombCache& cache = CombCache::shared();
+  std::vector<SignedMessage> fillers;
+  for (std::size_t i = 0; i < cache.capacity(); ++i)
+    fillers.push_back(signed_message("filler-" + std::to_string(i)));
+  // Two sights of every filler: capacity tables newer than any other key's,
+  // so every other key's table is evicted.
+  const auto flush = [&] {
+    for (int sight = 0; sight < 2; ++sight)
+      for (const SignedMessage& f : fillers)
+        EXPECT_TRUE(verify(f.key, f.digest, f.sig));
+  };
+  Rng rng(22);
+  int accepted = 0;
+  for (int k = 0; k < 3; ++k) {
+    const PrivateKey key =
+        key_from_seed(to_bytes("sight-" + std::to_string(k)));
+    const PublicKey pub = key.public_key();
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    for (const auto& [digest, candidate] : signature_cases(key, d, rng)) {
+      const bool expected = reference_verify(pub, digest, candidate);
+      accepted += expected ? 1 : 0;
+      const auto expect_sight = [&](const char* state,
+                                    std::uint64_t CombCache::Counters::*path) {
+        const CombCache::Counters before = cache.counters();
+        EXPECT_EQ(verify(pub, digest, candidate), expected)
+            << state << ", key " << k;
+        EXPECT_EQ(cache.counters().*path, before.*path + 1)
+            << state << ", key " << k;
+      };
+      flush();
+      expect_sight("first sight", &CombCache::Counters::first_sights);
+      expect_sight("table build", &CombCache::Counters::builds);
+      expect_sight("cached", &CombCache::Counters::hits);
+      flush();
+      expect_sight("after eviction", &CombCache::Counters::first_sights);
+      expect_sight("rebuild", &CombCache::Counters::builds);
+    }
+  }
+  EXPECT_EQ(accepted, 6);  // each key's signature and its (r, n - s) twin
+}
+
+TEST(Ecdsa, InvalidKeysNeverReachTheCombCache) {
+  CombCache& cache = CombCache::shared();
+  const PrivateKey key = key_from_seed(to_bytes("badkey-tables"));
+  const Digest d = sha256(to_bytes("m"));
+  const Signature sig = sign(key, d);
+  PublicKey infinity_key;
+  infinity_key.point = AffinePoint{{}, {}, true};
+  PublicKey off_curve = key.public_key();
+  off_curve.point.x = add_mod(off_curve.point.x, U256::from_u64(1), p256_p());
+  PublicKey out_of_field = key.public_key();
+  out_of_field.point.y = p256_p();
+  PublicKey zero_key;
+  zero_key.point = AffinePoint{{}, {}, false};
+
+  const CombCache::Counters before = cache.counters();
+  const std::size_t tables = cache.size();
+  for (int sight = 0; sight < 3; ++sight)
+    for (const PublicKey& bad :
+         {infinity_key, off_curve, out_of_field, zero_key}) {
+      EXPECT_FALSE(verify(bad, d, sig));
+      EXPECT_FALSE(reference_verify(bad, d, sig));
+    }
+  const CombCache::Counters after = cache.counters();
+  EXPECT_EQ(after.first_sights, before.first_sights);
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(cache.size(), tables);
+}
+
+TEST(Ecdsa, FreshKeyStreamBuildsNoTables) {
+  // More distinct valid keys than the capacity, each verified once: none
+  // earns a table, and a hot key's table survives the stream.
+  CombCache& cache = CombCache::shared();
+  const SignedMessage hot = signed_message("stream-hot");
+  for (int sight = 0; sight < 2; ++sight)
+    ASSERT_TRUE(verify(hot.key, hot.digest, hot.sig));
+  const CombCache::Counters before = cache.counters();
+  const std::size_t keys = 2 * cache.capacity() + 1;
+  for (std::size_t i = 0; i < keys; ++i) {
+    const SignedMessage fresh = signed_message("stream-" + std::to_string(i));
+    EXPECT_TRUE(verify(fresh.key, fresh.digest, fresh.sig));
+  }
+  CombCache::Counters after = cache.counters();
+  EXPECT_EQ(after.first_sights - before.first_sights, keys);
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_TRUE(verify(hot.key, hot.digest, hot.sig));
+  after = cache.counters();
+  EXPECT_EQ(after.hits, before.hits + 1);
+}
+
+TEST(Ecdsa, ConcurrentVerifiesMatchReference) {
+  // Workers race through the first sights, builds and hits of the same
+  // keys; every verdict must still match the reference.
+  CombCache& cache = CombCache::shared();
+  cache.clear();
+  struct Case {
+    PublicKey key;
+    Digest digest;
+    Signature sig;
+    bool expected;
+  };
+  std::vector<Case> cases;
+  Rng rng(23);
+  constexpr int kKeys = 4;
+  for (int k = 0; k < kKeys; ++k) {
+    const PrivateKey key = key_from_seed(to_bytes("race-" + std::to_string(k)));
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    for (const auto& [digest, candidate] : signature_cases(key, d, rng))
+      cases.push_back({key.public_key(), digest, candidate,
+                       reference_verify(key.public_key(), digest, candidate)});
+  }
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round)
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+          const Case& c = cases[(i + 7 * static_cast<std::size_t>(t)) %
+                                cases.size()];
+          if (verify(c.key, c.digest, c.sig) != c.expected) ++mismatches[t];
+        }
+    });
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
 }
 
 TEST(P256Curve, ProjectiveXComparisonCoversBothCandidates) {

@@ -141,6 +141,20 @@ class BackendTest : public ::testing::Test {
     return *orderer_->flush();
   }
 
+  /// 10 transactions sharing one rwset: the endorsement digest is
+  /// H(chaincode || rwset || cert), so they carry bit-identical (RFC 6979)
+  /// endorsement signatures.
+  Block repeated_endorsements_block() {
+    std::vector<Bytes> envs;
+    for (int i = 0; i < 10; ++i) {
+      ReadWriteSet rw;
+      rw.writes.push_back({"hot", to_bytes("v")});  // blind write: no conflict
+      envs.push_back(
+          make_tx("t" + std::to_string(i), {&peer1_, &peer2_}, std::move(rw)));
+    }
+    return cut(std::move(envs));
+  }
+
   /// A block exercising every validation outcome.
   std::vector<Bytes> mixed_envelopes(int block) {
     const std::string tag = std::to_string(block);
@@ -223,21 +237,13 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
 }
 
 TEST_F(BackendTest, RepeatedEndorsementsHitTheCache) {
-  // The endorsement digest is H(chaincode || rwset || cert) — transactions
-  // sharing an rwset carry bit-identical (RFC 6979) endorsement signatures,
-  // so only the first one per endorser costs a real verification.
-  std::vector<Bytes> envs;
-  for (int i = 0; i < 10; ++i) {
-    ReadWriteSet rw;
-    rw.writes.push_back({"hot", to_bytes("v")});  // blind write: no conflict
-    envs.push_back(
-        make_tx("t" + std::to_string(i), {&peer1_, &peer2_}, std::move(rw)));
-  }
-  const Block block = cut(std::move(envs));
-
-  SoftwareValidator cached(msp_, policies_);
+  // Sequential vscc: only the first endorsement per endorser costs a real
+  // verification. The exact split holds for sequential callers only
+  // (crypto/verify_cache.hpp), so both validators pin parallelism 1.
+  const Block block = repeated_endorsements_block();
+  SoftwareValidator cached(msp_, policies_, /*parallelism=*/1);
   cached.enable_verify_cache(1024);
-  SoftwareValidator plain(msp_, policies_);
+  SoftwareValidator plain(msp_, policies_, /*parallelism=*/1);
   StateDb db_cached, db_plain;
   Ledger ledger_cached, ledger_plain;
   const auto r_cached =
@@ -255,6 +261,29 @@ TEST_F(BackendTest, RepeatedEndorsementsHitTheCache) {
   EXPECT_EQ(cached.verify_cache()->hits(), 18u);
   EXPECT_EQ(cached.stats().endorsement_signature_checks,
             plain.stats().endorsement_signature_checks);
+}
+
+TEST_F(BackendTest, RepeatedEndorsementsUnderParallelVscc) {
+  // Four workers may meet an endorser's first signature at once and each
+  // miss before the first insert lands: every call still counts exactly
+  // once, and at most one miss per worker per endorser.
+  const Block block = repeated_endorsements_block();
+  SoftwareValidator cached(msp_, policies_, /*parallelism=*/4);
+  cached.enable_verify_cache(1024);
+  SoftwareValidator plain(msp_, policies_, /*parallelism=*/1);
+  StateDb db_cached, db_plain;
+  Ledger ledger_cached, ledger_plain;
+  const auto r_cached =
+      cached.validate_and_commit(block, db_cached, ledger_cached);
+  const auto r_plain = plain.validate_and_commit(block, db_plain, ledger_plain);
+
+  EXPECT_EQ(r_cached.flags, r_plain.flags);
+  EXPECT_EQ(r_cached.commit_hash, r_plain.commit_hash);
+  ASSERT_NE(cached.verify_cache(), nullptr);
+  const std::uint64_t misses = cached.verify_cache()->misses();
+  EXPECT_EQ(cached.verify_cache()->hits() + misses, 20u);
+  EXPECT_GE(misses, 2u);
+  EXPECT_LE(misses, 8u);
 }
 
 TEST_F(BackendTest, FactoryProducesIndependentBackends) {

@@ -181,6 +181,35 @@ void write_file(const std::string& path, ByteView bytes) {
   std::fclose(f);
 }
 
+TEST_F(StoreFixture, ReplayRejectsLoggedBlockWithShortFlags) {
+  // A frame whose CRC and commit-hash chain are intact but whose block has
+  // fewer flags than envelopes. Recovery returns it (the frame is what was
+  // written); replay must refuse it instead of reading past its flags.
+  persist(2);
+  CommittedBlock crafted = ledger.at(1);
+  ASSERT_GT(crafted.block.tx_count(), 1u);
+  crafted.block.metadata.tx_flags.resize(1);
+  const Bytes marshaled = crafted.block.marshal();
+  crypto::Sha256 h;
+  h.update(crypto::digest_view(ledger.at(0).commit_hash));
+  h.update(marshaled);
+  Bytes payload = crypto::digest_bytes(h.finish());
+  bm::append(payload, marshaled);
+  const Bytes log = read_file(path);
+  write_file(path, ByteView(log).subspan(
+                       0, FileBlockStore::recover(path).record_offsets[1]));
+  append_raw_frame(path, kTestMagic, static_cast<std::uint32_t>(payload.size()),
+                   crc32(payload), payload);
+
+  const auto chain = FileBlockStore::recover(path);
+  ASSERT_EQ(chain.blocks.size(), 2u);
+  EXPECT_EQ(chain.blocks[1].block.metadata.tx_flags.size(), 1u);
+  Ledger recovered;
+  StateDb recovered_state;
+  EXPECT_FALSE(replay_chain(chain, recovered, &recovered_state));
+  EXPECT_EQ(recovered.height(), 1u);
+}
+
 TEST_F(StoreFixture, ZeroLengthFrameStopsTheScan) {
   persist(2);
   const auto before = std::filesystem::file_size(path);

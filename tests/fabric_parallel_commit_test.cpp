@@ -157,7 +157,6 @@ class ParallelCommitTest : public ::testing::Test {
     lanes.emplace_back(make_software_backend(msp_, policies_,
                                              {.parallelism = 4,
                                               .verify_cache_capacity = 256,
-                                              .comb_table_capacity = 8,
                                               .parallel_commit = true}),
                        8);
 

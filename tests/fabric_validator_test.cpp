@@ -77,6 +77,35 @@ TEST_F(ValidatorTest, TamperedOrdererSignatureRejectsBlock) {
   EXPECT_EQ(db_.size(), 0u);
 }
 
+TEST_F(ValidatorTest, DeliveredFlagsOfAnyLengthAreRebuilt) {
+  // The flags field is outside the orderer's signature, so a delivered
+  // block may carry it short, missing or overlong. The committer rebuilds
+  // it from its own verdicts: same flags and commit hash as the block as
+  // cut.
+  const Block block = cut({make_tx("a", {&peer1_, &peer2_}),
+                           make_tx("b", {&peer1_}),  // policy failure
+                           make_tx("c", {&peer1_, &peer2_})});
+  SoftwareValidator reference(msp_, policies_);
+  StateDb reference_db;
+  Ledger reference_ledger;
+  const auto expected =
+      reference.validate_and_commit(block, reference_db, reference_ledger);
+  ASSERT_TRUE(expected.block_valid);
+
+  for (const std::size_t delivered : {0, 1, 2, 7}) {
+    Block damaged = block;
+    damaged.metadata.tx_flags.resize(delivered, 0);
+    StateDb db;
+    Ledger ledger;
+    const auto result = validator_->validate_and_commit(damaged, db, ledger);
+    EXPECT_TRUE(result.block_valid) << delivered;
+    EXPECT_EQ(result.flags, expected.flags) << delivered;
+    EXPECT_EQ(result.commit_hash, expected.commit_hash) << delivered;
+    EXPECT_EQ(ledger.last().block.metadata.tx_flags,
+              reference_ledger.last().block.metadata.tx_flags);
+  }
+}
+
 TEST_F(ValidatorTest, TamperedDataHashRejectsBlock) {
   Block block = cut({make_tx("a", {&peer1_, &peer2_})});
   block.envelopes[0][5] ^= 1;  // data no longer matches data_hash

@@ -115,7 +115,6 @@ struct Options {
   bool faults = false;
   bool tamper = false;
   std::size_t verify_cache = 0;  ///< 0 = no endorsement-verification cache
-  std::size_t comb_tables = 0;   ///< 0 = no per-identity comb-table cache
   bool parallel_commit = false;  ///< dependency-aware parallel MVCC + commit
   std::size_t db_shards = fabric::StateDb::kDefaultShards;
   std::string scenario_path;  ///< composed configs/scenario_*.json
@@ -138,8 +137,6 @@ bool parse_args(int argc, char** argv, Options& options) {
   parser.add_flag("--tamper", &tamper_flag, "corrupt the last block's signature");
   parser.add_size("--verify-cache", &options.verify_cache,
                   "endorsement-verification cache entries (0 = off)");
-  parser.add_size("--comb-tables", &options.comb_tables,
-                  "per-identity ECDSA comb tables to cache (0 = off)");
   bool parallel_commit_flag = false;
   parser.add_flag("--parallel-commit", &parallel_commit_flag,
                   "dependency-aware parallel MVCC + commit");
@@ -284,7 +281,6 @@ int cmd_validate(const Options& options) {
       {.parallelism =
            options.parallel_commit ? static_cast<unsigned>(options.vcpus) : 0u,
        .verify_cache_capacity = options.verify_cache,
-       .comb_table_capacity = options.comb_tables,
        .parallel_commit = options.parallel_commit});
 
   sim::Simulation sim;
