@@ -1,32 +1,19 @@
-// Ablation: commit-path scale-out — endorsement-verification cache,
-// sharded/batched StateDb, and dependency-aware parallel commit, each
-// against the shipped default backend (whose crypto::verify already runs
-// hot keys over per-key comb tables).
+// Ablation: commit-path scale-out of the shipped software backend.
 //
-// Part 1 measures REAL wall-clock software validation (full parse +
-// ECDSA + MVCC + commit, no simulated timing) on a repeated-endorser
-// workload: every transaction's rwset is drawn from a small pool of hot
-// rwsets, so the same endorser signs the same endorsement digest over and
-// over — deterministic RFC 6979 signing makes those signatures
-// bit-identical, which is exactly what the VerifyCache memoizes. This is
-// the shape
-// "Performance Characterization and Bottleneck Analysis of Hyperledger
-// Fabric" reports for smallbank-style contracts. The check for all lanes
-// producing identical commit hashes is part of the bench.
-//
-// Part 2 sweeps the StateDb shard count under a multi-threaded batched
+// Part 1 sweeps the StateDb shard count under a multi-threaded batched
 // commit: one write-batch per block, applied with a worker pool, shards
 // {1, 2, 4, 8, 16}. With one shard every worker serializes on one mutex;
 // with enough shards the batch applies in parallel.
 //
-// Part 3 is the round-two headline: full validate_and_commit on a
-// read+write workload with intra-block anti-dependencies, sequential
-// baseline vs the combined configuration (N verify threads + verify cache
-// + dependency-aware parallel commit) at 1/2/4/8 threads.
-// The parallel lanes must produce byte-identical commit hashes to the
-// sequential lane — that equality always gates the exit code; the >= 4x
-// speedup gate only applies when the host actually has >= 8 hardware
-// threads (on smaller hosts the caveat is printed and the gate skipped).
+// Part 2 measures REAL wall-clock software validation (full parse + ECDSA
+// + MVCC + batched commit, no simulated timing) on a read+write transfer
+// workload: the sequential backend against parallel vscc at 1/2/4/8
+// threads. MVCC stays the in-order walk at every thread count, as in
+// Fabric. The parallel lanes must produce byte-identical commit hashes to
+// the sequential lane — that equality always gates the exit code; the
+// >= 4x speedup gate only applies when the host actually has >= 8
+// hardware threads (on smaller hosts the caveat is printed and the gate
+// skipped).
 //
 // `--quick` shrinks every part for CI smoke runs; all correctness gates
 // still apply at the reduced sizes.
@@ -75,43 +62,12 @@ Fixture make_fixture(Workload& w) {
   return f;
 }
 
-/// `blocks` blocks of `block_size` txs; each tx blind-writes one of
-/// `hot_rwsets` hot keys (so endorsement digests repeat, but MVCC never
-/// conflicts).
-Workload repeated_endorser_workload(int blocks, int block_size,
-                                    int hot_rwsets) {
-  Workload w;
-  const Fixture f = make_fixture(w);
-  fabric::Orderer orderer(
-      f.orderer, fabric::Orderer::Config{
-                     .max_tx_per_block = static_cast<std::size_t>(block_size)});
-
-  for (int b = 0; b < blocks; ++b) {
-    for (int i = 0; i < block_size; ++i) {
-      fabric::TxProposal proposal;
-      proposal.channel_id = "ch";
-      proposal.chaincode_id = "smallbank";
-      proposal.tx_id = "t" + std::to_string(b) + "_" + std::to_string(i);
-      proposal.rwset.writes.push_back(
-          {"hot" + std::to_string(i % hot_rwsets), to_bytes("v")});
-      // The orderer cuts the block itself when the batch fills.
-      if (auto block = orderer.submit(fabric::build_envelope(
-              proposal, f.client, {&f.peer1, &f.peer2})))
-        w.blocks.push_back(*std::move(block));
-    }
-    w.total_txs += static_cast<std::size_t>(block_size);
-  }
-  if (auto block = orderer.flush()) w.blocks.push_back(*std::move(block));
-  return w;
-}
-
-/// Read+write workload for the parallel-commit sweep. Every transaction
-/// reads two keys unique to it (absent from the DB, so the read always
-/// validates) and writes two shared account keys; every fourth transaction
-/// additionally writes a key the PREVIOUS transaction read. That last write
-/// is an anti-dependency — the scheduler must not fold it in before the
-/// reader has been decided — without ever invalidating anything, so the
-/// whole workload commits valid and the dependency machinery is exercised.
+/// Read+write workload for the thread sweep. Every transaction reads two
+/// keys unique to it (absent from the DB, so the read always validates)
+/// and writes two shared account keys; every fourth transaction
+/// additionally writes a key the PREVIOUS transaction read. Because MVCC
+/// decides the reader before that write lands, nothing is invalidated and
+/// the whole workload commits valid.
 Workload transfer_workload(int blocks, int block_size, int accounts) {
   Workload w;
   const Fixture f = make_fixture(w);
@@ -150,8 +106,6 @@ Workload transfer_workload(int blocks, int block_size, int accounts) {
 struct LaneResult {
   double tps = 0;
   crypto::Digest final_hash{};
-  std::uint64_t cache_hits = 0;
-  fabric::ValidationStats stats;
 };
 
 LaneResult run_lane(const Workload& w, fabric::SoftwareBackendOptions options) {
@@ -166,14 +120,10 @@ LaneResult run_lane(const Workload& w, fabric::SoftwareBackendOptions options) {
   LaneResult result;
   result.tps = static_cast<double>(w.total_txs) / elapsed;
   result.final_hash = ledger.last().commit_hash;
-  result.stats = backend->stats();
-  if (const auto* sw =
-          dynamic_cast<const fabric::SoftwareValidator*>(backend.get());
-      sw != nullptr && sw->verify_cache() != nullptr)
-    result.cache_hits = sw->verify_cache()->hits();
   return result;
 }
 
+/// Part 1: commit-only write rate of one batched commit per block.
 void shard_sweep(int batches, int writes_per_batch, unsigned workers) {
   bench::title("StateDb shard-count sweep, batched commit");
   std::printf("%d batches x %d writes, %u worker threads (host has %u "
@@ -207,43 +157,33 @@ void shard_sweep(int batches, int writes_per_batch, unsigned workers) {
   bench::rule(40);
 }
 
-/// Part 3: sequential baseline vs the full round-two configuration.
-/// Returns false if any parallel lane's commit hash diverges from the
-/// sequential lane — that is the only unconditional failure here.
-bool parallel_commit_sweep(int blocks, int block_size, bool* speedup_ok) {
-  bench::title("Dependency-aware parallel commit (full validate_and_commit)");
+/// Part 2: sequential baseline vs parallel vscc. Returns false if any
+/// parallel lane's commit hash diverges from the sequential lane — that is
+/// the only unconditional failure here.
+bool thread_sweep(int blocks, int block_size, bool* speedup_ok) {
+  bench::title("Parallel vscc (full validate_and_commit)");
   const Workload w = transfer_workload(blocks, block_size, /*accounts=*/64);
   std::printf("transfer workload: %d blocks x %d txs, 2 reads + 2-3 writes "
-              "per tx, anti-deps every 4th tx\n",
+              "per tx\n",
               blocks, block_size);
 
   const LaneResult seq = run_lane(w, {.parallelism = 1});
-  std::printf("%-30s %10s %10s %8s %10s\n", "configuration", "tps", "speedup",
-              "waves", "deps/blk");
-  bench::rule(74);
-  std::printf("%-30s %10.0f %9.2fx %8s %10s\n", "sequential, 1 thread",
-              seq.tps, 1.0, "-", "-");
+  std::printf("%-30s %10s %10s\n", "configuration", "tps", "speedup");
+  bench::rule(52);
+  std::printf("%-30s %10.0f %9.2fx\n", "sequential, 1 thread", seq.tps, 1.0);
 
   bool hashes_match = true;
   double best = 0;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const LaneResult par = run_lane(
-        w, {.parallelism = threads,
-            .verify_cache_capacity = 8192,
-            .parallel_commit = true});
-    const double waves_per_block =
-        static_cast<double>(par.stats.commit_waves) /
-        static_cast<double>(par.stats.blocks_processed);
-    const double deps_per_block =
-        static_cast<double>(par.stats.commit_deps) /
-        static_cast<double>(par.stats.blocks_processed);
-    std::printf("%-30s %10.0f %9.2fx %8.1f %10.1f\n",
-                ("round two, " + std::to_string(threads) + " threads").c_str(),
-                par.tps, par.tps / seq.tps, waves_per_block, deps_per_block);
+    const LaneResult par = run_lane(w, {.parallelism = threads});
+    std::printf("%-30s %10.0f %9.2fx\n",
+                ("parallel vscc, " + std::to_string(threads) + " threads")
+                    .c_str(),
+                par.tps, par.tps / seq.tps);
     hashes_match = hashes_match && par.final_hash == seq.final_hash;
     best = std::max(best, par.tps / seq.tps);
   }
-  bench::rule(74);
+  bench::rule(52);
   std::printf("commit hashes identical to sequential lane: %s\n",
               hashes_match ? "PASS" : "FAIL");
 
@@ -255,8 +195,8 @@ bool parallel_commit_sweep(int blocks, int block_size, bool* speedup_ok) {
   } else {
     *speedup_ok = true;
     std::printf("acceptance: >= 4x gate SKIPPED — host has %u hardware "
-                "thread(s); the speedup is bounded by physical cores, not by "
-                "the scheduler (best %.2fx here).\n",
+                "thread(s); the speedup is bounded by physical cores "
+                "(best %.2fx here).\n",
                 hw, best);
   }
   return hashes_match;
@@ -273,57 +213,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
-  bench::title(
-      "Ablation - endorsement-verification cache (real validation wall "
-      "clock)");
-  const int blocks = quick ? 3 : 12;
-  const int block_size = quick ? 40 : 100;
-  const int hot_rwsets = 16;
-  std::printf("repeated-endorser workload: %d blocks x %d txs, %d distinct "
-              "rwsets, 2-outof-2\n",
-              blocks, block_size, hot_rwsets);
-  const Workload w = repeated_endorser_workload(blocks, block_size, hot_rwsets);
-
-  std::printf("%-28s %10s %10s %12s\n", "backend", "tps", "speedup",
-              "cache hits");
-  bench::rule(65);
-  const LaneResult off = run_lane(w, {.parallelism = 1});
-  std::printf("%-28s %10.0f %9.2fx %12s\n", "cache off, 1 thread", off.tps,
-              1.0, "-");
-  const LaneResult on =
-      run_lane(w, {.parallelism = 1, .verify_cache_capacity = 8192});
-  std::printf("%-28s %10.0f %9.2fx %12llu\n", "cache 8192, 1 thread", on.tps,
-              on.tps / off.tps, static_cast<unsigned long long>(on.cache_hits));
-  const LaneResult both =
-      run_lane(w, {.parallelism = 4, .verify_cache_capacity = 8192});
-  std::printf("%-28s %10.0f %9.2fx %12llu\n", "cache 8192, 4 threads",
-              both.tps, both.tps / off.tps,
-              static_cast<unsigned long long>(both.cache_hits));
-  bench::rule(65);
-
-  const bool hashes_match =
-      off.final_hash == on.final_hash && off.final_hash == both.final_hash;
-  std::printf("commit hashes identical across lanes: %s\n",
-              hashes_match ? "PASS" : "FAIL");
-  std::printf("acceptance: cache >= 2x on repeated endorsers: %s "
-              "(%.2fx single-threaded)\n",
-              on.tps / off.tps >= 2.0 ? "PASS" : "FAIL", on.tps / off.tps);
-
   shard_sweep(/*batches=*/quick ? 10 : 50,
               /*writes_per_batch=*/quick ? 4096 : 32768, /*workers=*/8);
 
   bool speedup_ok = true;
-  const bool parallel_hashes_match = parallel_commit_sweep(
-      quick ? 4 : 16, quick ? 50 : 120, &speedup_ok);
+  const bool hashes_match =
+      thread_sweep(quick ? 4 : 16, quick ? 50 : 120, &speedup_ok);
 
-  std::printf("paper tie-in: the cache is the software mirror of the BMac "
-              "identity cache's\nparse-once semantics (crypto::verify's "
-              "per-key comb tables mirror its key\nstore); the sharded batch "
-              "commit and dependency waves mirror the hardware's\nper-block "
-              "write burst into the on-chip KVS (one version stamp per "
-              "block).\n");
-  return hashes_match && parallel_hashes_match && speedup_ok &&
-                 on.tps / off.tps >= 2.0
-             ? 0
-             : 1;
+  std::printf("paper tie-in: the sharded batch commit mirrors the "
+              "hardware's per-block\nwrite burst into the on-chip KVS (one "
+              "version stamp per block); parallel\nvscc is the software "
+              "counterpart of the tx_validator replicas.\n");
+  return hashes_match && speedup_ok ? 0 : 1;
 }

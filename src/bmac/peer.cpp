@@ -30,9 +30,8 @@ BmacPeer::BmacPeer(
 
 void BmacPeer::enable_graceful_degradation(DegradeConfig config) {
   degrade_ = config;
-  fallback_backend_ = fabric::make_software_backend(
-      msp_, policies_, fabric::SoftwareBackendOptions{/*parallelism=*/1,
-                                                      /*verify_cache=*/0});
+  fallback_backend_ =
+      fabric::make_software_backend(msp_, policies_, {.parallelism = 1});
   release_kick_ = std::make_unique<sim::Trigger>(sim_);
   commit_kick_ = std::make_unique<sim::Trigger>(sim_);
 }

@@ -49,9 +49,6 @@ Range open_unit() { return Range{0, 1, true, true}; }
 Range at_least(double min) {
   return Range{min, std::numeric_limits<double>::infinity(), false, false};
 }
-Range at_most(double max) {
-  return Range{-std::numeric_limits<double>::infinity(), max, false, false};
-}
 
 // --- ErrorSink ---------------------------------------------------------------
 

@@ -57,7 +57,6 @@ Range non_negative();   ///< >= 0
 Range unit_interval();  ///< in [0, 1]
 Range open_unit();      ///< in (0, 1)
 Range at_least(double min);
-Range at_most(double max);
 
 namespace detail {
 /// Shared per-parse error state: first error wins, later readers no-op.

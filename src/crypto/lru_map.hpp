@@ -1,5 +1,6 @@
-// Bounded least-recently-used map: the eviction policy the verification
-// caches share. Not thread-safe; each owner guards it with its own lock.
+// Bounded least-recently-used map: the eviction policy of CombCache's table
+// and seen-once sets. Not thread-safe; each owner guards it with its own
+// lock.
 #pragma once
 
 #include <cstddef>

@@ -144,7 +144,6 @@ const U256 kBMont = fp_to_mont(kB);
 
 const U256& p256_p() { return kP; }
 const U256& p256_n() { return kN; }
-const U256& p256_b() { return kB; }
 const AffinePoint& p256_generator() { return kG; }
 
 U256 fp_to_mont(const U256& a) { return fe_mul(a, kR2ModP); }

@@ -16,7 +16,6 @@ namespace bm::crypto {
 /// Curve parameters (y^2 = x^3 - 3x + b over F_p, group order n).
 const U256& p256_p();
 const U256& p256_n();
-const U256& p256_b();
 
 /// Field arithmetic mod p. Inputs must be < p; results are < p.
 U256 fp_to_mont(const U256& a);    ///< a * 2^256 mod p

@@ -178,6 +178,8 @@ void Sha256::reset() {
 }
 
 void Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t pos = 0;
   if (buffer_len_ > 0) {

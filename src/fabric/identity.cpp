@@ -50,16 +50,6 @@ Bytes make_extensions(const crypto::PublicKey& key) {
 
 }  // namespace
 
-const char* role_name(Role role) {
-  switch (role) {
-    case Role::kOrderer: return "orderer";
-    case Role::kAdmin: return "admin";
-    case Role::kPeer: return "peer";
-    case Role::kClient: return "client";
-  }
-  return "?";
-}
-
 EncodedId EncodedId::make(std::uint8_t org, Role role, std::uint8_t seq) {
   return EncodedId{static_cast<std::uint16_t>(
       (static_cast<std::uint16_t>(org) << 8) |

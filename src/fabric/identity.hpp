@@ -26,8 +26,6 @@ enum class Role : std::uint8_t {
   kClient = 3,
 };
 
-const char* role_name(Role role);
-
 /// The 16-bit encoded identity used on the wire by the BMac protocol.
 struct EncodedId {
   std::uint16_t value = 0;

@@ -53,11 +53,6 @@ void StateDb::put(const std::string& key, Bytes value, Version version) {
   shard.data[key] = VersionedValue{std::move(value), version};
 }
 
-void StateDb::apply_writes(const std::vector<KVWrite>& writes,
-                           Version version) {
-  for (const KVWrite& write : writes) put(write.key, write.value, version);
-}
-
 void StateDb::erase(const std::string& key) {
   Shard& shard = *shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mutex);

@@ -63,9 +63,6 @@ class StateDb {
   /// Write (insert or overwrite) with an explicit version.
   void put(const std::string& key, Bytes value, Version version);
 
-  /// Apply a whole write set at version {block, tx}.
-  void apply_writes(const std::vector<KVWrite>& writes, Version version);
-
   /// Remove a key (used by the tiered hardware cache when promoting an
   /// entry back on-chip). No-op if absent.
   void erase(const std::string& key);

@@ -1,10 +1,8 @@
 #include "fabric/validator.hpp"
 
 #include <cstdlib>
-#include <unordered_set>
 
 #include "crypto/der.hpp"
-#include "fabric/commit_graph.hpp"
 
 namespace bm::fabric {
 
@@ -36,16 +34,6 @@ void SoftwareValidator::set_parallelism(unsigned parallelism) {
     pool_.reset();
 }
 
-void SoftwareValidator::enable_verify_cache(std::size_t capacity) {
-  verify_cache_ =
-      capacity > 0 ? std::make_shared<crypto::VerifyCache>(capacity) : nullptr;
-}
-
-void SoftwareValidator::set_verify_cache(
-    std::shared_ptr<crypto::VerifyCache> cache) {
-  verify_cache_ = std::move(cache);
-}
-
 bool SoftwareValidator::verify_block_signature(const Block& block) {
   ++stats_.block_signature_checks;
   const auto cert = Certificate::unmarshal(block.metadata.orderer_cert);
@@ -63,9 +51,8 @@ bool SoftwareValidator::verify_block_signature(const Block& block) {
 TxValidationCode SoftwareValidator::validate_transaction(
     const ParsedTransaction& tx, ValidationStats& stats) const {
   // Step 2a: transaction verification — creator identity and signature.
-  // Creator payloads are unique per transaction (tx id), so the verify
-  // cache never hits here — but the creator's KEY repeats constantly, which
-  // is exactly what crypto::verify's per-key comb tables amortize.
+  // The creator's key repeats across transactions, which is what
+  // crypto::verify's per-key comb tables amortize.
   if (!msp_.validate(tx.creator)) return TxValidationCode::kBadCreatorSignature;
   const auto creator_sig = crypto::der_decode_signature(tx.signature);
   if (!creator_sig) return TxValidationCode::kBadCreatorSignature;
@@ -89,15 +76,9 @@ TxValidationCode SoftwareValidator::validate_transaction(
     const auto sig = crypto::der_decode_signature(endorsement.signature);
     if (!sig) continue;
     ++stats.endorsement_signature_checks;
-    const crypto::Digest digest = digester.digest(endorsement.cert_bytes);
-    // The memoized path keys on (public key, digest, DER bytes) — the full
-    // verification input — so flags are identical with the cache attached.
-    const bool ok =
-        verify_cache_ != nullptr
-            ? verify_cache_->verify(endorsement.cert.public_key, digest,
-                                    endorsement.signature, *sig)
-            : crypto::verify(endorsement.cert.public_key, digest, *sig);
-    if (!ok) continue;
+    if (!crypto::verify(endorsement.cert.public_key,
+                        digester.digest(endorsement.cert_bytes), *sig))
+      continue;
     if (const auto id = msp_.encode(endorsement.cert))
       valid_endorsers.push_back(*id);
   }
@@ -105,56 +86,6 @@ TxValidationCode SoftwareValidator::validate_transaction(
     return TxValidationCode::kEndorsementPolicyFailure;
 
   return TxValidationCode::kValid;
-}
-
-void SoftwareValidator::run_mvcc_waves(
-    const Block& block, const std::vector<ParsedTransaction>& parsed,
-    StateDb& db, std::vector<TxValidationCode>& flags) {
-  const CommitSchedule schedule = build_commit_schedule(parsed, flags);
-  stats_.commit_waves += schedule.wave_count();
-  stats_.commit_deps += schedule.dependencies;
-
-  // Keys written by surviving transactions of completed waves. Read-only
-  // while a wave's verdicts run; folded in between waves on this thread.
-  std::unordered_set<std::string> pending_writes;
-  // Per-transaction read counters, merged in transaction order below so
-  // stats_.db_reads matches the sequential walk exactly.
-  std::vector<std::uint64_t> mvcc_reads(block.tx_count(), 0);
-
-  for (const std::vector<std::uint32_t>& wave : schedule.waves) {
-    const auto decide = [&](std::size_t w) {
-      const std::uint32_t i = wave[w];
-      const ParsedTransaction& tx = parsed[i];
-      bool conflict = false;
-      for (const KVRead& read : tx.rwset.reads) {
-        ++mvcc_reads[i];
-        const std::string key = StateDb::namespaced(tx.chaincode_id, read.key);
-        // The wave constraints guarantee this membership test sees exactly
-        // the writes of earlier valid transactions that matter to this
-        // read — never a later transaction's (anti dependency) and never
-        // missing an earlier writer's (true dependency).
-        if (pending_writes.count(key) != 0 ||
-            !db.version_matches(KVRead{key, read.version})) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) flags[i] = TxValidationCode::kMvccReadConflict;
-    };
-    if (wave.size() > 1) {
-      pool_->parallel_for(wave.size(), decide);
-    } else {
-      for (std::size_t w = 0; w < wave.size(); ++w) decide(w);
-    }
-    // Fold in this wave's surviving writes, in transaction order.
-    for (const std::uint32_t i : wave) {
-      if (flags[i] != TxValidationCode::kValid) continue;
-      for (const KVWrite& write : parsed[i].rwset.writes)
-        pending_writes.insert(
-            StateDb::namespaced(parsed[i].chaincode_id, write.key));
-    }
-  }
-  for (const std::uint64_t reads : mvcc_reads) stats_.db_reads += reads;
 }
 
 BlockValidationResult SoftwareValidator::validate_and_commit(
@@ -193,38 +124,30 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
   }
   for (const ValidationStats& stats : tx_stats) stats_ += stats;
 
-  // Step 3: mvcc. Reads must match the committed state, and keys written by
+  // Step 3: mvcc, walking transactions sequentially in block order as
+  // Fabric does. Reads must match the committed state, and keys written by
   // an earlier valid transaction of this block invalidate later readers.
-  // The dependency-aware path decides independent transactions in parallel
-  // waves; the default walks transactions sequentially in order. Both
-  // produce byte-identical flags (differential-tested).
-  if (parallel_commit_ && pool_ != nullptr) {
-    run_mvcc_waves(block, parsed, db, result.flags);
-  } else {
-    std::map<std::string, Version> pending_writes;
-    for (std::size_t i = 0; i < block.tx_count(); ++i) {
-      if (result.flags[i] != TxValidationCode::kValid) continue;
-      const ParsedTransaction& tx = parsed[i];
-      bool conflict = false;
-      for (const KVRead& read : tx.rwset.reads) {
-        ++stats_.db_reads;
-        const std::string key = StateDb::namespaced(tx.chaincode_id, read.key);
-        if (pending_writes.count(key) != 0 ||
-            !db.version_matches(KVRead{key, read.version})) {
-          conflict = true;
-          break;
-        }
+  std::map<std::string, Version> pending_writes;
+  for (std::size_t i = 0; i < block.tx_count(); ++i) {
+    if (result.flags[i] != TxValidationCode::kValid) continue;
+    const ParsedTransaction& tx = parsed[i];
+    bool conflict = false;
+    for (const KVRead& read : tx.rwset.reads) {
+      ++stats_.db_reads;
+      const std::string key = StateDb::namespaced(tx.chaincode_id, read.key);
+      if (pending_writes.count(key) != 0 ||
+          !db.version_matches(KVRead{key, read.version})) {
+        conflict = true;
+        break;
       }
-      if (conflict) {
-        result.flags[i] = TxValidationCode::kMvccReadConflict;
-        continue;
-      }
-      const Version version{block.header.number,
-                            static_cast<std::uint32_t>(i)};
-      for (const KVWrite& write : tx.rwset.writes)
-        pending_writes[StateDb::namespaced(tx.chaincode_id, write.key)] =
-            version;
     }
+    if (conflict) {
+      result.flags[i] = TxValidationCode::kMvccReadConflict;
+      continue;
+    }
+    const Version version{block.header.number, static_cast<std::uint32_t>(i)};
+    for (const KVWrite& write : tx.rwset.writes)
+      pending_writes[StateDb::namespaced(tx.chaincode_id, write.key)] = version;
   }
 
   // Step 4: commit — the block's whole write-set goes into one shard-grouped
@@ -275,43 +198,6 @@ void SoftwareValidator::publish_metrics(obs::Registry& registry,
       .set(stats_.db_writes);
   registry.counter(prefix + "_envelopes_parsed_total", "envelopes unmarshaled")
       .set(stats_.envelopes_parsed);
-  if (parallel_commit_) {
-    registry
-        .counter(prefix + "_commit_waves_total",
-                 "dependency waves scheduled by the parallel commit path")
-        .set(stats_.commit_waves);
-    registry
-        .counter(prefix + "_commit_deps_total",
-                 "rw-set dependencies that forced commit ordering")
-        .set(stats_.commit_deps);
-    registry
-        .gauge(prefix + "_deps_per_block",
-               "mean rw-set dependencies per processed block")
-        .set(stats_.blocks_processed > 0
-                 ? static_cast<double>(stats_.commit_deps) /
-                       static_cast<double>(stats_.blocks_processed)
-                 : 0.0);
-  }
-  if (verify_cache_ != nullptr) {
-    registry
-        .counter(prefix + "_verify_cache_hits_total",
-                 "endorsement verifications answered from the cache")
-        .set(verify_cache_->hits());
-    registry
-        .counter(prefix + "_verify_cache_misses_total",
-                 "endorsement verifications computed and memoized")
-        .set(verify_cache_->misses());
-    registry
-        .counter(prefix + "_verify_cache_evictions_total",
-                 "verify-cache LRU evictions")
-        .set(verify_cache_->evictions());
-    registry
-        .gauge(prefix + "_verify_cache_capacity",
-               "verify-cache entry capacity")
-        .set(static_cast<double>(verify_cache_->capacity()));
-    registry.gauge(prefix + "_verify_cache_entries", "verify-cache fill")
-        .set(static_cast<double>(verify_cache_->size()));
-  }
 }
 
 }  // namespace bm::fabric

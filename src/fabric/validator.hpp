@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "common/thread_pool.hpp"
-#include "crypto/verify_cache.hpp"
 #include "fabric/ledger.hpp"
 #include "fabric/policy.hpp"
 #include "fabric/statedb.hpp"
@@ -37,10 +36,6 @@ struct ValidationStats {
   std::uint64_t db_reads = 0;
   std::uint64_t db_writes = 0;
   std::uint64_t envelopes_parsed = 0;
-  /// Dependency-aware commit only (zero on the sequential path): waves the
-  /// scheduler emitted, and rw-set dependencies that forced ordering.
-  std::uint64_t commit_waves = 0;
-  std::uint64_t commit_deps = 0;
 
   std::uint64_t total_ecdsa_checks() const {
     return block_signature_checks + creator_signature_checks +
@@ -55,8 +50,6 @@ struct ValidationStats {
     db_reads += o.db_reads;
     db_writes += o.db_writes;
     envelopes_parsed += o.envelopes_parsed;
-    commit_waves += o.commit_waves;
-    commit_deps += o.commit_deps;
     return *this;
   }
 };
@@ -87,25 +80,6 @@ class SoftwareValidator final : public ValidatorBackend {
   void set_parallelism(unsigned parallelism);
   unsigned parallelism() const { return pool_ ? pool_->concurrency() : 1; }
 
-  /// Attach a fresh endorsement-verification cache (capacity 0 detaches).
-  /// Flags, commit hashes, and stats are identical with or without it —
-  /// only repeated verifications get cheaper.
-  void enable_verify_cache(
-      std::size_t capacity = crypto::VerifyCache::kDefaultCapacity);
-  /// Share an existing cache (e.g. across several validators). Null detaches.
-  void set_verify_cache(std::shared_ptr<crypto::VerifyCache> cache);
-  const crypto::VerifyCache* verify_cache() const {
-    return verify_cache_.get();
-  }
-
-  /// Dependency-aware parallel commit: schedule mvcc verdicts by rw-set
-  /// dependency waves across the worker pool and commit out of order
-  /// (sequential when no pool is configured). Flags, version stamps, and
-  /// the commit hash are byte-identical to the in-order path — the
-  /// sequential commit hash is the equivalence oracle.
-  void set_parallel_commit(bool enabled) { parallel_commit_ = enabled; }
-  bool parallel_commit() const { return parallel_commit_; }
-
   /// Run the full pipeline on one block, mutating the state DB and ledger.
   BlockValidationResult validate_and_commit(const Block& block, StateDb& db,
                                             Ledger& ledger,
@@ -114,8 +88,7 @@ class SoftwareValidator final : public ValidatorBackend {
   const ValidationStats& stats() const override { return stats_; }
   void reset_stats() override { stats_ = ValidationStats{}; }
 
-  /// Publish the lifetime ValidationStats (plus verify-cache hit/miss
-  /// counters when a cache is attached) as counters under "<prefix>_..."
+  /// Publish the lifetime ValidationStats as counters under "<prefix>_..."
   /// (snapshot-style, idempotent).
   void publish_metrics(obs::Registry& registry,
                        const std::string& prefix) const override;
@@ -127,18 +100,10 @@ class SoftwareValidator final : public ValidatorBackend {
   TxValidationCode validate_transaction(const ParsedTransaction& tx,
                                         ValidationStats& stats) const;
 
-  /// Step 3 for the parallel-commit path: wave-scheduled mvcc verdicts,
-  /// byte-identical flags to the sequential walk.
-  void run_mvcc_waves(const Block& block,
-                      const std::vector<ParsedTransaction>& parsed,
-                      StateDb& db, std::vector<TxValidationCode>& flags);
-
   const Msp& msp_;
   std::map<std::string, EndorsementPolicy> policies_;
   ValidationStats stats_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when sequential
-  std::shared_ptr<crypto::VerifyCache> verify_cache_;  ///< null = uncached
-  bool parallel_commit_ = false;
 };
 
 }  // namespace bm::fabric

@@ -7,12 +7,8 @@ namespace bm::fabric {
 std::unique_ptr<ValidatorBackend> make_software_backend(
     const Msp& msp, std::map<std::string, EndorsementPolicy> policies,
     SoftwareBackendOptions options) {
-  auto backend = std::make_unique<SoftwareValidator>(msp, std::move(policies),
-                                                     options.parallelism);
-  if (options.verify_cache_capacity > 0)
-    backend->enable_verify_cache(options.verify_cache_capacity);
-  backend->set_parallel_commit(options.parallel_commit);
-  return backend;
+  return std::make_unique<SoftwareValidator>(msp, std::move(policies),
+                                             options.parallelism);
 }
 
 ValidatorBackendFactory software_backend_factory(

@@ -1,12 +1,11 @@
 // ValidatorBackend: the seam between "something that validates and commits
 // blocks" and everything that drives one.
 //
-// The commit path has grown several interchangeable implementations — the
-// pure-software pipeline (SoftwareValidator, with or without the
-// endorsement-verification cache and parallel vscc), and the BMac peer's
-// shadow validator used while the accelerator is degraded. Harnesses,
-// benches, and the simulator only ever need the four operations below, so
-// they take this interface and a factory instead of a concrete class:
+// The pure-software pipeline (SoftwareValidator) implements it; it serves as
+// the harness reference peer, cluster peers, and the BMac peer's fallback
+// while the accelerator is degraded. Harnesses, benches, and the simulator
+// only ever need the four operations below, so they take this interface and
+// a factory instead of a concrete class:
 // swapping backends is a one-line change at the call site, and equivalence
 // ("identical flags and commit hashes through every backend") is testable
 // by construction.
@@ -59,12 +58,6 @@ using ValidatorBackendFactory = std::function<std::unique_ptr<ValidatorBackend>(
 struct SoftwareBackendOptions {
   /// Step-2 worker threads: 1 = sequential, 0 = BM_VALIDATOR_THREADS env.
   unsigned parallelism = 0;
-  /// Memoize endorsement verifications; 0 disables the cache.
-  std::size_t verify_cache_capacity = 0;
-  /// Dependency-aware parallel commit: decide mvcc verdicts in rw-set
-  /// dependency waves across the worker pool and commit out of order.
-  /// Commit hashes stay byte-identical to the sequential path.
-  bool parallel_commit = false;
 };
 
 /// The default backend: a SoftwareValidator with the given options.

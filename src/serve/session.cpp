@@ -2,20 +2,6 @@
 
 namespace bm::serve {
 
-const char* session_verdict_name(SessionVerdict verdict) {
-  switch (verdict) {
-    case SessionVerdict::kOk: return "ok";
-    case SessionVerdict::kBadCert: return "bad_cert";
-    case SessionVerdict::kCapacity: return "capacity";
-    case SessionVerdict::kUnknownSession: return "unknown_session";
-    case SessionVerdict::kIdleEvicted: return "idle_evicted";
-    case SessionVerdict::kDuplicateSeq: return "duplicate_seq";
-    case SessionVerdict::kOutOfOrderSeq: return "out_of_order_seq";
-    case SessionVerdict::kSeqOverflow: return "seq_overflow";
-  }
-  return "unknown";
-}
-
 SessionManager::SessionManager(sim::Simulation& sim, const fabric::Msp& msp,
                                SessionConfig config)
     : sim_(sim),

@@ -52,8 +52,6 @@ enum class SessionVerdict : std::uint8_t {
   kSeqOverflow,     ///< sequence space exhausted (seq_limit reached)
 };
 
-const char* session_verdict_name(SessionVerdict verdict);
-
 /// Scenario knobs for the session layer. The client-model knobs
 /// (bad_cert_share, duplicate_rate, out_of_order_rate, zipf_s, preconnect)
 /// shape the synthetic population the pipeline drives through the manager;

@@ -94,11 +94,6 @@ bool TimerWheel::armed(Key key) const {
   return key < entries_.size() && entries_[key].bucket != kNil;
 }
 
-sim::Time TimerWheel::deadline(Key key) const {
-  if (!armed(key)) return kNever;
-  return static_cast<sim::Time>(entries_[key].tick) * granularity_;
-}
-
 void TimerWheel::cascade(std::uint64_t window_start) {
   // Top-down so level-2 entries can land in level 1 and then level 0 within
   // this one crossing. A level-k slot is cascaded when window_start is

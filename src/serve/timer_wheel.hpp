@@ -48,9 +48,6 @@ class TimerWheel {
 
   bool armed(Key key) const;
 
-  /// The deadline `key` is armed for (quantized); kNever when not armed.
-  sim::Time deadline(Key key) const;
-
   /// Advance wheel time to `now`, invoking `fire(key)` for every timer
   /// whose (quantized) deadline is <= now. Fire order is deterministic.
   /// The callback may arm/disarm any key, including its own.

@@ -54,6 +54,19 @@ TEST(Sha256, ManySmallUpdates) {
   EXPECT_EQ(h.finish(), sha256(msg));
 }
 
+TEST(Sha256, EmptyUpdateIsANoOp) {
+  // A default-constructed view has a null data pointer; feeding it while
+  // the block buffer is partly full must neither copy from it nor change
+  // the digest.
+  Sha256 h;
+  h.update(to_bytes("ab"));
+  h.update(ByteView{});
+  h.update(to_bytes("c"));
+  h.update(ByteView{});
+  EXPECT_EQ(digest_hex(h.finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256, ResetReusesObject) {
   Sha256 h;
   h.update(to_bytes("garbage"));

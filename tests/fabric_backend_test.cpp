@@ -1,17 +1,12 @@
-// ValidatorBackend seam tests: every software backend configuration (cache
-// on/off, any parallelism, any StateDb shard count) must produce
-// byte-identical validation flags and commit hashes — the cache and the
-// sharding are throughput knobs, never semantics. Plus adversarial coverage
-// for the VerifyCache itself: its key must commit to ALL inputs of a
-// verification, so replaying valid signature bytes against a different
-// digest can never be served from the cache.
+// ValidatorBackend seam tests: every software backend configuration (any
+// parallelism, any StateDb shard count) must produce byte-identical
+// validation flags and commit hashes — threads and sharding are throughput
+// knobs, never semantics.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "common/thread_pool.hpp"
-#include "crypto/der.hpp"
-#include "crypto/verify_cache.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
@@ -19,91 +14,6 @@
 
 namespace bm::fabric {
 namespace {
-
-// ---------------------------------------------------------------------------
-// VerifyCache: adversarial key-separation and accounting.
-
-crypto::Digest digest_of(const std::string& s) {
-  return crypto::sha256(to_bytes(s));
-}
-
-TEST(VerifyCache, RepeatHitsAfterFirstMiss) {
-  crypto::VerifyCache cache(16);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto digest = digest_of("payload");
-  const auto sig = crypto::sign(key, digest);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  EXPECT_TRUE(cache.verify(key.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  EXPECT_TRUE(cache.verify(key.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(VerifyCache, SameSignatureBytesOverDifferentDigestMissesAndFails) {
-  // The adversarial replay: a perfectly valid signature over digest A,
-  // presented as covering digest B. A cache keyed only on signature bytes
-  // would hit the cached `true`; ours must miss and fail.
-  crypto::VerifyCache cache(16);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto good = digest_of("the endorsed payload");
-  const auto evil = digest_of("a different payload");
-  const auto sig = crypto::sign(key, good);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  ASSERT_TRUE(cache.verify(key.public_key(), good, der, sig));
-  EXPECT_FALSE(cache.verify(key.public_key(), evil, der, sig));
-  EXPECT_EQ(cache.misses(), 2u) << "replay must not be served from cache";
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // The negative outcome is itself cached — and stays negative.
-  EXPECT_FALSE(cache.verify(key.public_key(), evil, der, sig));
-  EXPECT_EQ(cache.hits(), 1u);
-  // The original entry is untouched by the failed replay.
-  EXPECT_TRUE(cache.verify(key.public_key(), good, der, sig));
-}
-
-TEST(VerifyCache, SameDigestUnderDifferentKeyMisses) {
-  crypto::VerifyCache cache(16);
-  const auto alice = crypto::key_from_seed(to_bytes("alice"));
-  const auto mallory = crypto::key_from_seed(to_bytes("mallory"));
-  const auto digest = digest_of("payload");
-  const auto sig = crypto::sign(alice, digest);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  ASSERT_TRUE(cache.verify(alice.public_key(), digest, der, sig));
-  EXPECT_FALSE(cache.verify(mallory.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(VerifyCache, LruEvictsOldestAtCapacity) {
-  crypto::VerifyCache cache(2);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto pub = key.public_key();
-  auto entry = [&](const std::string& s) {
-    const auto digest = digest_of(s);
-    const auto sig = crypto::sign(key, digest);
-    return cache.verify(pub, digest, crypto::der_encode_signature(sig), sig);
-  };
-
-  EXPECT_TRUE(entry("a"));
-  EXPECT_TRUE(entry("b"));
-  EXPECT_TRUE(entry("a"));  // touch a: b becomes the LRU victim
-  EXPECT_TRUE(entry("c"));  // evicts b
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  const auto misses_before = cache.misses();
-  EXPECT_TRUE(entry("b"));  // evicted → full re-verification (displaces a)
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  EXPECT_TRUE(entry("c"));  // most recent before b's return: still cached
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-}
 
 // ---------------------------------------------------------------------------
 // Backend swap: all configurations are observably identical.
@@ -139,20 +49,6 @@ class BackendTest : public ::testing::Test {
   Block cut(std::vector<Bytes> envelopes) {
     for (auto& env : envelopes) orderer_->submit(std::move(env));
     return *orderer_->flush();
-  }
-
-  /// 10 transactions sharing one rwset: the endorsement digest is
-  /// H(chaincode || rwset || cert), so they carry bit-identical (RFC 6979)
-  /// endorsement signatures.
-  Block repeated_endorsements_block() {
-    std::vector<Bytes> envs;
-    for (int i = 0; i < 10; ++i) {
-      ReadWriteSet rw;
-      rw.writes.push_back({"hot", to_bytes("v")});  // blind write: no conflict
-      envs.push_back(
-          make_tx("t" + std::to_string(i), {&peer1_, &peer2_}, std::move(rw)));
-    }
-    return cut(std::move(envs));
   }
 
   /// A block exercising every validation outcome.
@@ -199,15 +95,9 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
   lanes.emplace_back(
       make_software_backend(msp_, policies_, {.parallelism = 1}), 3);
   lanes.emplace_back(
-      make_software_backend(msp_, policies_,
-                            {.parallelism = 4, .verify_cache_capacity = 1024}),
-      8);
-  // A pathologically small cache: constant eviction churn must still be
-  // invisible in the results.
+      make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
   lanes.emplace_back(
-      make_software_backend(msp_, policies_,
-                            {.parallelism = 2, .verify_cache_capacity = 2}),
-      13);
+      make_software_backend(msp_, policies_, {.parallelism = 2}), 13);
 
   for (int b = 0; b < 3; ++b) {
     const Block block = cut(mixed_envelopes(b));
@@ -236,58 +126,8 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
   }
 }
 
-TEST_F(BackendTest, RepeatedEndorsementsHitTheCache) {
-  // Sequential vscc: only the first endorsement per endorser costs a real
-  // verification. The exact split holds for sequential callers only
-  // (crypto/verify_cache.hpp), so both validators pin parallelism 1.
-  const Block block = repeated_endorsements_block();
-  SoftwareValidator cached(msp_, policies_, /*parallelism=*/1);
-  cached.enable_verify_cache(1024);
-  SoftwareValidator plain(msp_, policies_, /*parallelism=*/1);
-  StateDb db_cached, db_plain;
-  Ledger ledger_cached, ledger_plain;
-  const auto r_cached =
-      cached.validate_and_commit(block, db_cached, ledger_cached);
-  const auto r_plain = plain.validate_and_commit(block, db_plain, ledger_plain);
-
-  EXPECT_EQ(r_cached.flags, r_plain.flags);
-  EXPECT_EQ(r_cached.commit_hash, r_plain.commit_hash);
-  EXPECT_EQ(r_cached.valid_tx_count, 10u);
-
-  ASSERT_NE(cached.verify_cache(), nullptr);
-  // 10 txs x 2 endorsements: one miss per endorser, the rest hits. (The
-  // stats still count every check — the cache changes cost, not counting.)
-  EXPECT_EQ(cached.verify_cache()->misses(), 2u);
-  EXPECT_EQ(cached.verify_cache()->hits(), 18u);
-  EXPECT_EQ(cached.stats().endorsement_signature_checks,
-            plain.stats().endorsement_signature_checks);
-}
-
-TEST_F(BackendTest, RepeatedEndorsementsUnderParallelVscc) {
-  // Four workers may meet an endorser's first signature at once and each
-  // miss before the first insert lands: every call still counts exactly
-  // once, and at most one miss per worker per endorser.
-  const Block block = repeated_endorsements_block();
-  SoftwareValidator cached(msp_, policies_, /*parallelism=*/4);
-  cached.enable_verify_cache(1024);
-  SoftwareValidator plain(msp_, policies_, /*parallelism=*/1);
-  StateDb db_cached, db_plain;
-  Ledger ledger_cached, ledger_plain;
-  const auto r_cached =
-      cached.validate_and_commit(block, db_cached, ledger_cached);
-  const auto r_plain = plain.validate_and_commit(block, db_plain, ledger_plain);
-
-  EXPECT_EQ(r_cached.flags, r_plain.flags);
-  EXPECT_EQ(r_cached.commit_hash, r_plain.commit_hash);
-  ASSERT_NE(cached.verify_cache(), nullptr);
-  const std::uint64_t misses = cached.verify_cache()->misses();
-  EXPECT_EQ(cached.verify_cache()->hits() + misses, 20u);
-  EXPECT_GE(misses, 2u);
-  EXPECT_LE(misses, 8u);
-}
-
 TEST_F(BackendTest, FactoryProducesIndependentBackends) {
-  const auto factory = software_backend_factory({.verify_cache_capacity = 64});
+  const auto factory = software_backend_factory({.parallelism = 2});
   auto a = factory(msp_, policies_);
   auto b = factory(msp_, policies_);
   ASSERT_NE(a, nullptr);

@@ -1,14 +1,13 @@
-// Dependency-aware parallel commit: the rw-set wave scheduler must respect
-// true and anti dependencies, and the parallel MVCC + commit path must be
+// Parallel commit: validate_and_commit with a worker pool (parallel vscc
+// plus the shard-parallel batch commit, MVCC walked in block order) must be
 // byte-identical to the sequential oracle on every workload shape —
-// conflict-free, conflict-heavy, and Zipf-skewed hot keys. Runs under the
-// `threads` label so the CI TSan job races the wave workers.
+// conflict-free, conflict-heavy, Zipf-skewed hot keys and mixed validity.
+// Runs under the `threads` label so the CI TSan job races the workers.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "common/rng.hpp"
-#include "fabric/commit_graph.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
@@ -18,95 +17,7 @@ namespace bm::fabric {
 namespace {
 
 // ---------------------------------------------------------------------------
-// build_commit_schedule unit cases on hand-built transactions.
-
-ParsedTransaction tx_rw(std::vector<std::string> reads,
-                        std::vector<std::string> writes) {
-  ParsedTransaction tx;
-  tx.chaincode_id = "cc";
-  for (auto& k : reads) tx.rwset.reads.push_back({std::move(k), std::nullopt});
-  for (auto& k : writes) tx.rwset.writes.push_back({std::move(k), to_bytes("v")});
-  return tx;
-}
-
-std::vector<TxValidationCode> all_valid(std::size_t n) {
-  return std::vector<TxValidationCode>(n, TxValidationCode::kValid);
-}
-
-TEST(CommitSchedule, ConflictFreeIsOneWave) {
-  std::vector<ParsedTransaction> txs;
-  for (int i = 0; i < 8; ++i)
-    txs.push_back(tx_rw({}, {"k" + std::to_string(i)}));
-  const CommitSchedule s = build_commit_schedule(txs, all_valid(txs.size()));
-  ASSERT_EQ(s.wave_count(), 1u);
-  EXPECT_EQ(s.waves[0].size(), 8u);
-  EXPECT_EQ(s.dependencies, 0u);
-  EXPECT_EQ(s.scheduled_txs, 8u);
-}
-
-TEST(CommitSchedule, ReadAfterWriteChainsSerialize) {
-  // t0 writes a, t1 reads a writes b, t2 reads b: three waves.
-  std::vector<ParsedTransaction> txs;
-  txs.push_back(tx_rw({}, {"a"}));
-  txs.push_back(tx_rw({"a"}, {"b"}));
-  txs.push_back(tx_rw({"b"}, {}));
-  const CommitSchedule s = build_commit_schedule(txs, all_valid(3));
-  ASSERT_EQ(s.wave_count(), 3u);
-  EXPECT_EQ(s.waves[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(s.waves[1], (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(s.waves[2], (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(s.dependencies, 2u);
-}
-
-TEST(CommitSchedule, AntiDependencyAllowsSameWave) {
-  // t0 reads k, t1 writes k: the write folds in after the wave, so both
-  // may share wave 0 — but the writer must not land EARLIER.
-  std::vector<ParsedTransaction> txs;
-  txs.push_back(tx_rw({"k"}, {}));
-  txs.push_back(tx_rw({}, {"k"}));
-  const CommitSchedule s = build_commit_schedule(txs, all_valid(2));
-  ASSERT_EQ(s.wave_count(), 1u);
-  EXPECT_EQ(s.waves[0], (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(s.dependencies, 1u);
-}
-
-TEST(CommitSchedule, ReaderClearsEveryPriorWriterNotJustTheLast) {
-  // t0 writes a; t1 reads a, writes b — its own read holds it back to
-  // wave 1; t2 writes b with no constraints at all (WW order is restored
-  // by the ordered write batch), so it lands in wave 0, EARLIER than the
-  // preceding writer t1. t3 reads b: it must clear BOTH writers of b.
-  // Tracking only the last writer (t2, wave 0) would put t3 in wave 1,
-  // where it would decide before t1's write of b folds in.
-  std::vector<ParsedTransaction> txs;
-  txs.push_back(tx_rw({}, {"a"}));
-  txs.push_back(tx_rw({"a"}, {"b"}));
-  txs.push_back(tx_rw({}, {"b"}));
-  txs.push_back(tx_rw({"b"}, {}));
-  const CommitSchedule s = build_commit_schedule(txs, all_valid(4));
-  ASSERT_GE(s.wave_count(), 3u);
-  std::vector<std::uint32_t> wave_of(4, 0);
-  for (std::uint32_t wv = 0; wv < s.waves.size(); ++wv)
-    for (const std::uint32_t t : s.waves[wv]) wave_of[t] = wv;
-  EXPECT_EQ(wave_of[2], 0u) << "unconstrained WW writer need not wait";
-  EXPECT_GT(wave_of[3], wave_of[1]);
-  EXPECT_GT(wave_of[3], wave_of[2]);
-}
-
-TEST(CommitSchedule, InvalidTransactionsAreExcluded) {
-  std::vector<ParsedTransaction> txs;
-  txs.push_back(tx_rw({}, {"a"}));
-  txs.push_back(tx_rw({"a"}, {}));  // would depend on t0, but t0 is invalid
-  std::vector<TxValidationCode> flags = all_valid(2);
-  flags[0] = TxValidationCode::kBadCreatorSignature;
-  const CommitSchedule s = build_commit_schedule(txs, flags);
-  ASSERT_EQ(s.wave_count(), 1u);
-  EXPECT_EQ(s.waves[0], (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(s.dependencies, 0u);
-  EXPECT_EQ(s.scheduled_txs, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Differential: parallel commit vs the sequential oracle, end to end.
+// Differential: the threaded pipeline vs the sequential oracle, end to end.
 
 class ParallelCommitTest : public ::testing::Test {
  protected:
@@ -150,15 +61,10 @@ class ParallelCommitTest : public ::testing::Test {
     std::deque<Lane> lanes;
     lanes.emplace_back(
         make_software_backend(msp_, policies_, {.parallelism = 1}), 1);
-    lanes.emplace_back(make_software_backend(msp_, policies_,
-                                             {.parallelism = 2,
-                                              .parallel_commit = true}),
-                       4);
-    lanes.emplace_back(make_software_backend(msp_, policies_,
-                                             {.parallelism = 4,
-                                              .verify_cache_capacity = 256,
-                                              .parallel_commit = true}),
-                       8);
+    lanes.emplace_back(
+        make_software_backend(msp_, policies_, {.parallelism = 2}), 4);
+    lanes.emplace_back(
+        make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
 
     for (const Block& block : blocks) {
       const auto reference = lanes[0].backend->validate_and_commit(
@@ -172,17 +78,14 @@ class ParallelCommitTest : public ::testing::Test {
         EXPECT_EQ(lanes[i].db.size(), lanes[0].db.size());
       }
     }
-    // Same stats where semantics demand it: reads/writes are part of the
-    // oracle (the parallel path must probe the DB exactly as often), while
-    // wave counters exist only on the parallel lanes.
+    // Reads/writes are part of the oracle: the threaded lanes must probe
+    // the DB exactly as often as the sequential one.
     const auto& seq = lanes[0].backend->stats();
     for (std::size_t i = 1; i < lanes.size(); ++i) {
       const auto& par = lanes[i].backend->stats();
       EXPECT_EQ(par.db_reads, seq.db_reads) << "lane " << i;
       EXPECT_EQ(par.db_writes, seq.db_writes) << "lane " << i;
-      EXPECT_GT(par.commit_waves, 0u);
     }
-    EXPECT_EQ(seq.commit_waves, 0u);
   }
 
   Msp msp_;
@@ -207,9 +110,9 @@ TEST_F(ParallelCommitTest, ConflictFreeBlocks) {
 }
 
 TEST_F(ParallelCommitTest, ConflictHeavyBlocks) {
-  // Everyone reads and writes the same handful of keys: long dependency
-  // chains, and every intra-block read-after-write is an MVCC conflict the
-  // parallel path must flag in exactly the same positions.
+  // Everyone reads and writes the same handful of keys: every intra-block
+  // read-after-write is an MVCC conflict the threaded lanes must flag in
+  // exactly the same positions.
   std::vector<Block> blocks;
   for (int b = 0; b < 3; ++b) {
     std::vector<Bytes> envs;
@@ -262,8 +165,8 @@ TEST_F(ParallelCommitTest, ZipfSkewedWorkload) {
 }
 
 TEST_F(ParallelCommitTest, MixedValidityBlocks) {
-  // Invalid envelopes interleaved with dependent valid ones: the scheduler
-  // must skip them and the flags must still line up position by position.
+  // Invalid envelopes interleaved with dependent valid ones: MVCC must skip
+  // them and the flags must still line up position by position.
   std::vector<Bytes> envs;
   for (int i = 0; i < 10; ++i) {
     ReadWriteSet rw;

@@ -64,13 +64,11 @@ TEST(IntegrationNetwork, MixedPeersCommitIdenticalChains) {
   RaftOrderingService ordering(sim, raft_config, orderers);
 
   // --- peers -----------------------------------------------------------------
-  // One peer runs the plain software backend, the other the cached variant:
-  // the cross-peer chain equality below is itself a backend-swap check.
+  // One peer runs the default software backend, the other a two-worker
+  // one: the cross-peer chain equality below is itself a backend-swap check.
   SwPeer sw_org1, sw_org2;
   sw_org1.validator = make_software_backend(msp, policies);
-  sw_org2.validator = make_software_backend(
-      msp, policies,
-      {.parallelism = 1, .verify_cache_capacity = 1024});
+  sw_org2.validator = make_software_backend(msp, policies, {.parallelism = 2});
 
   bmac::HwConfig hw;
   hw.tx_validators = 4;

@@ -31,7 +31,7 @@ std::string scripted_run_json(std::string* csv = nullptr) {
   sampler.start();
   // 10 units of work per ms for the first 10 ms, then idle.
   for (int t = 1; t <= 10; ++t)
-    sim.schedule(static_cast<sim::Time>(t) * sim::kMillisecond, [&] {
+    sim.schedule(static_cast<sim::Time>(t) * sim::kMillisecond, [&, t] {
       work.inc(10);
       depth.set(static_cast<double>(t % 4));
       lat.observe(static_cast<double>(t));

@@ -8,16 +8,11 @@
 //       FPGA resource estimate (Table 1 style) for the configured
 //       architecture and its compiled policy circuits.
 //   validate [--config FILE] [--blocks N] [--block-size N] [--faults]
-//            [--verify-cache N] [--db-shards N] [--ledger FILE]
-//            [--snapshot-interval N]
+//            [--ledger FILE] [--snapshot-interval N]
 //       Run real endorsed blocks through both validators end to end and
-//       report the §4.1 consistency check. --verify-cache N gives the
-//       software backend an N-entry endorsement-verification cache;
-//       --db-shards N sets the software state DB's shard count (both leave
-//       the commit hashes unchanged — that is the point). --ledger FILE
-//       persists the committed chain to an on-disk block log, cutting a
-//       StateDb snapshot every --snapshot-interval N blocks
-//       (docs/DURABILITY.md).
+//       report the §4.1 consistency check. --ledger FILE persists the
+//       committed chain to an on-disk block log, cutting a StateDb
+//       snapshot every --snapshot-interval N blocks (docs/DURABILITY.md).
 //   recover --ledger FILE
 //       Rebuild ledger + world state from a block log written by a
 //       --ledger run (newest intact snapshot + replay, falling back to a
@@ -114,9 +109,6 @@ struct Options {
   int vcpus = 8;
   bool faults = false;
   bool tamper = false;
-  std::size_t verify_cache = 0;  ///< 0 = no endorsement-verification cache
-  bool parallel_commit = false;  ///< dependency-aware parallel MVCC + commit
-  std::size_t db_shards = fabric::StateDb::kDefaultShards;
   std::string scenario_path;  ///< composed configs/scenario_*.json
   std::string ledger_path;   ///< on-disk block log (validate writes, recover reads)
   std::size_t snapshot_interval = 0;  ///< StateDb snapshot cadence (0 = never)
@@ -135,13 +127,6 @@ bool parse_args(int argc, char** argv, Options& options) {
   bool faults_flag = false, tamper_flag = false;
   parser.add_flag("--faults", &faults_flag, "inject invalid transactions");
   parser.add_flag("--tamper", &tamper_flag, "corrupt the last block's signature");
-  parser.add_size("--verify-cache", &options.verify_cache,
-                  "endorsement-verification cache entries (0 = off)");
-  bool parallel_commit_flag = false;
-  parser.add_flag("--parallel-commit", &parallel_commit_flag,
-                  "dependency-aware parallel MVCC + commit");
-  parser.add_size("--db-shards", &options.db_shards,
-                  "software state DB shard count");
   parser.add_string("--scenario", &options.scenario_path,
                     "composed scenario JSON (configs/scenario_*.json)");
   parser.add_string("--ledger", &options.ledger_path,
@@ -172,7 +157,6 @@ bool parse_args(int argc, char** argv, Options& options) {
   }
   options.faults = faults_flag;
   options.tamper = tamper_flag;
-  options.parallel_commit = parallel_commit_flag;
   options.kill_leader = kill_leader_flag;
   return true;
 }
@@ -271,17 +255,12 @@ int cmd_validate(const Options& options) {
   }
   workload::FabricNetworkHarness harness(net_options);
 
-  fabric::StateDb sw_db(options.db_shards);
+  fabric::StateDb sw_db;
   fabric::Ledger sw_ledger;
-  // The software side goes through the ValidatorBackend seam: cache and
-  // shard count are tuning knobs, not semantics — the consistency check
-  // below must PASS at any setting.
-  const auto sw = fabric::make_software_backend(
-      harness.msp(), harness.policies(),
-      {.parallelism =
-           options.parallel_commit ? static_cast<unsigned>(options.vcpus) : 0u,
-       .verify_cache_capacity = options.verify_cache,
-       .parallel_commit = options.parallel_commit});
+  // The software side goes through the ValidatorBackend seam; its worker
+  // count (BM_VALIDATOR_THREADS) never changes the consistency check below.
+  const auto sw =
+      fabric::make_software_backend(harness.msp(), harness.policies());
 
   sim::Simulation sim;
   bmac::BmacPeer peer(sim, harness.msp(), config.hw, harness.policies());
@@ -377,7 +356,7 @@ int cmd_recover(const Options& options) {
   config.ledger_path = options.ledger_path;
 
   fabric::Ledger ledger;
-  fabric::StateDb state(options.db_shards);
+  fabric::StateDb state;
   const fabric::RecoveryResult result =
       fabric::DurableLedger::recover(config, ledger, state);
 
