@@ -25,7 +25,6 @@
 #include "common/thread_pool.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 
 namespace {
 
@@ -108,14 +107,13 @@ struct LaneResult {
   crypto::Digest final_hash{};
 };
 
-LaneResult run_lane(const Workload& w, fabric::SoftwareBackendOptions options) {
-  const auto backend =
-      fabric::make_software_backend(w.msp, w.policies, options);
+LaneResult run_lane(const Workload& w, unsigned parallelism) {
+  fabric::SoftwareValidator validator(w.msp, w.policies, parallelism);
   fabric::StateDb db;
   fabric::Ledger ledger;
   const auto start = Clock::now();
   for (const auto& block : w.blocks)
-    backend->validate_and_commit(block, db, ledger);
+    validator.validate_and_commit(block, db, ledger);
   const double elapsed = seconds_since(start);
   LaneResult result;
   result.tps = static_cast<double>(w.total_txs) / elapsed;
@@ -167,7 +165,7 @@ bool thread_sweep(int blocks, int block_size, bool* speedup_ok) {
               "per tx\n",
               blocks, block_size);
 
-  const LaneResult seq = run_lane(w, {.parallelism = 1});
+  const LaneResult seq = run_lane(w, 1);
   std::printf("%-30s %10s %10s\n", "configuration", "tps", "speedup");
   bench::rule(52);
   std::printf("%-30s %10.0f %9.2fx\n", "sequential, 1 thread", seq.tps, 1.0);
@@ -175,7 +173,7 @@ bool thread_sweep(int blocks, int block_size, bool* speedup_ok) {
   bool hashes_match = true;
   double best = 0;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const LaneResult par = run_lane(w, {.parallelism = threads});
+    const LaneResult par = run_lane(w, threads);
     std::printf("%-30s %10.0f %9.2fx\n",
                 ("parallel vscc, " + std::to_string(threads) + " threads")
                     .c_str(),

@@ -76,14 +76,7 @@ int main(int argc, char** argv) {
   durability.keep_snapshots = 2;
 
   // Clean slate: a stale log would make the builder's appends mis-chain.
-  std::error_code ec;
-  std::filesystem::remove(durability.ledger_path, ec);
-  for (const auto& entry : std::filesystem::directory_iterator(
-           std::filesystem::path(durability.ledger_path).parent_path(), ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("bm_fig_recovery.log.snap.", 0) == 0)
-      std::filesystem::remove(entry.path(), ec);
-  }
+  fabric::DurableLedger::remove_files(durability);
 
   workload::NetworkOptions net;
   net.seed = 7;

@@ -1,5 +1,6 @@
 #include "bmac/peer.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "fabric/transaction.hpp"
@@ -21,24 +22,16 @@ BmacPeer::BmacPeer(
     sim::Simulation& sim, const fabric::Msp& msp, HwConfig config,
     const std::map<std::string, fabric::EndorsementPolicy>& policies)
     : sim_(sim),
-      msp_(msp),
-      policies_(policies),
       config_(config),
       rx_queue_(sim, 65536, "rx_queue"),
       receiver_(cache_),
-      processor_(sim, config, compile_policies(policies, msp)) {}
+      processor_(sim, config, compile_policies(policies, msp)),
+      fallback_validator_(msp, policies, /*parallelism=*/1) {}
 
 void BmacPeer::enable_graceful_degradation(DegradeConfig config) {
   degrade_ = config;
-  fallback_backend_ =
-      fabric::make_software_backend(msp_, policies_, {.parallelism = 1});
   release_kick_ = std::make_unique<sim::Trigger>(sim_);
   commit_kick_ = std::make_unique<sim::Trigger>(sim_);
-}
-
-void BmacPeer::set_fallback_backend(
-    std::unique_ptr<fabric::ValidatorBackend> backend) {
-  fallback_backend_ = std::move(backend);
 }
 
 void BmacPeer::start() {
@@ -402,29 +395,8 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
                                   static_cast<sim::Time>(result.flags.size()));
           apply_writes_to_shadow(block, result.flags);
           ledger_.append(std::move(block));
-          ++host_metrics_.blocks_committed;
-          host_metrics_.transactions_committed += result.flags.size();
-          for (const auto flag : result.flags)
-            if (flag == fabric::TxValidationCode::kValid)
-              ++host_metrics_.valid_transactions;
-        } else {
-          ++host_metrics_.blocks_rejected;
         }
-        if (commits_ctr_ != nullptr && result.block_valid) commits_ctr_->inc();
-        if (commit_latency_us_ != nullptr) {
-          commit_latency_us_->observe(
-              static_cast<double>(sim_.now() - commit_start) / 1000.0);
-        }
-        if (tracer_ != nullptr) {
-          tracer_->complete(
-              host_lane_, "host_commit", "host-commit", commit_start,
-              sim_.now(),
-              {{"block", result.block_num},
-               {"txs", static_cast<std::uint64_t>(result.flags.size())},
-               {"committed", result.block_valid},
-               {"fallback", false}});
-        }
-        results_.push_back(std::move(result));
+        finish_commit(std::move(result), commit_start);
         resolve_block(block_num);
         continue;
       }
@@ -451,18 +423,11 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         // the same ledger the hardware path uses — the commit-hash chain
         // continues exactly as if the hardware had produced the flags.
         fabric::BlockValidationResult verdict =
-            fallback_backend_->validate_and_commit(block, shadow_state_,
-                                                   ledger_);
-        if (verdict.block_valid) {
-          ++host_metrics_.blocks_committed;
-          host_metrics_.transactions_committed += verdict.flags.size();
-          host_metrics_.valid_transactions += verdict.valid_tx_count;
-          // Write-through: the in-hardware KV store must see this block's
-          // writes before it validates any later block's reads.
-          apply_writes_to_hw_store(block, verdict.flags);
-        } else {
-          ++host_metrics_.blocks_rejected;
-        }
+            fallback_validator_.validate_and_commit(block, shadow_state_,
+                                                    ledger_);
+        // Write-through: the in-hardware KV store must see this block's
+        // writes before it validates any later block's reads.
+        if (verdict.block_valid) apply_writes_to_hw_store(block, verdict.flags);
         ++degrade_metrics_.fallback_blocks;
         if (fallback_ctr_ != nullptr) fallback_ctr_->inc();
         if (flight_ != nullptr) {
@@ -470,27 +435,12 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
                           verdict.block_valid ? "committed" : "rejected");
           flight_->trigger("bmac:fallback block " + std::to_string(block_num));
         }
-        if (commits_ctr_ != nullptr && verdict.block_valid)
-          commits_ctr_->inc();
-        if (commit_latency_us_ != nullptr) {
-          commit_latency_us_->observe(
-              static_cast<double>(sim_.now() - commit_start) / 1000.0);
-        }
-        if (tracer_ != nullptr) {
-          tracer_->complete(
-              host_lane_, "host_commit_fallback", "host-commit", commit_start,
-              sim_.now(),
-              {{"block", block_num},
-               {"txs", static_cast<std::uint64_t>(verdict.flags.size())},
-               {"committed", verdict.block_valid},
-               {"fallback", true}});
-        }
         ResultEntry result;
         result.block_num = block_num;
         result.block_valid = verdict.block_valid;
         result.flags = std::move(verdict.flags);
         result.fallback = true;
-        results_.push_back(std::move(result));
+        finish_commit(std::move(result), commit_start);
         resolve_block(block_num);
         continue;
       }
@@ -498,6 +448,36 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
     }
     co_await commit_kick_->wait();
   }
+}
+
+void BmacPeer::finish_commit(ResultEntry result, sim::Time commit_start) {
+  const auto txs = static_cast<std::uint64_t>(result.flags.size());
+  if (result.block_valid) {
+    ++host_metrics_.blocks_committed;
+    host_metrics_.transactions_committed += txs;
+    host_metrics_.valid_transactions += static_cast<std::uint64_t>(
+        std::count(result.flags.begin(), result.flags.end(),
+                   fabric::TxValidationCode::kValid));
+    if (commits_ctr_ != nullptr) commits_ctr_->inc();
+  } else {
+    ++host_metrics_.blocks_rejected;
+  }
+  if (commit_latency_us_ != nullptr) {
+    commit_latency_us_->observe(
+        static_cast<double>(sim_.now() - commit_start) / 1000.0);
+  }
+  if (tracer_ != nullptr) {
+    std::vector<obs::TraceArg> args{{"block", result.block_num},
+                                    {"txs", txs},
+                                    {"committed", result.block_valid}};
+    // Only degraded-mode spans say which engine produced the flags.
+    if (degrade_) args.emplace_back("fallback", result.fallback);
+    tracer_->complete(host_lane_,
+                      result.fallback ? "host_commit_fallback" : "host_commit",
+                      "host-commit", commit_start, sim_.now(),
+                      std::move(args));
+  }
+  results_.push_back(std::move(result));
 }
 
 void BmacPeer::resolve_block(std::uint64_t block_num) {
@@ -588,27 +568,8 @@ sim::Process BmacPeer::host_commit_proc() {
           t.ledger_commit_fixed +
           t.ledger_commit_per_tx * static_cast<sim::Time>(result.flags.size()));
       ledger_.append(std::move(block));
-      ++host_metrics_.blocks_committed;
-      host_metrics_.transactions_committed += result.flags.size();
-      for (const auto flag : result.flags)
-        if (flag == fabric::TxValidationCode::kValid)
-          ++host_metrics_.valid_transactions;
-    } else {
-      ++host_metrics_.blocks_rejected;
     }
-    if (commits_ctr_ != nullptr && result.block_valid) commits_ctr_->inc();
-    if (commit_latency_us_ != nullptr) {
-      commit_latency_us_->observe(
-          static_cast<double>(sim_.now() - commit_start) / 1000.0);
-    }
-    if (tracer_ != nullptr) {
-      tracer_->complete(
-          host_lane_, "host_commit", "host-commit", commit_start, sim_.now(),
-          {{"block", result.block_num},
-           {"txs", static_cast<std::uint64_t>(result.flags.size())},
-           {"committed", result.block_valid}});
-    }
-    results_.push_back(std::move(result));
+    finish_commit(std::move(result), commit_start);
   }
 }
 

@@ -35,7 +35,6 @@
 #include "fabric/ledger.hpp"
 #include "fabric/policy.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 
 namespace bm::obs {
 class FlightRecorder;
@@ -87,28 +86,14 @@ class BmacPeer {
     std::uint64_t malformed_packets = 0;    ///< protocol_processor rejects
   };
 
-  /// Turn on the watchdog + software-fallback path. Call before start().
-  /// Installs the default fallback backend (a sequential SoftwareValidator);
-  /// override it with set_fallback_backend() before start().
+  /// Turn on the watchdog + software-fallback path (a sequential
+  /// SoftwareValidator). Call before start().
   void enable_graceful_degradation(DegradeConfig config);
   void enable_graceful_degradation() {
     enable_graceful_degradation(DegradeConfig());
   }
 
-  /// Swap the engine used for software fallback validation. Any
-  /// ValidatorBackend works — the flags/commit-hash equivalence guarantee
-  /// then rests on that backend's own equivalence. Call after
-  /// enable_graceful_degradation(), before start(). Must not be null.
-  void set_fallback_backend(std::unique_ptr<fabric::ValidatorBackend> backend);
-  fabric::ValidatorBackend* fallback_backend() { return fallback_backend_.get(); }
-
-  bool degraded_mode() const { return degrade_.has_value(); }
   const DegradeMetrics& degrade_metrics() const { return degrade_metrics_; }
-
-  /// The host's shadow copy of the world state (degraded mode). Seed it
-  /// with the same initial keys as the hardware KV store before start() —
-  /// the fallback validator runs against this view.
-  fabric::StateDb& shadow_state() { return shadow_state_; }
 
   /// Network ingress: a BMac packet arrives at the FPGA's interface.
   /// Callable from event context (network delivery callbacks).
@@ -123,7 +108,6 @@ class BmacPeer {
   const fabric::Ledger& ledger() const { return ledger_; }
   BlockProcessor& processor() { return processor_; }
   const BlockProcessor& processor() const { return processor_; }
-  HwIdentityCache& identity_cache() { return cache_; }
 
   struct HostMetrics {
     std::uint64_t blocks_committed = 0;
@@ -167,8 +151,12 @@ class BmacPeer {
                    std::uint64_t armed_global);
   void arm_watchdog(std::uint64_t block_num);
   std::size_t stream_progress(std::uint64_t block_num) const;
-  /// Commit bookkeeping shared by both engines: advance the sequencer,
-  /// drop leftover stream state, disarm the watchdog.
+  /// Book one resolved block, whichever engine produced its flags: host
+  /// metrics and commit counter, latency histogram, the host_commit (or
+  /// host_commit_fallback) span and the results() entry.
+  void finish_commit(ResultEntry result, sim::Time commit_start);
+  /// Sequencer bookkeeping after a degraded-mode commit: advance the
+  /// sequencer, drop leftover stream state, disarm the watchdog.
   void resolve_block(std::uint64_t block_num);
   /// Mirror a committed block's valid write sets into the shadow state DB
   /// (host copy) — keeps the fallback validator's view == hardware state.
@@ -181,8 +169,6 @@ class BmacPeer {
       const std::vector<fabric::TxValidationCode>& flags);
 
   sim::Simulation& sim_;
-  const fabric::Msp& msp_;
-  std::map<std::string, fabric::EndorsementPolicy> policies_;
   HwConfig config_;
   sim::Fifo<BmacPacket> rx_queue_;
   HwIdentityCache cache_;
@@ -197,7 +183,7 @@ class BmacPeer {
   // --- degraded mode --------------------------------------------------------
   std::optional<DegradeConfig> degrade_;
   DegradeMetrics degrade_metrics_;
-  std::unique_ptr<fabric::ValidatorBackend> fallback_backend_;
+  fabric::SoftwareValidator fallback_validator_;  ///< sequential
   fabric::StateDb shadow_state_;
   std::map<std::uint64_t, StreamAssembly> streams_;
   std::map<std::uint64_t, ResultEntry> hw_results_;

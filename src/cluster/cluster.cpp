@@ -4,24 +4,10 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/hex.hpp"
 #include "obs/metrics.hpp"
 
 namespace bm::cluster {
-
-namespace {
-
-std::string hex_of(const crypto::Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0xF]);
-  }
-  return out;
-}
-
-}  // namespace
 
 ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
     : sim_(sim), config_(std::move(config)) {
@@ -74,9 +60,8 @@ ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
   if (!config_.data_dir.empty())
     std::filesystem::create_directories(config_.data_dir);
   for (int i = 0; i < peer_count(); ++i) {
-    auto peer = std::make_unique<Peer>();
-    peer->id = i;
-    peer->backend = make_backend();
+    auto peer =
+        std::make_unique<Peer>(i, harness_->msp(), harness_->policies());
     if (!config_.data_dir.empty()) {
       remove_peer_files(i);  // a fresh deployment never resumes stale logs
       fabric::DurabilityConfig durability;
@@ -90,29 +75,18 @@ ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
 
 ClusterDeployment::~ClusterDeployment() = default;
 
-std::unique_ptr<fabric::ValidatorBackend> ClusterDeployment::make_backend() {
-  if (config_.backend_factory)
-    return config_.backend_factory(harness_->msp(), harness_->policies());
-  return fabric::make_software_backend(harness_->msp(), harness_->policies());
-}
-
 std::string ClusterDeployment::peer_log_path(int peer) const {
   return config_.data_dir + "/peer" + std::to_string(peer) + ".log";
 }
 
 void ClusterDeployment::remove_peer_files(int peer) {
-  const std::filesystem::path log(peer_log_path(peer));
+  fabric::DurabilityConfig durability;
+  durability.ledger_path = peer_log_path(peer);
+  fabric::DurableLedger::remove_files(durability);
   std::error_code ec;
-  std::filesystem::remove(log, ec);
-  std::filesystem::path dir = log.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string snap_prefix = log.filename().string() + ".snap.";
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(snap_prefix, 0) == 0) std::filesystem::remove(entry.path(), ec);
-  }
-  std::filesystem::remove(
-      dir / ("transfer.peer" + std::to_string(peer) + ".snap"), ec);
+  std::filesystem::remove(config_.data_dir + "/transfer.peer" +
+                              std::to_string(peer) + ".snap",
+                          ec);
 }
 
 void ClusterDeployment::start() {
@@ -196,16 +170,16 @@ void ClusterDeployment::drain(Peer& peer) {
       continue;
     }
     const fabric::BlockValidationResult result =
-        peer.backend->validate_and_commit(*block, peer.db, peer.ledger);
-    ++peer.blocks_committed;
+        peer.validator.validate_and_commit(*block, peer.db, peer.ledger);
     ++blocks_validated_;
     const fabric::BlockValidationResult& reference =
         harness_->reference_result(next);
     if (result.commit_hash != reference.commit_hash && divergence_.empty())
       divergence_ = "peer " + std::to_string(peer.id) + ": block " +
                     std::to_string(next) + " commit hash " +
-                    hex_of(result.commit_hash) + " != reference " +
-                    hex_of(reference.commit_hash);
+                    hex_encode(crypto::digest_view(result.commit_hash)) +
+                    " != reference " +
+                    hex_encode(crypto::digest_view(reference.commit_hash));
     if (peer.durable) peer.durable->on_commit(peer.ledger, peer.db);
     peer.pending.erase(it);
   }
@@ -220,7 +194,6 @@ void ClusterDeployment::crash_peer(int peer) {
   state.apply_after = 0;
   state.db.clear();
   state.ledger = fabric::Ledger{};
-  state.backend = make_backend();
   state.durable.reset();     // the crash takes the local disk with it
   if (!config_.data_dir.empty()) remove_peer_files(peer);
 }
@@ -294,16 +267,11 @@ bool ClusterDeployment::converged() const {
   const fabric::Ledger& reference = harness_->reference_ledger();
   for (const auto& peer : peers_) {
     if (!peer->online) continue;
-    if (peer->ledger.height() != reference.height()) return false;
-    if (reference.height() == 0) continue;
     // The tail commit hash chains over everything, including a snapshot
     // prefix the peer does not hold block-by-block.
-    if (peer->ledger.last_commit_hash() != reference.last_commit_hash())
+    if (peer->ledger.height() != reference.height() ||
+        !fabric::chain_divergence(peer->ledger, reference).empty())
       return false;
-    for (std::uint64_t n = peer->ledger.base_height(); n < reference.height();
-         ++n)
-      if (peer->ledger.at(n).commit_hash != reference.at(n).commit_hash)
-        return false;
   }
   return true;
 }

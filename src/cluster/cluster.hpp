@@ -7,7 +7,7 @@
 //           -> leader emits each cut block once (canonical chain)
 //           -> gossip mesh (net/gossip.hpp) carries the marshaled bytes
 //           -> every peer validates + commits through its own
-//              ValidatorBackend / StateDb / Ledger (+ DurableLedger)
+//              SoftwareValidator / StateDb / Ledger (+ DurableLedger)
 //
 // The equivalence oracle is the §4.1 divergence check at cluster scale: a
 // FabricNetworkHarness runs the single-peer reference pipeline over the
@@ -105,11 +105,16 @@ class ClusterDeployment {
 
  private:
   struct Peer {
-    int id = 0;
+    Peer(int peer_id, const fabric::Msp& msp,
+         const std::map<std::string, fabric::EndorsementPolicy>& policies)
+        : id(peer_id), validator(msp, policies) {}
+
+    int id;
     bool online = true;
     fabric::StateDb db;
     fabric::Ledger ledger;
-    std::unique_ptr<fabric::ValidatorBackend> backend;
+    /// Holds no chain state: a crash wipes db and ledger, not this.
+    fabric::SoftwareValidator validator;
     std::unique_ptr<fabric::DurableLedger> durable;  ///< null without data_dir
     /// Delivered-but-not-yet-applied payloads (out-of-order gossip arrivals
     /// and blocks held back while a state transfer is in flight).
@@ -117,10 +122,8 @@ class ClusterDeployment {
     /// Gossip deliveries apply only once sim time passes this (state
     /// transfer link occupancy).
     sim::Time apply_after = 0;
-    std::uint64_t blocks_committed = 0;
   };
 
-  std::unique_ptr<fabric::ValidatorBackend> make_backend();
   std::string peer_log_path(int peer) const;
   void remove_peer_files(int peer);
   void on_block_emitted(fabric::Block block);

@@ -31,8 +31,11 @@ ClusterConfig parse_cluster_section(const bm::config::Section& root) {
                     config::non_negative());
   raft.read_time_us("message_jitter_us", &config.ordering.message_jitter,
                     config::non_negative());
-  raft.read_number("message_loss", &config.ordering.message_loss,
-                   config::unit_interval());
+  double raft_loss = 0.0;
+  raft.read_number("message_loss", &raft_loss, config::unit_interval());
+  if (raft_loss > 0.0)
+    config.ordering.faults =
+        net::FaultConfig::uniform_loss(raft_loss, config.seed ^ 0x7AF71055ull);
   if (raft.present() &&
       config.ordering.raft.election_timeout_max <
           config.ordering.raft.election_timeout_min)

@@ -11,7 +11,6 @@
 
 #include "common/config.hpp"
 #include "fabric/raft.hpp"
-#include "fabric/validator_backend.hpp"
 #include "net/gossip.hpp"
 
 namespace bm::cluster {
@@ -54,9 +53,6 @@ struct ClusterConfig {
   /// State-transfer link model: bytes/8 / (gbps*1e9) + rtt of stall.
   double transfer_gbps = 1.0;
   sim::Time transfer_rtt = 1 * sim::kMillisecond;
-
-  /// Per-peer validation engine; null = the default software backend.
-  fabric::ValidatorBackendFactory backend_factory;
 
   int peer_count() const { return orgs * peers_per_org; }
 };

@@ -10,9 +10,9 @@ namespace bm::fabric {
 
 namespace {
 
-/// Snapshot heights found next to the log, newest first.
-std::vector<std::uint64_t> list_snapshots(const DurabilityConfig& config) {
-  std::vector<std::uint64_t> heights;
+/// The suffix of every "<log>.snap.<suffix>" file next to the log.
+std::vector<std::string> snapshot_suffixes(const DurabilityConfig& config) {
+  std::vector<std::string> suffixes;
   const std::filesystem::path log(config.ledger_path);
   const std::string prefix = log.filename().string() + ".snap.";
   std::filesystem::path dir = log.parent_path();
@@ -20,14 +20,19 @@ std::vector<std::uint64_t> list_snapshots(const DurabilityConfig& config) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix))
-      continue;
-    const std::string digits = name.substr(prefix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    heights.push_back(std::stoull(digits));
+    if (name.size() > prefix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0)
+      suffixes.push_back(name.substr(prefix.size()));
   }
+  return suffixes;
+}
+
+/// Snapshot heights found next to the log, newest first.
+std::vector<std::uint64_t> list_snapshots(const DurabilityConfig& config) {
+  std::vector<std::uint64_t> heights;
+  for (const std::string& digits : snapshot_suffixes(config))
+    if (digits.find_first_not_of("0123456789") == std::string::npos)
+      heights.push_back(std::stoull(digits));
   std::sort(heights.rbegin(), heights.rend());
   return heights;
 }
@@ -40,6 +45,13 @@ crypto::Digest digest_from(const Bytes& bytes) {
 }
 
 }  // namespace
+
+void DurableLedger::remove_files(const DurabilityConfig& config) {
+  std::error_code ec;
+  std::filesystem::remove(config.ledger_path, ec);
+  for (const std::string& suffix : snapshot_suffixes(config))
+    std::filesystem::remove(config.ledger_path + ".snap." + suffix, ec);
+}
 
 std::string DurableLedger::snapshot_path(const DurabilityConfig& config,
                                          std::uint64_t height) {

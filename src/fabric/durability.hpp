@@ -84,6 +84,10 @@ class DurableLedger {
   static RecoveryResult recover(const DurabilityConfig& config, Ledger& ledger,
                                 StateDb& state);
 
+  /// Delete the log and every "<ledger_path>.snap.*" file next to it, for
+  /// a run that must start from an empty chain. Missing files are fine.
+  static void remove_files(const DurabilityConfig& config);
+
   /// Snapshot file name for a cut at `height`.
   static std::string snapshot_path(const DurabilityConfig& config,
                                    std::uint64_t height);

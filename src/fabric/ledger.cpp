@@ -1,8 +1,25 @@
 #include "fabric/ledger.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "common/hex.hpp"
+
 namespace bm::fabric {
+
+namespace {
+
+/// Commit hash of the block at `height`, or null when the ledger has none:
+/// the tail hash also covers a seeded ledger that holds no block yet.
+const crypto::Digest* commit_hash_at(const Ledger& ledger,
+                                     std::uint64_t height) {
+  if (height + 1 == ledger.height()) return &ledger.last_commit_hash();
+  if (height >= ledger.base_height() && height < ledger.height())
+    return &ledger.at(height).commit_hash;
+  return nullptr;
+}
+
+}  // namespace
 
 crypto::Digest Ledger::append(Block block) {
   if (block.header.number != height())
@@ -47,6 +64,21 @@ const CommittedBlock& Ledger::at(std::uint64_t index) const {
 const CommittedBlock& Ledger::last() const {
   if (blocks_.empty()) throw std::out_of_range("ledger is empty");
   return blocks_.back();
+}
+
+std::string chain_divergence(const Ledger& peer, const Ledger& reference) {
+  if (peer.height() == 0) return "";
+  for (std::uint64_t h = std::min(peer.base_height(), peer.height() - 1);
+       h < peer.height(); ++h) {
+    const crypto::Digest& got = *commit_hash_at(peer, h);
+    const crypto::Digest* want = commit_hash_at(reference, h);
+    if (want != nullptr && *want == got) continue;
+    return "height " + std::to_string(h) + ": " +
+           hex_encode(crypto::digest_view(got)) + " != " +
+           (want != nullptr ? hex_encode(crypto::digest_view(*want))
+                            : std::string("none"));
+  }
+  return "";
 }
 
 }  // namespace bm::fabric

@@ -8,6 +8,8 @@
 // from the software-only peer (§4.1).
 #pragma once
 
+#include <string>
+
 #include "fabric/block.hpp"
 
 namespace bm::fabric {
@@ -49,5 +51,13 @@ class Ledger {
   crypto::Digest last_header_hash_{};  // block_hash of the chain tail
   std::uint64_t bytes_written_ = 0;
 };
+
+/// The §4.1 oracle: "" when every block `peer` holds carries the reference's
+/// commit hash at that height, else "height H: <peer hex> != <reference
+/// hex>" for the first that does not. A snapshot-seeded peer is checked from
+/// its base height up, or by its tail hash while it holds no block. Commit
+/// hashes cover the flagged block, so equal hashes mean equal flags. Heights
+/// are not compared: a peer shorter than the reference passes.
+std::string chain_divergence(const Ledger& peer, const Ledger& reference);
 
 }  // namespace bm::fabric

@@ -348,7 +348,6 @@ void RaftOrderingService::deliver(int from, int to, RaftMessage message) {
     if (verdict.dropped()) return;
     fault_delay = verdict.extra_delay;
   }
-  if (net_rng_.chance(config_.message_loss)) return;
   sim::Time delay = config_.message_delay + fault_delay;
   if (config_.message_jitter > 0)
     delay += static_cast<sim::Time>(

@@ -185,10 +185,10 @@ class RaftOrderingService {
     std::size_t max_tx_per_block = 100;
     sim::Time message_delay = 500 * sim::kMicrosecond;
     sim::Time message_jitter = 200 * sim::kMicrosecond;
-    double message_loss = 0.0;
     /// Transport-level fault schedule (Gilbert–Elliott burst loss, extra
     /// delay) applied to every node-to-node message, on its own RNG stream:
-    /// enabling it never reshuffles the legacy message_loss / jitter draws.
+    /// enabling it never reshuffles the jitter draws. Uniform i.i.d. loss is
+    /// FaultConfig::uniform_loss(p, seed).
     net::FaultConfig faults;
     RaftNode::Config raft;
     std::uint64_t seed = 1;

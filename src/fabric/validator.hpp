@@ -23,7 +23,6 @@
 #include "fabric/policy.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/transaction.hpp"
-#include "fabric/validator_backend.hpp"
 #include "obs/metrics.hpp"
 
 namespace bm::fabric {
@@ -61,7 +60,7 @@ struct BlockValidationResult {
   crypto::Digest commit_hash{};  ///< zero when the block was rejected
 };
 
-class SoftwareValidator final : public ValidatorBackend {
+class SoftwareValidator {
  public:
   /// `policies` maps chaincode id -> endorsement policy. Transactions whose
   /// chaincode has no registered policy are marked invalid.
@@ -83,15 +82,15 @@ class SoftwareValidator final : public ValidatorBackend {
   /// Run the full pipeline on one block, mutating the state DB and ledger.
   BlockValidationResult validate_and_commit(const Block& block, StateDb& db,
                                             Ledger& ledger,
-                                            HistoryDb* history = nullptr) override;
+                                            HistoryDb* history = nullptr);
 
-  const ValidationStats& stats() const override { return stats_; }
-  void reset_stats() override { stats_ = ValidationStats{}; }
+  const ValidationStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = ValidationStats{}; }
 
   /// Publish the lifetime ValidationStats as counters under "<prefix>_..."
   /// (snapshot-style, idempotent).
   void publish_metrics(obs::Registry& registry,
-                       const std::string& prefix) const override;
+                       const std::string& prefix) const;
 
  private:
   bool verify_block_signature(const Block& block);

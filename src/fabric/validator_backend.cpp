@@ -1,22 +1,12 @@
 #include "fabric/validator_backend.hpp"
 
-#include "fabric/validator.hpp"
-
 namespace bm::fabric {
 
-std::unique_ptr<ValidatorBackend> make_software_backend(
+std::unique_ptr<SoftwareValidator> make_software_backend(
     const Msp& msp, std::map<std::string, EndorsementPolicy> policies,
-    SoftwareBackendOptions options) {
+    unsigned parallelism) {
   return std::make_unique<SoftwareValidator>(msp, std::move(policies),
-                                             options.parallelism);
-}
-
-ValidatorBackendFactory software_backend_factory(
-    SoftwareBackendOptions options) {
-  return [options](const Msp& msp,
-                   std::map<std::string, EndorsementPolicy> policies) {
-    return make_software_backend(msp, std::move(policies), options);
-  };
+                                             parallelism);
 }
 
 }  // namespace bm::fabric

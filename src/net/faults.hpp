@@ -18,9 +18,8 @@
 //     callback. The Go-Back-N shim (bmac/reliable.hpp) rides on top of it
 //     and turns every fault except undetected corruption back into "loss".
 //
-// This layer is the only source of impairments: the former
-// `Link::Config::loss_probability` and `GossipNetwork::Config::message_loss`
-// uniform-loss adapters have been removed. Their one-line equivalent is
+// This layer is the only source of impairments: links, gossip and Raft
+// have no loss knobs of their own. Uniform i.i.d. loss is
 // FaultConfig::uniform_loss(p, seed).
 #pragma once
 
@@ -81,7 +80,7 @@ struct FaultConfig {
   /// True when any knob can affect a frame.
   bool any() const;
 
-  /// Adapter for the deprecated uniform-loss fields: i.i.d. loss `p`.
+  /// I.i.d. loss `p` (a Gilbert–Elliott chain that never leaves GOOD).
   static FaultConfig uniform_loss(double p, std::uint64_t seed = 1);
 };
 

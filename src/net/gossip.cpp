@@ -28,14 +28,8 @@ const GossipNetwork::PeerState& GossipNetwork::state_of(
 }
 
 void GossipNetwork::publish(int origin, std::uint64_t block_num,
-                            std::size_t bytes) {
-  state_of(origin, "publish");  // validate before touching the mesh
-  receive(origin, block_num, bytes, /*from_repair=*/false);
-}
-
-void GossipNetwork::publish(int origin, std::uint64_t block_num,
                             Bytes payload) {
-  state_of(origin, "publish");
+  state_of(origin, "publish");  // validate before touching the mesh
   const std::size_t bytes = payload.size();
   payloads_.emplace(block_num, std::move(payload));  // first publish wins
   receive(origin, block_num, bytes, /*from_repair=*/false);
@@ -96,7 +90,6 @@ void GossipNetwork::receive(int peer, std::uint64_t block_num,
     return;
   }
   state.sizes[block_num] = bytes;
-  if (on_deliver_) on_deliver_(peer, block_num, bytes);
   if (on_payload_) {
     const auto payload = payloads_.find(block_num);
     if (payload != payloads_.end()) on_payload_(peer, block_num,

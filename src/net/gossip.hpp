@@ -9,13 +9,9 @@
 // full Gossip blocks — §5's "our protocol can also be used by the lead peer
 // to send blocks to other peers in its own organization".
 //
-// Two dissemination modes share one mesh:
-//   - metadata-only publish(origin, block_num, bytes): timing/coverage
-//     studies, where only the wire size matters;
-//   - payload publish(origin, block_num, Bytes): the cluster path, where
-//     delivered blocks carry the real marshaled bytes each peer validates
-//     and commits (src/cluster). The payload is registered once network-wide
-//     and handed to the payload callback on each peer's first delivery.
+// Delivered blocks carry the real marshaled bytes each peer validates and
+// commits (src/cluster): publish() registers the payload once network-wide
+// and hands it to the payload callback on each peer's first delivery.
 #pragma once
 
 #include <functional>
@@ -48,30 +44,23 @@ class GossipNetwork {
   };
 
   /// Fired exactly once per (peer, block): first delivery.
-  using DeliverFn = std::function<void(int peer, std::uint64_t block_num,
-                                       std::size_t bytes)>;
-  /// Fired exactly once per (peer, block) when the block was published with
-  /// a payload: first delivery, after the DeliverFn.
   using PayloadFn = std::function<void(int peer, std::uint64_t block_num,
                                        const Bytes& payload)>;
 
   GossipNetwork(sim::Simulation& sim, int peers, Config config);
 
-  void set_deliver_callback(DeliverFn fn) { on_deliver_ = std::move(fn); }
   void set_payload_callback(PayloadFn fn) { on_payload_ = std::move(fn); }
 
   /// Start the anti-entropy processes (optional; push-only without it).
   void start_anti_entropy();
   void stop_anti_entropy() { anti_entropy_running_ = false; }
 
-  /// Inject a block at `origin` (e.g. the org's lead peer), metadata only.
-  /// Throws std::out_of_range unless 0 <= origin < peer_count().
-  void publish(int origin, std::uint64_t block_num, std::size_t bytes);
-
-  /// Inject a block with its marshaled bytes: the payload is registered
-  /// network-wide (first publish of a block number wins) and handed to the
-  /// payload callback on each peer's first delivery. Re-publishing the same
-  /// block number at another origin re-injects without re-registering.
+  /// Inject a block with its marshaled bytes at `origin` (e.g. the org's
+  /// lead peer): the payload is registered network-wide (first publish of a
+  /// block number wins) and handed to the payload callback on each peer's
+  /// first delivery. Re-publishing the same block number at another origin
+  /// re-injects without re-registering. Throws std::out_of_range unless
+  /// 0 <= origin < peer_count().
   void publish(int origin, std::uint64_t block_num, Bytes payload);
 
   /// Throws std::out_of_range unless 0 <= peer < peer_count().
@@ -129,10 +118,9 @@ class GossipNetwork {
   sim::Simulation& sim_;
   Config config_;
   Rng rng_;
-  std::unique_ptr<FaultInjector> faults_;  ///< null on the legacy loss path
+  std::unique_ptr<FaultInjector> faults_;  ///< null without Config::faults
   std::vector<PeerState> peers_;
   std::map<std::uint64_t, Bytes> payloads_;  ///< network-wide payload registry
-  DeliverFn on_deliver_;
   PayloadFn on_payload_;
   bool anti_entropy_running_ = false;
 

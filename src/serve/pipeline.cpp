@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "fabric/timing_model.hpp"
-#include "fabric/validator_backend.hpp"
 #include "obs/telemetry.hpp"
 #include "workload/caliper.hpp"
 #include "workload/chaincode.hpp"
@@ -512,17 +511,16 @@ class ServeRun {
     return report;
   }
 
-  /// Replay the committed chain through an independent software backend:
+  /// Replay the committed chain through an independent software validator:
   /// every admitted-and-committed transaction must carry flags identical to
   /// the harness's (closed-loop) reference result, and the commit-hash
   /// chain must match the reference ledger.
   void verify_equivalence(ServeReport& report) {
     fabric::StateDb db;
     fabric::Ledger ledger;
-    const auto backend =
-        fabric::make_software_backend(harness_.msp(), harness_.policies());
+    fabric::SoftwareValidator validator(harness_.msp(), harness_.policies());
     for (const fabric::Block& block : blocks_) {
-      const auto result = backend->validate_and_commit(block, db, ledger);
+      const auto result = validator.validate_and_commit(block, db, ledger);
       // Continuing the chain needs only its tail: re-seed an empty ledger
       // there, so the replay never holds a second copy of every block.
       fabric::Ledger tail;

@@ -9,21 +9,6 @@
 
 namespace bm::workload {
 
-namespace {
-
-std::string hex_digest(const crypto::Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0x0F]);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ChaosReport::to_text() const {
   std::ostringstream out;
   out << "complete " << complete << "\n"
@@ -66,9 +51,6 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   sim::Simulation sim;
   bmac::BmacPeer peer(sim, harness.msp(), options.hw, harness.policies());
   peer.enable_graceful_degradation(options.degrade);
-  if (options.fallback_factory)
-    peer.set_fallback_backend(
-        options.fallback_factory(harness.msp(), harness.policies()));
   if (registry != nullptr || tracer != nullptr)
     peer.attach_observability(registry, tracer);
   if (telemetry != nullptr && telemetry->enabled() && registry != nullptr) {
@@ -146,22 +128,17 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   // hash-identical over that prefix.
   const fabric::Ledger& reference = harness.reference_ledger();
   const std::uint64_t rejected = peer.host_metrics().blocks_rejected;
-  report.hashes_match =
+  const bool heights_match =
       peer.ledger().height() + rejected == reference.height();
-  if (!report.hashes_match)
+  const std::string diverged =
+      fabric::chain_divergence(peer.ledger(), reference);
+  report.hashes_match = heights_match && diverged.empty();
+  if (!heights_match)
     report.mismatch = "ledger height " + std::to_string(peer.ledger().height()) +
                       " + rejected " + std::to_string(rejected) +
                       " != reference " + std::to_string(reference.height());
-  for (std::uint64_t h = 0;
-       report.hashes_match && h < peer.ledger().height(); ++h) {
-    if (peer.ledger().at(h).commit_hash != reference.at(h).commit_hash) {
-      report.hashes_match = false;
-      report.mismatch =
-          "commit hash diverged at height " + std::to_string(h) + ": " +
-          hex_digest(peer.ledger().at(h).commit_hash) + " != " +
-          hex_digest(reference.at(h).commit_hash);
-    }
-  }
+  else if (!diverged.empty())
+    report.mismatch = "commit hash diverged at " + diverged;
   report.flags_match = report.complete;
   for (const bmac::ResultEntry& result : peer.results()) {
     const fabric::BlockValidationResult& want =
@@ -210,42 +187,6 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
 
 // --- kill-and-restart: the durable-ledger crash drill ----------------------
 
-namespace {
-
-/// Start the drill from a clean slate: a stale log or snapshot left behind
-/// by an earlier run would poison the equivalence check.
-void remove_durability_files(const fabric::DurabilityConfig& config) {
-  std::error_code ec;
-  std::filesystem::remove(config.ledger_path, ec);
-  const std::filesystem::path log(config.ledger_path);
-  const std::string prefix = log.filename().string() + ".snap.";
-  std::filesystem::path dir = log.parent_path();
-  if (dir.empty()) dir = ".";
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > prefix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0)
-      std::filesystem::remove(entry.path(), ec);
-  }
-}
-
-/// First height in [ledger.base_height(), ledger.height()) whose commit hash
-/// differs from the reference, or the ledger height when none does. Heights
-/// below a snapshot base are covered by the last_commit_hash check instead
-/// (the chain hash commits to the whole prefix).
-std::uint64_t first_hash_divergence(
-    const fabric::Ledger& ledger,
-    const std::vector<crypto::Digest>& reference) {
-  for (std::uint64_t h = ledger.base_height(); h < ledger.height(); ++h) {
-    if (h >= reference.size() ||
-        ledger.at(h).commit_hash != reference[h])
-      return h;
-  }
-  return ledger.height();
-}
-
-}  // namespace
-
 std::string CrashRecoveryReport::to_text() const {
   // recovery.duration_s is wall clock — deliberately absent, the text must
   // be byte-identical across reruns.
@@ -277,7 +218,9 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
   const int before = std::max(2, options.blocks_before_crash);
   const int total = before + std::max(0, options.blocks_after);
 
-  remove_durability_files(options.durability);
+  // Start from a clean slate: a stale log or snapshot left behind by an
+  // earlier run would poison the equivalence check.
+  fabric::DurableLedger::remove_files(options.durability);
 
   // --- 1. commit durably, then "kill -9" ---------------------------------
   {
@@ -327,7 +270,7 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
   // reopened store must seed its head from the surviving prefix, skip the
   // already-durable replay, re-append the torn-away block and then extend.
   std::uint64_t store_height = 0;
-  std::vector<crypto::Digest> reference;
+  fabric::Ledger reference;
   {
     FabricNetworkHarness harness(net);
     for (int i = 0; i < total; ++i) harness.next_block();
@@ -335,10 +278,7 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
     store_height = harness.durable()->store().height();
     if (registry != nullptr)
       harness.durable()->publish_metrics(*registry, "chaos_durable");
-    const fabric::Ledger& ref = harness.reference_ledger();
-    reference.reserve(ref.height());
-    for (std::uint64_t h = 0; h < ref.height(); ++h)
-      reference.push_back(ref.at(h).commit_hash);
+    reference = harness.reference_ledger();
   }
   report.resumed = store_height == static_cast<std::uint64_t>(total);
   if (!report.resumed && report.mismatch.empty())
@@ -346,16 +286,11 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
                       " after restart, want " + std::to_string(total);
 
   // --- the §4.1 oracle: byte-for-byte commit-hash equality ----------------
-  const std::uint64_t diverged =
-      first_hash_divergence(recovered_ledger, reference);
-  report.hashes_match =
-      report.recovered && diverged == recovered_ledger.height() &&
-      (recovered_ledger.height() == 0 ||
-       recovered_ledger.last_commit_hash() ==
-           reference[recovered_ledger.height() - 1]);
+  const std::string diverged =
+      fabric::chain_divergence(recovered_ledger, reference);
+  report.hashes_match = report.recovered && diverged.empty();
   if (report.recovered && !report.hashes_match && report.mismatch.empty())
-    report.mismatch =
-        "recovered commit hash diverged at height " + std::to_string(diverged);
+    report.mismatch = "recovered commit hash diverged at " + diverged;
 
   // --- 5. recover once more: the whole chain must reproduce --------------
   fabric::Ledger final_ledger;
@@ -364,18 +299,21 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
       fabric::DurableLedger::recover(options.durability, final_ledger,
                                      final_state);
   report.final_height = final_ledger.height();
-  const std::uint64_t final_diverged =
-      first_hash_divergence(final_ledger, reference);
-  report.final_chain_matches =
-      final_recovery.ok && final_ledger.height() == reference.size() &&
-      final_diverged == final_ledger.height() &&
-      !reference.empty() &&
-      final_ledger.last_commit_hash() == reference.back();
-  if (!report.final_chain_matches && report.mismatch.empty())
-    report.mismatch =
-        final_recovery.ok
-            ? "final chain diverged at height " + std::to_string(final_diverged)
-            : "final recovery failed: " + final_recovery.error;
+  const std::string final_diverged =
+      fabric::chain_divergence(final_ledger, reference);
+  report.final_chain_matches = final_recovery.ok &&
+                               final_ledger.height() == reference.height() &&
+                               final_diverged.empty();
+  if (!report.final_chain_matches && report.mismatch.empty()) {
+    if (!final_recovery.ok)
+      report.mismatch = "final recovery failed: " + final_recovery.error;
+    else if (!final_diverged.empty())
+      report.mismatch = "final chain diverged at " + final_diverged;
+    else
+      report.mismatch = "final height " +
+                        std::to_string(final_ledger.height()) + ", want " +
+                        std::to_string(reference.height());
+  }
 
   if (registry != nullptr)
     fabric::DurableLedger::publish_recovery_metrics(*registry,

@@ -34,11 +34,7 @@ struct ChaosOptions {
 
   bmac::HwConfig hw;
   bmac::GbnSender::Config gbn = default_gbn();
-  bmac::BmacPeer::DegradeConfig degrade = default_degrade();
-  /// Engine for the peer's software fallback (null = the peer's default
-  /// sequential software backend). The equivalence check still runs against
-  /// the harness reference, so any conforming backend must pass it.
-  fabric::ValidatorBackendFactory fallback_factory;
+  bmac::BmacPeer::DegradeConfig degrade;
 
   double link_gbps = 1.0;
   sim::Time block_interval = 20 * sim::kMillisecond;
@@ -52,9 +48,6 @@ struct ChaosOptions {
     bmac::GbnSender::Config config;
     config.retransmit_cap = 6;
     return config;
-  }
-  static bmac::BmacPeer::DegradeConfig default_degrade() {
-    return bmac::BmacPeer::DegradeConfig();
   }
 };
 

@@ -40,9 +40,8 @@ FabricNetworkHarness::FabricNetworkHarness(NetworkOptions options)
   else
     drm_.emplace(options_.drm);
 
-  reference_backend_ = options_.backend_factory
-                           ? options_.backend_factory(msp_, policies_)
-                           : fabric::make_software_backend(msp_, policies_);
+  reference_validator_ =
+      std::make_unique<fabric::SoftwareValidator>(msp_, policies_);
 
   if (options_.durability.enabled())
     durable_ = std::make_unique<fabric::DurableLedger>(options_.durability);
@@ -110,7 +109,7 @@ const fabric::BlockValidationResult& FabricNetworkHarness::commit_block(
   // Reference-commit so the endorsement state observes this block.
   const std::uint64_t height_before = ledger_.height();
   fabric::BlockValidationResult result =
-      reference_backend_->validate_and_commit(block, state_, ledger_);
+      reference_validator_->validate_and_commit(block, state_, ledger_);
   // Persist exactly what the ledger accepted (a rejected block never lands
   // in the chain, so it never lands on disk either).
   if (durable_ != nullptr && ledger_.height() > height_before)

@@ -13,7 +13,6 @@
 #include "fabric/durability.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 #include "workload/chaincode.hpp"
 
 namespace bm::workload {
@@ -33,11 +32,6 @@ struct NetworkOptions {
   double bad_signature_rate = 0.0;
   double missing_endorsement_rate = 0.0;
   double conflicting_read_rate = 0.0;  ///< stale read-set versions
-
-  /// Engine for the harness's reference pipeline. Null = the default
-  /// software backend. Any conforming ValidatorBackend yields the same
-  /// reference results — that is the interface's contract.
-  fabric::ValidatorBackendFactory backend_factory;
 
   /// Durable ledger: when ledger_path is set, every reference-committed
   /// block is appended to the on-disk block log and StateDb snapshots are
@@ -140,7 +134,7 @@ class FabricNetworkHarness {
   fabric::StateDb state_;
   fabric::Ledger ledger_;
   std::unique_ptr<fabric::DurableLedger> durable_;
-  std::unique_ptr<fabric::ValidatorBackend> reference_backend_;
+  std::unique_ptr<fabric::SoftwareValidator> reference_validator_;
   std::map<std::uint64_t, fabric::BlockValidationResult> reference_results_;
 
   std::uint64_t next_tx_id_ = 0;

@@ -303,7 +303,12 @@ TEST(Scenario, ClusterSectionParses) {
   EXPECT_EQ(c.ordering.raft.election_timeout_min, 100 * sim::kMillisecond);
   EXPECT_EQ(c.ordering.raft.election_timeout_max, 250 * sim::kMillisecond);
   EXPECT_EQ(c.ordering.raft.heartbeat_interval, 40 * sim::kMillisecond);
-  EXPECT_EQ(c.ordering.message_loss, 0.01);
+  // raft.message_loss builds a uniform-loss fault schedule for the
+  // orderer-to-orderer messages, seeded apart from gossip's.
+  EXPECT_TRUE(c.ordering.faults.any());
+  EXPECT_EQ(c.ordering.faults.loss_good, 0.01);
+  EXPECT_EQ(c.ordering.faults.loss_bad, 0.01);
+  EXPECT_EQ(c.ordering.faults.seed, 42u ^ 0x7AF71055ull);
   EXPECT_EQ(c.gossip.fanout, 3);
   EXPECT_EQ(c.gossip.gbps, 2.5);
   EXPECT_EQ(c.gossip.anti_entropy_interval, 25 * sim::kMillisecond);

@@ -1,4 +1,4 @@
-// ValidatorBackend seam tests: every software backend configuration (any
+// Software validator configurations: every SoftwareValidator setting (any
 // parallelism, any StateDb shard count) must produce byte-identical
 // validation flags and commit hashes — threads and sharding are throughput
 // knobs, never semantics.
@@ -10,13 +10,12 @@
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 
 namespace bm::fabric {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend swap: all configurations are observably identical.
+// Configuration swap: all settings are observably identical.
 
 class BackendTest : public ::testing::Test {
  protected:
@@ -80,32 +79,29 @@ class BackendTest : public ::testing::Test {
 };
 
 TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
-  // One backend per knob setting, each with its own StateDb at a different
+  // One validator per knob setting, each with its own StateDb at a different
   // shard count, fed the same three blocks: flags, commit hashes, valid
   // counts and DB sizes must be identical across the board.
   struct Lane {
-    std::unique_ptr<ValidatorBackend> backend;
+    SoftwareValidator validator;
     StateDb db;
     Ledger ledger;
-    Lane(std::unique_ptr<ValidatorBackend> b, std::size_t shards)
-        : backend(std::move(b)), db(shards) {}
+    Lane(SoftwareValidator v, std::size_t shards)
+        : validator(std::move(v)), db(shards) {}
   };
   std::deque<Lane> lanes;
-  lanes.emplace_back(make_software_backend(msp_, policies_), 1);
-  lanes.emplace_back(
-      make_software_backend(msp_, policies_, {.parallelism = 1}), 3);
-  lanes.emplace_back(
-      make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
-  lanes.emplace_back(
-      make_software_backend(msp_, policies_, {.parallelism = 2}), 13);
+  lanes.emplace_back(SoftwareValidator(msp_, policies_), 1);
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 1), 3);
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 4), 8);
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 2), 13);
 
   for (int b = 0; b < 3; ++b) {
     const Block block = cut(mixed_envelopes(b));
     const auto reference =
-        lanes[0].backend->validate_and_commit(block, lanes[0].db,
-                                              lanes[0].ledger);
+        lanes[0].validator.validate_and_commit(block, lanes[0].db,
+                                               lanes[0].ledger);
     for (std::size_t i = 1; i < lanes.size(); ++i) {
-      const auto result = lanes[i].backend->validate_and_commit(
+      const auto result = lanes[i].validator.validate_and_commit(
           block, lanes[i].db, lanes[i].ledger);
       ASSERT_EQ(result.flags, reference.flags) << "lane " << i << " block " << b;
       ASSERT_EQ(result.commit_hash, reference.commit_hash)
@@ -118,30 +114,12 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
   for (const auto& lane : lanes) EXPECT_EQ(lane.ledger.height(), 3u);
 
   // Stats that feed the timing model must not depend on the configuration.
-  const auto& ref_stats = lanes[0].backend->stats();
+  const auto& ref_stats = lanes[0].validator.stats();
   for (std::size_t i = 1; i < lanes.size(); ++i) {
-    EXPECT_EQ(lanes[i].backend->stats().endorsement_signature_checks,
+    EXPECT_EQ(lanes[i].validator.stats().endorsement_signature_checks,
               ref_stats.endorsement_signature_checks);
-    EXPECT_EQ(lanes[i].backend->stats().db_writes, ref_stats.db_writes);
+    EXPECT_EQ(lanes[i].validator.stats().db_writes, ref_stats.db_writes);
   }
-}
-
-TEST_F(BackendTest, FactoryProducesIndependentBackends) {
-  const auto factory = software_backend_factory({.parallelism = 2});
-  auto a = factory(msp_, policies_);
-  auto b = factory(msp_, policies_);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-
-  const Block block = cut(mixed_envelopes(0));
-  StateDb db_a, db_b;
-  Ledger ledger_a, ledger_b;
-  const auto r_a = a->validate_and_commit(block, db_a, ledger_a);
-  const auto r_b = b->validate_and_commit(block, db_b, ledger_b);
-  EXPECT_EQ(r_a.flags, r_b.flags);
-  EXPECT_EQ(r_a.commit_hash, r_b.commit_hash);
-  EXPECT_EQ(a->stats().blocks_processed, 1u);
-  EXPECT_EQ(b->stats().blocks_processed, 1u);
 }
 
 // ---------------------------------------------------------------------------

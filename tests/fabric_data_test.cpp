@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/der.hpp"
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "fabric/ledger.hpp"
 #include "fabric/orderer.hpp"
@@ -277,6 +278,62 @@ TEST(Ledger, IdenticalInputsGiveIdenticalCommitHashes) {
   make_chain(l1);
   make_chain(l2);
   EXPECT_EQ(l1.last().commit_hash, l2.last().commit_hash);
+}
+
+TEST(Ledger, ChainDivergenceNamesTheFirstDisagreement) {
+  TestNet net;
+  Orderer orderer(net.orderer_id, {.max_tx_per_block = 1});
+  std::vector<Block> blocks;
+  for (int i = 0; i < 4; ++i) {
+    auto block = orderer.submit(build_envelope(
+        sample_proposal(std::to_string(i)), net.client, {&net.peer1}));
+    block->metadata.tx_flags = {0};
+    blocks.push_back(std::move(*block));
+  }
+  // The first `n` blocks, with the tx flag at height `flip` marked invalid.
+  const auto chain = [&](std::size_t n, std::size_t flip = ~std::size_t{0}) {
+    Ledger ledger;
+    for (std::size_t h = 0; h < n; ++h) {
+      Block block = blocks[h];
+      if (h == flip) block.metadata.tx_flags = {11};
+      ledger.append(std::move(block));
+    }
+    return ledger;
+  };
+  const auto hex_at = [](const Ledger& ledger, std::uint64_t h) {
+    return hex_encode(crypto::digest_view(ledger.at(h).commit_hash));
+  };
+  const Ledger reference = chain(4);
+
+  EXPECT_EQ(chain_divergence(chain(4), reference), "");
+  EXPECT_EQ(chain_divergence(chain(2), reference), "");  // a prefix
+  EXPECT_EQ(chain_divergence(Ledger{}, reference), "");
+
+  // A flipped flag changes the commit hash, so no flag loop is needed.
+  const Ledger flipped = chain(4, /*flip=*/2);
+  EXPECT_EQ(chain_divergence(flipped, reference),
+            "height 2: " + hex_at(flipped, 2) + " != " + hex_at(reference, 2));
+
+  // Taller than the reference: the first height it cannot match.
+  EXPECT_EQ(chain_divergence(reference, chain(3)),
+            "height 3: " + hex_at(reference, 3) + " != none");
+
+  // Snapshot-seeded at height 2 and holding no block: the tail hash decides.
+  Ledger seeded;
+  seeded.open_at(2, reference.at(1).commit_hash, blocks[1].block_hash());
+  EXPECT_EQ(chain_divergence(seeded, reference), "");
+  Ledger wrong_tail;
+  wrong_tail.open_at(2, reference.at(0).commit_hash, blocks[1].block_hash());
+  EXPECT_EQ(chain_divergence(wrong_tail, reference),
+            "height 1: " + hex_at(reference, 0) + " != " + hex_at(reference, 1));
+
+  // After one append, held blocks are checked from the base height up.
+  seeded.append(blocks[2]);
+  EXPECT_EQ(chain_divergence(seeded, reference), "");
+  wrong_tail.append(blocks[2]);
+  EXPECT_EQ(chain_divergence(wrong_tail, reference),
+            "height 2: " + hex_at(wrong_tail, 2) + " != " +
+                hex_at(reference, 2));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "fabric/durability.hpp"
 #include "obs/metrics.hpp"
@@ -24,19 +25,8 @@ struct DurabilityFixture : ::testing::Test {
     options.block_size = 3;
     options.seed = 59;
   }
-  void SetUp() override { remove_files(); }
-  void TearDown() override { remove_files(); }
-
-  void remove_files() {
-    std::error_code ec;
-    std::filesystem::remove(config.ledger_path, ec);
-    for (const auto& entry : std::filesystem::directory_iterator(
-             std::filesystem::temp_directory_path(), ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("bm_durability_test.log.snap.", 0) == 0)
-        std::filesystem::remove(entry.path(), ec);
-    }
-  }
+  void SetUp() override { DurableLedger::remove_files(config); }
+  void TearDown() override { DurableLedger::remove_files(config); }
 
   /// Commit n blocks through a durability-enabled harness, then drop it.
   /// Returns the reference tail commit hash.
@@ -116,6 +106,30 @@ TEST(StateSnapshot, CorruptionAndTruncationRejected) {
   // Missing file.
   std::remove(path.c_str());
   EXPECT_FALSE(victim.restore(path).has_value());
+}
+
+// --- DurableLedger file layout ---------------------------------------------
+
+TEST_F(DurabilityFixture, RemoveFilesDeletesTheLogAndItsSnapshotsOnly) {
+  config.snapshot_interval = 2;
+  commit_durably(4);  // the log plus snapshots at heights 2 and 4
+  ASSERT_TRUE(std::filesystem::exists(config.ledger_path));
+  ASSERT_TRUE(std::filesystem::exists(DurableLedger::snapshot_path(config, 2)));
+  ASSERT_TRUE(std::filesystem::exists(DurableLedger::snapshot_path(config, 4)));
+  // Shares the log's name up to "snap" but is not a "<log>.snap.*" file.
+  const std::string unrelated = temp_path("bm_durability_test.log.snapshot");
+  std::ofstream(unrelated) << "keep";
+
+  DurableLedger::remove_files(config);
+  EXPECT_FALSE(std::filesystem::exists(config.ledger_path));
+  EXPECT_FALSE(std::filesystem::exists(DurableLedger::snapshot_path(config, 2)));
+  EXPECT_FALSE(std::filesystem::exists(DurableLedger::snapshot_path(config, 4)));
+  EXPECT_TRUE(std::filesystem::exists(unrelated));
+
+  // Nothing left to remove: a second call is a no-op, not an error.
+  DurableLedger::remove_files(config);
+  EXPECT_TRUE(std::filesystem::exists(unrelated));
+  std::filesystem::remove(unrelated);
 }
 
 // --- DurableLedger recovery -------------------------------------------------

@@ -11,7 +11,6 @@
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 
 namespace bm::fabric {
 namespace {
@@ -52,25 +51,22 @@ class ParallelCommitTest : public ::testing::Test {
   /// 2 and 4 worker threads; everything observable must match.
   void expect_equivalent(const std::vector<Block>& blocks) {
     struct Lane {
-      std::unique_ptr<ValidatorBackend> backend;
+      SoftwareValidator validator;
       StateDb db;
       Ledger ledger;
-      Lane(std::unique_ptr<ValidatorBackend> b, std::size_t shards)
-          : backend(std::move(b)), db(shards) {}
+      Lane(SoftwareValidator v, std::size_t shards)
+          : validator(std::move(v)), db(shards) {}
     };
     std::deque<Lane> lanes;
-    lanes.emplace_back(
-        make_software_backend(msp_, policies_, {.parallelism = 1}), 1);
-    lanes.emplace_back(
-        make_software_backend(msp_, policies_, {.parallelism = 2}), 4);
-    lanes.emplace_back(
-        make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 1), 1);
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 2), 4);
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 4), 8);
 
     for (const Block& block : blocks) {
-      const auto reference = lanes[0].backend->validate_and_commit(
+      const auto reference = lanes[0].validator.validate_and_commit(
           block, lanes[0].db, lanes[0].ledger);
       for (std::size_t i = 1; i < lanes.size(); ++i) {
-        const auto result = lanes[i].backend->validate_and_commit(
+        const auto result = lanes[i].validator.validate_and_commit(
             block, lanes[i].db, lanes[i].ledger);
         ASSERT_EQ(result.flags, reference.flags) << "lane " << i;
         ASSERT_EQ(result.commit_hash, reference.commit_hash) << "lane " << i;
@@ -80,9 +76,9 @@ class ParallelCommitTest : public ::testing::Test {
     }
     // Reads/writes are part of the oracle: the threaded lanes must probe
     // the DB exactly as often as the sequential one.
-    const auto& seq = lanes[0].backend->stats();
+    const auto& seq = lanes[0].validator.stats();
     for (std::size_t i = 1; i < lanes.size(); ++i) {
-      const auto& par = lanes[i].backend->stats();
+      const auto& par = lanes[i].validator.stats();
       EXPECT_EQ(par.db_reads, seq.db_reads) << "lane " << i;
       EXPECT_EQ(par.db_writes, seq.db_writes) << "lane " << i;
     }

@@ -12,7 +12,7 @@ struct RaftHarness {
     RaftOrderingService::Config config;
     config.nodes = nodes;
     config.max_tx_per_block = 3;
-    config.message_loss = loss;
+    config.faults = net::FaultConfig::uniform_loss(loss, seed);
     config.seed = seed;
     build(config);
   }
@@ -186,7 +186,7 @@ void expect_committed_prefixes_agree(RaftOrderingService& service) {
 
 TEST(Raft, LivenessSoakUnderBurstLoss) {
   // Gilbert–Elliott burst loss on the transport (Config::faults), far
-  // nastier than i.i.d. message_loss: whole heartbeat rounds die together,
+  // nastier than i.i.d. loss: whole heartbeat rounds die together,
   // forcing spurious elections mid-stream. The cluster must keep committing,
   // the committed prefixes must never diverge, and the emitted block stream
   // must never fork.

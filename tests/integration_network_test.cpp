@@ -15,7 +15,6 @@
 #include "bmac/reliable.hpp"
 #include "fabric/raft.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 #include "net/faults.hpp"
 #include "net/transport.hpp"
 #include "workload/chaincode.hpp"
@@ -28,7 +27,7 @@ using namespace bm::fabric;
 struct SwPeer {
   StateDb db;
   Ledger ledger;
-  std::unique_ptr<ValidatorBackend> validator;  ///< any conforming backend
+  std::unique_ptr<SoftwareValidator> validator;
   std::vector<Block> delivered;  ///< blocks received via Gossip, in order
 
   void process_delivered() {
@@ -64,11 +63,11 @@ TEST(IntegrationNetwork, MixedPeersCommitIdenticalChains) {
   RaftOrderingService ordering(sim, raft_config, orderers);
 
   // --- peers -----------------------------------------------------------------
-  // One peer runs the default software backend, the other a two-worker
-  // one: the cross-peer chain equality below is itself a backend-swap check.
+  // One peer runs the default software validator, the other a two-worker
+  // one: the cross-peer chain equality below is itself a parallelism check.
   SwPeer sw_org1, sw_org2;
-  sw_org1.validator = make_software_backend(msp, policies);
-  sw_org2.validator = make_software_backend(msp, policies, {.parallelism = 2});
+  sw_org1.validator = std::make_unique<SoftwareValidator>(msp, policies);
+  sw_org2.validator = std::make_unique<SoftwareValidator>(msp, policies, 2);
 
   bmac::HwConfig hw;
   hw.tx_validators = 4;

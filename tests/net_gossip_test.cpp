@@ -9,8 +9,8 @@ namespace {
 struct GossipHarness {
   GossipHarness(int peers, GossipNetwork::Config config)
       : network(sim, peers, config) {
-    network.set_deliver_callback(
-        [this](int peer, std::uint64_t block, std::size_t) {
+    network.set_payload_callback(
+        [this](int peer, std::uint64_t block, const Bytes&) {
           deliveries[block].push_back(peer);
           delivery_times[block].push_back(
               static_cast<double>(sim.now() - publish_times[block]) /
@@ -20,7 +20,7 @@ struct GossipHarness {
 
   void publish(std::uint64_t block, std::size_t bytes) {
     publish_times[block] = sim.now();
-    network.publish(0, block, bytes);
+    network.publish(0, block, Bytes(bytes));
   }
 
   sim::Simulation sim;
@@ -156,8 +156,7 @@ TEST(Gossip, OutOfRangePeerThrows) {
   GossipHarness harness(4, {});
   EXPECT_THROW(harness.network.peer_has(-1, 0), std::out_of_range);
   EXPECT_THROW(harness.network.peer_has(4, 0), std::out_of_range);
-  EXPECT_THROW(harness.network.publish(-1, 0, std::size_t{100}),
-               std::out_of_range);
+  EXPECT_THROW(harness.network.publish(-1, 0, Bytes(100)), std::out_of_range);
   EXPECT_THROW(harness.network.publish(7, 0, to_bytes("payload")),
                std::out_of_range);
   EXPECT_THROW(harness.network.set_peer_online(4, false), std::out_of_range);

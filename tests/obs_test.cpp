@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bmac/block_processor.hpp"
-#include "obs/json.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probes.hpp"
 #include "obs/trace.hpp"

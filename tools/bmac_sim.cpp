@@ -72,7 +72,6 @@
 #include "common/hex.hpp"
 #include "common/log.hpp"
 #include "fabric/validator.hpp"
-#include "fabric/validator_backend.hpp"
 #include "obs/artifacts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -257,10 +256,9 @@ int cmd_validate(const Options& options) {
 
   fabric::StateDb sw_db;
   fabric::Ledger sw_ledger;
-  // The software side goes through the ValidatorBackend seam; its worker
-  // count (BM_VALIDATOR_THREADS) never changes the consistency check below.
-  const auto sw =
-      fabric::make_software_backend(harness.msp(), harness.policies());
+  // The software peer; its worker count (BM_VALIDATOR_THREADS) never
+  // changes the consistency check below.
+  fabric::SoftwareValidator sw(harness.msp(), harness.policies());
 
   sim::Simulation sim;
   bmac::BmacPeer peer(sim, harness.msp(), config.hw, harness.policies());
@@ -277,7 +275,7 @@ int cmd_validate(const Options& options) {
   int valid = 0, invalid = 0;
   for (int b = 0; b < options.blocks; ++b) {
     const fabric::Block block = harness.next_block();
-    const auto result = sw->validate_and_commit(block, sw_db, sw_ledger);
+    const auto result = sw.validate_and_commit(block, sw_db, sw_ledger);
     valid += static_cast<int>(result.valid_tx_count);
     invalid +=
         static_cast<int>(block.tx_count()) - static_cast<int>(result.valid_tx_count);
@@ -287,9 +285,8 @@ int cmd_validate(const Options& options) {
     sim.run();
   }
 
-  bool match = sw_ledger.height() == peer.ledger().height();
-  for (std::uint64_t b = 0; match && b < sw_ledger.height(); ++b)
-    match = sw_ledger.at(b).commit_hash == peer.ledger().at(b).commit_hash;
+  const bool match = sw_ledger.height() == peer.ledger().height() &&
+                     fabric::chain_divergence(peer.ledger(), sw_ledger).empty();
 
   std::printf("%d blocks, %d valid / %d invalid transactions\n",
               options.blocks, valid, invalid);
@@ -312,7 +309,7 @@ int cmd_validate(const Options& options) {
   }
   if (options.flags.wants_obs()) {
     peer.publish_metrics();
-    sw->publish_metrics(registry, "fabric_sw");
+    sw.publish_metrics(registry, "fabric_sw");
     sw_db.publish_metrics(registry, "fabric_sw_statedb");
     if (harness.durable() != nullptr)
       harness.durable()->publish_metrics(registry, "durable");

@@ -21,7 +21,7 @@
 #include <string>
 #include <utility>
 
-#include "obs/json.hpp"
+#include "common/json.hpp"
 
 namespace {
 
@@ -43,7 +43,7 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-const bm::obs::json::Value* find(const bm::obs::json::Value& v,
+const bm::json::Value* find(const bm::json::Value& v,
                                  const char* key) {
   return v.is_object() ? v.find(key) : nullptr;
 }
@@ -51,7 +51,7 @@ const bm::obs::json::Value* find(const bm::obs::json::Value& v,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using bm::obs::json::Value;
+  using bm::json::Value;
 
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s <path-to-bmac_sim> [work-dir]\n", argv[0]);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
   // --- trace ----------------------------------------------------------------
   std::string error;
-  const auto trace = bm::obs::json::parse(read_file(trace_path), &error);
+  const auto trace = bm::json::parse(read_file(trace_path), &error);
   check(trace.has_value(), "trace parses as JSON (" + error + ")");
   if (!trace) return 1;
 
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   }
 
   // --- metrics --------------------------------------------------------------
-  const auto metrics = bm::obs::json::parse(read_file(metrics_path), &error);
+  const auto metrics = bm::json::parse(read_file(metrics_path), &error);
   check(metrics.has_value(), "metrics parse as JSON (" + error + ")");
   if (!metrics) return 1;
 
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   if (rc2 != 0) return 1;
 
   // Time series: schema + aligned, monotone columns.
-  const auto ts = bm::obs::json::parse(read_file(ts_path), &error);
+  const auto ts = bm::json::parse(read_file(ts_path), &error);
   check(ts.has_value(), "timeseries parses as JSON (" + error + ")");
   if (!ts) return 1;
   const Value* schema = find(*ts, "schema_version");
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
         "csv has one row per sample plus the header");
 
   // SLO alert log: the burst must trip at least one rule.
-  const auto slo = bm::obs::json::parse(read_file(slo_path), &error);
+  const auto slo = bm::json::parse(read_file(slo_path), &error);
   check(slo.has_value(), "slo log parses as JSON (" + error + ")");
   if (!slo) return 1;
   const Value* slo_kind = find(*slo, "kind");
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   check(events_ordered, "slo transitions are time-ordered");
 
   // Flight recorder: the first alert freezes a post-mortem.
-  const auto flight = bm::obs::json::parse(read_file(flight_path), &error);
+  const auto flight = bm::json::parse(read_file(flight_path), &error);
   check(flight.has_value(), "flight dump parses as JSON (" + error + ")");
   if (!flight) return 1;
   const Value* trigger = find(*flight, "trigger");
