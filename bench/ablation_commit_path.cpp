@@ -1,28 +1,22 @@
 // Ablation: commit-path scale-out of the shipped software backend.
 //
-// Part 1 sweeps the StateDb shard count under a multi-threaded batched
-// commit: one write-batch per block, applied with a worker pool, shards
-// {1, 2, 4, 8, 16}. With one shard every worker serializes on one mutex;
-// with enough shards the batch applies in parallel.
-//
-// Part 2 measures REAL wall-clock software validation (full parse + ECDSA
+// Measures REAL wall-clock software validation (full parse + ECDSA
 // + MVCC + batched commit, no simulated timing) on a read+write transfer
 // workload: the sequential backend against parallel vscc at 1/2/4/8
-// threads. MVCC stays the in-order walk at every thread count, as in
-// Fabric. The parallel lanes must produce byte-identical commit hashes to
-// the sequential lane — that equality always gates the exit code; the
-// >= 4x speedup gate only applies when the host actually has >= 8
-// hardware threads (on smaller hosts the caveat is printed and the gate
-// skipped).
+// threads. MVCC and the commit stay one in-order walk at every thread
+// count, as in Fabric. The parallel lanes must produce byte-identical
+// commit hashes to the sequential lane — that equality always gates the
+// exit code; the >= 4x speedup gate only applies when the host actually
+// has >= 8 hardware threads (on smaller hosts the caveat is printed and
+// the gate skipped).
 //
-// `--quick` shrinks every part for CI smoke runs; all correctness gates
-// still apply at the reduced sizes.
+// `--quick` shrinks the workload for CI smoke runs; all correctness gates
+// still apply at the reduced size.
 #include <chrono>
 #include <cstring>
 #include <thread>
 
 #include "bench_common.hpp"
-#include "common/thread_pool.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/validator.hpp"
 
@@ -121,41 +115,7 @@ LaneResult run_lane(const Workload& w, unsigned parallelism) {
   return result;
 }
 
-/// Part 1: commit-only write rate of one batched commit per block.
-void shard_sweep(int batches, int writes_per_batch, unsigned workers) {
-  bench::title("StateDb shard-count sweep, batched commit");
-  std::printf("%d batches x %d writes, %u worker threads (host has %u "
-              "hardware threads)\n",
-              batches, writes_per_batch, workers,
-              std::thread::hardware_concurrency());
-  std::printf("%8s %16s %10s\n", "shards", "writes/s", "vs 1 shard");
-  bench::rule(40);
-
-  ThreadPool pool(workers);
-  double base = 0;
-  for (const std::size_t shards : {1, 2, 4, 8, 16}) {
-    fabric::StateDb db(shards);
-    double elapsed = 0;  // commit time only: batch building is untimed
-    for (int b = 0; b < batches; ++b) {
-      fabric::StateDb::WriteBatch batch = db.make_batch();
-      for (int i = 0; i < writes_per_batch; ++i)
-        batch.add("acct" + std::to_string(i),
-                  to_bytes("balance" + std::to_string(b)),
-                  fabric::Version{static_cast<std::uint64_t>(b),
-                                  static_cast<std::uint32_t>(i)});
-      const auto start = Clock::now();
-      db.commit_batch(std::move(batch), &pool);
-      elapsed += seconds_since(start);
-    }
-    const double rate =
-        static_cast<double>(batches) * writes_per_batch / elapsed;
-    if (shards == 1) base = rate;
-    std::printf("%8zu %16.0f %9.2fx\n", shards, rate, rate / base);
-  }
-  bench::rule(40);
-}
-
-/// Part 2: sequential baseline vs parallel vscc. Returns false if any
+/// Sequential baseline vs parallel vscc. Returns false if any
 /// parallel lane's commit hash diverges from the sequential lane — that is
 /// the only unconditional failure here.
 bool thread_sweep(int blocks, int block_size, bool* speedup_ok) {
@@ -211,14 +171,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
-  shard_sweep(/*batches=*/quick ? 10 : 50,
-              /*writes_per_batch=*/quick ? 4096 : 32768, /*workers=*/8);
-
   bool speedup_ok = true;
   const bool hashes_match =
       thread_sweep(quick ? 4 : 16, quick ? 50 : 120, &speedup_ok);
 
-  std::printf("paper tie-in: the sharded batch commit mirrors the "
+  std::printf("paper tie-in: the batched commit mirrors the "
               "hardware's per-block\nwrite burst into the on-chip KVS (one "
               "version stamp per block); parallel\nvscc is the software "
               "counterpart of the tx_validator replicas.\n");

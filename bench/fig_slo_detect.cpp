@@ -22,9 +22,9 @@
 #include <sstream>
 
 #include "bench_common.hpp"
-#include "net/faults.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/pipeline.hpp"
+#include "serve/scenario.hpp"
 #include "workload/chaos.hpp"
 
 namespace {
@@ -84,12 +84,12 @@ obs::SloConfig chaos_rules() {
 // The faults_partition.json scenario, inlined: a data+ack partition from
 // 60 ms to 240 ms plus light background loss.
 constexpr sim::Time kFaultOnset = 60 * sim::kMillisecond;
-constexpr const char* kPartitionScenario = R"({
+constexpr const char* kPartitionScenario = R"({"faults": {
   "name": "partition",
   "seed": 4004,
   "data": {"loss": {"good": 0.02, "bad": 0.02}, "partitions_ms": [[60, 240]]},
   "ack": {"partitions_ms": [[60, 240]]}
-})";
+}})";
 
 obs::TimeSeriesConfig sampler_config() {
   obs::TimeSeriesConfig config;
@@ -151,14 +151,13 @@ int main(int argc, char** argv) {
 
   // --- fault: partition at a known onset, watchdog rule must catch it ----
   std::string fault_error;
-  const auto scenario =
-      net::parse_fault_scenario(kPartitionScenario, &fault_error);
+  const auto scenario = serve::parse_scenario(kPartitionScenario, &fault_error);
   if (!scenario) {
     std::fprintf(stderr, "fault scenario: %s\n", fault_error.c_str());
     return 2;
   }
   workload::ChaosOptions chaos;
-  chaos.scenario = *scenario;
+  chaos.scenario = *scenario->faults;
   obs::Registry chaos_registry;
   obs::Telemetry chaos_telemetry;
   chaos_telemetry.configure(sampler_config(), chaos_rules());

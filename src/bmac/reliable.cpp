@@ -7,54 +7,26 @@
 namespace bm::bmac {
 
 namespace {
-
-void put_u64_le(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u32_le(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t get_u64_le(ByteView in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(in[static_cast<std::size_t>(i)])
-         << (8 * i);
-  return v;
-}
-
-std::uint32_t get_u32_le(ByteView in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(in[static_cast<std::size_t>(i)])
-         << (8 * i);
-  return v;
-}
-
 constexpr std::uint8_t kSyncFlag = 0x01;
-
 }  // namespace
 
 Bytes SequencedFrame::encode() const {
   Bytes out;
   out.reserve(wire_size());
-  put_u64_le(out, seq);
+  put_u64le(out, seq);
   out.push_back(sync ? kSyncFlag : 0);
   out.insert(out.end(), payload.begin(), payload.end());
-  put_u32_le(out, crc32(ByteView(out)));
+  put_u32le(out, crc32(ByteView(out)));
   return out;
 }
 
 std::optional<SequencedFrame> SequencedFrame::decode(ByteView wire) {
   if (wire.size() < kGbnFrameOverhead) return std::nullopt;
   const std::size_t body = wire.size() - 4;
-  if (crc32(wire.subspan(0, body)) != get_u32_le(wire.subspan(body)))
+  if (crc32(wire.subspan(0, body)) != get_u32le(wire, body))
     return std::nullopt;
   SequencedFrame frame;
-  frame.seq = get_u64_le(wire);
+  frame.seq = get_u64le(wire, 0);
   const std::uint8_t flags = wire[8];
   if ((flags & ~kSyncFlag) != 0) return std::nullopt;
   frame.sync = (flags & kSyncFlag) != 0;
@@ -65,16 +37,16 @@ std::optional<SequencedFrame> SequencedFrame::decode(ByteView wire) {
 Bytes encode_ack(std::uint64_t next_expected) {
   Bytes out;
   out.reserve(kGbnAckWireSize);
-  put_u64_le(out, next_expected);
-  put_u32_le(out, crc32(ByteView(out)));
+  put_u64le(out, next_expected);
+  put_u32le(out, crc32(ByteView(out)));
   return out;
 }
 
 std::optional<std::uint64_t> decode_ack(ByteView wire) {
   if (wire.size() != kGbnAckWireSize) return std::nullopt;
-  if (crc32(wire.subspan(0, 8)) != get_u32_le(wire.subspan(8)))
+  if (crc32(wire.subspan(0, 8)) != get_u32le(wire, 8))
     return std::nullopt;
-  return get_u64_le(wire);
+  return get_u64le(wire, 0);
 }
 
 GbnSender::GbnSender(sim::Simulation& sim, Config config, TransmitFn transmit)

@@ -69,4 +69,28 @@ std::uint64_t get_u64be(ByteView b, std::size_t offset) {
   return v;
 }
 
+void put_u32le(Bytes& dst, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8)
+    dst.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+
+void put_u64le(Bytes& dst, std::uint64_t v) {
+  for (int shift = 0; shift < 64; shift += 8)
+    dst.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+
+std::uint32_t get_u32le(ByteView b, std::size_t offset) {
+  assert(offset + 4 <= b.size());
+  std::uint32_t v = 0;
+  for (std::size_t i = 4; i-- > 0;) v = (v << 8) | b[offset + i];
+  return v;
+}
+
+std::uint64_t get_u64le(ByteView b, std::size_t offset) {
+  assert(offset + 8 <= b.size());
+  std::uint64_t v = 0;
+  for (std::size_t i = 8; i-- > 0;) v = (v << 8) | b[offset + i];
+  return v;
+}
+
 }  // namespace bm

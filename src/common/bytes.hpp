@@ -44,4 +44,11 @@ std::uint16_t get_u16be(ByteView b, std::size_t offset);
 std::uint32_t get_u32be(ByteView b, std::size_t offset);
 std::uint64_t get_u64be(ByteView b, std::size_t offset);
 
+/// Little-endian fixed-width packing (the block log, StateDb snapshots and
+/// go-back-N frames).
+void put_u32le(Bytes& dst, std::uint32_t v);
+void put_u64le(Bytes& dst, std::uint64_t v);
+std::uint32_t get_u32le(ByteView b, std::size_t offset);
+std::uint64_t get_u64le(ByteView b, std::size_t offset);
+
 }  // namespace bm

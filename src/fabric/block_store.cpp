@@ -17,17 +17,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x424D4C47;  // "BMLG"
 constexpr std::size_t kHeaderSize = 12;       // magic + len + crc
 
-void put_u32le(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32le(const std::uint8_t* b) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
-}
-
 /// One pass over a store file, one record at a time (memory bounded by the
 /// largest single record, never the file). Records below `first_height` get
 /// a framing-only check and an fseek past the payload; from there on every
@@ -58,9 +47,9 @@ ScanResult scan_store(const std::string& path, std::uint64_t first_height,
   std::uint8_t header[kHeaderSize];
   while (pos + kHeaderSize <= result.file_size) {
     if (std::fread(header, 1, kHeaderSize, f) != kHeaderSize) break;
-    if (get_u32le(header) != kMagic) break;
-    const std::uint32_t len = get_u32le(header + 4);
-    const std::uint32_t crc = get_u32le(header + 8);
+    if (get_u32le(header, 0) != kMagic) break;
+    const std::uint32_t len = get_u32le(header, 4);
+    const std::uint32_t crc = get_u32le(header, 8);
     // Validate the length *before* touching the payload: a commit hash alone
     // is 32 bytes, so any shorter length (or one past the sanity bound, or
     // past end-of-file) marks a torn or corrupt record.
@@ -140,6 +129,14 @@ void FileBlockStore::append(const CommittedBlock& block) {
   Bytes payload;
   bm::append(payload, crypto::digest_view(block.commit_hash));
   bm::append(payload, block.block.marshal());
+  // A record recovery would stop at must never reach the file: it would
+  // orphan itself and every later append.
+  if (payload.size() > kMaxPayload)
+    throw std::invalid_argument(
+        "block store: block " + std::to_string(block.block.header.number) +
+        " needs a " + std::to_string(payload.size()) +
+        "-byte record, over the " + std::to_string(kMaxPayload) +
+        "-byte limit");
 
   // The append must extend the recovered tail: its commit hash re-derives
   // from our chain head. Anything else would write a record recovery stops

@@ -46,9 +46,10 @@ class FileBlockStore {
   FileBlockStore& operator=(const FileBlockStore&) = delete;
 
   /// Append one committed block; flushes to the OS before returning.
-  /// Throws std::invalid_argument unless the block extends the tail: its
-  /// number must equal height() and its commit hash must equal
-  /// H(tail_commit_hash || marshaled block).
+  /// Throws std::invalid_argument, writing nothing, unless the block extends
+  /// the tail — its number must equal height() and its commit hash must
+  /// equal H(tail_commit_hash || marshaled block) — and its record (commit
+  /// hash + marshaled block) fits in kMaxPayload bytes.
   void append(const CommittedBlock& block);
 
   /// fsync the file to stable storage (fflush only reaches the OS cache).

@@ -5,29 +5,20 @@
 // history index records which blocks/transactions touched each key (the
 // "miscellaneous" step 5 of the validation pipeline, §2.2).
 //
-// The store is sharded by key hash: each of N shards owns a disjoint map
-// guarded by its own lock, so batched commits can apply one block's whole
-// write-set with one lock acquisition per touched shard — and, when the
-// caller supplies a thread pool, apply the shards in parallel. Shards are
-// an implementation detail: keys are never enumerated, so every observable
-// result (get/put/version_matches and the commit-hash chain built on them)
-// is byte-identical at any shard count, with or without a pool.
+// One ordered map, touched only by the committing thread. As in the
+// paper's tx_mvcc_commit (§3.3) and Fabric's committer, a block's
+// write-set lands in one in-order pass after mvcc has decided it.
 #pragma once
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "fabric/rwset.hpp"
 
-namespace bm {
-class ThreadPool;
-namespace obs {
+namespace bm::obs {
 class Registry;
-}  // namespace obs
-}  // namespace bm
+}  // namespace bm::obs
 
 namespace bm::fabric {
 
@@ -49,11 +40,9 @@ struct StateSnapshotMeta {
 
 class StateDb {
  public:
-  static constexpr std::size_t kDefaultShards = 8;
+  StateDb() = default;
 
-  explicit StateDb(std::size_t shard_count = kDefaultShards);
-
-  // Shards hold mutexes; the store is identity, not value.
+  // The store is identity, not value: a ledger's state lives in one place.
   StateDb(const StateDb&) = delete;
   StateDb& operator=(const StateDb&) = delete;
 
@@ -70,21 +59,19 @@ class StateDb {
   /// True iff a read-set entry's expected version matches current state.
   bool version_matches(const KVRead& read) const;
 
-  std::size_t size() const;
-  void clear();
+  std::size_t size() const { return data_.size(); }
+  void clear() { data_.clear(); }
 
   // --- batched commit -------------------------------------------------------
-  /// A block's write-set, pre-grouped by destination shard. Build with
-  /// make_batch() (which sizes the groups to this store's shard count), add
-  /// writes in transaction order, then hand it to commit_batch(). Within a
-  /// shard, insertion order is preserved, so a key written by two
-  /// transactions of one block ends at the later value — identical to the
-  /// equivalent sequence of put() calls.
+  /// A block's write-set in transaction order. Build with make_batch(), add
+  /// writes in transaction order, then hand it to commit_batch(), which
+  /// applies them in that order: a key written by two transactions of one
+  /// block ends at the later value, exactly as the equivalent put() calls.
   class WriteBatch {
    public:
     void add(std::string key, Bytes value, Version version);
-    std::size_t size() const { return total_; }
-    bool empty() const { return total_ == 0; }
+    std::size_t size() const { return writes_.size(); }
+    bool empty() const { return writes_.empty(); }
 
    private:
     friend class StateDb;
@@ -93,66 +80,44 @@ class StateDb {
       Bytes value;
       Version version;
     };
-    explicit WriteBatch(std::size_t shard_count) : per_shard_(shard_count) {}
+    WriteBatch() = default;
 
-    std::vector<std::vector<Write>> per_shard_;
-    std::size_t total_ = 0;
+    std::vector<Write> writes_;
   };
 
-  WriteBatch make_batch() const { return WriteBatch(shards_.size()); }
+  WriteBatch make_batch() const { return WriteBatch(); }
 
-  /// Apply a whole batch: one version-stamped grouped pass per touched
-  /// shard, each under a single lock acquisition. With a pool, shards are
-  /// applied in parallel (they are disjoint, so the final state is
-  /// schedule-independent); without one, in shard order.
-  void commit_batch(WriteBatch&& batch, ThreadPool* pool = nullptr);
+  /// Apply a whole batch in order, counted as one batched commit.
+  void commit_batch(WriteBatch&& batch);
 
   // --- snapshots ------------------------------------------------------------
   /// Write a versioned snapshot file: a CRC-framed header (format version,
-  /// chain position, shard count, key count) followed by one CRC-framed
-  /// key/value/version dump per non-empty shard — the same framing as the
-  /// block log, so torn or corrupt snapshots are detected, not trusted.
-  /// Written to "<path>.tmp" and renamed, so a crash mid-cut never leaves a
-  /// half snapshot under the real name. Returns false on I/O failure.
+  /// chain position, bucket count, frame count, key count) followed by one
+  /// CRC-framed key/value/version dump per non-empty key-hash bucket — the
+  /// same framing as the block log, so torn or corrupt snapshots are
+  /// detected, not trusted. Written to "<path>.tmp" and renamed, so a crash
+  /// mid-cut never leaves a half snapshot under the real name. Returns false
+  /// on I/O failure.
   bool snapshot(const std::string& path, const StateSnapshotMeta& meta) const;
 
   /// Replace this store's contents from a snapshot file. Returns the chain
   /// position it was cut at, or nullopt if the file is missing, torn or
   /// corrupt (the store is left cleared — fall back to full replay).
-  /// Entries re-route by key hash, so the shard count may differ from the
-  /// writer's.
   std::optional<StateSnapshotMeta> restore(const std::string& path);
 
   /// Namespacing helper: Fabric stores keys as "<chaincode>\x00<key>".
   static std::string namespaced(const std::string& chaincode,
                                 const std::string& key);
 
-  /// Shard index for a key (exposed for tests and contention metrics).
-  std::size_t shard_of(const std::string& key) const;
-  std::size_t shard_count() const { return shards_.size(); }
-
-  // Access statistics (feed the timing models).
-  std::uint64_t total_reads() const;
-  std::uint64_t total_writes() const;
-  std::uint64_t batch_commits() const { return batch_commits_; }
-  /// Lock acquisitions made by commit_batch (== touched shards, summed).
-  std::uint64_t batch_shard_grabs() const { return batch_shard_grabs_; }
-
-  /// Publish size/reads/writes plus per-shard keyspace balance under
-  /// "<prefix>_..." (snapshot-style, idempotent).
+  /// Publish size/reads/writes/batch commits under "<prefix>_..."
+  /// (snapshot-style, idempotent). These feed the timing models.
   void publish_metrics(obs::Registry& registry, const std::string& prefix) const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<std::string, VersionedValue> data;
-    mutable std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::map<std::string, VersionedValue> data_;
+  mutable std::uint64_t reads_ = 0;
+  std::uint64_t writes_ = 0;
   std::uint64_t batch_commits_ = 0;
-  std::uint64_t batch_shard_grabs_ = 0;
 };
 
 /// History database: key -> list of (block, tx) that wrote it.

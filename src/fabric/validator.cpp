@@ -150,11 +150,11 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
       pending_writes[StateDb::namespaced(tx.chaincode_id, write.key)] = version;
   }
 
-  // Step 4: commit — the block's whole write-set goes into one shard-grouped
-  // batch applied with a single lock grab per touched shard (in parallel
-  // across shards when a pool is configured), then the flagged block is
-  // appended to the ledger. Batch order preserves transaction order, so the
-  // final state matches the equivalent sequence of put() calls exactly.
+  // Step 4: commit — on this thread, like step 3; the pool never touches
+  // state. The block's whole write-set goes into one batch applied in
+  // transaction order, so the final state matches the equivalent sequence
+  // of put() calls exactly; then the flagged block is appended to the
+  // ledger.
   Block committed = block;
   committed.set_tx_flags(result.flags);
   StateDb::WriteBatch batch = db.make_batch();
@@ -171,7 +171,7 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
       batch.add(std::move(key), write.value, version);
     }
   }
-  db.commit_batch(std::move(batch), pool_.get());
+  db.commit_batch(std::move(batch));
   result.commit_hash = ledger.append(std::move(committed));
   return result;
 }

@@ -242,16 +242,6 @@ void parse_direction(const config::Section& dir, FaultConfig* config) {
   }
 }
 
-std::optional<FaultScenario> faults_from_root(const config::Root& root,
-                                              std::string* error) {
-  FaultScenario scenario = detail::parse_faults_section(root.section());
-  if (!root.ok()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  return scenario;
-}
-
 }  // namespace
 
 namespace detail {
@@ -274,15 +264,5 @@ FaultScenario parse_faults_section(const bm::config::Section& s) {
 }
 
 }  // namespace detail
-
-std::optional<FaultScenario> parse_fault_scenario(std::string_view text,
-                                                  std::string* error) {
-  return faults_from_root(config::Root::parse(text, "faults"), error);
-}
-
-std::optional<FaultScenario> load_fault_scenario(const std::string& path,
-                                                 std::string* error) {
-  return faults_from_root(config::Root::load(path, "faults"), error);
-}
 
 }  // namespace bm::net

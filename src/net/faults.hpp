@@ -9,8 +9,8 @@
 // or reordered by rerouting, queues add delay spikes, and whole windows of
 // time are blackholed by partitions. This header provides:
 //
-//   - FaultConfig: the knob set for one direction of a channel, loadable
-//     from configs/faults_*.json (schema in docs/FAULTS.md);
+//   - FaultConfig: the knob set for one direction of a channel, loaded
+//     from a scenario's "faults" section (schema in docs/FAULTS.md);
 //   - FaultInjector: the deterministic decision engine — same seed + config
 //     => byte-identical fault schedule, independent of observability;
 //   - FaultyChannel: a payload-carrying channel composing a FaultInjector
@@ -184,29 +184,20 @@ class FaultyChannel {
   int lane_ = 0;
 };
 
-/// A two-directional fault schedule as loaded from configs/faults_*.json:
-/// `data` applies to the forward (sender -> receiver) direction, `ack` to
-/// the reverse. See docs/FAULTS.md for the schema.
+/// A two-directional fault schedule, a scenario's "faults" section
+/// (configs/faults_*.json): `data` applies to the forward (sender ->
+/// receiver) direction, `ack` to the reverse. See docs/FAULTS.md for the
+/// schema.
 struct FaultScenario {
   std::string name;
   FaultConfig data;
   FaultConfig ack;
 };
 
-/// Parse a scenario from JSON text. On failure returns nullopt and, when
-/// `error` is non-null, a human-readable message.
-std::optional<FaultScenario> parse_fault_scenario(std::string_view text,
-                                                  std::string* error = nullptr);
-
-/// Read + parse a configs/faults_*.json file.
-std::optional<FaultScenario> load_fault_scenario(const std::string& path,
-                                                 std::string* error = nullptr);
-
 namespace detail {
-/// Section-level parser shared with the composed --scenario loader: same
-/// schema whether the schedule sits in its own faults_*.json file or under
-/// a scenario file's "faults" section. Errors land in the section's sink;
-/// the caller checks its config::Root.
+/// Parser of a composed scenario's "faults" section (serve/scenario.cpp
+/// loads the file). Errors land in the section's sink; the caller checks
+/// its config::Root.
 FaultScenario parse_faults_section(const bm::config::Section& root);
 }  // namespace detail
 

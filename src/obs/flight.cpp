@@ -1,32 +1,10 @@
 #include "obs/flight.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "obs/metrics.hpp"
 
 namespace bm::obs {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 std::string_view flight_stage_name(FlightStage stage) {
   switch (stage) {
@@ -92,7 +70,7 @@ std::string FlightRecorder::to_json() const {
       << "  \"dropped\": " << dropped_ << ",\n"
       << "  \"trigger\": ";
   if (trigger_count_ > 0) {
-    out << "{\"reason\": \"" << json_escape(trigger_reason_)
+    out << "{\"reason\": \"" << detail::json_escape(trigger_reason_)
         << "\", \"at_ns\": " << trigger_at_
         << ", \"count\": " << trigger_count_ << "}";
   } else {
@@ -106,7 +84,7 @@ std::string FlightRecorder::to_json() const {
         << ", \"stage\": \"" << flight_stage_name(event.stage)
         << "\", \"id\": " << event.id;
     if (!event.note.empty())
-      out << ", \"note\": \"" << json_escape(event.note) << "\"";
+      out << ", \"note\": \"" << detail::json_escape(event.note) << "\"";
     out << "}";
   }
   out << (ordered.empty() ? "" : "\n  ") << "]\n}\n";
@@ -114,7 +92,7 @@ std::string FlightRecorder::to_json() const {
 }
 
 bool FlightRecorder::write_json(const std::string& path) const {
-  return write_file(path, to_json());
+  return detail::write_file(path, to_json());
 }
 
 }  // namespace bm::obs

@@ -26,8 +26,6 @@ std::string format_number(double v) {
   return buf;
 }
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -51,6 +49,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+bool write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return false;
+  out << content;
+  return static_cast<bool>(out);
+}
+
+namespace {
+
 /// Prometheus metric names cannot contain '-' or '{' from our free-form
 /// names; normalize the offenders and leave the rest alone.
 std::string prom_name(const std::string& name) {
@@ -61,13 +68,6 @@ std::string prom_name(const std::string& name) {
     if (!ok) c = '_';
   }
   return out;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
 }
 
 }  // namespace

@@ -142,6 +142,11 @@ namespace detail {
 /// Deterministic number formatting shared by the serializers: integers are
 /// printed exactly, non-integers with enough digits to round-trip.
 std::string format_number(double v);
+/// The body of a JSON string literal holding `s`: quotes, backslashes and
+/// control characters escaped. Shared by every obs serializer.
+std::string json_escape(const std::string& s);
+/// Write `content` to `path` (truncating); false on any I/O failure.
+bool write_file(const std::string& path, const std::string& content);
 }  // namespace detail
 
 }  // namespace bm::obs

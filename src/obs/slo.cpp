@@ -1,23 +1,11 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "common/config.hpp"
 
 namespace bm::obs {
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 std::string_view slo_rule_kind_name(SloRuleKind kind) {
   switch (kind) {
@@ -109,28 +97,15 @@ SloConfig parse_slo_section(const bm::config::Section& s) {
 
 }  // namespace detail
 
-namespace {
-
-std::optional<SloConfig> slo_from_root(const config::Root& root,
-                                       std::string* error) {
+std::optional<SloConfig> load_slo_config(const std::string& path,
+                                         std::string* error) {
+  const config::Root root = config::Root::load(path, "slo");
   SloConfig config = detail::parse_slo_section(root.section());
   if (!root.ok()) {
     if (error != nullptr) *error = root.error();
     return std::nullopt;
   }
   return config;
-}
-
-}  // namespace
-
-std::optional<SloConfig> parse_slo_config(std::string_view text,
-                                          std::string* error) {
-  return slo_from_root(config::Root::parse(text, "slo"), error);
-}
-
-std::optional<SloConfig> load_slo_config(const std::string& path,
-                                         std::string* error) {
-  return slo_from_root(config::Root::load(path, "slo"), error);
 }
 
 // --- monitor ----------------------------------------------------------------
@@ -368,16 +343,18 @@ std::optional<sim::Time> SloMonitor::first_fire(const std::string& rule) const {
 
 std::string SloMonitor::to_json() const {
   using detail::format_number;
+  using detail::json_escape;
   std::ostringstream out;
   out << "{\n  \"schema_version\": 1,\n  \"kind\": \"slo_alerts\",\n"
-      << "  \"config\": \"" << config_.name << "\",\n"
+      << "  \"config\": \"" << json_escape(config_.name) << "\",\n"
       << "  \"evaluation_interval_ns\": " << config_.evaluation_interval
       << ",\n  \"rules\": [";
   for (std::size_t i = 0; i < config_.rules.size(); ++i) {
     const SloRule& rule = config_.rules[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << rule.name
-        << "\", \"kind\": \"" << slo_rule_kind_name(rule.kind)
-        << "\", \"metric\": \"" << rule.metric << "\", \"windows_ms\": [";
+    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
+        << json_escape(rule.name) << "\", \"kind\": \""
+        << slo_rule_kind_name(rule.kind) << "\", \"metric\": \""
+        << json_escape(rule.metric) << "\", \"windows_ms\": [";
     for (std::size_t w = 0; w < rule.windows.size(); ++w)
       out << (w == 0 ? "" : ", ")
           << format_number(static_cast<double>(rule.windows[w]) /
@@ -389,9 +366,9 @@ std::string SloMonitor::to_json() const {
       << ",\n  \"events\": [";
   for (std::size_t i = 0; i < alerts_.size(); ++i) {
     const SloAlert& alert = alerts_[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"rule\": \"" << alert.rule
-        << "\", \"event\": \"" << (alert.firing ? "fire" : "clear")
-        << "\", \"at_ns\": " << alert.at
+    out << (i == 0 ? "\n" : ",\n") << "    {\"rule\": \""
+        << json_escape(alert.rule) << "\", \"event\": \""
+        << (alert.firing ? "fire" : "clear") << "\", \"at_ns\": " << alert.at
         << ", \"value\": " << format_number(alert.value) << "}";
   }
   out << (alerts_.empty() ? "" : "\n  ") << "]\n}\n";
@@ -399,7 +376,7 @@ std::string SloMonitor::to_json() const {
 }
 
 bool SloMonitor::write_json(const std::string& path) const {
-  return write_file(path, to_json());
+  return detail::write_file(path, to_json());
 }
 
 }  // namespace bm::obs

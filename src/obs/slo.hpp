@@ -77,10 +77,8 @@ struct SloConfig {
   std::vector<SloRule> rules;
 };
 
-/// Parse an SLO config from JSON text / load one from disk. Unknown keys
-/// are ignored; malformed rules fail loudly with an error message.
-std::optional<SloConfig> parse_slo_config(std::string_view text,
-                                          std::string* error = nullptr);
+/// Load an SLO config file (--slo-config) from disk. Unknown keys are
+/// ignored; malformed rules fail loudly with an error message.
 std::optional<SloConfig> load_slo_config(const std::string& path,
                                          std::string* error = nullptr);
 

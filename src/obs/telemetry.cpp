@@ -4,9 +4,21 @@
 
 namespace bm::obs {
 
-bool Telemetry::configure(const cli::CommonFlags& flags, std::string* error) {
-  enabled_ = flags.wants_telemetry();
-  if (!enabled_) return true;
+bool Telemetry::configure(const cli::CommonFlags& flags,
+                          std::optional<SloConfig> scenario_slo,
+                          std::string* error) {
+  enabled_ = false;
+  if (!flags.slo_config.empty() && scenario_slo) {
+    if (error != nullptr)
+      *error = "SLO rules given twice: --slo-config " + flags.slo_config +
+               " and the scenario's \"slo\" section; keep one";
+    return false;
+  }
+  slo_config_ = std::move(scenario_slo);
+  if (!flags.slo_config.empty()) {
+    slo_config_ = load_slo_config(flags.slo_config, error);
+    if (!slo_config_) return false;
+  }
 
   sampler_config_ = TimeSeriesConfig{};
   if (flags.sample_interval_ms > 0)
@@ -16,15 +28,7 @@ bool Telemetry::configure(const cli::CommonFlags& flags, std::string* error) {
   timeseries_csv_ = flags.timeseries_csv;
   slo_out_ = flags.slo_out;
   flight_out_ = flags.flight_out;
-
-  slo_config_.reset();
-  if (!flags.slo_config.empty()) {
-    slo_config_ = load_slo_config(flags.slo_config, error);
-    if (!slo_config_) {
-      enabled_ = false;
-      return false;
-    }
-  }
+  enabled_ = flags.wants_telemetry() || slo_config_.has_value();
   return true;
 }
 
@@ -37,11 +41,6 @@ void Telemetry::configure(TimeSeriesConfig sampler_config,
   timeseries_csv_.clear();
   slo_out_.clear();
   flight_out_.clear();
-}
-
-void Telemetry::set_slo_config(std::optional<SloConfig> slo_config) {
-  slo_config_ = std::move(slo_config);
-  if (slo_config_) enabled_ = true;
 }
 
 void Telemetry::attach(sim::Simulation& sim, Registry& registry,

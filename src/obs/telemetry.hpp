@@ -30,22 +30,22 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Read the telemetry flags (loads --slo-config from disk). Returns false
-  /// with `error` filled on a malformed config. A flag set that requests no
-  /// telemetry leaves the bundle disabled; attach() is then a no-op.
-  bool configure(const cli::CommonFlags& flags, std::string* error = nullptr);
+  /// Read the telemetry flags plus the SLO rules of the run's composed
+  /// scenario, if it has an "slo" section. The rules come from exactly one
+  /// of --slo-config (loaded from disk) and `scenario_slo`: naming both
+  /// fails rather than letting one silently replace the other. Returns
+  /// false with `error` filled on that conflict or a malformed config.
+  /// With no telemetry flag and no scenario rules the bundle stays
+  /// disabled; attach() is then a no-op.
+  bool configure(const cli::CommonFlags& flags,
+                 std::optional<SloConfig> scenario_slo,
+                 std::string* error = nullptr);
 
   /// Programmatic configuration (benches/tests): enable with an in-memory
   /// SLO config and sampling interval, writing no artifact files. Read the
   /// results back through sampler()/slo()/flight() after finish().
   void configure(TimeSeriesConfig sampler_config,
                  std::optional<SloConfig> slo_config);
-
-  /// Install (or clear) an in-memory SLO rule set on top of whatever
-  /// configure() decided — the composed --scenario path, where the rules
-  /// arrive inline in the scenario file rather than via --slo-config.
-  /// A non-empty rule set enables the bundle. Call before attach().
-  void set_slo_config(std::optional<SloConfig> slo_config);
 
   bool enabled() const { return enabled_; }
 

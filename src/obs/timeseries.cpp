@@ -1,31 +1,9 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 namespace bm::obs {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(sim::Simulation& sim,
                                      const Registry& registry,
@@ -121,7 +99,7 @@ std::string TimeSeriesSampler::to_json() const {
   out << "],\n  \"series\": {";
   bool first = true;
   for (const auto& [name, series] : series_) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+    out << (first ? "\n" : ",\n") << "    \"" << detail::json_escape(name)
         << "\": {\"type\": \""
         << (series.kind == Kind::kCounter ? "counter" : "gauge")
         << "\", \"values\": [";
@@ -163,11 +141,11 @@ std::string TimeSeriesSampler::to_csv() const {
 }
 
 bool TimeSeriesSampler::write_json(const std::string& path) const {
-  return write_file(path, to_json());
+  return detail::write_file(path, to_json());
 }
 
 bool TimeSeriesSampler::write_csv(const std::string& path) const {
-  return write_file(path, to_csv());
+  return detail::write_file(path, to_csv());
 }
 
 }  // namespace bm::obs

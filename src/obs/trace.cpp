@@ -2,36 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
+
+#include "obs/metrics.hpp"
 
 namespace bm::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using detail::json_escape;
 
 /// Chrome trace timestamps are microseconds; emit simulated nanoseconds as
 /// fixed-point "<us>.<frac>" so sub-microsecond stage times survive without
@@ -167,10 +147,7 @@ std::string Tracer::to_chrome_json() const {
 }
 
 bool Tracer::write_chrome_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_chrome_json();
-  return static_cast<bool>(out);
+  return detail::write_file(path, to_chrome_json());
 }
 
 }  // namespace bm::obs

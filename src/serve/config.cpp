@@ -156,34 +156,4 @@ std::optional<ServeOptions> parse_serve_section(const config::Section& root) {
 
 }  // namespace detail
 
-std::optional<ServeOptions> parse_serve_scenario(std::string_view text,
-                                                 std::string* error) {
-  config::Root root = config::Root::parse(text, "serve");
-  if (!root.ok()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  auto options = detail::parse_serve_section(root.section());
-  if (!root.ok()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  return options;
-}
-
-std::optional<ServeOptions> load_serve_scenario(const std::string& path,
-                                                std::string* error) {
-  config::Root root = config::Root::load(path, "serve");
-  if (!root.ok()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  auto options = detail::parse_serve_section(root.section());
-  if (!root.ok()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  return options;
-}
-
 }  // namespace bm::serve

@@ -1,15 +1,13 @@
-// JSON scenario loading for serve runs (configs/serve_*.json).
+// The "serve" section of a composed scenario (serve/scenario.hpp;
+// configs/serve_*.json and configs/scenario_*.json).
 //
-// Mirrors the net/faults scenario loader: every key is optional and falls
-// back to the ServeOptions default, unknown keys are ignored, and one
-// top-level seed derives the decorrelated per-component seeds (harness rng
-// vs arrival process) so a scenario file plus one integer fully determines
-// the run.
+// Every key is optional and falls back to the ServeOptions default, unknown
+// keys are ignored, and one seed derives the decorrelated per-component
+// seeds (harness rng vs arrival process) so a scenario file plus one
+// integer fully determines the run.
 #pragma once
 
 #include <optional>
-#include <string>
-#include <string_view>
 
 #include "serve/pipeline.hpp"
 
@@ -19,19 +17,10 @@ class Section;
 
 namespace bm::serve {
 
-/// Parse a scenario from JSON text. Returns nullopt (and sets *error) on
-/// malformed input.
-std::optional<ServeOptions> parse_serve_scenario(std::string_view text,
-                                                 std::string* error = nullptr);
-
-/// Load a scenario file from disk.
-std::optional<ServeOptions> load_serve_scenario(const std::string& path,
-                                                std::string* error = nullptr);
-
 namespace detail {
-/// Section-level parsers shared with the composed --scenario loader
-/// (serve/scenario.cpp): the same schema whether the keys sit at the top of
-/// a serve config file or under a scenario file's "serve" section.
+/// Section-level parsers of the composed --scenario loader
+/// (serve/scenario.cpp): the "serve" section, and the sessions/durability
+/// sub-parsers its top-level override sections reuse.
 std::optional<ServeOptions> parse_serve_section(const config::Section& root);
 void parse_serve_durability(const config::Section& node,
                             fabric::DurabilityConfig* config);

@@ -1,23 +1,24 @@
-// One composed scenario file per experiment: `bmac_sim serve --scenario`.
+// One composed scenario file per experiment: every `bmac_sim --scenario`
+// config, and every shipped configs/*.json apart from slo_default.json.
 //
-// A scenario file bundles everything a serve run needs into a single JSON
+// A scenario file bundles everything a run needs into a single JSON
 // document with one section per subsystem:
 //
 //   {
 //     "name": "steady_sessions",
-//     "serve":      { ... },   // schema of configs/serve_*.json
+//     "serve":      { ... },   // traffic, admission, ... (SERVING.md)
 //     "sessions":   { ... },   // overrides serve.sessions when present
 //     "durability": { ... },   // overrides serve.durability when present
-//     "slo":        { ... },   // schema of configs/slo_*.json
-//     "faults":     { ... },   // schema of configs/faults_*.json
+//     "slo":        { ... },   // schema of --slo-config's file
+//     "faults":     { ... },   // fault schedule (docs/FAULTS.md)
 //     "cluster":    { ... }    // N-org/M-peer topology (docs/CLUSTER.md)
 //   }
 //
-// Every section reuses the exact parser of its standalone config file
-// (serve/config.cpp, obs/slo.cpp, net/faults.cpp via their detail:: hooks),
-// so a section body can be cut-and-pasted between a scenario file and the
-// matching configs/*.json without edits, and diagnostics keep naming the
-// file plus full JSON path (`scenario.slo.rules[2].kind: ...`).
+// Each section has one parser (serve/config.cpp, obs/slo.cpp,
+// net/faults.cpp, cluster/config.cpp via their detail:: hooks), and
+// diagnostics name the file plus full JSON path
+// (`scenario.slo.rules[2].kind: ...`). configs/serve_*.json hold only a
+// "serve" section and configs/faults_*.json only a "faults" section.
 //
 // The top-level "sessions" / "durability" sections exist so one scenario
 // file can layer a session population or a durable ledger onto a shared

@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
-
 namespace bm::sim {
-
-void attach_log_clock(Simulation& sim) {
-  set_log_clock([&sim] { return static_cast<std::int64_t>(sim.now()); });
-}
-
-void detach_log_clock() { set_log_clock({}); }
 
 void Process::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<Process::promise_type> h) noexcept {

@@ -156,12 +156,6 @@ class Simulation {
   std::unordered_set<void*> live_processes_;
 };
 
-/// Route bm::log lines through this simulation's clock: every line is
-/// prefixed with the simulated time, so log output orders against trace
-/// spans. Call detach_log_clock() before the Simulation is destroyed.
-void attach_log_clock(Simulation& sim);
-void detach_log_clock();
-
 /// Awaitable one-shot signal carrying a small enum-like payload. One waiter
 /// at a time; fire() before wait() completes immediately.
 class Trigger {

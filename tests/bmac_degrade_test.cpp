@@ -7,6 +7,7 @@
 
 #include "bmac/peer.hpp"
 #include "bmac/reliable.hpp"
+#include "serve/scenario.hpp"
 #include "workload/chaos.hpp"
 
 namespace bm::bmac {
@@ -284,10 +285,10 @@ ChaosOptions soak_options(const std::string& config_name) {
   options.network.seed = 500;
   options.blocks = 10;
   std::string error;
-  const auto scenario = net::load_fault_scenario(
+  const auto loaded = serve::load_scenario(
       std::string(BM_REPO_ROOT) + "/configs/" + config_name, &error);
-  EXPECT_TRUE(scenario.has_value()) << error;
-  options.scenario = *scenario;
+  EXPECT_TRUE(loaded.has_value() && loaded->faults.has_value()) << error;
+  if (loaded && loaded->faults) options.scenario = *loaded->faults;
   return options;
 }
 

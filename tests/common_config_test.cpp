@@ -170,35 +170,35 @@ TEST(ConfigSection, TimeReadersConvertUnits) {
 }
 
 // --- migrated-loader diagnostics -------------------------------------------
-// The serve / slo / faults loaders all ride the facility now; pin the
-// file+path shape of their messages so regressions in any one loader's
-// wiring show up as a text diff here.
+// The serve / slo / faults sections all ride the facility through the
+// composed scenario loader; pin the path shape of their messages so
+// regressions in any one section's wiring show up as a text diff here.
 
 TEST(MigratedLoaders, ServeDiagnosticNamesPath) {
   std::string error;
-  auto options = serve::parse_serve_scenario(
-      R"({"traffic": {"rate_tps": -5}})", &error);
-  EXPECT_FALSE(options.has_value());
-  EXPECT_EQ(error, "serve.traffic.rate_tps: expected number > 0");
+  auto scenario = serve::parse_scenario(
+      R"({"serve": {"traffic": {"rate_tps": -5}}})", &error);
+  EXPECT_FALSE(scenario.has_value());
+  EXPECT_EQ(error, "scenario.serve.traffic.rate_tps: expected number > 0");
 }
 
 TEST(MigratedLoaders, SloDiagnosticNamesRuleIndex) {
   std::string error;
-  auto config = obs::parse_slo_config(
-      R"({"rules": [{"name": "r", "metric": "m", "kind": "bogus"}]})",
+  auto scenario = serve::parse_scenario(
+      R"({"slo": {"rules": [{"name": "r", "metric": "m", "kind": "bogus"}]}})",
       &error);
-  EXPECT_FALSE(config.has_value());
+  EXPECT_FALSE(scenario.has_value());
   EXPECT_EQ(error,
-            "slo.rules[0].kind: unknown value \"bogus\" (ratio | rate_above "
-            "| gauge_above | gauge_below | latency_quantile)");
+            "scenario.slo.rules[0].kind: unknown value \"bogus\" (ratio | "
+            "rate_above | gauge_above | gauge_below | latency_quantile)");
 }
 
 TEST(MigratedLoaders, FaultsDiagnosticNamesDirection) {
   std::string error;
-  auto scenario = net::parse_fault_scenario(
-      R"({"data": {"loss": {"good": 2.0}}})", &error);
+  auto scenario = serve::parse_scenario(
+      R"({"faults": {"data": {"loss": {"good": 2.0}}}})", &error);
   EXPECT_FALSE(scenario.has_value());
-  EXPECT_EQ(error, "faults.data.loss.good: expected number in [0, 1]");
+  EXPECT_EQ(error, "scenario.faults.data.loss.good: expected number in [0, 1]");
 }
 
 TEST(MigratedLoaders, ScenarioDiagnosticNamesSection) {

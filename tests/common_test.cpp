@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 
 namespace bm {
@@ -48,6 +45,15 @@ TEST(Bytes, BigEndianPacking) {
   EXPECT_EQ(get_u16be(b, 0), 0x1234);
   EXPECT_EQ(get_u32be(b, 2), 0xDEADBEEFu);
   EXPECT_EQ(get_u64be(b, 6), 0x0102030405060708ull);
+}
+
+TEST(Bytes, LittleEndianPacking) {
+  Bytes b;
+  put_u32le(b, 0xDEADBEEF);
+  put_u64le(b, 0x0102030405060708ull);
+  EXPECT_EQ(b, (Bytes{0xEF, 0xBE, 0xAD, 0xDE, 8, 7, 6, 5, 4, 3, 2, 1}));
+  EXPECT_EQ(get_u32le(b, 0), 0xDEADBEEFu);
+  EXPECT_EQ(get_u64le(b, 4), 0x0102030405060708ull);
 }
 
 TEST(Hex, EncodeDecodeRoundTrip) {
@@ -116,37 +122,6 @@ TEST(Rng, BytesLength) {
   EXPECT_EQ(rng.bytes(0).size(), 0u);
   EXPECT_EQ(rng.bytes(7).size(), 7u);
   EXPECT_EQ(rng.bytes(64).size(), 64u);
-}
-
-TEST(Log, SinkCapturesFilteredLines) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  set_log_sink([&](LogLevel level, const std::string& line) {
-    captured.emplace_back(level, line);
-  });
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::Warn);
-  log_info("dropped ", 1);            // below threshold, never reaches sink
-  log_warn("kept ", 2, " items");
-  set_log_level(saved);
-  set_log_sink({});                   // restore stderr
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].first, LogLevel::Warn);
-  EXPECT_EQ(captured[0].second, "kept 2 items");
-}
-
-TEST(Log, ClockPrefixesSimulatedTime) {
-  std::vector<std::string> captured;
-  set_log_sink([&](LogLevel, const std::string& line) {
-    captured.push_back(line);
-  });
-  set_log_clock([] { return std::int64_t{1500}; });  // 1.500 us
-  log_error("boom");
-  set_log_clock({});
-  log_error("plain");
-  set_log_sink({});
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0], "[t=1.500us] boom");
-  EXPECT_EQ(captured[1], "plain");
 }
 
 }  // namespace

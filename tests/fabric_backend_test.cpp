@@ -1,12 +1,10 @@
 // Software validator configurations: every SoftwareValidator setting (any
-// parallelism, any StateDb shard count) must produce byte-identical
-// validation flags and commit hashes — threads and sharding are throughput
-// knobs, never semantics.
+// parallelism) must produce byte-identical validation flags and commit
+// hashes — threads are a throughput knob, never semantics.
 #include <gtest/gtest.h>
 
 #include <deque>
 
-#include "common/thread_pool.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
@@ -79,21 +77,20 @@ class BackendTest : public ::testing::Test {
 };
 
 TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
-  // One validator per knob setting, each with its own StateDb at a different
-  // shard count, fed the same three blocks: flags, commit hashes, valid
-  // counts and DB sizes must be identical across the board.
+  // One validator per knob setting, each with its own StateDb, fed the same
+  // three blocks: flags, commit hashes, valid counts and DB sizes must be
+  // identical across the board.
   struct Lane {
     SoftwareValidator validator;
     StateDb db;
     Ledger ledger;
-    Lane(SoftwareValidator v, std::size_t shards)
-        : validator(std::move(v)), db(shards) {}
+    explicit Lane(SoftwareValidator v) : validator(std::move(v)) {}
   };
   std::deque<Lane> lanes;
-  lanes.emplace_back(SoftwareValidator(msp_, policies_), 1);
-  lanes.emplace_back(SoftwareValidator(msp_, policies_, 1), 3);
-  lanes.emplace_back(SoftwareValidator(msp_, policies_, 4), 8);
-  lanes.emplace_back(SoftwareValidator(msp_, policies_, 2), 13);
+  lanes.emplace_back(SoftwareValidator(msp_, policies_));
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 1));
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 4));
+  lanes.emplace_back(SoftwareValidator(msp_, policies_, 2));
 
   for (int b = 0; b < 3; ++b) {
     const Block block = cut(mixed_envelopes(b));
@@ -123,60 +120,33 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded StateDb: the batched commit is observably identical to puts.
+// StateDb: the batched commit is observably identical to puts.
 
-TEST(ShardedStateDb, BatchCommitMatchesIndividualPuts) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{7}, std::size_t{16}}) {
-    StateDb batched(shards);
-    StateDb plain(1);
-    StateDb::WriteBatch batch = batched.make_batch();
-    for (int i = 0; i < 40; ++i) {
-      const std::string key =
-          StateDb::namespaced("smallbank", "key" + std::to_string(i % 13));
-      const Bytes value = to_bytes("v" + std::to_string(i));
-      const Version version{1, static_cast<std::uint32_t>(i)};
-      batch.add(std::string(key), value, version);
-      plain.put(key, value, version);
-    }
-    batched.commit_batch(std::move(batch));
-
-    ASSERT_EQ(batched.size(), plain.size()) << shards << " shards";
-    for (int i = 0; i < 13; ++i) {
-      const std::string key =
-          StateDb::namespaced("smallbank", "key" + std::to_string(i));
-      const auto got = batched.get(key);
-      const auto want = plain.get(key);
-      ASSERT_TRUE(got.has_value()) << key;
-      ASSERT_TRUE(want.has_value()) << key;
-      EXPECT_EQ(got->value, want->value) << key;
-      EXPECT_EQ(got->version, want->version)
-          << key << ": later write in the batch must win";
-    }
+TEST(StateDb, BatchCommitMatchesIndividualPuts) {
+  StateDb batched;
+  StateDb plain;
+  StateDb::WriteBatch batch = batched.make_batch();
+  for (int i = 0; i < 40; ++i) {
+    const std::string key =
+        StateDb::namespaced("smallbank", "key" + std::to_string(i % 13));
+    const Bytes value = to_bytes("v" + std::to_string(i));
+    const Version version{1, static_cast<std::uint32_t>(i)};
+    batch.add(std::string(key), value, version);
+    plain.put(key, value, version);
   }
-}
+  batched.commit_batch(std::move(batch));
 
-TEST(ShardedStateDb, ParallelBatchApplyMatchesSerial) {
-  ThreadPool pool(4);
-  StateDb serial(8), parallel(8);
-  auto fill = [](StateDb& db, ThreadPool* p) {
-    StateDb::WriteBatch batch = db.make_batch();
-    for (int i = 0; i < 200; ++i)
-      batch.add("key" + std::to_string(i),
-                to_bytes("value" + std::to_string(i)),
-                Version{3, static_cast<std::uint32_t>(i)});
-    db.commit_batch(std::move(batch), p);
-  };
-  fill(serial, nullptr);
-  fill(parallel, &pool);
-
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (int i = 0; i < 200; ++i) {
-    const std::string key = "key" + std::to_string(i);
-    const auto got = parallel.get(key);
+  ASSERT_EQ(batched.size(), plain.size());
+  for (int i = 0; i < 13; ++i) {
+    const std::string key =
+        StateDb::namespaced("smallbank", "key" + std::to_string(i));
+    const auto got = batched.get(key);
+    const auto want = plain.get(key);
     ASSERT_TRUE(got.has_value()) << key;
-    EXPECT_EQ(got->value, serial.get(key)->value);
-    EXPECT_EQ(got->version, serial.get(key)->version);
+    ASSERT_TRUE(want.has_value()) << key;
+    EXPECT_EQ(got->value, want->value) << key;
+    EXPECT_EQ(got->version, want->version)
+        << key << ": later write in the batch must win";
   }
 }
 

@@ -334,5 +334,45 @@ TEST_F(StoreFixture, ReopenedStoreRejectsNonExtendingAppend) {
   EXPECT_EQ(chain.blocks.size(), 2u);
 }
 
+/// The next block for `ledger`: one envelope of `envelope_bytes` bytes.
+Block filler_block(const Ledger& ledger, std::size_t envelope_bytes) {
+  Block block;
+  block.header.number = ledger.height();
+  if (ledger.height() > 0)
+    block.header.prev_hash =
+        crypto::digest_bytes(ledger.last().block.block_hash());
+  block.envelopes.push_back(Bytes(envelope_bytes, 0x5A));
+  block.header.data_hash = crypto::digest_bytes(block.compute_data_hash());
+  block.set_tx_flags({TxValidationCode::kValid});
+  return block;
+}
+
+TEST(BlockStore, OversizeRecordRejectedBeforeWrite) {
+  // Recovery stops at a record over kMaxPayload, so writing one would
+  // silently orphan it and every later append.
+  const std::string path = temp_path("bm_block_store_oversize.log");
+  std::remove(path.c_str());
+  FileBlockStore store(path);
+  Ledger ledger;
+  ledger.append(filler_block(ledger, 100));
+  store.append(ledger.last());
+  const auto size_before = std::filesystem::file_size(path);
+
+  Ledger oversize = ledger;
+  oversize.append(filler_block(oversize, FileBlockStore::kMaxPayload));
+  EXPECT_THROW(store.append(oversize.last()), std::invalid_argument);
+  EXPECT_EQ(store.height(), 1u);
+  EXPECT_EQ(std::filesystem::file_size(path), size_before);
+
+  // The next normal block still chains, and recovery returns both.
+  ledger.append(filler_block(ledger, 100));
+  store.append(ledger.last());
+  EXPECT_EQ(store.height(), 2u);
+  const auto chain = FileBlockStore::recover(path);
+  EXPECT_EQ(chain.blocks.size(), 2u);
+  EXPECT_EQ(chain.torn_bytes, 0u);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace bm::fabric

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "fabric/durability.hpp"
 #include "obs/metrics.hpp"
 #include "workload/chaos.hpp"
@@ -47,7 +49,7 @@ struct DurabilityFixture : ::testing::Test {
 
 TEST(StateSnapshot, RoundTrip) {
   const std::string path = temp_path("bm_state_snapshot_test.snap");
-  StateDb original(4);
+  StateDb original;
   original.put(StateDb::namespaced("cc", "alpha"), to_bytes("1"), {3, 0});
   original.put(StateDb::namespaced("cc", "beta"), to_bytes("two"), {3, 1});
   original.put(StateDb::namespaced("dd", "gamma"), to_bytes(""), {7, 2});
@@ -58,8 +60,7 @@ TEST(StateSnapshot, RoundTrip) {
   meta.header_hash = Bytes(32, 0xBB);
   ASSERT_TRUE(original.snapshot(path, meta));
 
-  // A different shard count must not matter: entries re-route by hash.
-  StateDb restored(2);
+  StateDb restored;
   const auto got = restored.restore(path);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->height, 8u);
@@ -75,7 +76,7 @@ TEST(StateSnapshot, RoundTrip) {
 
 TEST(StateSnapshot, CorruptionAndTruncationRejected) {
   const std::string path = temp_path("bm_state_snapshot_test.snap");
-  StateDb original(4);
+  StateDb original;
   for (int i = 0; i < 32; ++i)
     original.put("key" + std::to_string(i), to_bytes(std::to_string(i)),
                  {static_cast<std::uint64_t>(i), 0});
@@ -92,7 +93,7 @@ TEST(StateSnapshot, CorruptionAndTruncationRejected) {
     std::fputc(c ^ 0x10, f);
     std::fclose(f);
   }
-  StateDb victim(4);
+  StateDb victim;
   victim.put("stale", to_bytes("x"), {1, 0});
   EXPECT_FALSE(victim.restore(path).has_value());
   EXPECT_EQ(victim.size(), 0u);  // cleared, never half-restored
@@ -106,6 +107,34 @@ TEST(StateSnapshot, CorruptionAndTruncationRejected) {
   // Missing file.
   std::remove(path.c_str());
   EXPECT_FALSE(victim.restore(path).has_value());
+}
+
+TEST(StateSnapshot, BytesArePinned) {
+  // The file layout is a format, not an implementation detail: snapshot
+  // sizes feed state-transfer byte counts and fig_failover's golden. 64
+  // keys spread over every key-hash bucket; the digest is of the file the
+  // eight-shard store wrote for this state.
+  const std::string path = temp_path("bm_state_snapshot_pin.snap");
+  StateDb db;
+  for (int i = 0; i < 64; ++i)
+    db.put(StateDb::namespaced(i % 2 == 0 ? "cc" : "dd",
+                               "key" + std::to_string(i)),
+           to_bytes(std::string(static_cast<std::size_t>(i % 5), 'v') +
+                    std::to_string(i)),
+           Version{static_cast<std::uint64_t>(i / 8),
+                   static_cast<std::uint32_t>(i % 8)});
+  StateSnapshotMeta meta;
+  meta.height = 8;
+  meta.commit_hash = Bytes(32, 0xAA);
+  meta.header_hash = Bytes(32, 0xBB);
+  ASSERT_TRUE(db.snapshot(path, meta));
+
+  std::ifstream in(path, std::ios::binary);
+  const Bytes bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  EXPECT_EQ(hex_encode(crypto::digest_view(crypto::sha256(bytes))),
+            "7833e0354d24dc906873882a028a85865a6a743c86beea4a3aa5398a3923ff8e");
 }
 
 // --- DurableLedger file layout ---------------------------------------------

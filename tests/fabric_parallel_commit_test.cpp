@@ -1,5 +1,5 @@
-// Parallel commit: validate_and_commit with a worker pool (parallel vscc
-// plus the shard-parallel batch commit, MVCC walked in block order) must be
+// Parallel commit: validate_and_commit with a worker pool (parallel vscc,
+// then MVCC and the batched commit walked in block order) must be
 // byte-identical to the sequential oracle on every workload shape —
 // conflict-free, conflict-heavy, Zipf-skewed hot keys and mixed validity.
 // Runs under the `threads` label so the CI TSan job races the workers.
@@ -54,13 +54,12 @@ class ParallelCommitTest : public ::testing::Test {
       SoftwareValidator validator;
       StateDb db;
       Ledger ledger;
-      Lane(SoftwareValidator v, std::size_t shards)
-          : validator(std::move(v)), db(shards) {}
+      explicit Lane(SoftwareValidator v) : validator(std::move(v)) {}
     };
     std::deque<Lane> lanes;
-    lanes.emplace_back(SoftwareValidator(msp_, policies_, 1), 1);
-    lanes.emplace_back(SoftwareValidator(msp_, policies_, 2), 4);
-    lanes.emplace_back(SoftwareValidator(msp_, policies_, 4), 8);
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 1));
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 2));
+    lanes.emplace_back(SoftwareValidator(msp_, policies_, 4));
 
     for (const Block& block : blocks) {
       const auto reference = lanes[0].validator.validate_and_commit(

@@ -1,12 +1,13 @@
 // The fault-injection layer (net/faults.hpp): determinism, the
 // Gilbert–Elliott burst channel, the corruption split, duplication /
-// reordering / partitions, and the JSON scenario loader (including the
-// shipped configs/faults_*.json files).
+// reordering / partitions, and the scenario loader's "faults" section
+// (including the shipped configs/faults_*.json files).
 #include <gtest/gtest.h>
 
 #include <fstream>
 
 #include "net/faults.hpp"
+#include "serve/scenario.hpp"
 
 namespace bm::net {
 namespace {
@@ -165,7 +166,7 @@ TEST(FaultyChannel, DeliversCorruptsAndDuplicatesDeterministically) {
 }
 
 TEST(FaultScenario, ParsesFullSchema) {
-  const char* text = R"({
+  const char* text = R"({"faults": {
     "name": "test",
     "seed": 99,
     "data": {
@@ -180,10 +181,12 @@ TEST(FaultScenario, ParsesFullSchema) {
     "ack": {
       "loss": {"good": 0.08, "bad": 0.08}
     }
-  })";
+  }})";
   std::string error;
-  const auto scenario = parse_fault_scenario(text, &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
+  const auto loaded = serve::parse_scenario(text, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  ASSERT_TRUE(loaded->faults.has_value());
+  const FaultScenario* scenario = &*loaded->faults;
   EXPECT_EQ(scenario->name, "test");
   EXPECT_EQ(scenario->data.seed, 99u);
   EXPECT_NE(scenario->ack.seed, 99u);  // decorrelated
@@ -208,16 +211,16 @@ TEST(FaultScenario, ParsesFullSchema) {
 
 TEST(FaultScenario, RejectsMalformedInput) {
   std::string error;
-  EXPECT_FALSE(parse_fault_scenario("[1,2,3]", &error).has_value());
+  EXPECT_FALSE(serve::parse_scenario("[1,2,3]", &error).has_value());
   EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(serve::parse_scenario(
+                   R"({"faults": {"data": {"duplicate": "high"}}})", &error)
+                   .has_value());
   EXPECT_FALSE(
-      parse_fault_scenario(R"({"data": {"duplicate": "high"}})", &error)
+      serve::parse_scenario(
+          R"({"faults": {"data": {"partitions_ms": [[20, 10]]}}})", &error)
           .has_value());
-  EXPECT_FALSE(
-      parse_fault_scenario(R"({"data": {"partitions_ms": [[20, 10]]}})",
-                           &error)
-          .has_value());
-  EXPECT_FALSE(load_fault_scenario("/nonexistent/faults.json", &error)
+  EXPECT_FALSE(serve::load_scenario("/nonexistent/faults.json", &error)
                    .has_value());
 }
 
@@ -227,8 +230,10 @@ TEST(FaultScenario, ShippedConfigsParse) {
   for (const char* name : names) {
     const std::string path = std::string(BM_REPO_ROOT) + "/configs/" + name;
     std::string error;
-    const auto scenario = load_fault_scenario(path, &error);
-    ASSERT_TRUE(scenario.has_value()) << path << ": " << error;
+    const auto loaded = serve::load_scenario(path, &error);
+    ASSERT_TRUE(loaded.has_value()) << path << ": " << error;
+    ASSERT_TRUE(loaded->faults.has_value()) << path;
+    const FaultScenario* scenario = &*loaded->faults;
     EXPECT_FALSE(scenario->name.empty()) << path;
     EXPECT_TRUE(scenario->data.any()) << path;
   }

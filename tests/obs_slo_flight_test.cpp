@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "net/faults.hpp"
 #include "obs/flight.hpp"
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/pipeline.hpp"
+#include "serve/scenario.hpp"
 #include "workload/chaos.hpp"
 
 namespace bm::obs {
@@ -22,9 +24,18 @@ namespace {
 
 // --- rule parsing -------------------------------------------------------
 
+/// The "slo" section of a composed scenario holding `section`.
+std::optional<SloConfig> parse_slo(const std::string& section,
+                                   std::string* error) {
+  const auto scenario =
+      serve::parse_scenario(R"({"slo": )" + section + "}", error);
+  if (!scenario) return std::nullopt;
+  return scenario->slo;
+}
+
 TEST(SloConfigParse, AcceptsTheShippedRuleShapes) {
   std::string error;
-  const auto config = parse_slo_config(R"({
+  const auto config = parse_slo(R"({
     "name": "t", "evaluation_interval_ms": 5,
     "rules": [
       {"name": "r1", "kind": "ratio", "metric": "bad", "denominator": "all",
@@ -45,16 +56,16 @@ TEST(SloConfigParse, AcceptsTheShippedRuleShapes) {
 
 TEST(SloConfigParse, RejectsMalformedRulesLoudly) {
   std::string error;
-  EXPECT_FALSE(parse_slo_config(
+  EXPECT_FALSE(parse_slo(
       R"({"rules": [{"name": "r", "kind": "nope", "metric": "m",
            "windows_ms": [10]}]})", &error));
   EXPECT_NE(error.find("kind"), std::string::npos);
   // ratio without a denominator
-  EXPECT_FALSE(parse_slo_config(
+  EXPECT_FALSE(parse_slo(
       R"({"rules": [{"name": "r", "kind": "ratio", "metric": "m",
            "objective": 0.1, "windows_ms": [10]}]})", &error));
   // no windows
-  EXPECT_FALSE(parse_slo_config(
+  EXPECT_FALSE(parse_slo(
       R"({"rules": [{"name": "r", "kind": "rate_above", "metric": "m",
            "threshold": 1, "windows_ms": []}]})", &error));
 }
@@ -162,6 +173,47 @@ TEST(SloMonitor, GaugeRuleRequiresTheWholeWindowAboveThreshold) {
   EXPECT_EQ(monitor.clears(), 1u);
 }
 
+TEST(SloMonitor, AlertLogEscapesConfigSuppliedNames) {
+  // Config, rule and metric names come from user JSON; the --slo-out log
+  // must still parse, and give each name back unchanged.
+  const std::string name = "shed \"burn\" \\ tail";
+  const std::string metric = "odd \"events\"";
+  sim::Simulation sim;
+  Registry registry;
+  Counter& events = registry.counter(metric, "test");
+  SloRule rule;
+  rule.name = name;
+  rule.kind = SloRuleKind::kRateAbove;
+  rule.metric = metric;
+  rule.threshold = 0.5;
+  rule.windows = {10 * sim::kMillisecond};
+  SloConfig config = one_rule(rule);
+  config.name = "rules \"a\\b\"";
+  SloMonitor monitor(sim, registry, config);
+  monitor.start();
+  for (int t = 1; t <= 30; ++t)
+    sim.schedule(static_cast<sim::Time>(t) * sim::kMillisecond,
+                 [&] { events.inc(); });
+  sim.run_until(40 * sim::kMillisecond);
+  monitor.stop();
+  ASSERT_GE(monitor.fires(), 1u);
+
+  const std::string path = ::testing::TempDir() + "slo_escape.json";
+  ASSERT_TRUE(monitor.write_json(path));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  std::string error;
+  const auto log = json::parse(text.str(), &error);
+  ASSERT_TRUE(log.has_value()) << error;
+  EXPECT_EQ(log->find("config")->string, config.name);
+  const json::Value& logged_rule = log->find("rules")->array.at(0);
+  EXPECT_EQ(logged_rule.find("name")->string, name);
+  EXPECT_EQ(logged_rule.find("metric")->string, metric);
+  EXPECT_EQ(log->find("events")->array.at(0).find("rule")->string, name);
+}
+
 // --- flight recorder ----------------------------------------------------
 
 TEST(FlightRecorder, RingEvictsOldestFirst) {
@@ -226,13 +278,13 @@ workload::ChaosOptions chaos_options(bool partitioned) {
   workload::ChaosOptions options;
   if (partitioned) {
     std::string error;
-    const auto scenario = net::parse_fault_scenario(R"({
+    const auto loaded = serve::parse_scenario(R"({"faults": {
       "name": "partition", "seed": 4004,
       "data": {"partitions_ms": [[60, 240]]},
       "ack": {"partitions_ms": [[60, 240]]}
-    })", &error);
-    EXPECT_TRUE(scenario.has_value()) << error;
-    options.scenario = *scenario;
+    }})", &error);
+    EXPECT_TRUE(loaded.has_value() && loaded->faults.has_value()) << error;
+    if (loaded && loaded->faults) options.scenario = *loaded->faults;
   }
   return options;
 }
@@ -321,6 +373,58 @@ TEST(TelemetryEndToEnd, ServeReportIsIdenticalWithAndWithoutTelemetry) {
                 ->values("serve_admission_admitted_total")
                 .back(),
             static_cast<double>(observed.admitted));
+}
+
+// --- where the SLO rules come from ---------------------------------------
+
+TEST(TelemetryConfig, SloRulesComeFromExactlyOneSource) {
+  const std::string rules_file =
+      std::string(BM_REPO_ROOT) + "/configs/slo_default.json";
+  const auto file_rules = load_slo_config(rules_file);
+  ASSERT_TRUE(file_rules.has_value());
+  const auto rule_names = [](const SloConfig& config) {
+    std::vector<std::string> names;
+    for (const SloRule& rule : config.rules) names.push_back(rule.name);
+    return names;
+  };
+  cli::CommonFlags flag_only;
+  flag_only.slo_config = rules_file;
+
+  {  // --slo-config alone: the file's rules run.
+    sim::Simulation sim;
+    Registry registry;
+    Telemetry telemetry;
+    std::string error;
+    ASSERT_TRUE(telemetry.configure(flag_only, std::nullopt, &error)) << error;
+    telemetry.attach(sim, registry, nullptr);
+    ASSERT_NE(telemetry.slo(), nullptr);
+    EXPECT_EQ(rule_names(telemetry.slo()->config()), rule_names(*file_rules));
+    telemetry.finish();
+  }
+  {  // The scenario's "slo" section alone: its rules run, no flag needed.
+    sim::Simulation sim;
+    Registry registry;
+    Telemetry telemetry;
+    std::string error;
+    ASSERT_TRUE(telemetry.configure(cli::CommonFlags{}, watchdog_rule(),
+                                    &error))
+        << error;
+    EXPECT_TRUE(telemetry.enabled());
+    telemetry.attach(sim, registry, nullptr);
+    ASSERT_NE(telemetry.slo(), nullptr);
+    EXPECT_EQ(rule_names(telemetry.slo()->config()),
+              std::vector<std::string>{"watchdog_activity"});
+    telemetry.finish();
+  }
+  {  // Both: refused, naming both sources, instead of one silently winning.
+    Telemetry telemetry;
+    std::string error;
+    EXPECT_FALSE(telemetry.configure(flag_only, watchdog_rule(), &error));
+    EXPECT_FALSE(telemetry.enabled());
+    EXPECT_NE(error.find("--slo-config " + rules_file), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("\"slo\" section"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

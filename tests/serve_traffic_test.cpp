@@ -1,5 +1,5 @@
-// The open-loop arrival processes (serve/traffic.hpp) and the JSON
-// scenario loader (serve/config.hpp): seed determinism (byte-identical
+// The open-loop arrival processes (serve/traffic.hpp) and the scenario
+// loader's "serve" section (serve/config.hpp): seed determinism (byte-identical
 // schedules), Poisson moment checks, MMPP burst-phase occupancy, the
 // diurnal ramp's average rate, and the shipped configs/serve_*.json files.
 #include <gtest/gtest.h>
@@ -8,7 +8,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "serve/config.hpp"
+#include "serve/scenario.hpp"
 #include "serve/traffic.hpp"
 
 namespace bm::serve {
@@ -141,7 +141,7 @@ TEST(TrafficGenerator, DiurnalAverageRateIsMidwayTroughToPeak) {
 }
 
 TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
-  const char* text = R"({
+  const char* text = R"({"serve": {
     "name": "knobs",
     "seed": 99,
     "duration_ms": 750,
@@ -160,10 +160,11 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
                  "high_watermark": 9, "low_watermark": 3 },
     "network": { "orgs": 4, "chaincode": "drm",
                  "policy": "3-outof-4 orgs", "conflicting_read_rate": 0.05 }
-  })";
+  }})";
   std::string error;
-  const auto options = parse_serve_scenario(text, &error);
-  ASSERT_TRUE(options.has_value()) << error;
+  const auto scenario = parse_scenario(text, &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  const ServeOptions* options = &scenario->serve;
 
   EXPECT_EQ(options->name, "knobs");
   EXPECT_EQ(options->duration, 750 * sim::kMillisecond);
@@ -207,8 +208,9 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
 }
 
 TEST(ServeConfig, MissingKeysKeepDefaults) {
-  const auto options = parse_serve_scenario("{}");
-  ASSERT_TRUE(options.has_value());
+  const auto scenario = parse_scenario(R"({"serve": {}})");
+  ASSERT_TRUE(scenario.has_value());
+  const ServeOptions* options = &scenario->serve;
   const ServeOptions defaults;
   EXPECT_EQ(options->duration, defaults.duration);
   EXPECT_EQ(options->admission.queue_capacity,
@@ -219,28 +221,29 @@ TEST(ServeConfig, MissingKeysKeepDefaults) {
 
 TEST(ServeConfig, RejectsMalformedInput) {
   std::string error;
-  EXPECT_FALSE(parse_serve_scenario("not json", &error).has_value());
+  EXPECT_FALSE(parse_scenario("not json", &error).has_value());
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(parse_serve_scenario("[1,2]", &error).has_value());
+  EXPECT_FALSE(parse_scenario("[1,2]", &error).has_value());
+  EXPECT_FALSE(parse_scenario(R"({"serve": [1,2]})", &error).has_value());
   EXPECT_FALSE(
-      parse_serve_scenario(R"({"traffic": {"process": "warp"}})", &error)
+      parse_scenario(R"({"serve": {"traffic": {"process": "warp"}}})", &error)
           .has_value());
   EXPECT_FALSE(
-      parse_serve_scenario(R"({"traffic": {"rate_tps": "fast"}})", &error)
+      parse_scenario(R"({"serve": {"traffic": {"rate_tps": "fast"}}})", &error)
           .has_value());
   EXPECT_FALSE(
-      parse_serve_scenario(R"({"network": {"chaincode": "doom"}})", &error)
+      parse_scenario(R"({"serve": {"network": {"chaincode": "doom"}}})", &error)
           .has_value());
-  EXPECT_FALSE(load_serve_scenario("/nonexistent/serve.json", &error)
-                   .has_value());
+  EXPECT_FALSE(load_scenario("/nonexistent/serve.json", &error).has_value());
 }
 
 TEST(ServeConfig, ShippedScenarioFilesLoad) {
   for (const char* name : {"serve_steady.json", "serve_burst.json"}) {
     std::string error;
-    const auto options = load_serve_scenario(
+    const auto scenario = load_scenario(
         std::string(BM_REPO_ROOT) + "/configs/" + name, &error);
-    ASSERT_TRUE(options.has_value()) << name << ": " << error;
+    ASSERT_TRUE(scenario.has_value()) << name << ": " << error;
+    const ServeOptions* options = &scenario->serve;
     EXPECT_GT(options->traffic.rate_tps, 0);
     EXPECT_GT(options->admission.queue_capacity, 0u);
     EXPECT_GT(options->ingress.max_batch, 0u);

@@ -23,17 +23,15 @@
 //       Drive the degraded-path stack (GBN + fault injection + software
 //       fallback) with a fault schedule and check the committed chain
 //       against the fault-free reference (docs/FAULTS.md). --scenario takes
-//       a composed scenario file and reads its "faults" (and "slo")
-//       sections. (The pre-scenario --faults-config alias was removed; wrap
-//       a standalone faults_*.json as {"faults": {...}}.)
+//       a composed scenario file (configs/faults_*.json ship one each) and
+//       reads its "faults" (and "slo") sections.
 //   serve [--scenario FILE]
 //       Run the open-loop client-serving front end (traffic -> admission ->
 //       endorse -> order -> commit, docs/SERVING.md) and print the SLO
-//       report. --scenario takes a composed configs/scenario_*.json file
-//       (serve + sessions + durability + slo sections, docs/SERVING.md).
-//       Without it, a built-in steady Poisson scenario is used. (The
-//       pre-scenario --serve-config alias was removed; wrap a standalone
-//       serve_*.json as {"serve": {...}}.)
+//       report. --scenario takes a composed scenario file such as
+//       configs/scenario_*.json or configs/serve_*.json (serve + sessions +
+//       durability + slo sections, docs/SERVING.md). Without it, a built-in
+//       steady Poisson scenario is used.
 //   cluster [--scenario FILE] [--blocks N] [--kill-leader] [--data-dir DIR]
 //       Run an N-org/M-peer deployment with a Raft ordering cluster,
 //       payload gossip and peer state transfer (docs/CLUSTER.md), checking
@@ -54,7 +52,9 @@
 // Continuous telemetry (chaos and serve, docs/OBSERVABILITY.md):
 // --sample-interval MS samples every metric on the simulated clock into
 // --timeseries-out / --timeseries-csv; --slo-config FILE evaluates SLO
-// burn-rate rules during the run (--slo-out writes the alert log);
+// burn-rate rules during the run (--slo-out writes the alert log); a
+// scenario's "slo" section supplies them instead, and giving both is an
+// error (exit 2);
 // --flight-out FILE arms the per-transaction flight recorder, dumped at the
 // first SLO alert / watchdog fire / fallback activation.
 //
@@ -70,7 +70,6 @@
 #include "cluster/cluster.hpp"
 #include "common/cli.hpp"
 #include "common/hex.hpp"
-#include "common/log.hpp"
 #include "fabric/validator.hpp"
 #include "obs/artifacts.hpp"
 #include "obs/metrics.hpp"
@@ -265,7 +264,6 @@ int cmd_validate(const Options& options) {
   obs::Registry registry;
   obs::Tracer tracer;
   if (options.flags.wants_obs()) {
-    sim::attach_log_clock(sim);
     tracer.begin_process("bmac_peer " + config.hw.name());
     peer.attach_observability(&registry, &tracer);
   }
@@ -313,7 +311,6 @@ int cmd_validate(const Options& options) {
     sw_db.publish_metrics(registry, "fabric_sw_statedb");
     if (harness.durable() != nullptr)
       harness.durable()->publish_metrics(registry, "durable");
-    sim::detach_log_clock();
     const int rc = obs::write_artifacts(options.flags, registry, tracer,
                                         sim.now());
     if (rc != 0) return rc;
@@ -427,11 +424,11 @@ int cmd_chaos(const Options& options) {
   obs::Telemetry telemetry;
   const bool obs_on = options.flags.wants_obs();
   std::string telemetry_error;
-  if (!telemetry.configure(options.flags, &telemetry_error)) {
+  if (!telemetry.configure(options.flags, std::move(inline_slo),
+                           &telemetry_error)) {
     std::fprintf(stderr, "%s\n", telemetry_error.c_str());
     return 2;
   }
-  if (inline_slo) telemetry.set_slo_config(std::move(inline_slo));
   if (obs_on) tracer.begin_process("chaos " + fault_scenario.name);
   const workload::ChaosReport report = workload::run_chaos_scenario(
       chaos, obs_on ? &registry : nullptr, obs_on ? &tracer : nullptr,
@@ -557,11 +554,11 @@ int cmd_serve(const Options& options) {
   obs::Telemetry telemetry;
   const bool obs_on = options.flags.wants_obs();
   std::string telemetry_error;
-  if (!telemetry.configure(options.flags, &telemetry_error)) {
+  if (!telemetry.configure(options.flags, std::move(inline_slo),
+                           &telemetry_error)) {
     std::fprintf(stderr, "%s\n", telemetry_error.c_str());
     return 2;
   }
-  if (inline_slo) telemetry.set_slo_config(std::move(inline_slo));
   const serve::ServeReport report =
       serve::run_serve(serve_options, obs_on ? &registry : nullptr,
                        obs_on ? &tracer : nullptr, &telemetry);

@@ -5,13 +5,17 @@
 // Prometheus — is covered by the default test run, not just the unit tests.
 //
 // Phase 2 validates the continuous-telemetry artifacts the same way: a
-// scenario_burst run with --sample-interval/--slo-config/--flight-out must
-// produce a well-formed time series (monotone timestamps, monotone
-// counters, aligned rate columns), an SLO alert log with at least one fire
-// (the burst overloads the front end by design), a triggered flight dump —
-// and a byte-identical set of files when rerun (docs/OBSERVABILITY.md).
+// scenario_burst run with --sample-interval/--slo-out/--flight-out (the
+// rules come from the scenario's "slo" section) must produce a well-formed
+// time series (monotone timestamps, monotone counters, aligned rate
+// columns), an SLO alert log with at least one fire (the burst overloads
+// the front end by design), a triggered flight dump — and a byte-identical
+// set of files when rerun (docs/OBSERVABILITY.md). Adding --slo-config to
+// that run names the rules twice and must exit 2.
 //
 // Usage: obs_selfcheck <path-to-bmac_sim> [work-dir]
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -169,14 +173,14 @@ int main(int argc, char** argv) {
   const std::string slo_path = dir + "/obs_selfcheck_slo.json";
   const std::string flight_path = dir + "/obs_selfcheck_flight.json";
 
-  const auto telemetry_cmd = [&](const std::string& suffix) {
+  const auto telemetry_cmd = [&](const std::string& suffix,
+                                 const std::string& extra = "") {
     return "\"" + bmac_sim + "\" serve --scenario \"" + repo +
            "/configs/scenario_burst.json\" --sample-interval 5"
            " --timeseries-out \"" + ts_path + suffix + "\""
            " --timeseries-csv \"" + csv_path + suffix + "\""
-           " --slo-config \"" + repo + "/configs/slo_default.json\""
            " --slo-out \"" + slo_path + suffix + "\""
-           " --flight-out \"" + flight_path + suffix + "\""
+           " --flight-out \"" + flight_path + suffix + "\"" + extra +
            " > /dev/null 2>&1";
   };
   std::printf("running: %s\n", telemetry_cmd("").c_str());
@@ -290,6 +294,15 @@ int main(int argc, char** argv) {
       check(read_file(p) == read_file(p + ".rerun"),
             "rerun byte-identical: " + p);
   }
+
+  // The scenario already names the rules: --slo-config on top is refused
+  // (exit 2) rather than silently dropped.
+  const int rc4 = std::system(
+      telemetry_cmd(".twice",
+                    " --slo-config \"" + repo + "/configs/slo_default.json\"")
+          .c_str());
+  check(WIFEXITED(rc4) && WEXITSTATUS(rc4) == 2,
+        "--slo-config next to a scenario \"slo\" section exits 2");
 #else
   std::printf("(phase 2 skipped: BM_REPO_ROOT not defined)\n");
 #endif
