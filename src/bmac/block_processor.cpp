@@ -60,17 +60,6 @@ void BlockProcessor::attach_observability(obs::Registry* registry,
     tx_latency_us_ = &registry_->histogram(
         "bmac_tx_validation_latency_us", obs::Histogram::latency_us_buckets(),
         "transaction dispatch -> vscc verdict");
-    ecdsa_executed_ctr_ = &registry_->counter(
-        "bmac_ecdsa_executed_total", "signature verifications run by engines");
-    ecdsa_skipped_ctr_ = &registry_->counter(
-        "bmac_ecdsa_skipped_total",
-        "verifications avoided by short-circuit / invalid-skip");
-    blocks_ctr_ =
-        &registry_->counter("bmac_blocks_validated_total", "blocks processed");
-    txs_ctr_ = &registry_->counter("bmac_txs_validated_total",
-                                   "transactions processed");
-    valid_txs_ctr_ = &registry_->counter("bmac_txs_valid_total",
-                                         "transactions flagged valid");
   }
   if (tracer_ != nullptr) {
     lanes_.block_verify = tracer_->lane("block_verify");
@@ -104,6 +93,20 @@ void BlockProcessor::attach_observability(obs::Registry* registry,
 
 void BlockProcessor::publish_metrics() {
   if (registry_ == nullptr) return;
+  registry_->counter("bmac_blocks_validated_total", "blocks processed")
+      .set(monitor_.blocks);
+  registry_->counter("bmac_txs_validated_total", "transactions processed")
+      .set(monitor_.transactions);
+  registry_->counter("bmac_txs_valid_total", "transactions flagged valid")
+      .set(monitor_.valid_transactions);
+  registry_
+      ->counter("bmac_ecdsa_executed_total",
+                "signature verifications run by engines")
+      .set(monitor_.ecdsa_executed);
+  registry_
+      ->counter("bmac_ecdsa_skipped_total",
+                "verifications avoided by short-circuit / invalid-skip")
+      .set(monitor_.ecdsa_skipped);
   const auto elapsed = static_cast<double>(sim_.now());
   const double engines_per_validator = 1.0 + config_.engines_per_vscc;
   auto utilization = [&](double busy, double engines) {
@@ -436,32 +439,27 @@ sim::Process BlockProcessor::tx_mvcc_commit_proc() {
         statedb_.unlock(write.key);
       }
       result.flags[seq] = tx.code;
-      if (valid) {
-        ++monitor_.valid_transactions;
-        ++block_valid_txs;
-      }
-      ++monitor_.transactions;
+      if (valid) ++block_valid_txs;
       if (tx_latency_us_ != nullptr) {
         tx_latency_us_->observe(static_cast<double>(tx.latency) / 1000.0);
       }
     }
 
     result.stats.validate_end = sim_.now();
+    // The block_monitor registers move once per block, so a mid-block
+    // read (the telemetry sampler's) never sees half a block.
     ++monitor_.blocks;
+    monitor_.transactions += ctl.tx_count;
+    monitor_.valid_transactions += block_valid_txs;
     monitor_.ecdsa_executed += result.stats.ecdsa_executed;
     monitor_.ecdsa_skipped += result.stats.ecdsa_skipped;
     monitor_.total_block_latency +=
         result.stats.validate_end - result.stats.validate_start;
-    if (registry_ != nullptr) {
+    if (block_latency_ms_ != nullptr) {
       block_latency_ms_->observe(
           static_cast<double>(result.stats.validate_end -
                               result.stats.received_at) /
           1e6);
-      blocks_ctr_->inc();
-      txs_ctr_->inc(ctl.tx_count);
-      valid_txs_ctr_->inc(block_valid_txs);
-      ecdsa_executed_ctr_->inc(result.stats.ecdsa_executed);
-      ecdsa_skipped_ctr_->inc(result.stats.ecdsa_skipped);
     }
     if (tracer_ != nullptr) {
       tracer_->complete(lanes_.mvcc, "mvcc_commit", "pipeline", mvcc_start,

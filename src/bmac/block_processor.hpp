@@ -73,16 +73,17 @@ class BlockProcessor {
   void start();
 
   /// Attach observability sinks (either may be null). Call before start():
-  /// registers the pipeline's metrics, creates one trace lane per stage and
-  /// per FIFO, and hooks the FIFO depth/stall probes. With both sinks null
-  /// (the default) instrumentation reduces to per-site pointer checks and
-  /// never schedules simulation events, so timing is unchanged.
+  /// registers the pipeline's latency histograms, creates one trace lane
+  /// per stage and per FIFO, and hooks the FIFO depth/stall probes. With
+  /// both sinks null (the default) instrumentation reduces to per-site
+  /// pointer checks and never schedules simulation events, so timing is
+  /// unchanged.
   void attach_observability(obs::Registry* registry, obs::Tracer* tracer);
 
-  /// Publish/refresh the gauges derived from lifetime state — per-validator
-  /// ecdsa-engine utilization, FIFO peak depths, event-queue high-water
-  /// mark. Idempotent; call any time after (or during) a run. No-op when no
-  /// registry is attached.
+  /// Publish the block_monitor counters (MonitorStats) and the gauges
+  /// derived from lifetime state — per-validator ecdsa-engine utilization,
+  /// FIFO peak depths, event-queue high-water mark. Idempotent; call any
+  /// time after (or during) a run. No-op when no registry is attached.
   void publish_metrics();
 
   // Input FIFOs, written by the protocol_processor (or synthetic feeder).
@@ -206,11 +207,6 @@ class BlockProcessor {
   // Cached registry handles (null when unattached).
   obs::Histogram* block_latency_ms_ = nullptr;
   obs::Histogram* tx_latency_us_ = nullptr;
-  obs::Counter* ecdsa_executed_ctr_ = nullptr;
-  obs::Counter* ecdsa_skipped_ctr_ = nullptr;
-  obs::Counter* blocks_ctr_ = nullptr;
-  obs::Counter* txs_ctr_ = nullptr;
-  obs::Counter* valid_txs_ctr_ = nullptr;
 };
 
 }  // namespace bm::bmac

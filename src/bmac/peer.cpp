@@ -51,28 +51,9 @@ void BmacPeer::attach_observability(obs::Registry* registry,
   registry_ = registry;
   tracer_ = tracer;
   if (registry_ != nullptr) {
-    packets_ctr_ = &registry_->counter(
-        "bmac_packets_processed_total",
-        "BMac packets consumed by the protocol_processor");
-    commits_ctr_ = &registry_->counter("bmac_host_blocks_committed_total",
-                                       "blocks appended to the host ledger");
     commit_latency_us_ = &registry_->histogram(
         "bmac_host_commit_latency_us", obs::Histogram::latency_us_buckets(),
         "reg_map result ready -> ledger append done");
-    if (degrade_) {
-      fallback_ctr_ = &registry_->counter(
-          "bmac_fallback_blocks_total",
-          "blocks validated in software after a stalled stream");
-      watchdog_ctr_ = &registry_->counter(
-          "bmac_watchdog_fires_total",
-          "result-budget expiries with an incomplete stream");
-      deferral_ctr_ = &registry_->counter(
-          "bmac_watchdog_deferrals_total",
-          "result-budget expiries with a healthy stream (re-armed)");
-      abort_ctr_ = &registry_->counter(
-          "bmac_streams_aborted_total",
-          "partial record assemblies discarded at fallback");
-    }
   }
   if (tracer_ != nullptr) {
     // Lanes are created before the BlockProcessor's so the trace reads
@@ -88,6 +69,14 @@ void BmacPeer::attach_observability(obs::Registry* registry,
 
 void BmacPeer::publish_metrics() {
   if (registry_ != nullptr) {
+    registry_
+        ->counter("bmac_packets_processed_total",
+                  "BMac packets consumed by the protocol_processor")
+        .set(host_metrics_.packets_processed);
+    registry_
+        ->counter("bmac_host_blocks_committed_total",
+                  "blocks appended to the host ledger")
+        .set(host_metrics_.blocks_committed);
     registry_
         ->counter("bmac_host_blocks_rejected_total",
                   "blocks discarded after a failed block signature")
@@ -173,7 +162,7 @@ sim::Process BmacPeer::protocol_processor_proc() {
         // retransmission that raced the fallback): the hardware must not
         // re-stage records for it.
         ++degrade_metrics_.late_packets;
-        if (packets_ctr_ != nullptr) packets_ctr_->inc();
+        ++host_metrics_.packets_processed;
         if (tracer_ != nullptr) {
           tracer_->complete(protocol_lane_, "packet_late", "protocol",
                             packet_start, sim_.now(),
@@ -183,7 +172,7 @@ sim::Process BmacPeer::protocol_processor_proc() {
         continue;
       }
       ProtocolReceiver::Emitted emitted = receiver_.on_packet(packet);
-      if (packets_ctr_ != nullptr) packets_ctr_->inc();
+      ++host_metrics_.packets_processed;
       if (tracer_ != nullptr) {
         tracer_->complete(
             protocol_lane_, "packet", "protocol", packet_start, sim_.now(),
@@ -210,7 +199,7 @@ sim::Process BmacPeer::protocol_processor_proc() {
     for (auto& tx : emitted.txs) co_await processor_.tx_fifo().put(std::move(tx));
     if (emitted.block)
       co_await processor_.block_fifo().put(std::move(*emitted.block));
-    if (packets_ctr_ != nullptr) packets_ctr_->inc();
+    ++host_metrics_.packets_processed;
     if (tracer_ != nullptr) {
       tracer_->complete(
           protocol_lane_, "packet", "protocol", packet_start, sim_.now(),
@@ -320,7 +309,6 @@ void BmacPeer::on_watchdog(std::uint64_t block_num, std::size_t armed_local,
     // earlier block is being resolved, or validation is slow). The result
     // is guaranteed to arrive; give it another budget.
     ++degrade_metrics_.watchdog_deferrals;
-    if (deferral_ctr_ != nullptr) deferral_ctr_->inc();
     arm_watchdog(block_num);
     return;
   }
@@ -329,7 +317,6 @@ void BmacPeer::on_watchdog(std::uint64_t block_num, std::size_t armed_local,
     // budget, retransmissions in flight), not stalled. Fall back only when
     // a full budget passes with zero assembly progress.
     ++degrade_metrics_.watchdog_deferrals;
-    if (deferral_ctr_ != nullptr) deferral_ctr_->inc();
     arm_watchdog(block_num);
     return;
   }
@@ -342,7 +329,6 @@ void BmacPeer::on_watchdog(std::uint64_t block_num, std::size_t armed_local,
     // resync that abandoned the block still falls back within one budget of
     // the pipe draining.
     ++degrade_metrics_.watchdog_deferrals;
-    if (deferral_ctr_ != nullptr) deferral_ctr_->inc();
     arm_watchdog(block_num);
     return;
   }
@@ -354,14 +340,12 @@ void BmacPeer::on_watchdog(std::uint64_t block_num, std::size_t armed_local,
     // queued packets may still belong to it. Fall back only once the pipe
     // idles or staging moves beyond the block.
     ++degrade_metrics_.watchdog_deferrals;
-    if (deferral_ctr_ != nullptr) deferral_ctr_->inc();
     arm_watchdog(block_num);
     return;
   }
   // Stream stalled (sections missing, frames abandoned by the GBN sender,
   // or nothing arrived at all): schedule the software fallback.
   ++degrade_metrics_.watchdog_fires;
-  if (watchdog_ctr_ != nullptr) watchdog_ctr_->inc();
   if (flight_ != nullptr) {
     flight_->record(obs::FlightStage::kWatchdog, block_num, "stream_stalled");
     flight_->trigger("bmac:watchdog block " + std::to_string(block_num));
@@ -429,7 +413,6 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         // writes before it validates any later block's reads.
         if (verdict.block_valid) apply_writes_to_hw_store(block, verdict.flags);
         ++degrade_metrics_.fallback_blocks;
-        if (fallback_ctr_ != nullptr) fallback_ctr_->inc();
         if (flight_ != nullptr) {
           flight_->record(obs::FlightStage::kFallback, block_num,
                           verdict.block_valid ? "committed" : "rejected");
@@ -458,7 +441,6 @@ void BmacPeer::finish_commit(ResultEntry result, sim::Time commit_start) {
     host_metrics_.valid_transactions += static_cast<std::uint64_t>(
         std::count(result.flags.begin(), result.flags.end(),
                    fabric::TxValidationCode::kValid));
-    if (commits_ctr_ != nullptr) commits_ctr_->inc();
   } else {
     ++host_metrics_.blocks_rejected;
   }
@@ -485,7 +467,6 @@ void BmacPeer::resolve_block(std::uint64_t block_num) {
   if (it != streams_.end()) {
     if (it->second.state != StreamAssembly::State::kReleased) {
       ++degrade_metrics_.streams_aborted;
-      if (abort_ctr_ != nullptr) abort_ctr_->inc();
       if (flight_ != nullptr)
         flight_->record(obs::FlightStage::kAborted, block_num,
                         "partial_stream");

@@ -51,11 +51,14 @@ class BmacPeer {
   void start();
 
   /// Attach observability sinks (either may be null). Call before start().
-  /// Creates the peer's protocol/host trace lanes, hooks the rx_queue depth
-  /// probe and forwards the sinks to the BlockProcessor.
+  /// Creates the peer's protocol/host trace lanes and commit-latency
+  /// histogram, hooks the rx_queue depth probe and forwards the sinks to
+  /// the BlockProcessor.
   void attach_observability(obs::Registry* registry, obs::Tracer* tracer);
 
-  /// Publish/refresh host-side and pipeline gauges. Idempotent.
+  /// Publish host-side and pipeline counters and gauges. Idempotent and
+  /// side-effect free beyond the registry, so telemetry calls it before
+  /// every sample.
   void publish_metrics();
 
   /// Record degrade-path lifecycle events (watchdog fires, fallback
@@ -110,6 +113,7 @@ class BmacPeer {
   const BlockProcessor& processor() const { return processor_; }
 
   struct HostMetrics {
+    std::uint64_t packets_processed = 0;  ///< consumed by protocol_processor
     std::uint64_t blocks_committed = 0;
     std::uint64_t blocks_rejected = 0;
     std::uint64_t transactions_committed = 0;  ///< valid + invalid, in blocks
@@ -203,16 +207,7 @@ class BmacPeer {
   obs::Tracer* tracer_ = nullptr;
   int protocol_lane_ = 0;
   int host_lane_ = 0;
-  obs::Counter* packets_ctr_ = nullptr;
-  obs::Counter* commits_ctr_ = nullptr;
   obs::Histogram* commit_latency_us_ = nullptr;
-  // Live degrade counters (same names publish_metrics sets; bound when a
-  // registry is attached with degradation enabled, so the continuous
-  // sampler sees the degrade path move during the run).
-  obs::Counter* fallback_ctr_ = nullptr;
-  obs::Counter* watchdog_ctr_ = nullptr;
-  obs::Counter* deferral_ctr_ = nullptr;
-  obs::Counter* abort_ctr_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
 };
 

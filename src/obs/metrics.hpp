@@ -6,8 +6,10 @@
 // into one Registry, and a snapshot can be rendered as Prometheus
 // text-exposition format or JSON at any sim::Time. All values are driven by
 // simulated time and deterministic event counts — two runs with the same
-// seed serialize byte-identically. Instrumented code holds plain pointers
-// (null by default), so an unattached registry costs one branch per probe.
+// seed serialize byte-identically. Counters and gauges are set from each
+// component's own stats by its publish_metrics; histograms, observed once
+// per event, are held as plain pointers (null by default), so an
+// unattached registry costs one branch per probe.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,6 @@ std::string_view slo_rule_kind_name(SloRuleKind kind) {
     case SloRuleKind::kRatio: return "ratio";
     case SloRuleKind::kRateAbove: return "rate_above";
     case SloRuleKind::kGaugeAbove: return "gauge_above";
-    case SloRuleKind::kGaugeBelow: return "gauge_below";
     case SloRuleKind::kLatencyQuantile: return "latency_quantile";
   }
   return "unknown";
@@ -36,7 +35,6 @@ bool parse_rule(const config::Section& node, SloRule* rule) {
         {{"ratio", SloRuleKind::kRatio},
          {"rate_above", SloRuleKind::kRateAbove},
          {"gauge_above", SloRuleKind::kGaugeAbove},
-         {"gauge_below", SloRuleKind::kGaugeBelow},
          {"latency_quantile", SloRuleKind::kLatencyQuantile}});
   } else {
     ok &= node.fail_key("kind", "missing required string");
@@ -111,8 +109,11 @@ std::optional<SloConfig> load_slo_config(const std::string& path,
 // --- monitor ----------------------------------------------------------------
 
 SloMonitor::SloMonitor(sim::Simulation& sim, Registry& registry,
-                       SloConfig config)
-    : sim_(sim), registry_(registry), config_(std::move(config)) {
+                       SloConfig config, std::function<void()> refresh)
+    : sim_(sim),
+      registry_(registry),
+      config_(std::move(config)),
+      refresh_(std::move(refresh)) {
   fires_total_ =
       &registry_.counter("slo_alerts_fired_total", "SLO rule fire transitions");
   active_gauge_ =
@@ -154,8 +155,7 @@ void SloMonitor::observe(RuleState& state) {
       sample.a = a != nullptr ? static_cast<double>(a->value()) : 0;
       break;
     }
-    case SloRuleKind::kGaugeAbove:
-    case SloRuleKind::kGaugeBelow: {
+    case SloRuleKind::kGaugeAbove: {
       const Gauge* g = registry_.find_gauge(rule.metric);
       sample.a = g != nullptr ? g->value() : 0;
       break;
@@ -215,18 +215,14 @@ std::optional<double> SloMonitor::window_value(const RuleState& state,
       return (now.a - from.a) /
              (static_cast<double>(dt) / static_cast<double>(sim::kSecond));
     }
-    case SloRuleKind::kGaugeAbove:
-    case SloRuleKind::kGaugeBelow: {
+    case SloRuleKind::kGaugeAbove: {
       if (!full) return std::nullopt;  // "sustained" needs the whole window
-      double extreme = now.a;
+      double lowest = now.a;
       for (std::size_t i = base; i < state.samples.size(); ++i) {
         const Sample& s = state.samples[i];
-        if (s.at < start) continue;
-        extreme = rule.kind == SloRuleKind::kGaugeAbove
-                      ? std::min(extreme, s.a)
-                      : std::max(extreme, s.a);
+        if (s.at >= start) lowest = std::min(lowest, s.a);
       }
-      return extreme;
+      return lowest;
     }
     case SloRuleKind::kLatencyQuantile: {
       const std::uint64_t dcount =
@@ -263,7 +259,6 @@ bool SloMonitor::condition_met(const RuleState& state, double value) const {
     case SloRuleKind::kRatio: return value >= state.rule.burn_rate;
     case SloRuleKind::kRateAbove: return value >= state.rule.threshold;
     case SloRuleKind::kGaugeAbove: return value >= state.rule.threshold;
-    case SloRuleKind::kGaugeBelow: return value <= state.rule.threshold;
     case SloRuleKind::kLatencyQuantile: return value >= state.rule.threshold;
   }
   return false;
@@ -292,6 +287,7 @@ void SloMonitor::transition(RuleState& state, bool firing, double value) {
 }
 
 void SloMonitor::evaluate_now() {
+  if (refresh_) refresh_();
   for (RuleState& state : states_) {
     observe(state);
     bool met = !state.rule.windows.empty();
@@ -318,6 +314,7 @@ void SloMonitor::start() {
   if (running_) return;
   running_ = true;
   // Baseline sample only: no rule can fire before one interval of history.
+  if (refresh_) refresh_();
   for (RuleState& state : states_) observe(state);
   pending_ = sim_.schedule(config_.evaluation_interval, [this] { tick(); });
 }

@@ -3,7 +3,8 @@
 //
 // Rules are JSON-configured (configs/slo_default.json) expressions over
 // metrics in a Registry, evaluated every `evaluation_interval` of sim time
-// against rolling windows of prior samples:
+// (after the run's refresh callback has published current values) against
+// rolling windows of prior samples:
 //
 //   ratio             bad/total counter-delta ratio, alarmed as an
 //                     error-budget burn rate: burn = (Δbad/Δtotal)/objective.
@@ -12,8 +13,8 @@
 //                     (short window catches the spike, long window keeps
 //                     one noisy tick from paging).
 //   rate_above        counter delta per second >= threshold on every window.
-//   gauge_above/below gauge beyond threshold for an entire window
-//                     (sustained, not instantaneous).
+//   gauge_above       gauge >= threshold for an entire window (sustained,
+//                     not instantaneous).
 //   latency_quantile  windowed histogram-bucket deltas, interpolated
 //                     quantile >= threshold on every window.
 //
@@ -47,7 +48,6 @@ enum class SloRuleKind : std::uint8_t {
   kRatio,
   kRateAbove,
   kGaugeAbove,
-  kGaugeBelow,
   kLatencyQuantile,
 };
 
@@ -60,7 +60,7 @@ struct SloRule {
   std::string metric;       ///< counter / gauge / histogram, per kind
   std::string denominator;  ///< ratio only: the "total" counter
   /// ratio: allowed bad fraction (the SLO objective, e.g. 0.05);
-  /// rate_above / gauge_*: the threshold;
+  /// rate_above / gauge_above: the threshold;
   /// latency_quantile: the latency bound, in the histogram's unit.
   double threshold = 0;
   double quantile = 0.99;     ///< latency_quantile only
@@ -102,8 +102,11 @@ struct SloAlert {
 class SloMonitor {
  public:
   /// The monitor reads metric values from `registry` and also publishes its
-  /// own alert counters back into it.
-  SloMonitor(sim::Simulation& sim, Registry& registry, SloConfig config);
+  /// own alert counters back into it. `refresh` (may be empty) runs before
+  /// the baseline and every evaluation so the components publish their
+  /// current values; it must stay callable until stop().
+  SloMonitor(sim::Simulation& sim, Registry& registry, SloConfig config,
+             std::function<void()> refresh);
 
   /// Emit alert instants on this tracer lane (optional).
   void set_tracer(Tracer* tracer, int lane);
@@ -114,7 +117,8 @@ class SloMonitor {
   /// stop(). Call before running the simulation.
   void start();
   void stop();
-  /// One evaluation pass at the current sim time (also used by tests).
+  /// Refresh, then one evaluation pass at the current sim time (also used
+  /// by tests).
   void evaluate_now();
 
   const SloConfig& config() const { return config_; }
@@ -158,6 +162,7 @@ class SloMonitor {
   sim::Simulation& sim_;
   Registry& registry_;
   SloConfig config_;
+  std::function<void()> refresh_;
   std::vector<RuleState> states_;
   std::vector<SloAlert> alerts_;
   std::uint64_t fires_ = 0, clears_ = 0;

@@ -44,7 +44,7 @@ void Telemetry::configure(TimeSeriesConfig sampler_config,
 }
 
 void Telemetry::attach(sim::Simulation& sim, Registry& registry,
-                       Tracer* tracer) {
+                       Tracer* tracer, std::function<void()> refresh) {
   if (!enabled_) return;
   finish();  // stop a previous run's instruments before replacing them
 
@@ -52,9 +52,10 @@ void Telemetry::attach(sim::Simulation& sim, Registry& registry,
   if (!flight_out_.empty()) flight_->arm(flight_out_);
 
   sampler_ = std::make_unique<TimeSeriesSampler>(sim, registry,
-                                                 sampler_config_);
+                                                 sampler_config_, refresh);
   if (slo_config_) {
-    slo_ = std::make_unique<SloMonitor>(sim, registry, *slo_config_);
+    slo_ = std::make_unique<SloMonitor>(sim, registry, *slo_config_,
+                                        std::move(refresh));
     if (tracer != nullptr) {
       const int lane = tracer->lane("slo_monitor");
       slo_->set_tracer(tracer, lane);

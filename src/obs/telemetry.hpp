@@ -6,11 +6,16 @@
 // --flight-out), attach() it to the run's Simulation + Registry before the
 // clock starts, finish() it before the Simulation is destroyed (the sampler
 // and monitor hold recurring events on the sim), and write() the artifacts
-// afterwards. The SLO monitor's first fire automatically triggers the
-// flight-recorder post-mortem, so an alert always comes with the event
-// window that led up to it.
+// afterwards. Each driver hands attach() the function it calls for its
+// end-of-run metrics snapshot; the sampler and monitor call it before
+// every sample and evaluation, so every counter and gauge is declared once,
+// in its component's publish_metrics, and the time series carries every
+// series the snapshot does. The SLO monitor's first fire automatically
+// triggers the flight-recorder post-mortem, so an alert always comes with
+// the event window that led up to it.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,8 +56,12 @@ class Telemetry {
 
   /// Create the instruments for this run and start the recurring sampling /
   /// evaluation events. Call before the simulation runs. Re-attaching
-  /// replaces the previous run's instruments.
-  void attach(sim::Simulation& sim, Registry& registry, Tracer* tracer);
+  /// replaces the previous run's instruments. `refresh` publishes the run's
+  /// current counters and gauges into `registry` (set only: no observe, no
+  /// scheduling); it runs before every sample and evaluation and must stay
+  /// callable until finish().
+  void attach(sim::Simulation& sim, Registry& registry, Tracer* tracer,
+              std::function<void()> refresh);
 
   /// Take one final sample + evaluation at the current sim time and cancel
   /// the recurring events. MUST be called while the Simulation attached to

@@ -7,16 +7,13 @@ namespace bm::obs {
 
 TimeSeriesSampler::TimeSeriesSampler(sim::Simulation& sim,
                                      const Registry& registry,
-                                     TimeSeriesConfig config)
-    : sim_(sim), registry_(registry), config_(config) {
+                                     TimeSeriesConfig config,
+                                     std::function<void()> refresh)
+    : sim_(sim),
+      registry_(registry),
+      config_(config),
+      refresh_(std::move(refresh)) {
   if (config_.interval <= 0) config_.interval = 10 * sim::kMillisecond;
-}
-
-bool TimeSeriesSampler::included(const std::string& name) const {
-  if (config_.include_prefixes.empty()) return true;
-  for (const std::string& prefix : config_.include_prefixes)
-    if (name.compare(0, prefix.size(), prefix) == 0) return true;
-  return false;
 }
 
 void TimeSeriesSampler::record(const std::string& name, Kind kind,
@@ -31,18 +28,16 @@ void TimeSeriesSampler::record(const std::string& name, Kind kind,
 
 void TimeSeriesSampler::sample_now() {
   if (!at_.empty() && at_.back() == sim_.now()) return;
+  if (refresh_) refresh_();
   at_.push_back(sim_.now());
   registry_.for_each(
       [this](const std::string& name, const Counter& counter) {
-        if (included(name))
-          record(name, Kind::kCounter,
-                 static_cast<double>(counter.value()));
+        record(name, Kind::kCounter, static_cast<double>(counter.value()));
       },
       [this](const std::string& name, const Gauge& gauge) {
-        if (included(name)) record(name, Kind::kGauge, gauge.value());
+        record(name, Kind::kGauge, gauge.value());
       },
       [this](const std::string& name, const Histogram& histogram) {
-        if (!config_.sample_histograms || !included(name)) return;
         record(name + "_count", Kind::kCounter,
                static_cast<double>(histogram.count()));
         record(name + "_sum", Kind::kCounter, histogram.sum());

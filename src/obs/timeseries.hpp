@@ -3,10 +3,12 @@
 // PR 1's Registry answers "what were the totals at the end of the run"; the
 // sampler answers "when did they move". A TimeSeriesSampler is scheduled on
 // the discrete-event simulation and, every `interval` of simulated time,
-// snapshots the selected counters, gauges and histogram count/sum pairs
-// into aligned columns — the software analogue of reading the paper's
-// block_monitor registers (§4.1) on a fixed poll loop. Counters additionally
-// get a derived per-second rate column at serialization time, so a plot of
+// calls the run's refresh callback (each component's publish_metrics, the
+// same function that writes the end-of-run snapshot) and then snapshots
+// every counter, gauge and histogram count/sum pair into aligned columns —
+// the software analogue of the host reading the paper's block_monitor
+// registers (§4.1) on a fixed poll loop. Counters additionally get a
+// derived per-second rate column at serialization time, so a plot of
 // goodput or shed rate needs no post-processing.
 //
 // Determinism: ticks are simulated-time events (never wall clock), series
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,19 +32,16 @@ namespace bm::obs {
 struct TimeSeriesConfig {
   /// Simulated time between samples.
   sim::Time interval = 10 * sim::kMillisecond;
-  /// Metric-name prefixes to sample; empty = every metric in the registry.
-  std::vector<std::string> include_prefixes;
-  /// Sample histograms as two derived counter columns (<name>_count and
-  /// <name>_sum) so latency activity shows up between snapshots.
-  bool sample_histograms = true;
 };
 
 class TimeSeriesSampler {
  public:
   /// The registry is read-only from the sampler's point of view; the
-  /// simulation drives the tick schedule.
+  /// simulation drives the tick schedule. `refresh` (may be empty) runs
+  /// before every sample so the components publish their current values;
+  /// it must stay callable until the last sample_now()/stop().
   TimeSeriesSampler(sim::Simulation& sim, const Registry& registry,
-                    TimeSeriesConfig config);
+                    TimeSeriesConfig config, std::function<void()> refresh);
 
   /// Take a baseline sample now and schedule a tick every `interval` until
   /// stop(). Call before running the simulation.
@@ -51,9 +51,11 @@ class TimeSeriesSampler {
   /// before the bound Simulation is destroyed.
   void stop();
 
-  /// Take one sample at the current simulated time (also used for the
-  /// final "end of run" column). Duplicate timestamps are collapsed: a
-  /// second sample at the same sim time overwrites nothing and is skipped.
+  /// Refresh, then take one sample at the current simulated time (also
+  /// used for the final "end of run" column). Histograms become two counter
+  /// columns, <name>_count and <name>_sum. Duplicate timestamps are
+  /// collapsed: a second sample at the same sim time is skipped, refresh
+  /// included.
   void sample_now();
 
   std::size_t sample_count() const { return at_.size(); }
@@ -84,13 +86,13 @@ class TimeSeriesSampler {
     std::vector<double> values;
   };
 
-  bool included(const std::string& name) const;
   void record(const std::string& name, Kind kind, double value);
   void tick();
 
   sim::Simulation& sim_;
   const Registry& registry_;
   TimeSeriesConfig config_;
+  std::function<void()> refresh_;
   std::vector<sim::Time> at_;
   std::map<std::string, Series> series_;  ///< sorted => deterministic output
   sim::EventId pending_ = 0;

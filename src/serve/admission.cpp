@@ -40,7 +40,6 @@ std::size_t AdmissionQueue::class_cap(int klass) const {
 AdmissionDecision AdmissionQueue::offer(std::uint64_t id, int klass,
                                         sim::Time now, SessionId session) {
   stats_.offered += 1;
-  if (live_offered_ != nullptr) live_offered_->inc();
   klass = std::clamp(klass, 0, config_.classes - 1);
   refill(now);
 
@@ -52,8 +51,6 @@ AdmissionDecision AdmissionQueue::offer(std::uint64_t id, int klass,
   const double rate = refill_rate();
   if (depth() >= class_cap(klass)) {
     stats_.shed_queue_full += 1;
-    if (live_shed_queue_full_ != nullptr) live_shed_queue_full_->inc();
-    if (live_shed_total_ != nullptr) live_shed_total_->inc();
     decision.result = AdmitResult::kOverloaded;
     // The queue drains at (at most) the token rate; hint one slot's worth,
     // or a millisecond when unthrottled (capacity-bound, drain unknown).
@@ -65,8 +62,6 @@ AdmissionDecision AdmissionQueue::offer(std::uint64_t id, int klass,
   }
   if (config_.token_rate_tps > 0 && tokens_ < 1.0) {
     stats_.shed_rate_limited += 1;
-    if (live_shed_rate_limited_ != nullptr) live_shed_rate_limited_->inc();
-    if (live_shed_total_ != nullptr) live_shed_total_->inc();
     decision.result = AdmitResult::kOverloaded;
     decision.retry_after =
         rate > 0 ? static_cast<sim::Time>((1.0 - tokens_) / rate *
@@ -80,8 +75,6 @@ AdmissionDecision AdmissionQueue::offer(std::uint64_t id, int klass,
       AdmittedRequest{id, klass, now, session});
   stats_.admitted += 1;
   stats_.depth_high_water = std::max(stats_.depth_high_water, depth());
-  if (live_admitted_ != nullptr) live_admitted_->inc();
-  if (live_depth_ != nullptr) live_depth_->set(static_cast<double>(depth()));
   return decision;
 }
 
@@ -90,7 +83,6 @@ std::optional<AdmittedRequest> AdmissionQueue::pop() {
     if (queue.empty()) continue;
     AdmittedRequest request = queue.front();
     queue.pop_front();
-    if (live_depth_ != nullptr) live_depth_->set(static_cast<double>(depth()));
     return request;
   }
   return std::nullopt;
@@ -107,31 +99,7 @@ void AdmissionQueue::set_pressure(bool on, sim::Time now) {
   // Settle the bucket at the old rate before switching.
   refill(now);
   pressure_ = on;
-  if (on) {
-    stats_.pressure_raised += 1;
-    if (live_pressure_raised_ != nullptr) live_pressure_raised_->inc();
-  }
-}
-
-void AdmissionQueue::attach_observability(obs::Registry& registry,
-                                          const std::string& prefix) {
-  live_offered_ = &registry.counter(prefix + "_offered_total",
-                                    "requests offered");
-  live_admitted_ = &registry.counter(prefix + "_admitted_total",
-                                     "requests admitted");
-  live_shed_queue_full_ =
-      &registry.counter(prefix + "_shed_queue_full_total",
-                        "requests shed: queue or class share exhausted");
-  live_shed_rate_limited_ =
-      &registry.counter(prefix + "_shed_rate_limited_total",
-                        "requests shed: token bucket empty");
-  live_shed_total_ =
-      &registry.counter(prefix + "_shed_total", "requests shed, any reason");
-  live_pressure_raised_ =
-      &registry.counter(prefix + "_pressure_raised_total",
-                        "downstream pressure off->on transitions");
-  live_depth_ =
-      &registry.gauge(prefix + "_depth", "requests queued right now");
+  if (on) stats_.pressure_raised += 1;
 }
 
 void AdmissionQueue::publish_metrics(obs::Registry& registry,
@@ -155,6 +123,8 @@ void AdmissionQueue::publish_metrics(obs::Registry& registry,
       .counter(prefix + "_pressure_raised_total",
                "downstream pressure off->on transitions")
       .set(stats_.pressure_raised);
+  registry.gauge(prefix + "_depth", "requests queued right now")
+      .set(static_cast<double>(depth()));
   registry
       .gauge(prefix + "_depth_high_water",
              "most requests ever queued at once")

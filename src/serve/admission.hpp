@@ -104,15 +104,10 @@ class AdmissionQueue {
   const AdmissionStats& stats() const { return stats_; }
   const AdmissionConfig& config() const { return config_; }
 
-  /// Snapshot the counters under "<prefix>_..." (idempotent).
+  /// Snapshot the counters and the current depth under "<prefix>_..."
+  /// (idempotent; the telemetry sampler calls it before every sample).
   void publish_metrics(obs::Registry& registry,
                        const std::string& prefix) const;
-
-  /// Bind live counters (same "<prefix>_..." names publish_metrics sets, so
-  /// the end-of-run snapshot is idempotent with the live increments) plus a
-  /// "<prefix>_depth" gauge, so the continuous-telemetry sampler sees the
-  /// admission stage move *during* the run instead of one jump at the end.
-  void attach_observability(obs::Registry& registry, const std::string& prefix);
 
  private:
   void refill(sim::Time now);
@@ -125,15 +120,6 @@ class AdmissionQueue {
   sim::Time last_refill_ = 0;
   bool pressure_ = false;
   AdmissionStats stats_;
-
-  // Live telemetry bindings; null until attach_observability().
-  obs::Counter* live_offered_ = nullptr;
-  obs::Counter* live_admitted_ = nullptr;
-  obs::Counter* live_shed_queue_full_ = nullptr;
-  obs::Counter* live_shed_rate_limited_ = nullptr;
-  obs::Counter* live_shed_total_ = nullptr;
-  obs::Counter* live_pressure_raised_ = nullptr;
-  obs::Gauge* live_depth_ = nullptr;
 };
 
 }  // namespace bm::serve

@@ -25,7 +25,6 @@ void EndorsementService::pump() {
       // The client's SLO already expired while the request queued;
       // executing it would burn a lane on a dead response.
       stats_.cancelled += 1;
-      if (live_cancelled_ != nullptr) live_cancelled_->inc();
       if (flight_ != nullptr)
         flight_->record(obs::FlightStage::kTimedOut, request->id, "deadline");
       if (cancelled_) cancelled_(*request);
@@ -39,16 +38,12 @@ void EndorsementService::pump() {
     busy_ += 1;
     stats_.dispatched += 1;
     stats_.busy_time += service;
-    if (live_dispatched_ != nullptr) live_dispatched_->inc();
-    if (live_busy_ != nullptr) live_busy_->set(busy_);
     if (flight_ != nullptr)
       flight_->record(obs::FlightStage::kDispatched, request->id);
     sim_.schedule(service, [this, request = *request,
                             draft = std::move(draft)]() mutable {
       busy_ -= 1;
       stats_.completed += 1;
-      if (live_completed_ != nullptr) live_completed_->inc();
-      if (live_busy_ != nullptr) live_busy_->set(busy_);
       if (completion_) completion_(request, std::move(draft));
       pump();
     });
@@ -79,19 +74,7 @@ void EndorsementService::publish_metrics(obs::Registry& registry,
              "summed simulated lane occupancy")
       .set(static_cast<double>(stats_.busy_time) /
            static_cast<double>(sim::kSecond));
-}
-
-void EndorsementService::attach_observability(obs::Registry& registry,
-                                              const std::string& prefix) {
-  live_dispatched_ =
-      &registry.counter(prefix + "_dispatched_total", "requests dispatched");
-  live_completed_ =
-      &registry.counter(prefix + "_completed_total", "endorsements completed");
-  live_cancelled_ =
-      &registry.counter(prefix + "_cancelled_total",
-                        "queued requests cancelled past their deadline");
-  live_busy_ =
-      &registry.gauge(prefix + "_busy_workers", "lanes busy right now");
+  registry.gauge(prefix + "_busy_workers", "lanes busy right now").set(busy_);
 }
 
 }  // namespace bm::serve

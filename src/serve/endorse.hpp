@@ -78,13 +78,10 @@ class EndorsementService {
   std::vector<Bytes> sign_envelopes(
       const std::vector<workload::TxDraft>& drafts);
 
-  /// Snapshot the counters under "<prefix>_..." (idempotent).
+  /// Snapshot the counters and the busy-lane count under "<prefix>_..."
+  /// (idempotent; the telemetry sampler calls it before every sample).
   void publish_metrics(obs::Registry& registry,
                        const std::string& prefix) const;
-
-  /// Bind live counters (same names publish_metrics sets) plus a
-  /// "<prefix>_busy_workers" gauge for the continuous-telemetry sampler.
-  void attach_observability(obs::Registry& registry, const std::string& prefix);
 
   /// Record dispatch / deadline-cancel lifecycle events (null to detach).
   void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
@@ -100,10 +97,6 @@ class EndorsementService {
   int busy_ = 0;
   Stats stats_;
 
-  obs::Counter* live_dispatched_ = nullptr;
-  obs::Counter* live_completed_ = nullptr;
-  obs::Counter* live_cancelled_ = nullptr;
-  obs::Gauge* live_busy_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
 };
 

@@ -8,7 +8,6 @@
 
 #include "fabric/timing_model.hpp"
 #include "obs/telemetry.hpp"
-#include "workload/caliper.hpp"
 #include "workload/chaincode.hpp"
 
 namespace bm::serve {
@@ -38,7 +37,6 @@ struct Record {
 struct CutBlock {
   fabric::Block block;
   std::vector<std::uint64_t> members;  ///< request ids, envelope order
-  sim::Time cut_at = 0;
 };
 
 class ServeRun {
@@ -105,23 +103,9 @@ class ServeRun {
     }
 
     if (registry_ != nullptr) {
-      // Live bindings: the same names assemble()'s publish() sets at the
-      // end, incremented as events happen so the continuous-telemetry
-      // sampler sees them move. The end-of-run .set() is idempotent.
+      // Histograms are observed once per committed transaction, so they are
+      // bound here; every counter and gauge comes from publish_state().
       obs::Registry& registry = *registry_;
-      admission_.attach_observability(registry, "serve_admission");
-      endorse_.attach_observability(registry, "serve_endorse");
-      if (sessions_ != nullptr) sessions_->attach_observability(registry);
-      live_committed_ = &registry.counter("serve_txs_committed_total",
-                                          "transactions committed");
-      live_valid_ = &registry.counter("serve_txs_valid_total",
-                                      "transactions flagged valid");
-      live_blocks_ = &registry.counter("serve_blocks_committed_total",
-                                       "blocks committed");
-      live_ingress_pending_ =
-          &registry.gauge("serve_ingress_pending", "drafts awaiting a cut");
-      live_commit_backlog_ = &registry.gauge(
-          "serve_commit_backlog", "blocks queued or in service right now");
       const auto buckets = obs::Histogram::latency_ms_buckets();
       h_wait_ = &registry.histogram(
           "serve_admission_wait_ms", buckets,
@@ -147,7 +131,7 @@ class ServeRun {
 
   ServeReport run(obs::Telemetry* telemetry) {
     if (telemetry != nullptr && telemetry->enabled() && registry_ != nullptr) {
-      telemetry->attach(sim_, *registry_, tracer_);
+      telemetry->attach(sim_, *registry_, tracer_, [this] { publish_state(); });
       flight_ = telemetry->flight();
       endorse_.set_flight_recorder(flight_);
     }
@@ -292,9 +276,6 @@ class ServeRun {
     pending_drafts_.push_back(std::move(draft));
     ingress_high_water_ =
         std::max(ingress_high_water_, pending_members_.size());
-    if (live_ingress_pending_ != nullptr)
-      live_ingress_pending_->set(
-          static_cast<double>(pending_members_.size()));
     if (pending_members_.size() >= options_.ingress.max_batch) {
       sim_.cancel(batch_timer_);
       cut_batch();
@@ -322,19 +303,15 @@ class ServeRun {
       if (flight_ != nullptr)
         flight_->record(obs::FlightStage::kOrdered, id);
     }
-    if (live_ingress_pending_ != nullptr) live_ingress_pending_->set(0);
     if (tracer_ != nullptr)
       tracer_->complete(lane_ingress_,
                         "batch " + std::to_string(block->header.number),
                         "serve", batch_opened_, sim_.now(),
                         {{"txs", static_cast<std::uint64_t>(members.size())}});
 
-    commit_queue_.push_back(
-        CutBlock{std::move(*block), std::move(members), sim_.now()});
+    commit_queue_.push_back(CutBlock{std::move(*block), std::move(members)});
     commit_backlog_high_water_ =
         std::max(commit_backlog_high_water_, commit_backlog());
-    if (live_commit_backlog_ != nullptr)
-      live_commit_backlog_->set(static_cast<double>(commit_backlog()));
     update_pressure();
     pump_commit();
   }
@@ -391,13 +368,6 @@ class ServeRun {
       valid_txs_ += result.valid_tx_count;
       committed_txs_ += cut.members.size();
       last_commit_at_ = sim_.now();
-      if (live_blocks_ != nullptr) live_blocks_->inc();
-      if (live_valid_ != nullptr) live_valid_->inc(result.valid_tx_count);
-      if (live_committed_ != nullptr) live_committed_->inc(cut.members.size());
-
-      caliper_.record(workload::BlockObservation{
-          cut.block.header.number, static_cast<std::uint32_t>(cut.members.size()),
-          result.valid_tx_count, cut.cut_at, sim_.now(), sim_.now()});
       if (tracer_ != nullptr)
         tracer_->complete(
             lane_commit_, "block " + std::to_string(cut.block.header.number),
@@ -406,16 +376,13 @@ class ServeRun {
       if (options_.keep_blocks) blocks_.push_back(std::move(cut.block));
 
       commit_busy_ = false;
-      if (live_commit_backlog_ != nullptr)
-        live_commit_backlog_->set(static_cast<double>(commit_backlog()));
       update_pressure();
       pump_commit();
     });
   }
 
   /// Live per-stage latency observation at commit time; mirrors the report
-  /// breakdown exactly (same records, same unit) so the end-of-run
-  /// histograms equal what publish() used to bulk-observe.
+  /// breakdown exactly (same records, same unit).
   void observe_latencies(const Record& record) {
     if (h_total_ == nullptr) return;
     constexpr double kMs = static_cast<double>(sim::kMillisecond);
@@ -506,7 +473,7 @@ class ServeRun {
     report.total_ms = workload::summarize(total);
 
     if (options_.check_equivalence) verify_equivalence(report);
-    if (registry_ != nullptr) publish(report);
+    if (registry_ != nullptr) publish_state();
     if (options_.keep_blocks) report.blocks = std::move(blocks_);
     return report;
   }
@@ -546,7 +513,9 @@ class ServeRun {
     report.flags_match = true;
   }
 
-  void publish(const ServeReport& report) {
+  /// Every serve counter and gauge, read from the stages' own state: the
+  /// telemetry refresh before each sample and the end-of-run snapshot.
+  void publish_state() {
     obs::Registry& registry = *registry_;
     admission_.publish_metrics(registry, "serve_admission");
     endorse_.publish_metrics(registry, "serve_endorse");
@@ -555,35 +524,30 @@ class ServeRun {
       registry
           .counter("serve_session_rejected_total",
                    "arrivals refused by the session layer")
-          .set(report.rejected_session);
+          .set(rejected_session_);
     }
     // Durable-ledger accounting (bytes appended, fsyncs, snapshot age) when
     // the scenario persists its chain (docs/DURABILITY.md).
     if (harness_.durable() != nullptr)
       harness_.durable()->publish_metrics(registry, "serve_durable");
     registry.counter("serve_txs_committed_total", "transactions committed")
-        .set(report.committed_txs);
+        .set(committed_txs_);
     registry.counter("serve_txs_valid_total", "transactions flagged valid")
-        .set(report.valid_txs);
+        .set(valid_txs_);
     registry.counter("serve_blocks_committed_total", "blocks committed")
-        .set(report.blocks_committed);
-    registry.gauge("serve_offered_tps", "offered load").set(report.offered_tps);
-    registry.gauge("serve_goodput_tps", "valid committed throughput")
-        .set(report.goodput_tps);
+        .set(blocks_committed_);
+    registry.gauge("serve_ingress_pending", "drafts awaiting a cut")
+        .set(static_cast<double>(pending_members_.size()));
+    registry
+        .gauge("serve_commit_backlog", "blocks queued or in service right now")
+        .set(static_cast<double>(commit_backlog()));
     registry
         .gauge("serve_ingress_high_water", "most drafts awaiting a cut")
-        .set(static_cast<double>(report.ingress_high_water));
+        .set(static_cast<double>(ingress_high_water_));
     registry
         .gauge("serve_commit_backlog_high_water",
                "most blocks queued or in service at the commit stage")
-        .set(static_cast<double>(report.commit_backlog_high_water));
-
-    // Latency histograms were observed live at each commit
-    // (observe_latencies); re-observing here would double-count.
-
-    caliper_.record_shed(report.shed_total());
-    caliper_.record_timeout(report.timed_out);
-    caliper_.publish_metrics(registry);
+        .set(static_cast<double>(commit_backlog_high_water_));
   }
 
   ServeOptions options_;
@@ -604,12 +568,7 @@ class ServeRun {
   obs::Tracer* tracer_;
   int lane_admission_ = 0, lane_ingress_ = 0, lane_commit_ = 0;
 
-  // Live telemetry bindings; null without a registry.
-  obs::Counter* live_committed_ = nullptr;
-  obs::Counter* live_valid_ = nullptr;
-  obs::Counter* live_blocks_ = nullptr;
-  obs::Gauge* live_ingress_pending_ = nullptr;
-  obs::Gauge* live_commit_backlog_ = nullptr;
+  // Latency histograms; null without a registry.
   obs::Histogram* h_wait_ = nullptr;
   obs::Histogram* h_endorse_ = nullptr;
   obs::Histogram* h_order_ = nullptr;
@@ -632,7 +591,6 @@ class ServeRun {
   std::size_t ingress_high_water_ = 0, commit_backlog_high_water_ = 0;
   sim::Time last_commit_at_ = 0;
   std::vector<fabric::Block> blocks_;
-  workload::CaliperReport caliper_{"serve"};
 };
 
 }  // namespace

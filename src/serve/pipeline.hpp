@@ -153,8 +153,8 @@ struct ServeReport {
 };
 
 /// Run one open-loop serving scenario end to end. Observability sinks are
-/// optional; when given, every stage publishes into them ("serve_*" metrics
-/// plus a caliper_serve_* report with shed/timeout counts). A configured
+/// optional; when given, every stage publishes into them ("serve_*"
+/// metrics). A configured
 /// obs::Telemetry (requires `registry`) additionally runs the continuous
 /// time-series sampler, SLO monitor and flight recorder on the run's
 /// simulated clock; the report itself is identical with or without it.

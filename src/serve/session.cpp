@@ -30,13 +30,11 @@ SessionManager::OpenResult SessionManager::open(
     const fabric::Certificate& cert, int rate_class) {
   if (!msp_.validate(cert)) {
     ++stats_.rejected_bad_cert;
-    if (c_rejected_cert_ != nullptr) c_rejected_cert_->inc();
     return {SessionVerdict::kBadCert, kNoSession};
   }
   if (config_.max_sessions > 0 &&
       active_count_ + grace_count_ >= config_.max_sessions) {
     ++stats_.rejected_capacity;
-    if (c_rejected_capacity_ != nullptr) c_rejected_capacity_->inc();
     return {SessionVerdict::kCapacity, kNoSession};
   }
 
@@ -57,8 +55,6 @@ SessionManager::OpenResult SessionManager::open(
   s.last_active = sim_.now();
   ++active_count_;
   ++stats_.opened;
-  if (c_opened_ != nullptr) c_opened_->inc();
-  if (g_active_ != nullptr) g_active_->set(static_cast<double>(active_count_));
   touch(slot);
   return {SessionVerdict::kOk,
           (static_cast<SessionId>(s.generation) << 32) | slot};
@@ -74,7 +70,6 @@ SessionVerdict SessionManager::resume(SessionId id,
   if (s->state == State::kActive) return SessionVerdict::kOk;  // no-op
   if (!msp_.validate(cert)) {
     ++stats_.rejected_bad_cert;
-    if (c_rejected_cert_ != nullptr) c_rejected_cert_->inc();
     return SessionVerdict::kBadCert;
   }
   s->state = State::kActive;
@@ -82,8 +77,6 @@ SessionVerdict SessionManager::resume(SessionId id,
   --grace_count_;
   ++active_count_;
   ++stats_.reconnected;
-  if (c_reconnected_ != nullptr) c_reconnected_->inc();
-  if (g_active_ != nullptr) g_active_->set(static_cast<double>(active_count_));
   touch(slot_of(id));
   return SessionVerdict::kOk;
 }
@@ -97,17 +90,14 @@ SessionVerdict SessionManager::submit(SessionId id, std::uint64_t seq) {
   if (s->state == State::kGrace) return SessionVerdict::kIdleEvicted;
   if (s->next_seq >= config_.seq_limit) {
     ++stats_.seq_overflow;
-    if (c_seq_rejected_ != nullptr) c_seq_rejected_->inc();
     return SessionVerdict::kSeqOverflow;
   }
   if (seq < s->next_seq) {
     ++stats_.seq_duplicate;
-    if (c_seq_rejected_ != nullptr) c_seq_rejected_->inc();
     return SessionVerdict::kDuplicateSeq;
   }
   if (seq > s->next_seq) {
     ++stats_.seq_out_of_order;
-    if (c_seq_rejected_ != nullptr) c_seq_rejected_->inc();
     return SessionVerdict::kOutOfOrderSeq;
   }
   ++s->next_seq;
@@ -143,9 +133,6 @@ void SessionManager::on_expire(std::uint32_t slot) {
     --active_count_;
     ++grace_count_;
     ++stats_.evicted;
-    if (c_evicted_ != nullptr) c_evicted_->inc();
-    if (g_active_ != nullptr)
-      g_active_->set(static_cast<double>(active_count_));
     if (config_.grace > 0)
       wheel_.arm(slot, sim_.now() + config_.grace);
     else
@@ -185,28 +172,6 @@ void SessionManager::reschedule() {
     });
     reschedule();
   });
-}
-
-void SessionManager::attach_observability(obs::Registry& registry) {
-  g_active_ =
-      &registry.gauge("serve_sessions_active", "sessions currently active");
-  c_opened_ = &registry.counter("serve_sessions_opened_total",
-                                "sessions opened (successful handshakes)");
-  c_evicted_ = &registry.counter("serve_sessions_evicted_total",
-                                 "sessions idle-evicted into the grace window");
-  c_reconnected_ =
-      &registry.counter("serve_sessions_reconnected_total",
-                        "sessions resumed within the grace window");
-  c_rejected_cert_ =
-      &registry.counter("serve_sessions_rejected_bad_cert_total",
-                        "handshakes rejected by MSP validation");
-  c_rejected_capacity_ =
-      &registry.counter("serve_sessions_rejected_capacity_total",
-                        "handshakes rejected by the session cap");
-  c_seq_rejected_ =
-      &registry.counter("serve_session_seq_rejected_total",
-                        "requests rejected by sequence-number checks");
-  g_active_->set(static_cast<double>(active_count_));
 }
 
 void SessionManager::publish_metrics(obs::Registry& registry) const {

@@ -135,11 +135,8 @@ class SessionManager {
   const SessionStats& stats() const { return stats_; }
   const TimerWheel& wheel() const { return wheel_; }
 
-  /// Bind live gauges/counters (serve_sessions_active, ..._opened_total,
-  /// ..._evicted_total, ..._reconnected_total, ...) so the time-series
-  /// sampler sees session churn as it happens.
-  void attach_observability(obs::Registry& registry);
-  /// Idempotent end-of-run snapshot of the same metrics.
+  /// Snapshot serve_sessions_active and the session counters (idempotent;
+  /// the telemetry sampler calls it before every sample).
   void publish_metrics(obs::Registry& registry) const;
 
  private:
@@ -176,14 +173,6 @@ class SessionManager {
   bool timer_pending_ = false;
   sim::EventId timer_event_ = 0;
   sim::Time timer_at_ = 0;
-
-  obs::Gauge* g_active_ = nullptr;
-  obs::Counter* c_opened_ = nullptr;
-  obs::Counter* c_evicted_ = nullptr;
-  obs::Counter* c_reconnected_ = nullptr;
-  obs::Counter* c_rejected_cert_ = nullptr;
-  obs::Counter* c_rejected_capacity_ = nullptr;
-  obs::Counter* c_seq_rejected_ = nullptr;
 };
 
 }  // namespace bm::serve

@@ -54,48 +54,12 @@ std::vector<double> CaliperReport::windowed_tps(sim::Time window) const {
   return tps;
 }
 
-void CaliperReport::publish_metrics(obs::Registry& registry) const {
-  const std::string base = "caliper_" + peer_;
-  registry.counter(base + "_blocks_total", "blocks observed by the reporter")
-      .set(observations_.size());
-  registry.counter(base + "_txs_total", "transactions observed")
-      .set(total_txs_);
-  registry.counter(base + "_txs_valid_total", "transactions flagged valid")
-      .set(valid_txs_);
-  registry
-      .counter(base + "_txs_shed_total",
-               "transactions refused admission (kOverloaded)")
-      .set(shed_txs_);
-  registry
-      .counter(base + "_txs_timed_out_total",
-               "admitted transactions cancelled past their deadline")
-      .set(timed_out_txs_);
-  registry
-      .gauge(base + "_commit_tps",
-             "commit throughput over the whole run (first receive -> last "
-             "commit)")
-      .set(overall_tps());
-  auto& latency = registry.histogram(
-      base + "_validation_latency_ms", obs::Histogram::latency_ms_buckets(),
-      "block validation latency (validated - received)");
-  for (const auto& o : observations_)
-    latency.observe(static_cast<double>(o.validated_at - o.received_at) /
-                    sim::kMillisecond);
-}
-
 std::string CaliperReport::render(sim::Time window) const {
   std::ostringstream out;
   const Summary latency = validation_latency_ms();
   out << "caliper report for '" << peer_ << "': " << observations_.size()
       << " blocks, " << total_txs_ << " txs (" << valid_txs_ << " valid)\n";
   char line[200];
-  if (shed_txs_ > 0 || timed_out_txs_ > 0) {
-    std::snprintf(line, sizeof(line),
-                  "  shed %llu  timed out %llu (not in the block counts)\n",
-                  static_cast<unsigned long long>(shed_txs_),
-                  static_cast<unsigned long long>(timed_out_txs_));
-    out << line;
-  }
   std::snprintf(line, sizeof(line),
                 "  commit throughput: %.0f tps\n"
                 "  block validation latency (ms): mean %.2f  p50 %.2f  "

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "workload/metrics.hpp"
 
@@ -29,19 +28,9 @@ class CaliperReport {
 
   void record(const BlockObservation& observation);
 
-  /// Transactions the front end refused admission to (kOverloaded). They
-  /// never reach a block, so they are counted beside the observations: a
-  /// load sweep without them would pass off shedding as goodput.
-  void record_shed(std::uint64_t n = 1) { shed_txs_ += n; }
-  /// Admitted transactions cancelled because their deadline expired before
-  /// endorsement could start.
-  void record_timeout(std::uint64_t n = 1) { timed_out_txs_ += n; }
-
   std::size_t blocks() const { return observations_.size(); }
   std::uint64_t total_txs() const { return total_txs_; }
   std::uint64_t valid_txs() const { return valid_txs_; }
-  std::uint64_t shed_txs() const { return shed_txs_; }
-  std::uint64_t timed_out_txs() const { return timed_out_txs_; }
 
   /// Commit throughput over the whole run (first receive -> last commit).
   double overall_tps() const;
@@ -56,19 +45,11 @@ class CaliperReport {
   /// Render the full report as text.
   std::string render(sim::Time window = 100 * sim::kMillisecond) const;
 
-  /// Publish the report into a metrics registry under
-  /// "caliper_<peer>_...": throughput gauge, tx counters and a validation
-  /// latency histogram rebuilt from the observations. Idempotent only for
-  /// the counters/gauges; the histogram is freshly observed, so call once.
-  void publish_metrics(obs::Registry& registry) const;
-
  private:
   std::string peer_;
   std::vector<BlockObservation> observations_;
   std::uint64_t total_txs_ = 0;
   std::uint64_t valid_txs_ = 0;
-  std::uint64_t shed_txs_ = 0;
-  std::uint64_t timed_out_txs_ = 0;
 };
 
 }  // namespace bm::workload

@@ -53,12 +53,6 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   peer.enable_graceful_degradation(options.degrade);
   if (registry != nullptr || tracer != nullptr)
     peer.attach_observability(registry, tracer);
-  if (telemetry != nullptr && telemetry->enabled() && registry != nullptr) {
-    telemetry->attach(sim, *registry, tracer);
-    peer.set_flight_recorder(telemetry->flight());
-  }
-  peer.start();
-  bmac::ProtocolSender sender(harness.msp());
 
   // Fault-free links: every impairment belongs to the injectors, where it
   // is scriptable, counted and deterministic.
@@ -68,10 +62,6 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   net::Link ack_link(sim, link_config);
   net::FaultyChannel data(sim, data_link, options.scenario.data);
   net::FaultyChannel ack(sim, ack_link, options.scenario.ack);
-  if (tracer != nullptr) {
-    data.set_tracer(tracer, tracer->lane("faults_data"));
-    ack.set_tracer(tracer, tracer->lane("faults_ack"));
-  }
 
   std::unique_ptr<bmac::GbnSender> gbn;
   bmac::GbnReceiver receiver(
@@ -91,6 +81,36 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
       [&](const bmac::SequencedFrame& frame) { data.send(frame.encode()); });
   gbn->set_failure_callback(
       [&](std::uint64_t, std::uint64_t) { ++report.gbn_failures; });
+
+  // Every chaos counter and gauge, read from the components' own stats:
+  // the telemetry refresh before each sample and the end-of-run snapshot.
+  const auto publish = [&] {
+    peer.publish_metrics();
+    data.publish_metrics(*registry, "chaos_data");
+    ack.publish_metrics(*registry, "chaos_ack");
+    registry->counter("chaos_gbn_retransmissions_total",
+                      "GBN frames retransmitted")
+        .set(gbn->stats().retransmissions);
+    registry->counter("chaos_gbn_frames_abandoned_total",
+                      "GBN frames given up at the retransmission cap")
+        .set(gbn->stats().frames_abandoned);
+    registry->counter("chaos_gbn_stream_resyncs_total",
+                      "SYNC frames emitted after cap exhaustion")
+        .set(gbn->stats().stream_resyncs);
+    registry->counter("chaos_gbn_frames_corrupted_total",
+                      "frames dropped by the GBN CRC check")
+        .set(receiver.stats().frames_corrupted);
+  };
+  if (telemetry != nullptr && telemetry->enabled() && registry != nullptr) {
+    telemetry->attach(sim, *registry, tracer, publish);
+    peer.set_flight_recorder(telemetry->flight());
+  }
+  peer.start();
+  bmac::ProtocolSender sender(harness.msp());
+  if (tracer != nullptr) {
+    data.set_tracer(tracer, tracer->lane("faults_data"));
+    ack.set_tracer(tracer, tracer->lane("faults_ack"));
+  }
 
   // Cut all blocks up front (the harness is sim-time independent), then
   // pace them onto the wire. The host path (deliver_block) is the reliable
@@ -162,23 +182,7 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   report.degrade = peer.degrade_metrics();
   report.host = peer.host_metrics();
 
-  if (registry != nullptr) {
-    peer.publish_metrics();
-    data.publish_metrics(*registry, "chaos_data");
-    ack.publish_metrics(*registry, "chaos_ack");
-    registry->counter("chaos_gbn_retransmissions_total",
-                      "GBN frames retransmitted")
-        .set(report.sender_stats.retransmissions);
-    registry->counter("chaos_gbn_frames_abandoned_total",
-                      "GBN frames given up at the retransmission cap")
-        .set(report.sender_stats.frames_abandoned);
-    registry->counter("chaos_gbn_stream_resyncs_total",
-                      "SYNC frames emitted after cap exhaustion")
-        .set(report.sender_stats.stream_resyncs);
-    registry->counter("chaos_gbn_frames_corrupted_total",
-                      "frames dropped by the GBN CRC check")
-        .set(report.receiver_stats.frames_corrupted);
-  }
+  if (registry != nullptr) publish();
   // The sampler/monitor hold recurring events on `sim`, which dies with this
   // frame — settle them (final sample + evaluation) before returning.
   if (telemetry != nullptr) telemetry->finish();

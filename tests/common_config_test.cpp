@@ -190,7 +190,7 @@ TEST(MigratedLoaders, SloDiagnosticNamesRuleIndex) {
   EXPECT_FALSE(scenario.has_value());
   EXPECT_EQ(error,
             "scenario.slo.rules[0].kind: unknown value \"bogus\" (ratio | "
-            "rate_above | gauge_above | gauge_below | latency_quantile)");
+            "rate_above | gauge_above | latency_quantile)");
 }
 
 TEST(MigratedLoaders, FaultsDiagnosticNamesDirection) {

@@ -94,7 +94,7 @@ TEST(SloMonitor, RatioRuleFiresOnBurstAndClearsAfter) {
   rule.burn_rate = 2.0;   // fire at a 10% bad fraction
   rule.min_count = 5;
   rule.windows = {10 * sim::kMillisecond, 50 * sim::kMillisecond};
-  SloMonitor monitor(sim, registry, one_rule(rule));
+  SloMonitor monitor(sim, registry, one_rule(rule), {});
   monitor.start();
 
   // Healthy for 50 ms (2% bad), a 40 ms burst at 50% bad, healthy again.
@@ -134,7 +134,7 @@ TEST(SloMonitor, CleanRunStaysSilent) {
   rule.threshold = 0.05;
   rule.burn_rate = 2.0;
   rule.windows = {10 * sim::kMillisecond};
-  SloMonitor monitor(sim, registry, one_rule(rule));
+  SloMonitor monitor(sim, registry, one_rule(rule), {});
   monitor.start();
   for (int t = 1; t <= 100; ++t)
     sim.schedule(static_cast<sim::Time>(t) * sim::kMillisecond, [&] {
@@ -157,7 +157,7 @@ TEST(SloMonitor, GaugeRuleRequiresTheWholeWindowAboveThreshold) {
   rule.metric = "depth";
   rule.threshold = 10;
   rule.windows = {20 * sim::kMillisecond};
-  SloMonitor monitor(sim, registry, one_rule(rule));
+  SloMonitor monitor(sim, registry, one_rule(rule), {});
   monitor.start();
   // A 10 ms blip above threshold must NOT fire (window is 20 ms)...
   sim.schedule(10 * sim::kMillisecond, [&] { depth.set(50); });
@@ -189,7 +189,7 @@ TEST(SloMonitor, AlertLogEscapesConfigSuppliedNames) {
   rule.windows = {10 * sim::kMillisecond};
   SloConfig config = one_rule(rule);
   config.name = "rules \"a\\b\"";
-  SloMonitor monitor(sim, registry, config);
+  SloMonitor monitor(sim, registry, config, {});
   monitor.start();
   for (int t = 1; t <= 30; ++t)
     sim.schedule(static_cast<sim::Time>(t) * sim::kMillisecond,
@@ -375,6 +375,65 @@ TEST(TelemetryEndToEnd, ServeReportIsIdenticalWithAndWithoutTelemetry) {
             static_cast<double>(observed.admitted));
 }
 
+/// Every counter and gauge in `registry`, and every histogram's count and
+/// sum, must equal the sampler's last column: the time series explains the
+/// end-of-run snapshot on its own.
+void expect_last_sample_matches(const Registry& registry,
+                                const TimeSeriesSampler& sampler) {
+  const auto expect_last = [&](const std::string& name, double want) {
+    const std::vector<double> column = sampler.values(name);
+    ASSERT_FALSE(column.empty()) << name << " was never sampled";
+    EXPECT_EQ(column.back(), want) << name;
+  };
+  registry.for_each(
+      [&](const std::string& name, const Counter& counter) {
+        expect_last(name, static_cast<double>(counter.value()));
+      },
+      [&](const std::string& name, const Gauge& gauge) {
+        expect_last(name, gauge.value());
+      },
+      [&](const std::string& name, const Histogram& histogram) {
+        expect_last(name + "_count", static_cast<double>(histogram.count()));
+        expect_last(name + "_sum", histogram.sum());
+      });
+}
+
+TEST(TelemetryEndToEnd, LastSampleEqualsEndOfRunSnapshot) {
+  TimeSeriesConfig sampler;
+  sampler.interval = 5 * sim::kMillisecond;
+  {
+    Registry registry;
+    Telemetry telemetry;
+    telemetry.configure(sampler, watchdog_rule());
+    const workload::ChaosReport report = workload::run_chaos_scenario(
+        chaos_options(/*partitioned=*/true), &registry, nullptr, &telemetry);
+    EXPECT_GT(report.data_faults.dropped_partition, 0u);
+    expect_last_sample_matches(registry, *telemetry.sampler());
+  }
+  {
+    serve::ServeOptions options;
+    options.name = "snapshot";
+    options.network.seed = 5;
+    options.traffic.seed = 5 ^ 0x9E3779B97F4A7C15ull;
+    options.traffic.rate_tps = 1500;
+    options.duration = 200 * sim::kMillisecond;
+    options.drain_limit = 500 * sim::kMillisecond;
+    options.sessions.enabled = true;
+    options.sessions.population = 100;
+    options.sessions.idle_timeout = 30 * sim::kMillisecond;
+    options.sessions.grace = 20 * sim::kMillisecond;
+    options.sessions.wheel_granularity = sim::kMillisecond;
+    Registry registry;
+    Telemetry telemetry;
+    telemetry.configure(sampler, std::nullopt);
+    const serve::ServeReport report =
+        serve::run_serve(options, &registry, nullptr, &telemetry);
+    EXPECT_TRUE(report.ok());
+    EXPECT_GT(report.session_stats.purged, 0u);
+    expect_last_sample_matches(registry, *telemetry.sampler());
+  }
+}
+
 // --- where the SLO rules come from ---------------------------------------
 
 TEST(TelemetryConfig, SloRulesComeFromExactlyOneSource) {
@@ -396,7 +455,7 @@ TEST(TelemetryConfig, SloRulesComeFromExactlyOneSource) {
     Telemetry telemetry;
     std::string error;
     ASSERT_TRUE(telemetry.configure(flag_only, std::nullopt, &error)) << error;
-    telemetry.attach(sim, registry, nullptr);
+    telemetry.attach(sim, registry, nullptr, {});
     ASSERT_NE(telemetry.slo(), nullptr);
     EXPECT_EQ(rule_names(telemetry.slo()->config()), rule_names(*file_rules));
     telemetry.finish();
@@ -410,7 +469,7 @@ TEST(TelemetryConfig, SloRulesComeFromExactlyOneSource) {
                                     &error))
         << error;
     EXPECT_TRUE(telemetry.enabled());
-    telemetry.attach(sim, registry, nullptr);
+    telemetry.attach(sim, registry, nullptr, {});
     ASSERT_NE(telemetry.slo(), nullptr);
     EXPECT_EQ(rule_names(telemetry.slo()->config()),
               std::vector<std::string>{"watchdog_activity"});

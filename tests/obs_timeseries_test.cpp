@@ -27,7 +27,7 @@ std::string scripted_run_json(std::string* csv = nullptr) {
   Gauge& depth = registry.gauge("queue_depth", "queued right now");
   Histogram& lat = registry.histogram("latency_ms", {1.0, 5.0, 25.0}, "latency");
 
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   // 10 units of work per ms for the first 10 ms, then idle.
   for (int t = 1; t <= 10; ++t)
@@ -47,7 +47,7 @@ TEST(TimeSeriesSampler, SamplesCountersAtSimTimes) {
   sim::Simulation sim;
   Registry registry;
   Counter& c = registry.counter("c_total", "test");
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   sim.schedule(2 * sim::kMillisecond, [&] { c.inc(4); });
   sim.schedule(7 * sim::kMillisecond, [&] { c.inc(6); });
@@ -66,7 +66,7 @@ TEST(TimeSeriesSampler, CounterRateIsDeltaOverDtSeconds) {
   sim::Simulation sim;
   Registry registry;
   Counter& c = registry.counter("c_total", "test");
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   sim.schedule(1 * sim::kMillisecond, [&] { c.inc(50); });
   sim.schedule(6 * sim::kMillisecond, [&] { c.inc(25); });
@@ -83,7 +83,7 @@ TEST(TimeSeriesSampler, CounterRateIsDeltaOverDtSeconds) {
 TEST(TimeSeriesSampler, MidRunSeriesBackfilledWithZeros) {
   sim::Simulation sim;
   Registry registry;
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   // The metric does not exist until 7 ms in.
   sim.schedule(7 * sim::kMillisecond, [&] {
@@ -100,7 +100,7 @@ TEST(TimeSeriesSampler, HistogramsBecomeCountAndSumColumns) {
   sim::Simulation sim;
   Registry registry;
   Histogram& h = registry.histogram("lat_ms", {1.0, 10.0}, "test");
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   sim.schedule(3 * sim::kMillisecond, [&] {
     h.observe(2.0);
@@ -119,7 +119,7 @@ TEST(TimeSeriesSampler, DuplicateTimestampCollapsed) {
   sim::Simulation sim;
   Registry registry;
   registry.counter("c_total", "test");
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();       // baseline at 0
   sampler.sample_now();  // same instant: skipped
   EXPECT_EQ(sampler.sample_count(), 1u);
@@ -128,7 +128,7 @@ TEST(TimeSeriesSampler, DuplicateTimestampCollapsed) {
 TEST(TimeSeriesSampler, EmptyRegistryStillEmitsValidArtifacts) {
   sim::Simulation sim;
   Registry registry;
-  TimeSeriesSampler sampler(sim, registry, every_5ms());
+  TimeSeriesSampler sampler(sim, registry, every_5ms(), {});
   sampler.start();
   sim.run_until(10 * sim::kMillisecond);
   sampler.stop();
@@ -153,19 +153,6 @@ TEST(TimeSeriesSampler, SameScriptProducesByteIdenticalArtifacts) {
   EXPECT_NE(json_a.find("\"work_total\""), std::string::npos);
   EXPECT_NE(json_a.find("\"rate_per_s\""), std::string::npos);
   EXPECT_NE(json_a.find("\"latency_ms_count\""), std::string::npos);
-}
-
-TEST(TimeSeriesSampler, IncludePrefixesFilterSeries) {
-  sim::Simulation sim;
-  Registry registry;
-  registry.counter("serve_admitted_total", "test").inc();
-  registry.counter("chaos_drops_total", "test").inc();
-  TimeSeriesConfig config = every_5ms();
-  config.include_prefixes = {"serve_"};
-  TimeSeriesSampler sampler(sim, registry, config);
-  sampler.start();
-  EXPECT_EQ(sampler.series_count(), 1u);
-  EXPECT_TRUE(sampler.values("chaos_drops_total").empty());
 }
 
 // Satellite: the Registry refuses a histogram re-registration whose bucket

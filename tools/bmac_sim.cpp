@@ -41,13 +41,13 @@
 //       leader mid-run; --data-dir enables per-peer durable logs +
 //       snapshot-based catch-up. Exit code 0 iff the cluster converged.
 //
-// Observability (throughput and validate): --trace-out FILE writes a Chrome
-// trace-event JSON of the whole run (open in Perfetto / chrome://tracing);
-// --metrics-out FILE writes a JSON metrics snapshot; --metrics-text FILE
-// writes the same snapshot in Prometheus text-exposition format. Outputs
-// are deterministic: two identical invocations produce byte-identical
-// files. When the first argument is an option, the command defaults to
-// `validate`.
+// Observability: --trace-out FILE writes a Chrome trace-event JSON of the
+// whole run (throughput, validate, chaos, serve); --metrics-out FILE writes
+// a JSON metrics snapshot; --metrics-text FILE writes the same snapshot in
+// Prometheus text format (all but resources and protocol). Asking a command
+// for an artifact it never writes exits 2. Outputs are deterministic: two
+// identical invocations produce byte-identical files. When the first
+// argument is an option, the command defaults to `validate`.
 //
 // Continuous telemetry (chaos and serve, docs/OBSERVABILITY.md):
 // --sample-interval MS samples every metric on the simulated clock into
@@ -115,6 +115,21 @@ struct Options {
   cli::CommonFlags flags;  ///< shared --trace-out/--metrics-*/telemetry
   std::string usage;       ///< flag help lines, filled by parse_args
 };
+
+/// The exit-2 line for flags that ask `command` for an observability
+/// artifact it never writes; empty when it writes everything asked for.
+std::string refused_artifacts(const std::string& command,
+                              const cli::CommonFlags& flags) {
+  if ((command == "throughput" || command == "validate") &&
+      flags.wants_telemetry())
+    return command + " writes only --trace-out and --metrics-out/-text";
+  if ((command == "cluster" || command == "recover") &&
+      (flags.wants_telemetry() || !flags.trace_out.empty()))
+    return command + " writes only --metrics-out/-text";
+  if ((command == "resources" || command == "protocol") && flags.wants_obs())
+    return command + " writes no observability artifact";
+  return "";
+}
 
 bool parse_args(int argc, char** argv, Options& options) {
   cli::ArgParser parser;
@@ -575,8 +590,11 @@ int cmd_serve(const Options& options) {
               static_cast<double>(serve_options.duration) / sim::kMillisecond,
               report.to_text().c_str());
   if (obs_on) {
-    const int rc = obs::write_artifacts(options.flags, registry, tracer,
-                                        report.finished_at);
+    // The metrics were read when the run stopped, after the drain window;
+    // finished_at is the last commit, which can be seconds earlier.
+    const int rc = obs::write_artifacts(
+        options.flags, registry, tracer,
+        serve_options.duration + serve_options.drain_limit);
     if (rc != 0) return rc;
     const int telemetry_rc = telemetry.write();
     if (telemetry_rc != 0) return telemetry_rc;
@@ -591,6 +609,11 @@ int main(int argc, char** argv) {
                  "usage: bmac_sim <throughput|resources|validate|protocol|"
                  "chaos|serve|cluster|recover> [flags]\n%s",
                  options.usage.c_str());
+    return 2;
+  }
+  const std::string refused = refused_artifacts(options.command, options.flags);
+  if (!refused.empty()) {
+    std::fprintf(stderr, "%s\n", refused.c_str());
     return 2;
   }
   try {

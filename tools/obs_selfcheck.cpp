@@ -8,10 +8,12 @@
 // scenario_burst run with --sample-interval/--slo-out/--flight-out (the
 // rules come from the scenario's "slo" section) must produce a well-formed
 // time series (monotone timestamps, monotone counters, aligned rate
-// columns), an SLO alert log with at least one fire (the burst overloads
-// the front end by design), a triggered flight dump — and a byte-identical
-// set of files when rerun (docs/OBSERVABILITY.md). Adding --slo-config to
-// that run names the rules twice and must exit 2.
+// columns) whose last sample equals the run's --metrics-out snapshot, an
+// SLO alert log with at least one fire (the burst overloads the front end
+// by design), a triggered flight dump — and a byte-identical set of files
+// when rerun (docs/OBSERVABILITY.md). Adding --slo-config to that run
+// names the rules twice and must exit 2, and so must a flag asking a
+// subcommand for an artifact it never writes.
 //
 // Usage: obs_selfcheck <path-to-bmac_sim> [work-dir]
 #include <sys/wait.h>
@@ -172,6 +174,7 @@ int main(int argc, char** argv) {
   const std::string csv_path = dir + "/obs_selfcheck_ts.csv";
   const std::string slo_path = dir + "/obs_selfcheck_slo.json";
   const std::string flight_path = dir + "/obs_selfcheck_flight.json";
+  const std::string snapshot_path = dir + "/obs_selfcheck_snapshot.json";
 
   const auto telemetry_cmd = [&](const std::string& suffix,
                                  const std::string& extra = "") {
@@ -180,7 +183,8 @@ int main(int argc, char** argv) {
            " --timeseries-out \"" + ts_path + suffix + "\""
            " --timeseries-csv \"" + csv_path + suffix + "\""
            " --slo-out \"" + slo_path + suffix + "\""
-           " --flight-out \"" + flight_path + suffix + "\"" + extra +
+           " --flight-out \"" + flight_path + suffix + "\""
+           " --metrics-out \"" + snapshot_path + suffix + "\"" + extra +
            " > /dev/null 2>&1";
   };
   std::printf("running: %s\n", telemetry_cmd("").c_str());
@@ -237,6 +241,32 @@ int main(int argc, char** argv) {
   check(counters_monotone, "counter series never decrease");
   check(has_rates, "counter series carry derived rate_per_s columns");
 
+  // The last sample is the end-of-run snapshot: same time, same values.
+  const auto snapshot = bm::json::parse(read_file(snapshot_path), &error);
+  check(snapshot.has_value(), "snapshot parses as JSON (" + error + ")");
+  if (!snapshot) return 1;
+  const Value* snapshot_at = find(*snapshot, "at_ns");
+  check(snapshot_at != nullptr && ts_at != nullptr && !ts_at->array.empty() &&
+            snapshot_at->number == ts_at->array.back().number,
+        "snapshot at_ns equals the last sample's at_ns");
+  std::size_t compared = 0, unequal = 0;
+  for (const char* group : {"counters", "gauges"}) {
+    const Value* metrics_group = find(*snapshot, group);
+    if (metrics_group == nullptr || series == nullptr) continue;
+    for (const auto& [name, want] : metrics_group->object) {
+      const Value* entry = find(*series, name.c_str());
+      const Value* values = entry != nullptr ? find(*entry, "values") : nullptr;
+      ++compared;
+      if (values == nullptr || values->array.empty() ||
+          values->array.back().number != want.number)
+        ++unequal;
+    }
+  }
+  check(compared > 0 && unequal == 0,
+        "last sample equals every snapshot counter and gauge (" +
+            std::to_string(unequal) + " of " + std::to_string(compared) +
+            " differ)");
+
   // CSV: one header plus one row per sample.
   const std::string csv = read_file(csv_path);
   std::size_t csv_rows = 0;
@@ -290,7 +320,8 @@ int main(int argc, char** argv) {
   const int rc3 = std::system(telemetry_cmd(".rerun").c_str());
   check(rc3 == 0, "telemetry rerun exits cleanly");
   if (rc3 == 0) {
-    for (const std::string& p : {ts_path, csv_path, slo_path, flight_path})
+    for (const std::string& p :
+         {ts_path, csv_path, slo_path, flight_path, snapshot_path})
       check(read_file(p) == read_file(p + ".rerun"),
             "rerun byte-identical: " + p);
   }
@@ -303,6 +334,26 @@ int main(int argc, char** argv) {
           .c_str());
   check(WIFEXITED(rc4) && WEXITSTATUS(rc4) == 2,
         "--slo-config next to a scenario \"slo\" section exits 2");
+
+  // --- phase 3: a flag asking for an artifact the command never writes ----
+  const auto exit_code = [&](const std::string& args) {
+    const int status = std::system(
+        ("\"" + bmac_sim + "\" " + args + " > /dev/null 2>&1").c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  const std::string cluster = "cluster --blocks 4 --scenario \"" + repo +
+                              "/configs/scenario_cluster.json\"";
+  const std::string out = " \"" + dir + "/obs_selfcheck_phase3.json\"";
+  check(exit_code(cluster + " --timeseries-out" + out + " --slo-out" + out) ==
+            2,
+        "cluster with telemetry flags exits 2");
+  check(exit_code("validate --blocks 2 --block-size 10 --sample-interval 5"
+                  " --timeseries-out" + out) == 2,
+        "validate with telemetry flags exits 2");
+  check(exit_code("resources --metrics-out" + out) == 2,
+        "resources --metrics-out exits 2");
+  check(exit_code(cluster + " --metrics-out" + out) == 0,
+        "cluster --metrics-out exits 0");
 #else
   std::printf("(phase 2 skipped: BM_REPO_ROOT not defined)\n");
 #endif
