@@ -92,8 +92,11 @@ void BM_DerRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_DerRoundTrip);
 
 // Field and scalar-field operations in the forms the point arithmetic and
-// ECDSA use: Montgomery-domain products mod p (a dependent chain, so these
-// read as latency), the binary-Euclid inverses, and products mod n.
+// ECDSA use: Montgomery-domain products mod p, the safegcd inverses, and
+// products mod n. BM_FieldMul and BM_FieldSqr time one dependent chain
+// through an out-of-line call, so they read as latency; the Throughput
+// variants run four independent chains, as the point formulas allow, and
+// time four products per iteration.
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(2);
   U256 a = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
@@ -114,6 +117,39 @@ void BM_FieldSqr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FieldSqr);
+
+void BM_FieldMulThroughput(benchmark::State& state) {
+  Rng rng(2);
+  U256 a[4];
+  for (U256& x : a)
+    x = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  const U256 b = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  for (auto _ : state) {
+    a[0] = fp_mul(a[0], b);
+    a[1] = fp_mul(a[1], b);
+    a[2] = fp_mul(a[2], b);
+    a[3] = fp_mul(a[3], b);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_FieldMulThroughput);
+
+void BM_FieldSqrThroughput(benchmark::State& state) {
+  Rng rng(2);
+  U256 a[4];
+  for (U256& x : a)
+    x = fp_to_mont(mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  for (auto _ : state) {
+    a[0] = fp_sqr(a[0]);
+    a[1] = fp_sqr(a[1]);
+    a[2] = fp_sqr(a[2]);
+    a[3] = fp_sqr(a[3]);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_FieldSqrThroughput);
 
 void BM_FieldInv(benchmark::State& state) {
   Rng rng(3);
@@ -172,6 +208,15 @@ void BM_BaseMultComb(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BaseMultComb);
+
+// The one-time cost a key pays on its second sight in crypto::verify.
+void BM_CombTableBuild(benchmark::State& state) {
+  const AffinePoint q = key_from_seed(to_bytes("build")).public_key().point;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PointCombTable::build(q));
+  }
+}
+BENCHMARK(BM_CombTableBuild);
 
 void BM_DoubleScalarMult(benchmark::State& state) {
   const AffinePoint q = key_from_seed(to_bytes("dsm")).public_key().point;

@@ -9,11 +9,11 @@
 // cache for the key's Lim–Lee comb table after its range and curve checks
 // pass. A key's first sight gets no table: the verify runs the generic
 // joint-wNAF multiply and the key enters a bounded seen-once set. Its
-// second sight builds the table (~2 generic multiplies of one-time work,
-// ~16 KiB), and every later verification runs the u1*G + u2*Q combine as
-// two comb lookups per column on ONE shared 31-doubling chain — ~3x
-// cheaper than the generic walk. A stream of fresh keys therefore never
-// builds a table or evicts a hot one.
+// second sight builds the table (one-time work worth ~5-7 generic
+// verifies, ~64 KiB), and every later verification runs the u1*G + u2*Q
+// combine as eight comb lookups per column (four blocks per table) on ONE
+// shared 7-doubling chain — ~5x cheaper than the generic walk. A stream of
+// fresh keys therefore never builds a table or evicts a hot one.
 //
 // Correctness: the combine is algebraically the same sum, so verdicts are
 // bit-identical on either path (differential-tested against the pre-rewrite
@@ -36,7 +36,7 @@ namespace bm::crypto {
 
 class CombCache {
  public:
-  /// The process-wide budget: 64 tables x ~16 KiB = ~1 MiB, comfortably
+  /// The process-wide budget: 64 tables x ~64 KiB = ~4 MiB, comfortably
   /// above any realistic endorser population (a few orgs x a few peers).
   static constexpr std::size_t kTables = 64;
 

@@ -1,8 +1,12 @@
 #include "crypto/p256.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#define BM_P256_ADX 1
+#endif
 
 namespace bm::crypto {
 
@@ -70,13 +74,9 @@ using u64 = std::uint64_t;
   return subtract_once(U256{{x4, x5, x6, x7}}, top, kP);
 }
 
-[[gnu::always_inline]] inline U256 fe_mul(const U256& a, const U256& b) {
-  return fe_reduce(mul_wide(a, b));
-}
-
-/// fe_mul(a, a) with the six cross products computed once and doubled:
-/// 10 limb products instead of 16.
-[[gnu::always_inline]] inline U256 fe_sqr(const U256& a) {
+/// The square of a before reduction: the six cross products computed once
+/// and doubled, 10 limb products instead of 16.
+[[gnu::always_inline]] inline U512 sqr_wide(const U256& a) {
   const u64 a0 = a.w[0], a1 = a.w[1], a2 = a.w[2], a3 = a.w[3];
   u64 x1 = 0, x2 = 0, x3 = 0, x4 = 0, x5 = 0, x6 = 0, x7 = 0;
   u64 c = 0;
@@ -109,7 +109,208 @@ using u64 = std::uint64_t;
   lo = mul_hilo(a3, a3, hi);
   k = add_carry(k, x6, lo, x6);
   add_carry(k, x7, hi, x7);
-  return fe_reduce(U512{{x0, x1, x2, x3, x4, x5, x6, x7}});
+  return U512{{x0, x1, x2, x3, x4, x5, x6, x7}};
+}
+
+#ifdef BM_P256_ADX
+
+/// cpuid leaf 7: bmi2 (mulx) and adx (adcx, adox).
+bool cpu_has_bmi2_adx() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & (1u << 8)) != 0 && (ebx & (1u << 19)) != 0;
+}
+
+/// Read once. Both kernels return the same limbs, so a product taken during
+/// another static initialiser, before this one has run, merely takes the
+/// portable path.
+const bool kAdx = cpu_has_bmi2_adx();
+
+// The ADX kernels below compute the 512-bit product or square into x0..x7
+// and reduce it in the same asm block, so no limb leaves a register. They
+// read the operands' limbs through two pointer registers and declare a
+// memory clobber: one memory operand per limb can need an address register
+// each (at -O0, -O1 and under ASan), and with the eleven register outputs
+// that leaves the register allocator no solution.
+
+// One row of the schoolbook product: x[i..i+4] += a * b[i], where B is
+// b[i]'s byte offset. The low halves of the four limb products go up the
+// adcx (CF) carry chain and the high halves up the adox (OF) chain, so the
+// two chains run side by side; the xor clears both flags, and x[i+4]
+// starts as the last high half.
+#define BM_ADX_ROW(B, X0, X1, X2, X3, X4) \
+  "movq " B "(%[b]), %%rdx\n\t"           \
+  "xorq %[lo], %[lo]\n\t"                 \
+  "mulxq (%[a]), %[lo], %[hi]\n\t"        \
+  "adcxq %[lo], %[" X0 "]\n\t"            \
+  "adoxq %[hi], %[" X1 "]\n\t"            \
+  "mulxq 8(%[a]), %[lo], %[hi]\n\t"       \
+  "adcxq %[lo], %[" X1 "]\n\t"            \
+  "adoxq %[hi], %[" X2 "]\n\t"            \
+  "mulxq 16(%[a]), %[lo], %[hi]\n\t"      \
+  "adcxq %[lo], %[" X2 "]\n\t"            \
+  "adoxq %[hi], %[" X3 "]\n\t"            \
+  "mulxq 24(%[a]), %[lo], %[" X4 "]\n\t"  \
+  "adcxq %[lo], %[" X3 "]\n\t"            \
+  "movq $0, %[lo]\n\t"                    \
+  "adoxq %[lo], %[" X4 "]\n\t"            \
+  "adcxq %[lo], %[" X4 "]\n\t"
+
+// One Montgomery round for p, as reduce_round: with q = X0, adds q * p,
+// which clears X0, as q << 32 into X1, q >> 32 into X2 and q * p[3] into
+// X3:X4, leaving the carry out of X4 in CF.
+#define BM_ADX_REDUCE_ROUND(X0, X1, X2, X3, X4) \
+  "movq %[" X0 "], %%rdx\n\t"                   \
+  "mulxq %[p3], %[lo], %[hi]\n\t"               \
+  "shlq $32, %[" X0 "]\n\t"                     \
+  "shrq $32, %%rdx\n\t"                         \
+  "addq %[" X0 "], %[" X1 "]\n\t"               \
+  "adcq %%rdx, %[" X2 "]\n\t"                   \
+  "adcq %[lo], %[" X3 "]\n\t"                   \
+  "adcq %[hi], %[" X4 "]\n\t"
+
+// Montgomery reduction of x0..x7 (below p * 2^256), as fe_reduce: four
+// rounds, each carry run up to x7 and on into x0, which holds the bit above
+// x7 once round 0 has freed it. The sum x4..x7 + 2^256 x0 is below 2p; it
+// minus p, when that is not negative, lands in lo, hi, rdx, x1.
+#define BM_ADX_REDUCE                                                      \
+  BM_ADX_REDUCE_ROUND("x0", "x1", "x2", "x3", "x4")                        \
+  "movq $0, %[x0]\n\t"                                                     \
+  "adcq $0, %[x5]\n\t"                                                     \
+  "adcq $0, %[x6]\n\t"                                                     \
+  "adcq $0, %[x7]\n\t"                                                     \
+  "adcq $0, %[x0]\n\t"                                                     \
+  BM_ADX_REDUCE_ROUND("x1", "x2", "x3", "x4", "x5")                        \
+  "adcq $0, %[x6]\n\t"                                                     \
+  "adcq $0, %[x7]\n\t"                                                     \
+  "adcq $0, %[x0]\n\t"                                                     \
+  BM_ADX_REDUCE_ROUND("x2", "x3", "x4", "x5", "x6")                        \
+  "adcq $0, %[x7]\n\t"                                                     \
+  "adcq $0, %[x0]\n\t"                                                     \
+  BM_ADX_REDUCE_ROUND("x3", "x4", "x5", "x6", "x7")                        \
+  "adcq $0, %[x0]\n\t"                                                     \
+  "movq %[x4], %[lo]\n\t"                                                  \
+  "movq %[x5], %[hi]\n\t"                                                  \
+  "movq %[x6], %%rdx\n\t"                                                  \
+  "movq %[x7], %[x1]\n\t"                                                  \
+  "movl $0xffffffff, %k[x2]\n\t" /* p[1]; p[0] is -1 and p[2] is 0 */     \
+  "subq $-1, %[lo]\n\t"                                                    \
+  "sbbq %[x2], %[hi]\n\t"                                                  \
+  "sbbq $0, %%rdx\n\t"                                                     \
+  "sbbq %[p3], %[x1]\n\t"                                                  \
+  "sbbq $0, %[x0]\n\t"                                                     \
+  "cmovcq %[x4], %[lo]\n\t"                                                \
+  "cmovcq %[x5], %[hi]\n\t"                                                \
+  "cmovcq %[x6], %%rdx\n\t"                                                \
+  "cmovcq %[x7], %[x1]\n\t"
+
+/// fe_mul with mulx/adcx/adox. Only for a CPU with bmi2 and adx.
+[[gnu::always_inline]] inline U256 fe_mul_adx(const U256& a, const U256& b) {
+  u64 x0, x1, x2, x3, x4, x5, x6, x7, lo, hi, rdx;
+  asm("movq (%[b]), %%rdx\n\t"
+      "mulxq (%[a]), %[x0], %[x1]\n\t"
+      "mulxq 8(%[a]), %[lo], %[x2]\n\t"
+      "addq %[lo], %[x1]\n\t"
+      "mulxq 16(%[a]), %[lo], %[x3]\n\t"
+      "adcq %[lo], %[x2]\n\t"
+      "mulxq 24(%[a]), %[lo], %[x4]\n\t"
+      "adcq %[lo], %[x3]\n\t"
+      "adcq $0, %[x4]\n\t"
+      BM_ADX_ROW("8", "x1", "x2", "x3", "x4", "x5")
+      BM_ADX_ROW("16", "x2", "x3", "x4", "x5", "x6")
+      BM_ADX_ROW("24", "x3", "x4", "x5", "x6", "x7")
+      BM_ADX_REDUCE
+      : [x0] "=&r"(x0), [x1] "=&r"(x1), [x2] "=&r"(x2), [x3] "=&r"(x3),
+        [x4] "=&r"(x4), [x5] "=&r"(x5), [x6] "=&r"(x6), [x7] "=&r"(x7),
+        [lo] "=&r"(lo), [hi] "=&r"(hi), [rdx] "=&d"(rdx)
+      : [a] "r"(a.w.data()), [b] "r"(b.w.data()), [p3] "m"(kP.w[3])
+      : "cc", "memory");
+  return U256{{lo, hi, rdx, x1}};
+}
+
+/// fe_sqr with mulx/adcx/adox: the cross products as in fe_mul_adx, then
+/// one pass that doubles them on the CF chain while the OF chain adds the
+/// squares a_i^2. Only for a CPU with bmi2 and adx.
+[[gnu::always_inline]] inline U256 fe_sqr_adx(const U256& a) {
+  u64 x0, x1, x2, x3, x4, x5, x6, x7, lo, hi, rdx;
+  asm(// Cross products a0 * (a1, a2, a3) into x1..x4.
+      "movq (%[a]), %%rdx\n\t"
+      "mulxq 8(%[a]), %[x1], %[x2]\n\t"
+      "mulxq 16(%[a]), %[lo], %[x3]\n\t"
+      "addq %[lo], %[x2]\n\t"
+      "mulxq 24(%[a]), %[lo], %[x4]\n\t"
+      "adcq %[lo], %[x3]\n\t"
+      "adcq $0, %[x4]\n\t"
+      // a1 * (a2, a3) into x3..x5.
+      "movq 8(%[a]), %%rdx\n\t"
+      "xorq %[lo], %[lo]\n\t"
+      "mulxq 16(%[a]), %[lo], %[hi]\n\t"
+      "adcxq %[lo], %[x3]\n\t"
+      "adoxq %[hi], %[x4]\n\t"
+      "mulxq 24(%[a]), %[lo], %[x5]\n\t"
+      "adcxq %[lo], %[x4]\n\t"
+      "movq $0, %[lo]\n\t"
+      "adoxq %[lo], %[x5]\n\t"
+      "adcxq %[lo], %[x5]\n\t"
+      // a2 * a3 into x5..x6.
+      "movq 16(%[a]), %%rdx\n\t"
+      "mulxq 24(%[a]), %[lo], %[x6]\n\t"
+      "addq %[lo], %[x5]\n\t"
+      "adcq $0, %[x6]\n\t"
+      // Double x1..x6 into x1..x7 (CF) and add the squares (OF). Each limb
+      // is doubled before its square half is added.
+      "xorq %[x7], %[x7]\n\t"
+      "movq (%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[x0], %[hi]\n\t"
+      "adcxq %[x1], %[x1]\n\t"
+      "adoxq %[hi], %[x1]\n\t"
+      "movq 8(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x2], %[x2]\n\t"
+      "adoxq %[lo], %[x2]\n\t"
+      "adcxq %[x3], %[x3]\n\t"
+      "adoxq %[hi], %[x3]\n\t"
+      "movq 16(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x4], %[x4]\n\t"
+      "adoxq %[lo], %[x4]\n\t"
+      "adcxq %[x5], %[x5]\n\t"
+      "adoxq %[hi], %[x5]\n\t"
+      "movq 24(%[a]), %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[x6], %[x6]\n\t"
+      "adoxq %[lo], %[x6]\n\t"
+      "adcxq %[x7], %[x7]\n\t"
+      "adoxq %[hi], %[x7]\n\t"
+      BM_ADX_REDUCE
+      : [x0] "=&r"(x0), [x1] "=&r"(x1), [x2] "=&r"(x2), [x3] "=&r"(x3),
+        [x4] "=&r"(x4), [x5] "=&r"(x5), [x6] "=&r"(x6), [x7] "=&r"(x7),
+        [lo] "=&r"(lo), [hi] "=&r"(hi), [rdx] "=&d"(rdx)
+      : [a] "r"(a.w.data()), [p3] "m"(kP.w[3])
+      : "cc", "memory");
+  return U256{{lo, hi, rdx, x1}};
+}
+
+#undef BM_ADX_ROW
+#undef BM_ADX_REDUCE_ROUND
+#undef BM_ADX_REDUCE
+
+#endif  // BM_P256_ADX
+
+// The field product and square: the ADX kernel when cpuid offers it, else
+// the portable one.
+[[gnu::always_inline]] inline U256 fe_mul(const U256& a, const U256& b) {
+#ifdef BM_P256_ADX
+  if (kAdx) return fe_mul_adx(a, b);
+#endif
+  return fe_reduce(mul_wide(a, b));
+}
+
+[[gnu::always_inline]] inline U256 fe_sqr(const U256& a) {
+#ifdef BM_P256_ADX
+  if (kAdx) return fe_sqr_adx(a);
+#endif
+  return fe_reduce(sqr_wide(a));
 }
 
 [[gnu::always_inline]] inline U256 fe_add(const U256& a, const U256& b) {
@@ -140,7 +341,224 @@ inline U256 fe_neg(const U256& a) { return fe_sub(U256{}, a); }
 
 const U256 kBMont = fp_to_mont(kB);
 
+// Bernstein–Yang safegcd inverse, variable time, in the shape of
+// libsecp256k1's modinv64_var. Values are five signed 62-bit limbs. Each
+// round runs 62 divsteps on the low limbs of f and g alone, then applies
+// the resulting 2x2 matrix (scaled by 2^62) to all of f, g and to the
+// coefficients d, e, which it keeps mod m. g reaches 0 after at most about
+// 12 rounds for 256-bit inputs, leaving f = +-1 and d = +-a^-1.
+
+using i64 = std::int64_t;
+using i128 = __int128;
+
+constexpr u64 kM62 = ~u64{0} >> 2;
+
+struct Signed62 {
+  i64 v[5];
+};
+
+struct SafegcdModulus {
+  Signed62 m;
+  u64 m_inv62;  ///< m^-1 mod 2^62
+};
+
+/// The divsteps' transition matrix, scaled by 2^62.
+struct Trans2x2 {
+  i64 u, v, q, r;
+};
+
+constexpr Signed62 to_signed62(const U256& a) {
+  return Signed62{{static_cast<i64>(a.w[0] & kM62),
+                   static_cast<i64>((a.w[0] >> 62 | a.w[1] << 2) & kM62),
+                   static_cast<i64>((a.w[1] >> 60 | a.w[2] << 4) & kM62),
+                   static_cast<i64>((a.w[2] >> 58 | a.w[3] << 6) & kM62),
+                   static_cast<i64>(a.w[3] >> 56)}};
+}
+
+/// For limbs in [0, 2^62) holding a value below 2^256.
+U256 from_signed62(const Signed62& a) {
+  const auto l = [&a](int i) { return static_cast<u64>(a.v[i]); };
+  return U256{{l(0) | l(1) << 62, l(1) >> 2 | l(2) << 60,
+               l(2) >> 4 | l(3) << 58, l(3) >> 6 | l(4) << 56}};
+}
+
+constexpr SafegcdModulus safegcd_modulus(const U256& m) {
+  u64 inv = m.w[0];  // right to 3 bits; each Newton step doubles that
+  for (int i = 0; i < 5; ++i) inv *= 2 - m.w[0] * inv;
+  return SafegcdModulus{to_signed62(m), inv & kM62};
+}
+
+constexpr SafegcdModulus kSafegcdP = safegcd_modulus(kP);
+constexpr SafegcdModulus kSafegcdN = safegcd_modulus(kN);
+
+/// 62 divsteps on the low bits of f (odd) and g, starting from eta (minus
+/// delta); returns the new eta. A run of zero bits in g takes one shift,
+/// and each other step cancels up to 6 low bits of g at once.
+i64 divsteps_62_var(i64 eta, u64 f, u64 g, Trans2x2& t) {
+  u64 u = 1, v = 0, q = 0, r = 1;
+  int i = 62;
+  for (;;) {
+    // A sentinel bit at i caps the count at the steps left.
+    const int zeros = __builtin_ctzll(g | (~u64{0} << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    if (i == 0) break;
+    // f and g are odd here.
+    if (eta < 0) {
+      // Swap in (g, -f) and negate eta.
+      eta = -eta;
+      u64 tmp = f;
+      f = g;
+      g = 0 - tmp;
+      tmp = u;
+      u = q;
+      q = 0 - tmp;
+      tmp = v;
+      v = r;
+      r = 0 - tmp;
+    }
+    // w = -g / f mod 64 makes g + w f divisible by 2^bits; bits is capped
+    // by the steps left and by eta + 1, after which eta's sign flips again.
+    const int bits = static_cast<int>(std::min<i64>({eta + 1, i, 6}));
+    const u64 w = (f * g * (f * f - 2)) & (~u64{0} >> (64 - bits));
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t = Trans2x2{static_cast<i64>(u), static_cast<i64>(v), static_cast<i64>(q),
+               static_cast<i64>(r)};
+  return eta;
+}
+
+/// (d, e) = t (d, e) / 2^62 mod m, with inputs and outputs in (-2m, m): a
+/// multiple of m chosen to clear the low 62 bits makes the division exact.
+void update_de(Signed62& d, Signed62& e, const Trans2x2& t,
+               const SafegcdModulus& mod) {
+  const i64 sd = d.v[4] >> 63;
+  const i64 se = e.v[4] >> 63;
+  // Adding m for a negative d or e keeps the outputs above -2m.
+  i64 md = (t.u & sd) + (t.v & se);
+  i64 me = (t.q & sd) + (t.r & se);
+  i128 cd = static_cast<i128>(t.u) * d.v[0] + static_cast<i128>(t.v) * e.v[0];
+  i128 ce = static_cast<i128>(t.q) * d.v[0] + static_cast<i128>(t.r) * e.v[0];
+  md -= static_cast<i64>(
+      (mod.m_inv62 * static_cast<u64>(cd) + static_cast<u64>(md)) & kM62);
+  me -= static_cast<i64>(
+      (mod.m_inv62 * static_cast<u64>(ce) + static_cast<u64>(me)) & kM62);
+  cd += static_cast<i128>(mod.m.v[0]) * md;
+  ce += static_cast<i128>(mod.m.v[0]) * me;
+  cd >>= 62;  // the low 62 bits are zero now
+  ce >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += static_cast<i128>(t.u) * d.v[i] + static_cast<i128>(t.v) * e.v[i] +
+          static_cast<i128>(mod.m.v[i]) * md;
+    ce += static_cast<i128>(t.q) * d.v[i] + static_cast<i128>(t.r) * e.v[i] +
+          static_cast<i128>(mod.m.v[i]) * me;
+    d.v[i - 1] = static_cast<i64>(static_cast<u64>(cd) & kM62);
+    e.v[i - 1] = static_cast<i64>(static_cast<u64>(ce) & kM62);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d.v[4] = static_cast<i64>(cd);
+  e.v[4] = static_cast<i64>(ce);
+}
+
+/// (f, g) = t (f, g) / 2^62 over the low `len` limbs, exactly.
+void update_fg(int len, Signed62& f, Signed62& g, const Trans2x2& t) {
+  i128 cf = static_cast<i128>(t.u) * f.v[0] + static_cast<i128>(t.v) * g.v[0];
+  i128 cg = static_cast<i128>(t.q) * f.v[0] + static_cast<i128>(t.r) * g.v[0];
+  cf >>= 62;  // the divsteps made the low 62 bits zero
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += static_cast<i128>(t.u) * f.v[i] + static_cast<i128>(t.v) * g.v[i];
+    cg += static_cast<i128>(t.q) * f.v[i] + static_cast<i128>(t.r) * g.v[i];
+    f.v[i - 1] = static_cast<i64>(static_cast<u64>(cf) & kM62);
+    g.v[i - 1] = static_cast<i64>(static_cast<u64>(cg) & kM62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[len - 1] = static_cast<i64>(cf);
+  g.v[len - 1] = static_cast<i64>(cg);
+}
+
+/// Carry each limb's excess into the next, leaving limbs 0..3 in [0, 2^62).
+void propagate_62(Signed62& r) {
+  for (int i = 0; i < 4; ++i) {
+    r.v[i + 1] += r.v[i] >> 62;
+    r.v[i] &= static_cast<i64>(kM62);
+  }
+}
+
+/// r in (-2m, m), negated when `sign` is negative, into [0, m).
+Signed62 normalize_62(Signed62 r, i64 sign, const SafegcdModulus& mod) {
+  i64 add_m = r.v[4] >> 63;
+  for (int i = 0; i < 5; ++i) r.v[i] += mod.m.v[i] & add_m;
+  const i64 negate = sign >> 63;
+  for (int i = 0; i < 5; ++i) r.v[i] = (r.v[i] ^ negate) - negate;
+  propagate_62(r);
+  add_m = r.v[4] >> 63;
+  for (int i = 0; i < 5; ++i) r.v[i] += mod.m.v[i] & add_m;
+  propagate_62(r);
+  return r;
+}
+
+/// a^-1 mod m for a < m coprime to the odd m; 0 maps to 0.
+U256 safegcd_inv(const U256& a, const SafegcdModulus& mod) {
+  Signed62 d{};
+  Signed62 e{{1}};
+  Signed62 f = mod.m;
+  Signed62 g = to_signed62(a);
+  int len = 5;
+  i64 eta = -1;
+  for (;;) {
+    Trans2x2 t{};
+    eta = divsteps_62_var(eta, static_cast<u64>(f.v[0]),
+                          static_cast<u64>(g.v[0]), t);
+    update_de(d, e, t, mod);
+    update_fg(len, f, g, t);
+    if (g.v[0] == 0) {
+      i64 rest = 0;
+      for (int j = 1; j < len; ++j) rest |= g.v[j];
+      if (rest == 0) break;
+    }
+    // Drop the top limb once it is 0 or -1 in both f and g, folding its
+    // sign into the limb below.
+    const i64 fn = f.v[len - 1];
+    const i64 gn = g.v[len - 1];
+    if (len > 1 && ((fn ^ (fn >> 63)) | (gn ^ (gn >> 63))) == 0) {
+      f.v[len - 2] = static_cast<i64>(static_cast<u64>(f.v[len - 2]) |
+                                      static_cast<u64>(fn) << 62);
+      g.v[len - 2] = static_cast<i64>(static_cast<u64>(g.v[len - 2]) |
+                                      static_cast<u64>(gn) << 62);
+      --len;
+    }
+  }
+  // g = 0 leaves f = +-gcd = +-1; its sign says whether d is +-a^-1.
+  return from_signed62(normalize_62(d, f.v[len - 1], mod));
+}
+
 }  // namespace
+
+namespace detail {
+
+U256 fp_mul_portable(const U256& a, const U256& b) {
+  return fe_reduce(mul_wide(a, b));
+}
+
+U256 fp_sqr_portable(const U256& a) { return fe_reduce(sqr_wide(a)); }
+
+bool fp_adx_kernel() {
+#ifdef BM_P256_ADX
+  return kAdx;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 const U256& p256_p() { return kP; }
 const U256& p256_n() { return kN; }
@@ -158,8 +576,8 @@ U256 fp_mul(const U256& a, const U256& b) { return fe_mul(a, b); }
 U256 fp_sqr(const U256& a) { return fe_sqr(a); }
 
 U256 fp_inv(const U256& a) {
-  // inv_mod(a R) = a^-1 R^-1; two products with R^2 bring it to a^-1 R.
-  return fe_mul(fe_mul(inv_mod(a, kP), kR2ModP), kR2ModP);
+  // (a R)^-1 = a^-1 R^-1; two products with R^2 bring it to a^-1 R.
+  return fe_mul(fe_mul(safegcd_inv(a, kSafegcdP), kR2ModP), kR2ModP);
 }
 
 U256 fn_add(const U256& a, const U256& b) { return add_mod(a, b, kN); }
@@ -169,7 +587,7 @@ U256 fn_mul(const U256& a, const U256& b) {
   return mont_reduce(mul_wide(abr, kR2ModN), kN, kNInv0);
 }
 
-U256 fn_inv(const U256& a) { return inv_mod(a, kN); }
+U256 fn_inv(const U256& a) { return safegcd_inv(a, kSafegcdN); }
 
 JacobianPoint to_jacobian(const AffinePoint& p) {
   if (p.infinity) return JacobianPoint{};
@@ -232,13 +650,14 @@ JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q) {
 
 namespace {
 
-/// Mixed addition (madd-2007-bl shape, Z2 = 1) with q finite and given by
+/// Mixed addition (madd-2007-bl shape, Z2 = 1) with a finite q given by
 /// Montgomery-domain coordinates, as the precomputed tables store it.
-JacobianPoint add_mont_affine(const JacobianPoint& p, const AffinePoint& q) {
-  if (p.is_infinity()) return JacobianPoint{q.x, q.y, kPOne};
+JacobianPoint add_mont_affine(const JacobianPoint& p, const U256& qx,
+                              const U256& qy) {
+  if (p.is_infinity()) return JacobianPoint{qx, qy, kPOne};
   const U256 z1z1 = fe_sqr(p.z);
-  const U256 u2 = fe_mul(q.x, z1z1);
-  const U256 s2 = fe_mul(q.y, fe_mul(z1z1, p.z));
+  const U256 u2 = fe_mul(qx, z1z1);
+  const U256 s2 = fe_mul(qy, fe_mul(z1z1, p.z));
   if (p.x == u2) {
     if (p.y == s2) return point_double(p);
     return JacobianPoint{};  // p + (-p)
@@ -286,7 +705,7 @@ std::vector<AffinePoint> batch_normalize(
 
 JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q) {
   if (q.infinity) return p;
-  return add_mont_affine(p, AffinePoint{fp_to_mont(q.x), fp_to_mont(q.y)});
+  return add_mont_affine(p, fp_to_mont(q.x), fp_to_mont(q.y));
 }
 
 std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) {
@@ -303,10 +722,6 @@ namespace {
 
 JacobianPoint jac_negate(const JacobianPoint& p) {
   return JacobianPoint{p.x, fe_neg(p.y), p.z};
-}
-
-AffinePoint affine_negate(const AffinePoint& p) {
-  return AffinePoint{p.x, fe_neg(p.y), false};
 }
 
 /// Width-w NAF digits of k, least significant first. Digits are zero or odd
@@ -337,8 +752,13 @@ int wnaf_digits(const U256& k, int w, std::int8_t* digits) {
 
 constexpr int kWnafWidth = 5;            ///< arbitrary-point tables: 8 entries
 constexpr int kWnafWidthBase = 7;        ///< generator table: 32 entries
-constexpr int kCombTeeth = 8;            ///< comb rows
-constexpr int kCombSpacing = 32;         ///< comb columns (256 / kCombTeeth)
+// The comb: one block per 64-bit limb of the scalar, 8 teeth 8 bits apart
+// in each, so a multiply walks 8 columns (7 doublings) and adds at most one
+// entry per block and column (32).
+constexpr int kCombBlocks = 4;
+constexpr int kCombTeeth = 8;
+constexpr int kCombSpacing = 8;               ///< columns: 64 / kCombTeeth
+constexpr int kCombEntries = (1 << kCombTeeth) - 1;  ///< per block
 
 /// Odd multiples {P, 3P, 5P, ..., (2^(w-1) - 1)P} in Jacobian coordinates.
 std::vector<JacobianPoint> odd_multiples(const AffinePoint& p, int w) {
@@ -357,35 +777,13 @@ const std::vector<AffinePoint>& base_wnaf_table() {
   return tbl;
 }
 
-/// Lim–Lee comb entries for P: entry d (1..255) is sum_{t in bits(d)}
-/// 2^(32t) * P, stored affine. 255 entries, ~16 KiB.
-std::vector<AffinePoint> build_comb_entries(const AffinePoint& p) {
-  std::array<JacobianPoint, kCombTeeth> spine;
-  spine[0] = to_jacobian(p);
-  for (int t = 1; t < kCombTeeth; ++t) {
-    spine[t] = spine[t - 1];
-    for (int i = 0; i < kCombSpacing; ++i) spine[t] = point_double(spine[t]);
-  }
-  std::vector<JacobianPoint> entries(1u << kCombTeeth);  // entry 0 unused
-  for (unsigned d = 1; d < entries.size(); ++d) {
-    const unsigned t = static_cast<unsigned>(__builtin_ctz(d));
-    entries[d] =
-        d == (1u << t) ? spine[t] : point_add(entries[d & (d - 1)], spine[t]);
-  }
-  return batch_normalize(entries);
-}
-
-const std::vector<AffinePoint>& base_comb_table() {
-  static const std::vector<AffinePoint> tbl = build_comb_entries(kG);
-  return tbl;
-}
-
-/// Column digit of the comb decomposition: bit t*32+col of k selects tooth t.
-unsigned comb_digit(const U256& k, int col) {
-  unsigned d = 0;
-  for (int t = 0; t < kCombTeeth; ++t)
-    d |= static_cast<unsigned>(k.bit(t * kCombSpacing + col)) << t;
-  return d;
+/// Comb digit of one block at column col: bit 8t + col of the limb selects
+/// tooth t. The mask keeps bits col, col + 8, ..., col + 56, and the
+/// multiply gathers bit 8t into bit 56 + t; no two partial products meet
+/// in the top byte, so nothing carries into it.
+unsigned block_digit(u64 limb, int col) {
+  return static_cast<unsigned>(
+      ((limb >> col) & 0x0101010101010101) * 0x0102040810204080 >> 56);
 }
 
 U256 reduce_mod_n(const U256& k) {
@@ -424,24 +822,45 @@ JacobianPoint scalar_mult_wnaf(const U256& k, const AffinePoint& p) {
   return acc;
 }
 
-JacobianPoint base_mult(const U256& k) {
-  const U256 kr = reduce_mod_n(k);
-  if (kr.is_zero()) return JacobianPoint{};
-  const std::vector<AffinePoint>& tbl = base_comb_table();
-  JacobianPoint acc{};
-  for (int col = kCombSpacing - 1; col >= 0; --col) {
-    acc = point_double(acc);
-    const unsigned d = comb_digit(kr, col);
-    if (d != 0) acc = add_mont_affine(acc, tbl[d]);
-  }
-  return acc;
-}
-
 PointCombTable PointCombTable::build(const AffinePoint& p) {
   PointCombTable tbl;
   tbl.point_ = p;
-  if (!p.infinity) tbl.entries_ = build_comb_entries(p);
+  if (p.infinity) return tbl;
+  // The 32 teeth 2^(8j) P, j = 8 * block + tooth, made affine together.
+  std::vector<JacobianPoint> chain(kCombBlocks * kCombTeeth);
+  chain[0] = to_jacobian(p);
+  for (std::size_t j = 1; j < chain.size(); ++j) {
+    chain[j] = chain[j - 1];
+    for (int i = 0; i < kCombSpacing; ++i) chain[j] = point_double(chain[j]);
+  }
+  const std::vector<AffinePoint> teeth = batch_normalize(chain);
+  // Entry d of a block adds its lowest tooth to the entry without it.
+  std::vector<JacobianPoint> sums(kCombBlocks * kCombEntries);
+  for (int b = 0; b < kCombBlocks; ++b) {
+    JacobianPoint* block = &sums[static_cast<std::size_t>(b * kCombEntries)];
+    for (unsigned d = 1; d <= kCombEntries; ++d) {
+      const unsigned t = static_cast<unsigned>(__builtin_ctz(d));
+      const AffinePoint& tooth = teeth[b * kCombTeeth + t];
+      const unsigned rest = d & (d - 1);
+      block[d - 1] = rest == 0 ? JacobianPoint{tooth.x, tooth.y, kPOne}
+                               : add_mont_affine(block[rest - 1], tooth.x,
+                                                 tooth.y);
+    }
+  }
+  const std::vector<AffinePoint> affine = batch_normalize(sums);
+  tbl.entries_.reserve(affine.size());
+  for (const AffinePoint& a : affine) tbl.entries_.push_back({a.x, a.y});
   return tbl;
+}
+
+void PointCombTable::add_column(JacobianPoint& acc, const U256& k,
+                                int col) const {
+  for (int b = 0; b < kCombBlocks; ++b) {
+    const unsigned d = block_digit(k.w[b], col);
+    if (d == 0) continue;
+    const Entry& e = entries_[b * kCombEntries + d - 1];
+    acc = add_mont_affine(acc, e.x, e.y);
+  }
 }
 
 JacobianPoint PointCombTable::mult(const U256& k) const {
@@ -450,11 +869,21 @@ JacobianPoint PointCombTable::mult(const U256& k) const {
   JacobianPoint acc{};
   for (int col = kCombSpacing - 1; col >= 0; --col) {
     acc = point_double(acc);
-    const unsigned d = comb_digit(kr, col);
-    if (d != 0) acc = add_mont_affine(acc, entries_[d]);
+    add_column(acc, kr, col);
   }
   return acc;
 }
+
+namespace {
+
+const PointCombTable& base_comb_table() {
+  static const PointCombTable tbl = PointCombTable::build(kG);
+  return tbl;
+}
+
+}  // namespace
+
+JacobianPoint base_mult(const U256& k) { return base_comb_table().mult(k); }
 
 JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                       const PointCombTable& q) {
@@ -462,14 +891,12 @@ JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
   const U256 u2r = q.point().infinity ? U256{} : reduce_mod_n(u2);
   if (u2r.is_zero()) return base_mult(u1r);
   if (u1r.is_zero()) return q.mult(u2r);
-  const std::vector<AffinePoint>& gtbl = base_comb_table();
+  const PointCombTable& g = base_comb_table();
   JacobianPoint acc{};
   for (int col = kCombSpacing - 1; col >= 0; --col) {
     acc = point_double(acc);
-    const unsigned d1 = comb_digit(u1r, col);
-    if (d1 != 0) acc = add_mont_affine(acc, gtbl[d1]);
-    const unsigned d2 = comb_digit(u2r, col);
-    if (d2 != 0) acc = add_mont_affine(acc, q.entries_[d2]);
+    g.add_column(acc, u1r, col);
+    q.add_column(acc, u2r, col);
   }
   return acc;
 }
@@ -495,7 +922,7 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
     if (i < len1 && d1[i] != 0) {
       const int d = d1[i];
       const AffinePoint& g = gtbl[static_cast<std::size_t>(std::abs(d) / 2)];
-      acc = add_mont_affine(acc, d > 0 ? g : affine_negate(g));
+      acc = add_mont_affine(acc, g.x, d > 0 ? g.y : fe_neg(g.y));
     }
     if (i < len2 && d2[i] != 0) {
       const int d = d2[i];

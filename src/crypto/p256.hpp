@@ -24,12 +24,14 @@ U256 fp_from_mont(const U256& a);  ///< a * 2^-256 mod p
 U256 fp_add(const U256& a, const U256& b);
 U256 fp_sub(const U256& a, const U256& b);
 /// Montgomery product a * b * 2^-256 mod p: the product of two
-/// Montgomery-domain elements, again in the Montgomery domain.
+/// Montgomery-domain elements, again in the Montgomery domain. Runs a
+/// mulx/adcx/adox kernel when cpuid reports bmi2 and adx, else the portable
+/// one; both return the same limbs.
 U256 fp_mul(const U256& a, const U256& b);
 /// fp_mul(a, a) with a dedicated squaring (10 limb products instead of 16).
 U256 fp_sqr(const U256& a);
-/// Inverse of a Montgomery-domain element, in the Montgomery domain; 0 maps
-/// to 0.
+/// Inverse of a Montgomery-domain element, in the Montgomery domain, by
+/// safegcd (variable time); 0 maps to 0.
 U256 fp_inv(const U256& a);
 
 /// Arithmetic mod the group order n, ordinary domain. Inputs must be < n.
@@ -37,8 +39,17 @@ U256 fn_add(const U256& a, const U256& b);
 /// a * b mod n as two Montgomery products (the second undoes the first's
 /// factor 2^-256).
 U256 fn_mul(const U256& a, const U256& b);
-/// Binary extended Euclid; 0 maps to 0.
+/// Bernstein–Yang safegcd (variable time); 0 maps to 0.
 U256 fn_inv(const U256& a);
+
+namespace detail {
+/// The portable kernels behind fp_mul and fp_sqr, for tests to compare the
+/// dispatched kernel against.
+U256 fp_mul_portable(const U256& a, const U256& b);
+U256 fp_sqr_portable(const U256& a);
+/// True when fp_mul and fp_sqr run the mulx/adcx/adox kernel.
+bool fp_adx_kernel();
+}  // namespace detail
 
 struct AffinePoint {
   U256 x;
@@ -85,8 +96,8 @@ JacobianPoint scalar_mult_naive(const U256& k, const AffinePoint& p);
 /// k * P by width-5 wNAF with a per-call odd-multiples table.
 JacobianPoint scalar_mult_wnaf(const U256& k, const AffinePoint& p);
 
-/// k * G via the precomputed fixed-base comb table (8 teeth x 32 columns):
-/// 31 doublings + <= 32 mixed additions. The signing hot path.
+/// k * G via the precomputed fixed-base comb table (4 blocks x 8 teeth x 8
+/// columns): 7 doublings + <= 32 mixed additions. The signing hot path.
 JacobianPoint base_mult(const U256& k);
 
 /// u1*G + u2*Q by joint wNAF (Shamir's trick): one shared doubling chain,
@@ -101,11 +112,12 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
 /// r + n < p, (r + n) * Z^2 == X) so no field inversion is needed.
 bool x_equals_mod_n(const JacobianPoint& p, const U256& r);
 
-/// Per-point Lim–Lee comb table, the same 8-teeth x 32-column layout the
-/// generator's fixed-base table uses: 255 affine entries (~16 KiB). Building
-/// one costs a few hundred point operations — roughly two generic scalar
-/// multiplications — which amortizes whenever the same point is multiplied
-/// more than a handful of times (hot endorser public keys).
+/// Per-point Lim–Lee comb table, the same layout the generator's fixed-base
+/// table uses: one block per 64-bit limb of the scalar, 8 teeth x 8 columns
+/// in each, 4 x 255 affine entries (~64 KiB). Building one costs about 250
+/// doublings and 1,000 mixed additions — roughly 5-7 generic scalar
+/// multiplications — which amortizes once the same point is multiplied
+/// more than about seven times (hot endorser public keys).
 class PointCombTable {
  public:
   /// Precompute the table for P. An infinity P yields a table whose
@@ -114,7 +126,7 @@ class PointCombTable {
 
   const AffinePoint& point() const { return point_; }
 
-  /// k * P via the comb: 31 doublings + <= 32 mixed additions (reduces k
+  /// k * P via the comb: 7 doublings + <= 32 mixed additions (reduces k
   /// mod n first, like scalar_mult).
   JacobianPoint mult(const U256& k) const;
 
@@ -122,18 +134,28 @@ class PointCombTable {
   friend JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                                const PointCombTable& q);
 
+  /// An affine entry, both coordinates in the Montgomery domain.
+  struct Entry {
+    U256 x;
+    U256 y;
+  };
+
   PointCombTable() = default;
 
+  /// acc += the entries that column col of k selects, one per block.
+  void add_column(JacobianPoint& acc, const U256& k, int col) const;
+
   AffinePoint point_{{}, {}, true};
-  /// Entry d (1..255): sum over set bits t of d of 2^(32t) * P, with
-  /// Montgomery-domain coordinates; entry 0 unused.
-  std::vector<AffinePoint> entries_;
+  /// Entry (b, d) for block b (0..3) and digit d (1..255), at index
+  /// 255 b + d - 1: sum over set bits t of d of 2^(64b + 8t) * P.
+  std::vector<Entry> entries_;
 };
 
-/// u1*G + u2*Q with Q on a prebuilt comb table: ONE shared 31-doubling
-/// chain with both comb lookups folded per column, <= 64 mixed additions
+/// u1*G + u2*Q with Q on a prebuilt comb table: ONE shared 7-doubling
+/// chain with both tables' lookups folded per column, <= 64 mixed additions
 /// total. The generic joint-wNAF path pays ~256 doublings, so a table hit
-/// makes verification ~4x cheaper — the per-identity ECDSA hot path.
+/// makes verification several times cheaper — the per-identity ECDSA hot
+/// path.
 JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                       const PointCombTable& q);
 

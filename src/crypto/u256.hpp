@@ -183,11 +183,13 @@ U256 mul_mod(const U256& a, const U256& b, const U256& m);
 U256 pow_mod(const U256& a, const U256& e, const U256& m);
 
 /// a^(m-2) mod m over generic division: the reference inverse mod a prime
-/// that inv_mod is tested against.
+/// that inv_mod and the safegcd inverses (fp_inv, fn_inv) are tested
+/// against.
 U256 inv_mod_prime(const U256& a, const U256& m);
 
 /// a^-1 mod m by the binary extended Euclidean algorithm (variable time),
-/// for odd m and a in [1, m) coprime to m; 0 maps to 0.
+/// for odd m and a in [1, m) coprime to m; 0 maps to 0. The second oracle
+/// for the safegcd inverses.
 U256 inv_mod(const U256& a, const U256& m);
 
 }  // namespace bm::crypto

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "crypto/comb_cache.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto_block_scalars.hpp"
 
 namespace bm::crypto {
 namespace {
@@ -49,6 +50,28 @@ TEST(PointCombTable, EdgeScalars) {
   const PointCombTable table = PointCombTable::build(p);
   for (const U256& k : edge_scalars())
     EXPECT_EQ(to_affine(table.mult(k)), to_affine(scalar_mult_naive(k, p)));
+}
+
+TEST(PointCombTable, BlockBoundaryScalars) {
+  // Every pair of block-boundary scalars through a key's comb and the joint
+  // comb with the generator's.
+  Rng rng(14);
+  const AffinePoint q = random_point(rng);
+  const PointCombTable table = PointCombTable::build(q);
+  const std::vector<U256> scalars = block_boundary_scalars();
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const JacobianPoint u2q = scalar_mult_naive(scalars[i], q);
+    EXPECT_EQ(to_affine(table.mult(scalars[i])), to_affine(u2q))
+        << "scalar " << i;
+    for (std::size_t j = 0; j < scalars.size(); ++j) {
+      const JacobianPoint expected =
+          point_add(scalar_mult_naive(scalars[j], p256_generator()), u2q);
+      EXPECT_EQ(to_affine(double_scalar_mult_comb(scalars[j], scalars[i],
+                                                  table)),
+                to_affine(expected))
+          << "u1 " << j << ", u2 " << i;
+    }
+  }
 }
 
 TEST(PointCombTable, InfinityPoint) {

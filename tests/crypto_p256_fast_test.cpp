@@ -7,6 +7,7 @@
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto_block_scalars.hpp"
 
 namespace bm::crypto {
 namespace {
@@ -76,6 +77,23 @@ TEST(P256Fast, EdgeScalars) {
   // Infinity base stays at infinity.
   EXPECT_TRUE(
       scalar_mult(U256::from_u64(7), AffinePoint{{}, {}, true}).is_infinity());
+}
+
+TEST(P256Fast, CombBlockBoundaryScalars) {
+  // The generator's comb alone, and joined with a key's comb, on scalars at
+  // the edges of the four 64-bit blocks; u2 runs through the list backwards.
+  const AffinePoint q = key_from_seed(to_bytes("block")).public_key().point;
+  const PointCombTable table = PointCombTable::build(q);
+  const std::vector<U256> scalars = block_boundary_scalars();
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const U256& u1 = scalars[i];
+    const U256& u2 = scalars[scalars.size() - 1 - i];
+    const JacobianPoint u1g = scalar_mult_naive(u1, p256_generator());
+    EXPECT_EQ(affine(base_mult(u1)), affine(u1g)) << "scalar " << i;
+    EXPECT_EQ(affine(double_scalar_mult_comb(u1, u2, table)),
+              affine(point_add(u1g, scalar_mult_naive(u2, q))))
+        << "scalar " << i;
+  }
 }
 
 TEST(P256Fast, JointWnafEdgeScalars) {

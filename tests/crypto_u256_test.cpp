@@ -248,6 +248,88 @@ TEST(P256, ScalarFieldMatchesGenericDivision) {
   }
 }
 
+TEST(P256, FieldKernelsMatchGenericDivision) {
+  // Both product kernels, the portable one and the one fp_mul and fp_sqr
+  // dispatch to, against the Knuth-division reference: a Montgomery
+  // product r of a and b satisfies r * 2^256 == a * b (mod p).
+  Rng rng(14);
+  const U256& p = p256_p();
+  std::vector<U256> inputs = edge_values(p);
+  for (int i = 0; i < 60; ++i) inputs.push_back(mod(random_u256(rng), p));
+  struct Kernel {
+    U256 (*mul)(const U256&, const U256&);
+    U256 (*sqr)(const U256&);
+  };
+  for (const Kernel k : {Kernel{detail::fp_mul_portable,
+                                detail::fp_sqr_portable},
+                         Kernel{fp_mul, fp_sqr}}) {
+    for (const U256& a : edge_values(p))
+      for (const U256& b : inputs)
+        EXPECT_EQ(times_r(k.mul(a, b), p), mul_mod(a, b, p));
+    for (const U256& a : inputs)
+      EXPECT_EQ(times_r(k.sqr(a), p), mul_mod(a, a, p));
+  }
+}
+
+TEST(P256, DispatchedKernelMatchesPortable) {
+  if (!detail::fp_adx_kernel())
+    GTEST_SKIP() << "no bmi2/adx: fp_mul already runs the portable kernel";
+  Rng rng(15);
+  const U256& p = p256_p();
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const U256 a = mod(random_u256(rng), p);
+    const U256 b = mod(random_u256(rng), p);
+    mismatches += fp_mul(a, b) != detail::fp_mul_portable(a, b);
+    mismatches += fp_sqr(a) != detail::fp_sqr_portable(a);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// Inverse inputs below m: 0, 1, 2, m - 1, 2^255, every one-bit value and
+/// each limb all ones (reduced mod m).
+std::vector<U256> inverse_edge_values(const U256& m) {
+  std::vector<U256> out = {U256{}, U256::from_u64(1), U256::from_u64(2)};
+  U256 v;
+  sub(v, m, U256::from_u64(1));
+  out.push_back(v);
+  for (int bit = 0; bit < 256; ++bit) {  // includes 2^255
+    U256 one_bit;
+    one_bit.w[bit / 64] = std::uint64_t{1} << (bit % 64);
+    out.push_back(mod(one_bit, m));
+  }
+  for (int limb = 0; limb < 4; ++limb) {
+    U256 ones;
+    ones.w[limb] = ~std::uint64_t{0};
+    out.push_back(mod(ones, m));
+  }
+  return out;
+}
+
+TEST(P256, SafegcdInversesMatchOracles) {
+  // fn_inv and fp_inv (safegcd) against both retained oracles, the binary
+  // Euclid inv_mod and the Fermat inv_mod_prime, on edge values and 10^5
+  // random inputs per modulus. fp_inv is checked through the Montgomery
+  // domain it works in.
+  Rng rng(16);
+  for (const bool mod_p : {true, false}) {
+    const U256& m = mod_p ? p256_p() : p256_n();
+    std::vector<U256> inputs = inverse_edge_values(m);
+    for (int i = 0; i < 100000; ++i) inputs.push_back(mod(random_u256(rng), m));
+    int mismatches = 0;
+    for (const U256& a : inputs) {
+      const U256 inv =
+          mod_p ? fp_from_mont(fp_inv(fp_to_mont(a))) : fn_inv(a);
+      const U256 oracle = inv_mod(a, m);
+      mismatches += inv != oracle;
+      mismatches += inv != inv_mod_prime(a, m);
+    }
+    EXPECT_EQ(mismatches, 0) << (mod_p ? "mod p" : "mod n");
+  }
+  EXPECT_EQ(fn_inv(U256{}), U256{});
+  EXPECT_EQ(fp_inv(U256{}), U256{});
+}
+
 TEST(U256, LimbDivisionMatchesBitwiseOracle) {
   // The Knuth-D remainder path against the retained bit-by-bit oracle, over
   // random dividends and moduli of every limb width.
