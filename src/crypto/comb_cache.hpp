@@ -9,7 +9,7 @@
 // cache for the key's Lim–Lee comb table after its range and curve checks
 // pass. A key's first sight gets no table: the verify runs the generic
 // joint-wNAF multiply and the key enters a bounded seen-once set. Its
-// second sight builds the table (one-time work worth ~5-7 generic
+// second sight builds the table (one-time work worth ~5-6 generic
 // verifies, ~64 KiB), and every later verification runs the u1*G + u2*Q
 // combine as eight comb lookups per column (four blocks per table) on ONE
 // shared 7-doubling chain — ~5x cheaper than the generic walk. A stream of

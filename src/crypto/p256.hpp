@@ -115,7 +115,7 @@ bool x_equals_mod_n(const JacobianPoint& p, const U256& r);
 /// Per-point Lim–Lee comb table, the same layout the generator's fixed-base
 /// table uses: one block per 64-bit limb of the scalar, 8 teeth x 8 columns
 /// in each, 4 x 255 affine entries (~64 KiB). Building one costs about 250
-/// doublings and 1,000 mixed additions — roughly 5-7 generic scalar
+/// doublings and 1,000 mixed additions — roughly 5-6 generic scalar
 /// multiplications — which amortizes once the same point is multiplied
 /// more than about seven times (hot endorser public keys).
 class PointCombTable {

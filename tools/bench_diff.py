@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two perf ledgers against BENCHMARK.json's bounds.
 
-    python3 tools/bench_diff.py BENCH_pr19.json BENCH_pr20.json
+    python3 tools/bench_diff.py BENCH_prM.json BENCH_prN.json
     python3 tools/bench_diff.py --warn-only          # the two newest ledgers
 
 Prints, per workload, each end-to-end metric of the untraced runs (old,

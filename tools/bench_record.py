@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the wall-clock benchmark and write a perf ledger, BENCH_pr<N>.json.
 
-    python3 tools/bench_record.py --pr 20
-    python3 tools/bench_record.py --pr 20 --parent ../parent --parent-pr 19
+    python3 tools/bench_record.py --pr N
+    python3 tools/bench_record.py --pr N --parent ../parent --parent-pr M
 
 For each workload in BENCHMARK.json it runs `perfbench/run.py` at seed 1,
 untraced (--trace 0, the end-to-end metrics) and traced (--trace 1, the
@@ -36,7 +36,8 @@ def run_perfbench(root, workload, seed, seconds, trace):
                "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(command, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
-    lines = proc.stdout.strip().splitlines()
+    # Paths inside the checkout are kept relative to it.
+    lines = proc.stdout.replace(root + os.sep, "").strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
