@@ -81,6 +81,35 @@ void BM_EcdsaVerifyFreshKey(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerifyFreshKey);
 
+// Uniformly random traffic over N keys, against the cache's 64 tables and
+// 64-key seen-once set. At 48 keys every key keeps its table; past 64,
+// tables keep being built and evicted, and a build costs several generic
+// verifies. The loop before timing lets both LRUs reach steady state.
+void BM_EcdsaVerifyHotKeys(benchmark::State& state) {
+  struct Case {
+    PublicKey key;
+    Signature sig;
+  };
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const Digest digest = sha256(to_bytes("message"));
+  std::vector<Case> keys;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const PrivateKey key = key_from_seed(
+        to_bytes("hot-" + std::to_string(n) + "-" + std::to_string(i)));
+    keys.push_back({key.public_key(), sign(key, digest)});
+  }
+  Rng rng(n);
+  for (std::uint64_t i = 0; i < 10 * n; ++i) {
+    const Case& c = keys[rng.uniform(n)];
+    benchmark::DoNotOptimize(verify(c.key, digest, c.sig));
+  }
+  for (auto _ : state) {
+    const Case& c = keys[rng.uniform(n)];
+    benchmark::DoNotOptimize(verify(c.key, digest, c.sig));
+  }
+}
+BENCHMARK(BM_EcdsaVerifyHotKeys)->Arg(48)->Arg(96)->Arg(180);
+
 void BM_DerRoundTrip(benchmark::State& state) {
   const PrivateKey key = key_from_seed(to_bytes("bench"));
   const Signature sig = sign(key, sha256(to_bytes("m")));

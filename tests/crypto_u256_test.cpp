@@ -205,22 +205,36 @@ TEST(P256, MontgomeryDomainRoundTrip) {
 
 TEST(P256, FieldOpsMatchGenericDivision) {
   // Montgomery products, mapped back to the ordinary domain, against the
-  // Knuth-division reference; edge values crossed with each other.
+  // Knuth-division reference; edge values crossed with each other. Both
+  // product kernels run: the one fp_mul and fp_sqr dispatch to and the
+  // portable one.
   Rng rng(9);
   const U256& p = p256_p();
   std::vector<U256> inputs = edge_values(p);
   for (int i = 0; i < 60; ++i) inputs.push_back(mod(random_u256(rng), p));
+  struct Kernel {
+    U256 (*mul)(const U256&, const U256&);
+    U256 (*sqr)(const U256&);
+  };
+  for (const Kernel k : {Kernel{fp_mul, fp_sqr},
+                         Kernel{detail::fp_mul_portable,
+                                detail::fp_sqr_portable}}) {
+    for (const U256& a : inputs) {
+      const U256 am = fp_to_mont(a);
+      for (const U256& b : inputs) {
+        EXPECT_EQ(fp_from_mont(k.mul(am, fp_to_mont(b))), mul_mod(a, b, p));
+        EXPECT_EQ(k.mul(a, b), k.mul(b, a));
+      }
+      EXPECT_EQ(fp_from_mont(k.sqr(am)), mul_mod(a, a, p));
+      EXPECT_EQ(k.sqr(a), k.mul(a, a));
+    }
+  }
   for (const U256& a : inputs) {
-    const U256 am = fp_to_mont(a);
     for (const U256& b : inputs) {
-      const U256 bm = fp_to_mont(b);
-      EXPECT_EQ(fp_from_mont(fp_mul(am, bm)), mul_mod(a, b, p));
-      EXPECT_EQ(fp_mul(a, b), fp_mul(b, a));
       EXPECT_EQ(fp_add(a, b), add_mod(a, b, p));
       EXPECT_EQ(fp_sub(a, b), sub_mod(a, b, p));
     }
-    EXPECT_EQ(fp_sqr(am), fp_mul(am, am));
-    EXPECT_EQ(fp_sqr(a), fp_mul(a, a));
+    const U256 am = fp_to_mont(a);
     if (a.is_zero()) {
       EXPECT_EQ(fp_inv(am), U256{});
     } else {
@@ -245,29 +259,6 @@ TEST(P256, ScalarFieldMatchesGenericDivision) {
     } else {
       EXPECT_EQ(fn_mul(a, fn_inv(a)), U256::from_u64(1));
     }
-  }
-}
-
-TEST(P256, FieldKernelsMatchGenericDivision) {
-  // Both product kernels, the portable one and the one fp_mul and fp_sqr
-  // dispatch to, against the Knuth-division reference: a Montgomery
-  // product r of a and b satisfies r * 2^256 == a * b (mod p).
-  Rng rng(14);
-  const U256& p = p256_p();
-  std::vector<U256> inputs = edge_values(p);
-  for (int i = 0; i < 60; ++i) inputs.push_back(mod(random_u256(rng), p));
-  struct Kernel {
-    U256 (*mul)(const U256&, const U256&);
-    U256 (*sqr)(const U256&);
-  };
-  for (const Kernel k : {Kernel{detail::fp_mul_portable,
-                                detail::fp_sqr_portable},
-                         Kernel{fp_mul, fp_sqr}}) {
-    for (const U256& a : edge_values(p))
-      for (const U256& b : inputs)
-        EXPECT_EQ(times_r(k.mul(a, b), p), mul_mod(a, b, p));
-    for (const U256& a : inputs)
-      EXPECT_EQ(times_r(k.sqr(a), p), mul_mod(a, a, p));
   }
 }
 
@@ -307,22 +298,27 @@ std::vector<U256> inverse_edge_values(const U256& m) {
 }
 
 TEST(P256, SafegcdInversesMatchOracles) {
-  // fn_inv and fp_inv (safegcd) against both retained oracles, the binary
-  // Euclid inv_mod and the Fermat inv_mod_prime, on edge values and 10^5
-  // random inputs per modulus. fp_inv is checked through the Montgomery
-  // domain it works in.
+  // fn_inv and fp_inv (safegcd) on edge values and 10^5 random inputs per
+  // modulus. Every result is compared with the binary-Euclid oracle inv_mod
+  // and checked as a * inv == 1 (mod m), which pins it: an inverse mod a
+  // prime is unique. The slow Fermat oracle inv_mod_prime runs on the edge
+  // values and the first 2,000 random inputs. fp_inv is checked through
+  // the Montgomery domain it works in.
   Rng rng(16);
   for (const bool mod_p : {true, false}) {
     const U256& m = mod_p ? p256_p() : p256_n();
     std::vector<U256> inputs = inverse_edge_values(m);
+    const std::size_t fermat_checked = inputs.size() + 2000;
     for (int i = 0; i < 100000; ++i) inputs.push_back(mod(random_u256(rng), m));
     int mismatches = 0;
-    for (const U256& a : inputs) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const U256& a = inputs[i];
       const U256 inv =
           mod_p ? fp_from_mont(fp_inv(fp_to_mont(a))) : fn_inv(a);
-      const U256 oracle = inv_mod(a, m);
-      mismatches += inv != oracle;
-      mismatches += inv != inv_mod_prime(a, m);
+      mismatches += inv != inv_mod(a, m);
+      mismatches += mul_mod(a, inv, m) !=
+                    (a.is_zero() ? U256{} : U256::from_u64(1));
+      if (i < fermat_checked) mismatches += inv != inv_mod_prime(a, m);
     }
     EXPECT_EQ(mismatches, 0) << (mod_p ? "mod p" : "mod n");
   }

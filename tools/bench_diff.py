@@ -4,19 +4,31 @@
     python3 tools/bench_diff.py BENCH_prM.json BENCH_prN.json
     python3 tools/bench_diff.py --warn-only          # the two newest ledgers
 
-Prints, per workload, each end-to-end metric of the untraced runs (old,
-new, ratio) and flags one that got worse by more than its bound; a rise in
-failed oracle checks or a changed determinism digest is flagged too. The
-per-layer metrics of the traced runs and the `commit_pairs` medians, when
-both ledgers have them, are printed for information. Exit status 1 when
-anything is flagged, unless --warn-only. --markdown prints instead the
-end-to-end table that docs/PERFORMANCE.md quotes.
+For each workload and seed, the untraced runs of each ledger give every
+end-to-end metric's median and quartiles, and, where tools/bench_record.py
+ran alternating pairs, how many pairs the new side won (ties count for
+neither). Each metric gets one verdict:
+
+  gain        the new side won at least 9 of 10 pairs and the medians
+              differ by more than the old runs' interquartile range;
+  worse       the new median is worse than the old by more than the bound;
+  unresolved  either side's interquartile range, over its median, is wider
+              than the bound, and not every new run beats every old run;
+  no worse    otherwise.
+
+A `worse` or `unresolved` metric is flagged, as are a larger share of
+failed oracle checks and a determinism digest that differs between runs.
+The per-layer metrics of the traced runs are printed for information. Exit
+status 1 when anything is flagged, unless --warn-only. Ledgers whose runs
+differ in length are refused. --markdown prints instead the table that
+docs/PERFORMANCE.md quotes.
 """
 import argparse
 import glob
 import json
 import os
 import re
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,8 +43,13 @@ def newest_two():
     return paths[-2:]
 
 
-def by_run(doc, trace):
-    return {r["workload"]: r for r in doc["runs"] if r["trace"] == trace}
+def untraced(doc):
+    """{(workload, seed): [run, ...]} of a ledger's untraced runs."""
+    groups = {}
+    for run in doc["runs"]:
+        if run["trace"] == 0:
+            groups.setdefault((run["workload"], run["seed"]), []).append(run)
+    return groups
 
 
 def digest(run):
@@ -40,31 +57,45 @@ def digest(run):
                  if l.startswith("digest ")), None)
 
 
-def markdown(old, new, spec):
-    """One row per workload: each end-to-end metric, old -> new."""
-    names = [m["name"] for m in spec["end_to_end"]]
-    print("| workload | " + " | ".join("`%s`" % n for n in names) + " |")
-    print("|---" * (len(names) + 1) + "|")
-    old_e2e, new_e2e = by_run(old, 0), by_run(new, 0)
-    for workload in [w["name"] for w in spec["workloads"]]:
-        a = old_e2e[workload]["result"]["metrics"]
-        b = new_e2e[workload]["result"]["metrics"]
-        cells = ["%.4g → %.4g (×%.2f)" % (a[n]["value"], b[n]["value"],
-                                          b[n]["value"] / a[n]["value"])
-                 for n in names]
-        print("| %s | %s |" % (workload, " | ".join(cells)))
-    if "commit_pairs" in old and "commit_pairs" in new:
-        print()
-        print("| commit, seed | runs | `tx_per_s` before | after | ratio of medians |")
-        print("|---|---:|---:|---:|---:|")
-        for seed, side in sorted(new["commit_pairs"]["seeds"].items()):
-            base = old["commit_pairs"]["seeds"][seed]
-            print("| %s | %d + %d | %s | %s | ×%.2f |" % (
-                seed, len(base["tx_per_s"]), len(side["tx_per_s"]),
-                ", ".join("%.0f" % v for v in base["tx_per_s"]),
-                ", ".join("%.0f" % v for v in side["tx_per_s"]),
-                side["median"] / base["median"]))
-    return 0
+def quartiles(values):
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def compare(old_runs, new_runs, metric):
+    """One row: each side's quartiles, pairs won by the new side, verdict."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    a = [r["result"]["metrics"][name]["value"] for r in old_runs]
+    b = [r["result"]["metrics"][name]["value"] for r in new_runs]
+    qa, qb = quartiles(a), quartiles(b)
+
+    def better(x, y):
+        return x < y if lower else x > y
+
+    old_pair = {r["pair"]: v for r, v in zip(old_runs, a) if "pair" in r}
+    pairs = [(old_pair[r["pair"]], v) for r, v in zip(new_runs, b)
+             if r.get("pair") in old_pair]
+    wins = sum(better(y, x) for x, y in pairs)
+    ratio = qb[1] / qa[1] if qa[1] else float("inf")
+    worse = ratio - 1 if lower else 1 - ratio
+    spread = max((q[2] - q[0]) / q[1] if q[1] else 0 for q in (qa, qb))
+    if (pairs and wins >= 0.9 * len(pairs) and better(qb[1], qa[1])
+            and abs(qb[1] - qa[1]) > qa[2] - qa[0]):
+        verdict = "gain"
+    elif worse > metric["bound"]:
+        verdict = "worse"
+    elif spread > metric["bound"] and not all(better(y, x)
+                                               for x in a for y in b):
+        verdict = "unresolved"
+    else:
+        verdict = "no worse"
+    return {"old": qa, "new": qb, "ratio": ratio, "wins": wins,
+            "pairs": len(pairs), "verdict": verdict}
+
+
+def fmt(q):
+    return "%.4g [%.4g, %.4g]" % (q[1], q[0], q[2])
 
 
 def main():
@@ -82,37 +113,63 @@ def main():
         new = json.load(f)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
+    lengths = {run["seconds"] for run in old["runs"] + new["runs"]}
+    if len(lengths) != 1:
+        sys.exit("bench_diff: the ledgers' runs differ in length (%s s); "
+                 "compare ledgers taken at one run length"
+                 % ", ".join(str(s) for s in sorted(lengths)))
 
-    if args.markdown:
-        return markdown(old, new, spec)
     flags = []
-    print("%s -> %s" % (os.path.basename(old_path), os.path.basename(new_path)))
-    print("host: %s | %s" % (old["host"].get("cpu"), new["host"].get("cpu")))
-    old_e2e, new_e2e = by_run(old, 0), by_run(new, 0)
+    rows = []
+    old_groups, new_groups = untraced(old), untraced(new)
     for workload in [w["name"] for w in spec["workloads"]]:
-        if workload not in old_e2e or workload not in new_e2e:
+        seeds = sorted(s for w, s in new_groups if w == workload)
+        if not seeds or any((workload, s) not in old_groups for s in seeds):
             flags.append("%s: missing from a ledger" % workload)
             continue
-        a, b = old_e2e[workload]["result"], new_e2e[workload]["result"]
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            va = a["metrics"][name]["value"]
-            vb = b["metrics"][name]["value"]
-            ratio = vb / va if va else float("inf")
-            worse = ratio - 1 if metric["better"] == "lower" else 1 - ratio
-            mark = ""
-            if worse > metric["bound"]:
-                mark = "  WORSE than bound %.2f" % metric["bound"]
-                flags.append("%s %s: %.4g -> %.4g" % (workload, name, va, vb))
-            print("  %-9s %-12s %12.4g %12.4g  x%.3f%s"
-                  % (workload, name, va, vb, ratio, mark))
-        if b["failed"] > a["failed"]:
-            flags.append("%s: failed %d -> %d" % (workload, a["failed"],
-                                                  b["failed"]))
-        if digest(old_e2e[workload]) != digest(new_e2e[workload]):
-            flags.append("%s: digest changed" % workload)
+        for seed in seeds:
+            a, b = old_groups[(workload, seed)], new_groups[(workload, seed)]
+            for metric in spec["end_to_end"]:
+                row = compare(a, b, metric)
+                row.update(workload=workload, seed=seed, metric=metric["name"])
+                rows.append(row)
+                if row["verdict"] in ("worse", "unresolved"):
+                    flags.append("%s seed %d %s: %s, %s -> %s" % (
+                        workload, seed, metric["name"], row["verdict"],
+                        fmt(row["old"]), fmt(row["new"])))
+            share = [sum(r["result"]["failed"] for r in runs) /
+                     max(1, sum(r["result"]["attempted"] for r in runs))
+                     for runs in (a, b)]
+            if share[1] > share[0]:
+                flags.append("%s seed %d: failed share %.3g -> %.3g"
+                             % (workload, seed, share[0], share[1]))
+            if len({digest(r) for r in a + b}) != 1:
+                flags.append("%s seed %d: digest differs between runs"
+                             % (workload, seed))
 
-    old_layer, new_layer = by_run(old, 1), by_run(new, 1)
+    if args.markdown:
+        print("| workload | seed | metric | before: median [Q1, Q3] | "
+              "after: median [Q1, Q3] | ratio | pairs won | verdict |")
+        print("|---|---:|---|---:|---:|---:|---:|---|")
+        for row in rows:
+            print("| %s | %d | `%s` | %s | %s | ×%.2f | %s | %s |" % (
+                row["workload"], row["seed"], row["metric"], fmt(row["old"]),
+                fmt(row["new"]), row["ratio"],
+                "%d of %d" % (row["wins"], row["pairs"]) if row["pairs"]
+                else "—", row["verdict"]))
+        return 0
+
+    print("%s -> %s" % (os.path.basename(old_path), os.path.basename(new_path)))
+    print("host: %s | %s" % (old["host"].get("cpu"), new["host"].get("cpu")))
+    print("end-to-end (untraced runs): median [Q1, Q3] before and after")
+    for row in rows:
+        print("  %-9s seed %d %-12s %-30s %-30s x%.3f  %d/%d  %s" % (
+            row["workload"], row["seed"], row["metric"], fmt(row["old"]),
+            fmt(row["new"]), row["ratio"], row["wins"], row["pairs"],
+            row["verdict"]))
+
+    old_layer = {r["workload"]: r for r in old["runs"] if r["trace"] == 1}
+    new_layer = {r["workload"]: r for r in new["runs"] if r["trace"] == 1}
     print("per-layer (traced runs):")
     for workload in sorted(set(old_layer) & set(new_layer)):
         a = old_layer[workload]["result"]["metrics"]
@@ -122,16 +179,6 @@ def main():
             ratio = "x%.3f" % (vb / va) if va else "-"
             print("  %-9s %-32s %12.4g %12.4g  %s" % (workload, name, va, vb,
                                                      ratio))
-
-    if "commit_pairs" in old and "commit_pairs" in new:
-        print("commit tx_per_s over alternating pairs (medians):")
-        for seed, side in sorted(new["commit_pairs"]["seeds"].items()):
-            base = old["commit_pairs"]["seeds"].get(seed)
-            if base:
-                print("  seed %s: %.1f -> %.1f  x%.3f (%d runs each)"
-                      % (seed, base["median"], side["median"],
-                         side["median"] / base["median"],
-                         len(side["tx_per_s"])))
 
     for flag in flags:
         print(("::warning::bench_diff: " if args.warn_only else
