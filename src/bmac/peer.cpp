@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "fabric/transaction.hpp"
 #include "obs/flight.hpp"
 #include "obs/probes.hpp"
 
@@ -79,8 +78,12 @@ void BmacPeer::publish_metrics() {
         .set(host_metrics_.blocks_committed);
     registry_
         ->counter("bmac_host_blocks_rejected_total",
-                  "blocks discarded after a failed block signature")
+                  "blocks discarded: bad block signature or verdict mismatch")
         .set(host_metrics_.blocks_rejected);
+    registry_
+        ->counter("bmac_host_verdict_mismatches_total",
+                  "blocks rejected: verdicts do not cover the host block")
+        .set(host_metrics_.verdict_mismatches);
     registry_
         ->counter("bmac_host_txs_committed_total",
                   "transactions written to the ledger (valid + invalid)")
@@ -371,13 +374,19 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         }
         fabric::Block block = std::move(it->second);
         pending_blocks_.erase(it);
+        check_verdict_coverage(result, block);
         if (result.block_valid) {
-          assert(result.flags.size() == block.envelopes.size());
           block.set_tx_flags(result.flags);
           co_await sim_.delay(t.ledger_commit_fixed +
                               t.ledger_commit_per_tx *
                                   static_cast<sim::Time>(result.flags.size()));
-          apply_writes_to_shadow(block, result.flags);
+          // Mirror the valid writes into the shadow state DB, so the
+          // fallback validator sees what the hardware store holds.
+          fabric::for_each_valid_write(
+              block, [this](std::string key, Bytes value,
+                            fabric::Version version) {
+                shadow_state_.put(key, std::move(value), version);
+              });
           ledger_.append(std::move(block));
         }
         finish_commit(std::move(result), commit_start);
@@ -410,8 +419,18 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
             fallback_validator_.validate_and_commit(block, shadow_state_,
                                                     ledger_);
         // Write-through: the in-hardware KV store must see this block's
-        // writes before it validates any later block's reads.
-        if (verdict.block_valid) apply_writes_to_hw_store(block, verdict.flags);
+        // writes before it validates any later block's reads. They go as
+        // one burst (parity with the state DB's batched commit): a single
+        // transaction over PCIe.
+        if (verdict.block_valid) {
+          std::vector<HwKvStore::BatchWrite> burst;
+          fabric::for_each_valid_write(
+              ledger_.last().block,
+              [&burst](std::string key, Bytes value, fabric::Version version) {
+                burst.push_back({std::move(key), std::move(value), version});
+              });
+          processor_.statedb().write_batch(std::move(burst));
+        }
         ++degrade_metrics_.fallback_blocks;
         if (flight_ != nullptr) {
           flight_->record(obs::FlightStage::kFallback, block_num,
@@ -431,6 +450,14 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
     }
     co_await commit_kick_->wait();
   }
+}
+
+void BmacPeer::check_verdict_coverage(ResultEntry& result,
+                                      const fabric::Block& block) {
+  if (!result.block_valid || result.flags.size() == block.envelopes.size())
+    return;
+  ++host_metrics_.verdict_mismatches;
+  result.block_valid = false;
 }
 
 void BmacPeer::finish_commit(ResultEntry result, sim::Time commit_start) {
@@ -487,42 +514,6 @@ void BmacPeer::resolve_block(std::uint64_t block_num) {
   }
 }
 
-void BmacPeer::apply_writes_to_shadow(
-    const fabric::Block& block,
-    const std::vector<fabric::TxValidationCode>& flags) {
-  for (std::size_t i = 0; i < block.envelopes.size(); ++i) {
-    if (flags[i] != fabric::TxValidationCode::kValid) continue;
-    const auto tx = fabric::parse_envelope(block.envelopes[i]);
-    if (!tx) continue;
-    const fabric::Version version{block.header.number,
-                                  static_cast<std::uint32_t>(i)};
-    for (const fabric::KVWrite& write : tx->rwset.writes)
-      shadow_state_.put(
-          fabric::StateDb::namespaced(tx->chaincode_id, write.key),
-          write.value, version);
-  }
-}
-
-void BmacPeer::apply_writes_to_hw_store(
-    const fabric::Block& block,
-    const std::vector<fabric::TxValidationCode>& flags) {
-  // Gather the block's valid writes into one burst (parity with the state
-  // DB's batched commit): a single write-through transaction over PCIe.
-  std::vector<HwKvStore::BatchWrite> burst;
-  for (std::size_t i = 0; i < block.envelopes.size(); ++i) {
-    if (flags[i] != fabric::TxValidationCode::kValid) continue;
-    const auto tx = fabric::parse_envelope(block.envelopes[i]);
-    if (!tx) continue;
-    const fabric::Version version{block.header.number,
-                                  static_cast<std::uint32_t>(i)};
-    for (const fabric::KVWrite& write : tx->rwset.writes)
-      burst.push_back(HwKvStore::BatchWrite{
-          fabric::StateDb::namespaced(tx->chaincode_id, write.key),
-          write.value, version});
-  }
-  processor_.statedb().write_batch(std::move(burst));
-}
-
 sim::Process BmacPeer::host_commit_proc() {
   const HwTimingModel& t = config_.timing;
   for (;;) {
@@ -542,8 +533,8 @@ sim::Process BmacPeer::host_commit_proc() {
     fabric::Block block = std::move(it->second);
     pending_blocks_.erase(it);
 
+    check_verdict_coverage(result, block);
     if (result.block_valid) {
-      assert(result.flags.size() == block.envelopes.size());
       block.set_tx_flags(result.flags);
       co_await sim_.delay(
           t.ledger_commit_fixed +

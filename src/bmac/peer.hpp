@@ -116,6 +116,9 @@ class BmacPeer {
     std::uint64_t packets_processed = 0;  ///< consumed by protocol_processor
     std::uint64_t blocks_committed = 0;
     std::uint64_t blocks_rejected = 0;
+    /// Rejected because the hardware verdicts do not cover the host block's
+    /// envelopes one for one (packets and host block disagree).
+    std::uint64_t verdict_mismatches = 0;
     std::uint64_t transactions_committed = 0;  ///< valid + invalid, in blocks
     std::uint64_t valid_transactions = 0;
   };
@@ -155,6 +158,9 @@ class BmacPeer {
                    std::uint64_t armed_global);
   void arm_watchdog(std::uint64_t block_num);
   std::size_t stream_progress(std::uint64_t block_num) const;
+  /// A hardware verdict the host can commit against `block` holds one flag
+  /// per envelope; any other is booked as a rejected block and counted.
+  void check_verdict_coverage(ResultEntry& result, const fabric::Block& block);
   /// Book one resolved block, whichever engine produced its flags: host
   /// metrics and commit counter, latency histogram, the host_commit (or
   /// host_commit_fallback) span and the results() entry.
@@ -162,15 +168,6 @@ class BmacPeer {
   /// Sequencer bookkeeping after a degraded-mode commit: advance the
   /// sequencer, drop leftover stream state, disarm the watchdog.
   void resolve_block(std::uint64_t block_num);
-  /// Mirror a committed block's valid write sets into the shadow state DB
-  /// (host copy) — keeps the fallback validator's view == hardware state.
-  void apply_writes_to_shadow(const fabric::Block& block,
-                              const std::vector<fabric::TxValidationCode>& flags);
-  /// Push a fallback-committed block's valid write sets into the
-  /// in-hardware KV store (host write-through over PCIe).
-  void apply_writes_to_hw_store(
-      const fabric::Block& block,
-      const std::vector<fabric::TxValidationCode>& flags);
 
   sim::Simulation& sim_;
   HwConfig config_;

@@ -63,10 +63,12 @@ ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
     auto peer =
         std::make_unique<Peer>(i, harness_->msp(), harness_->policies());
     if (!config_.data_dir.empty()) {
-      remove_peer_files(i);  // a fresh deployment never resumes stale logs
       fabric::DurabilityConfig durability;
-      durability.ledger_path = peer_log_path(i);
+      durability.ledger_path =
+          config_.data_dir + "/peer" + std::to_string(i) + ".log";
       durability.snapshot_interval = config_.snapshot_interval;
+      // A fresh deployment never resumes stale logs.
+      fabric::DurableLedger::remove_files(durability);
       peer->durable = std::make_unique<fabric::DurableLedger>(durability);
     }
     peers_.push_back(std::move(peer));
@@ -74,20 +76,6 @@ ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
 }
 
 ClusterDeployment::~ClusterDeployment() = default;
-
-std::string ClusterDeployment::peer_log_path(int peer) const {
-  return config_.data_dir + "/peer" + std::to_string(peer) + ".log";
-}
-
-void ClusterDeployment::remove_peer_files(int peer) {
-  fabric::DurabilityConfig durability;
-  durability.ledger_path = peer_log_path(peer);
-  fabric::DurableLedger::remove_files(durability);
-  std::error_code ec;
-  std::filesystem::remove(config_.data_dir + "/transfer.peer" +
-                              std::to_string(peer) + ".snap",
-                          ec);
-}
 
 void ClusterDeployment::start() {
   if (started_) return;
@@ -194,8 +182,10 @@ void ClusterDeployment::crash_peer(int peer) {
   state.apply_after = 0;
   state.db.clear();
   state.ledger = fabric::Ledger{};
-  state.durable.reset();     // the crash takes the local disk with it
-  if (!config_.data_dir.empty()) remove_peer_files(peer);
+  // The crash takes the local disk with it.
+  if (state.durable)
+    fabric::DurableLedger::remove_files(state.durable->config());
+  state.durable.reset();
 }
 
 void ClusterDeployment::restart_peer(int peer) {
@@ -204,27 +194,30 @@ void ClusterDeployment::restart_peer(int peer) {
   gossip_->set_peer_online(peer, true);
 
   const std::uint64_t tip = harness_->reference_ledger().height();
-  const std::uint64_t gap = tip - state.ledger.height();
-  if (config_.data_dir.empty() || gap < config_.catch_up_threshold) return;
-  const Peer* source = pick_source(peer);
-  if (source == nullptr) return;  // gossip anti-entropy is the fallback
+  if (tip - state.ledger.height() < config_.catch_up_threshold) return;
+  Peer* donor = pick_source(peer);
+  if (donor == nullptr) return;  // gossip anti-entropy is the fallback
 
-  const TransferSource view{&source->ledger, &source->db,
-                            source->durable.get()};
-  TransferResult result =
-      transfer_state(view, config_.data_dir, peer, state.ledger, state.db);
-  last_transfer_ = result;
+  // The peer rebuilds from the donor's files exactly as a crashed peer
+  // rebuilds from its own: newest snapshot, then the log past it. A donor
+  // that never cut a snapshot cuts one at its tip first, so the transfer
+  // ships state rather than the whole log.
+  if (donor->durable->last_snapshot_height() == 0)
+    donor->durable->cut_snapshot(donor->ledger, donor->db);
+  last_transfer_ = fabric::DurableLedger::recover(donor->durable->config(),
+                                                  state.ledger, state.db);
+  const fabric::RecoveryResult& result = last_transfer_;
   if (!result.ok) {
     state.ledger = fabric::Ledger{};
     state.db.clear();
     return;
   }
   ++state_transfers_;
-  transfer_bytes_ += result.bytes;
+  transfer_bytes_ += result.bytes_read;
   catch_up_blocks_ += result.height;
   // The fetched bytes occupy the peer's link before gossip deliveries may
   // apply; gossip itself already knows everything the transfer carried.
-  const double seconds = static_cast<double>(result.bytes) * 8.0 /
+  const double seconds = static_cast<double>(result.bytes_read) * 8.0 /
                          (config_.transfer_gbps * 1e9);
   state.apply_after = sim_.now() + config_.transfer_rtt +
                       static_cast<sim::Time>(seconds * sim::kSecond);
@@ -236,15 +229,13 @@ void ClusterDeployment::restart_peer(int peer) {
   });
 }
 
-const ClusterDeployment::Peer* ClusterDeployment::pick_source(
-    int exclude) const {
-  const Peer* best = nullptr;
+ClusterDeployment::Peer* ClusterDeployment::pick_source(int exclude) {
+  Peer* best = nullptr;
   for (const auto& peer : peers_) {
-    if (peer->id == exclude || !peer->online || peer->ledger.height() == 0)
+    if (peer->id == exclude || !peer->online || peer->durable == nullptr ||
+        peer->ledger.height() == 0)
       continue;
-    if (best == nullptr || peer->ledger.height() > best->ledger.height() ||
-        (peer->ledger.height() == best->ledger.height() &&
-         best->durable == nullptr && peer->durable != nullptr))
+    if (best == nullptr || peer->ledger.height() > best->ledger.height())
       best = peer.get();
   }
   return best;

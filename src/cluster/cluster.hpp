@@ -13,8 +13,8 @@
 // FabricNetworkHarness runs the single-peer reference pipeline over the
 // exact emitted block stream, and every peer must reproduce its commit-hash
 // chain byte for byte — across gossip loss, leader re-elections and peers
-// restarted from a snapshot fetched off a healthy neighbour
-// (cluster/state_transfer.hpp).
+// restarted far behind, which catch up by recovering from a healthy
+// neighbour's snapshot and block log (fabric::DurableLedger::recover).
 #pragma once
 
 #include <map>
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "cluster/config.hpp"
-#include "cluster/state_transfer.hpp"
+#include "fabric/durability.hpp"
 #include "workload/network_harness.hpp"
 
 namespace bm::cluster {
@@ -57,11 +57,12 @@ class ClusterDeployment {
   void crash_peer(int peer);
 
   /// Bring a crashed peer back online. When it is `catch_up_threshold` or
-  /// more blocks behind the reference tip and a healthy durable peer
-  /// exists, it state-transfers (snapshot + log-tail replay) and only then
-  /// resumes gossip delivery; otherwise gossip anti-entropy repairs it
-  /// block by block. A restarted peer runs without its own durable log (its
-  /// disk is gone; re-provisioning is an operator action, docs/CLUSTER.md).
+  /// more blocks behind the reference tip and an online durable peer
+  /// exists, it state-transfers — DurableLedger::recover over that donor's
+  /// snapshot and log — and only then resumes gossip delivery; otherwise
+  /// gossip anti-entropy repairs it block by block. A restarted peer runs
+  /// without its own durable log (its disk is gone; re-provisioning is an
+  /// operator action, docs/CLUSTER.md), so it cannot donate.
   void restart_peer(int peer);
 
   // --- equivalence oracle ----------------------------------------------------
@@ -97,7 +98,7 @@ class ClusterDeployment {
   /// Blocks a restarted peer recovered via snapshot + log-tail replay
   /// (i.e. without waiting on gossip).
   std::uint64_t catch_up_blocks() const { return catch_up_blocks_; }
-  const TransferResult& last_transfer() const { return last_transfer_; }
+  const fabric::RecoveryResult& last_transfer() const { return last_transfer_; }
 
   /// Cluster counters/gauges under "<prefix>_..." (snapshot-style).
   void publish_metrics(obs::Registry& registry,
@@ -124,15 +125,13 @@ class ClusterDeployment {
     sim::Time apply_after = 0;
   };
 
-  std::string peer_log_path(int peer) const;
-  void remove_peer_files(int peer);
   void on_block_emitted(fabric::Block block);
   void on_payload(int peer, std::uint64_t block_num, const Bytes& payload);
   void drain(Peer& peer);
   void submit_one();
-  /// Healthiest transfer source: an online durable peer at the highest
-  /// chain height (nullptr when none qualifies).
-  const Peer* pick_source(int exclude) const;
+  /// Transfer donor: the online durable peer at the highest chain height,
+  /// lowest id first (nullptr when none qualifies).
+  Peer* pick_source(int exclude);
 
   sim::Simulation& sim_;
   ClusterConfig config_;
@@ -147,7 +146,7 @@ class ClusterDeployment {
   std::uint64_t state_transfers_ = 0;
   std::uint64_t transfer_bytes_ = 0;
   std::uint64_t catch_up_blocks_ = 0;
-  TransferResult last_transfer_;
+  fabric::RecoveryResult last_transfer_;
   bool started_ = false;
 };
 

@@ -8,7 +8,6 @@
 
 #include "common/crc32.hpp"
 #include "fabric/statedb.hpp"
-#include "fabric/transaction.hpp"
 #include "obs/metrics.hpp"
 
 namespace bm::fabric {
@@ -64,11 +63,8 @@ ScanResult scan_store(const std::string& path, std::uint64_t first_height,
       if (std::fread(payload.data(), 1, len, f) != len) break;
       if (crc32(payload) != crc) break;
 
-      // Verify the commit-hash chain: H(prev_commit || marshaled block).
-      crypto::Sha256 h;
-      h.update(crypto::digest_view(prev_commit));
-      h.update(ByteView(payload).subspan(32));
-      const crypto::Digest commit_hash = h.finish();
+      const crypto::Digest commit_hash = chain_commit_hash(
+          crypto::digest_view(prev_commit), ByteView(payload).subspan(32));
       if (!std::equal(payload.begin(), payload.begin() + 32,
                       commit_hash.begin()))
         break;
@@ -141,10 +137,8 @@ void FileBlockStore::append(const CommittedBlock& block) {
   // The append must extend the recovered tail: its commit hash re-derives
   // from our chain head. Anything else would write a record recovery stops
   // in front of, silently orphaning all of its successors.
-  crypto::Sha256 h;
-  h.update(crypto::digest_view(tail_commit_hash_));
-  h.update(ByteView(payload).subspan(32));
-  if (h.finish() != block.commit_hash)
+  if (chain_commit_hash(crypto::digest_view(tail_commit_hash_),
+                        ByteView(payload).subspan(32)) != block.commit_hash)
     throw std::invalid_argument(
         "block store: commit hash does not extend the stored chain at height " +
         std::to_string(height_));
@@ -214,16 +208,14 @@ bool replay_chain(const FileBlockStore::RecoveredChain& chain, Ledger& ledger,
                   StateDb* state) {
   if (ledger.height() != chain.first_height) return false;
   for (const CommittedBlock& committed : chain.blocks) {
-    // One flag per envelope, or the state replay below would index past
-    // the flags: the CRC and the hash chain only prove the record is the
-    // one that was written, not that it was well formed.
-    if (committed.block.metadata.tx_flags.size() != committed.block.tx_count())
-      return false;
+    // The CRC and the hash chain only prove a record is the one that was
+    // written, not that it is well formed: the ledger rejects a block
+    // without one flag per envelope, the walk below one that does not parse.
     crypto::Digest recomputed;
     try {
       recomputed = ledger.append(committed.block);
     } catch (const std::invalid_argument&) {
-      return false;  // numbering / prev_hash broken
+      return false;  // numbering / prev_hash / flags broken
     }
     if (recomputed != committed.commit_hash) return false;
 
@@ -231,20 +223,14 @@ bool replay_chain(const FileBlockStore::RecoveredChain& chain, Ledger& ledger,
       // Same batched path live commits take: one grouped, version-stamped
       // apply per block, so replayed state carries the same batch
       // accounting as the original run.
-      const Block& block = committed.block;
       StateDb::WriteBatch batch = state->make_batch();
-      for (std::size_t i = 0; i < block.tx_count(); ++i) {
-        if (block.metadata.tx_flags[i] !=
-            static_cast<std::uint8_t>(TxValidationCode::kValid))
-          continue;
-        const auto tx = parse_envelope(block.envelopes[i]);
-        if (!tx) return false;
-        const Version version{block.header.number,
-                              static_cast<std::uint32_t>(i)};
-        for (const KVWrite& write : tx->rwset.writes)
-          batch.add(StateDb::namespaced(tx->chaincode_id, write.key),
-                    write.value, version);
-      }
+      if (!for_each_valid_write(committed.block,
+                                [&batch](std::string key, Bytes value,
+                                         Version version) {
+                                  batch.add(std::move(key), std::move(value),
+                                            version);
+                                }))
+        return false;
       state->commit_batch(std::move(batch));
     }
   }

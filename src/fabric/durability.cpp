@@ -44,6 +44,12 @@ crypto::Digest digest_from(const Bytes& bytes) {
   return digest;
 }
 
+/// Bytes of the records a recovered chain holds.
+std::uint64_t chain_bytes(const FileBlockStore::RecoveredChain& chain) {
+  const auto& offsets = chain.record_offsets;
+  return offsets.empty() ? 0 : offsets.back() - offsets.front();
+}
+
 }  // namespace
 
 void DurableLedger::remove_files(const DurabilityConfig& config) {
@@ -78,18 +84,21 @@ void DurableLedger::on_commit(const Ledger& ledger, const StateDb& state) {
   if (ledger.last().block.header.number < store_.height()) return;
   store_.append(ledger.last());
   if (config_.fsync_each_block) store_.sync();
+  if (config_.snapshot_interval != 0 &&
+      store_.height() % config_.snapshot_interval == 0)
+    cut_snapshot(ledger, state);
+}
 
-  if (config_.snapshot_interval == 0) return;
+bool DurableLedger::cut_snapshot(const Ledger& ledger, const StateDb& state) {
   const std::uint64_t height = store_.height();
-  if (height % config_.snapshot_interval != 0) return;
-
+  if (height == 0 || ledger.height() != height) return false;
   StateSnapshotMeta meta;
   meta.height = height;
   const auto& commit = ledger.last_commit_hash();
   meta.commit_hash.assign(commit.begin(), commit.end());
-  const crypto::Digest header_hash = ledger.last().block.block_hash();
-  meta.header_hash.assign(header_hash.begin(), header_hash.end());
-  if (!state.snapshot(snapshot_path(config_, height), meta)) return;
+  const auto& header = ledger.last_header_hash();
+  meta.header_hash.assign(header.begin(), header.end());
+  if (!state.snapshot(snapshot_path(config_, height), meta)) return false;
   store_.sync();  // a snapshot must never outrun the log it replays from
   last_snapshot_height_ = height;
   snapshots_cut_ += 1;
@@ -99,6 +108,7 @@ void DurableLedger::on_commit(const Ledger& ledger, const StateDb& state) {
   for (std::size_t i = std::max<std::size_t>(config_.keep_snapshots, 1);
        i < heights.size(); ++i)
     std::filesystem::remove(snapshot_path(config_, heights[i]));
+  return true;
 }
 
 RecoveryResult DurableLedger::recover(const DurabilityConfig& config,
@@ -109,7 +119,8 @@ RecoveryResult DurableLedger::recover(const DurabilityConfig& config,
   // Newest intact snapshot wins; corrupt or stale ones fall through to the
   // next, and with none left the whole log replays from genesis.
   for (const std::uint64_t height : list_snapshots(config)) {
-    const auto meta = state.restore(snapshot_path(config, height));
+    const std::string path = snapshot_path(config, height);
+    const auto meta = state.restore(path);
     if (!meta || meta->height != height ||
         meta->commit_hash.size() != crypto::Digest{}.size())
       continue;
@@ -128,6 +139,7 @@ RecoveryResult DurableLedger::recover(const DurabilityConfig& config,
     result.snapshot_height = height;
     result.blocks_replayed = chain.blocks.size();
     result.torn_bytes = chain.torn_bytes;
+    result.bytes_read = std::filesystem::file_size(path) + chain_bytes(chain);
     break;
   }
 
@@ -137,6 +149,7 @@ RecoveryResult DurableLedger::recover(const DurabilityConfig& config,
     auto chain = FileBlockStore::recover(config.ledger_path);
     result.torn_bytes = chain.torn_bytes;
     result.blocks_replayed = chain.blocks.size();
+    result.bytes_read = chain_bytes(chain);
     result.ok = replay_chain(chain, ledger, &state);
     if (!result.ok) result.error = "full replay failed re-validation";
   }

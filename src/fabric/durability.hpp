@@ -47,6 +47,9 @@ struct RecoveryResult {
   bool used_snapshot = false;
   std::uint64_t snapshot_height = 0;  ///< when used_snapshot
   std::uint64_t torn_bytes = 0;       ///< bytes discarded at the log tail
+  /// Snapshot file plus the log records replayed past it (the whole valid
+  /// log on a full replay): what a peer catching up from these files ships.
+  std::uint64_t bytes_read = 0;
   double duration_s = 0;              ///< wall clock, whole recovery
   std::string error;                  ///< when !ok
 };
@@ -64,6 +67,13 @@ class DurableLedger {
   /// e.g. a restarted peer replaying from genesis) is skipped.
   void on_commit(const Ledger& ledger, const StateDb& state);
 
+  /// Cut a StateDb snapshot at the ledger's tip, which must be the log's
+  /// tip, then prune to keep_snapshots. on_commit cuts on schedule; a donor
+  /// that never cut one cuts one before a lagging peer recovers from its
+  /// files. Returns false, cutting nothing, on I/O failure or when the tips
+  /// differ.
+  bool cut_snapshot(const Ledger& ledger, const StateDb& state);
+
   /// Force the log to stable storage.
   void sync() { store_.sync(); }
 
@@ -80,7 +90,8 @@ class DurableLedger {
   /// Rebuild ledger + state from disk: restore the newest intact snapshot
   /// (trying older ones if it is corrupt), then replay the log past it;
   /// with no usable snapshot, replay the whole log. `ledger` and `state`
-  /// must be empty.
+  /// must be empty. The same call serves crash recovery and a lagging
+  /// cluster peer catching up from a donor's files.
   static RecoveryResult recover(const DurabilityConfig& config, Ledger& ledger,
                                 StateDb& state);
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "common/hex.hpp"
+#include "fabric/statedb.hpp"
+#include "fabric/transaction.hpp"
 
 namespace bm::fabric {
 
@@ -21,6 +23,37 @@ const crypto::Digest* commit_hash_at(const Ledger& ledger,
 
 }  // namespace
 
+crypto::Digest chain_commit_hash(ByteView prev_commit,
+                                 ByteView marshaled_block) {
+  crypto::Sha256 h;
+  h.update(prev_commit);
+  h.update(marshaled_block);
+  return h.finish();
+}
+
+bool for_each_valid_write(
+    const Block& block,
+    const std::function<void(std::string key, Bytes value, Version version)>&
+        write) {
+  if (block.metadata.tx_flags.size() != block.tx_count()) return false;
+  bool parsed_all = true;
+  for (std::size_t i = 0; i < block.tx_count(); ++i) {
+    if (block.metadata.tx_flags[i] !=
+        static_cast<std::uint8_t>(TxValidationCode::kValid))
+      continue;
+    auto tx = parse_envelope(block.envelopes[i]);
+    if (!tx) {
+      parsed_all = false;
+      continue;
+    }
+    const Version version{block.header.number, static_cast<std::uint32_t>(i)};
+    for (KVWrite& kv : tx->rwset.writes)
+      write(StateDb::namespaced(tx->chaincode_id, kv.key), std::move(kv.value),
+            version);
+  }
+  return parsed_all;
+}
+
 crypto::Digest Ledger::append(Block block) {
   if (block.header.number != height())
     throw std::invalid_argument("ledger: non-sequential block number");
@@ -33,11 +66,8 @@ crypto::Digest Ledger::append(Block block) {
 
   const Bytes marshaled = block.marshal();
   bytes_written_ += marshaled.size();
-
-  crypto::Sha256 h;
-  h.update(crypto::digest_view(last_commit_hash_));
-  h.update(marshaled);
-  const crypto::Digest commit_hash = h.finish();
+  const crypto::Digest commit_hash =
+      chain_commit_hash(crypto::digest_view(last_commit_hash_), marshaled);
 
   last_header_hash_ = block.block_hash();
   blocks_.push_back(CommittedBlock{std::move(block), commit_hash});

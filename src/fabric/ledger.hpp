@@ -8,9 +8,11 @@
 // from the software-only peer (§4.1).
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "fabric/block.hpp"
+#include "fabric/rwset.hpp"
 
 namespace bm::fabric {
 
@@ -40,6 +42,8 @@ class Ledger {
   const CommittedBlock& at(std::uint64_t index) const;
   const CommittedBlock& last() const;
   const crypto::Digest& last_commit_hash() const { return last_commit_hash_; }
+  /// block_hash of the chain tail, also while a seeded ledger holds none.
+  const crypto::Digest& last_header_hash() const { return last_header_hash_; }
 
   /// Total marshaled bytes appended (disk-footprint proxy).
   std::uint64_t bytes_written() const { return bytes_written_; }
@@ -51,6 +55,23 @@ class Ledger {
   crypto::Digest last_header_hash_{};  // block_hash of the chain tail
   std::uint64_t bytes_written_ = 0;
 };
+
+/// One link of the commit-hash chain: H(prev_commit || marshaled flagged
+/// block). The ledger, the block log's append check and its recovery scan
+/// all derive commit hashes here.
+crypto::Digest chain_commit_hash(ByteView prev_commit,
+                                 ByteView marshaled_block);
+
+/// The valid-write walk of a flagged block: calls `write` for each write of
+/// each envelope flagged valid, in transaction order, with the key
+/// namespaced by chaincode and the version {block number, tx index}. A valid
+/// envelope that does not parse is skipped. Returns false when one was, or
+/// when the block does not carry one flag per envelope (then nothing is
+/// written).
+bool for_each_valid_write(
+    const Block& block,
+    const std::function<void(std::string key, Bytes value, Version version)>&
+        write);
 
 /// The §4.1 oracle: "" when every block `peer` holds carries the reference's
 /// commit hash at that height, else "height H: <peer hex> != <reference

@@ -277,6 +277,49 @@ TEST(Degrade, DegradedModeMatchesHealthyModeOnCleanInput) {
   EXPECT_EQ(healthy, degraded);
 }
 
+// --- verdict coverage --------------------------------------------------------
+
+TEST(VerdictCoverage, MismatchedHostBlockIsRejectedAndCounted) {
+  // The hardware validates a 4-tx block's packets while the host holds a
+  // 2-tx block of the same number. The verdicts cannot be merged into it:
+  // healthy and degraded peers alike refuse the block, count it and keep
+  // running, in every build type.
+  for (const bool degraded : {false, true}) {
+    SCOPED_TRACE(degraded ? "degraded" : "healthy");
+    NetworkOptions options;
+    options.block_size = 4;
+    options.seed = 91;
+    FabricNetworkHarness harness(options);
+    sim::Simulation sim;
+    obs::Registry registry;
+    BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+    peer.attach_observability(&registry, nullptr);
+    if (degraded) peer.enable_graceful_degradation();
+    peer.start();
+    ProtocolSender sender(harness.msp());
+
+    const fabric::Block block = harness.next_block();
+    for (auto& packet : sender.send(block).packets)
+      peer.deliver_packet(std::move(packet));
+    fabric::Block host = block;
+    host.envelopes.resize(2);
+    peer.deliver_block(std::move(host));
+    sim.run();
+
+    ASSERT_EQ(peer.results().size(), 1u);
+    EXPECT_FALSE(peer.results()[0].block_valid);
+    EXPECT_EQ(peer.ledger().height(), 0u);
+    EXPECT_EQ(peer.host_metrics().verdict_mismatches, 1u);
+    EXPECT_EQ(peer.host_metrics().blocks_rejected, 1u);
+    EXPECT_EQ(peer.host_metrics().blocks_committed, 0u);
+    peer.publish_metrics();
+    const auto* counter =
+        registry.find_counter("bmac_host_verdict_mismatches_total");
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->value(), 1u);
+  }
+}
+
 // --- the chaos soak -----------------------------------------------------------
 
 ChaosOptions soak_options(const std::string& config_name) {

@@ -2,10 +2,11 @@
 // deployment with a Raft-ordered block stream and payload gossip must leave
 // every peer with a commit-hash chain byte-identical to the single-peer
 // reference pipeline — across gossip loss, a forced leader re-election
-// mid-stream, and a peer restarted from a snapshot fetched off a healthy
-// neighbour.
+// mid-stream, and a peer restarted far behind, which recovers from a
+// healthy neighbour's snapshot and block log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "cluster/cluster.hpp"
@@ -30,6 +31,39 @@ ClusterConfig small_config() {
   config.seed = 7;
   config.submit_interval = 2 * sim::kMillisecond;
   return config;
+}
+
+/// Snapshot files in a deployment's data dir, every peer's.
+std::vector<std::filesystem::path> snapshot_files(const std::string& data_dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(data_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".log.snap.") != std::string::npos)
+      files.push_back(entry.path());
+  }
+  return files;
+}
+
+/// What a catch-up from `peer`'s files reads: its newest snapshot file plus
+/// the log records past that snapshot's height.
+std::uint64_t snapshot_plus_log_tail(const std::string& data_dir, int peer) {
+  fabric::DurabilityConfig durability;
+  durability.ledger_path = data_dir + "/peer" + std::to_string(peer) + ".log";
+  const std::string prefix =
+      std::filesystem::path(durability.ledger_path).filename().string() +
+      ".snap.";
+  std::uint64_t newest = 0;
+  for (const auto& file : snapshot_files(data_dir)) {
+    const std::string name = file.filename().string();
+    if (name.rfind(prefix, 0) == 0)
+      newest = std::max<std::uint64_t>(newest,
+                                       std::stoull(name.substr(prefix.size())));
+  }
+  const std::vector<std::uint64_t> offsets =
+      fabric::FileBlockStore::recover(durability.ledger_path).record_offsets;
+  return std::filesystem::file_size(
+             fabric::DurableLedger::snapshot_path(durability, newest)) +
+         offsets.back() - offsets.at(newest);
 }
 
 /// The byte-level oracle behind ClusterDeployment::converged(): compare the
@@ -109,7 +143,8 @@ TEST(Cluster, RestartedPeerStateTransfersFromHealthyNeighbour) {
   ClusterConfig config = small_config();
   config.seed = 23;
   config.data_dir = temp_dir("bm_cluster_test_transfer");
-  config.snapshot_interval = 3;
+  // Snapshots at 5 and 10 leave the donor's last two blocks in the log only.
+  config.snapshot_interval = 5;
   config.catch_up_threshold = 4;
   sim::Simulation sim;
   ClusterDeployment cluster(sim, config);
@@ -121,6 +156,10 @@ TEST(Cluster, RestartedPeerStateTransfersFromHealthyNeighbour) {
   EXPECT_FALSE(cluster.peer_online(3));
   EXPECT_EQ(cluster.peer_height(3), 0u);  // cold crash lost everything
 
+  // The donor is the lowest-id durable peer at the tip: peer 0.
+  ASSERT_EQ(cluster.peer_height(0), 12u);
+  const std::uint64_t donor_bytes =
+      snapshot_plus_log_tail(config.data_dir, 0);
   cluster.restart_peer(3);
   cluster.settle(5 * sim::kSecond);
 
@@ -128,10 +167,46 @@ TEST(Cluster, RestartedPeerStateTransfersFromHealthyNeighbour) {
   // log-tail replay off a healthy durable neighbour, not block-by-block.
   EXPECT_EQ(cluster.state_transfers(), 1u);
   EXPECT_TRUE(cluster.last_transfer().ok) << cluster.last_transfer().error;
-  EXPECT_GT(cluster.catch_up_blocks(), 0u);
-  EXPECT_GT(cluster.transfer_bytes(), 0u);
+  EXPECT_EQ(cluster.last_transfer().snapshot_height, 10u);
+  EXPECT_EQ(cluster.last_transfer().blocks_replayed, 2u);
+  EXPECT_EQ(cluster.catch_up_blocks(), 12u);
+  EXPECT_EQ(cluster.transfer_bytes(), donor_bytes);
   EXPECT_EQ(cluster.peer_height(3), 12u);
 
+  EXPECT_TRUE(cluster.converged()) << cluster.divergence();
+  expect_chains_byte_identical(cluster);
+  std::filesystem::remove_all(config.data_dir);
+}
+
+TEST(Cluster, DonorWithoutSnapshotCutsOneForTheTransfer) {
+  // With snapshot_interval 0 no peer ever cuts a snapshot on schedule: the
+  // donor cuts one at its tip when the lagging peer restarts, and the
+  // transfer ships exactly that file.
+  ClusterConfig config = small_config();
+  config.seed = 23;
+  config.data_dir = temp_dir("bm_cluster_test_cut");
+  config.snapshot_interval = 0;
+  config.catch_up_threshold = 4;
+  sim::Simulation sim;
+  ClusterDeployment cluster(sim, config);
+  ASSERT_TRUE(cluster.run_until_blocks(4, 120 * sim::kSecond));
+  cluster.settle(sim::kSecond);
+  cluster.crash_peer(3);
+  ASSERT_TRUE(cluster.run_until_blocks(12, 600 * sim::kSecond));
+  EXPECT_TRUE(snapshot_files(config.data_dir).empty());
+
+  cluster.restart_peer(3);
+  cluster.settle(5 * sim::kSecond);
+
+  EXPECT_EQ(cluster.state_transfers(), 1u);
+  EXPECT_TRUE(cluster.last_transfer().ok) << cluster.last_transfer().error;
+  EXPECT_TRUE(cluster.last_transfer().used_snapshot);
+  EXPECT_EQ(cluster.last_transfer().blocks_replayed, 0u);
+  const auto snapshots = snapshot_files(config.data_dir);
+  ASSERT_EQ(snapshots.size(), 1u);
+  EXPECT_EQ(cluster.transfer_bytes(),
+            std::filesystem::file_size(snapshots.front()));
+  EXPECT_EQ(cluster.peer_height(3), 12u);
   EXPECT_TRUE(cluster.converged()) << cluster.divergence();
   expect_chains_byte_identical(cluster);
   std::filesystem::remove_all(config.data_dir);

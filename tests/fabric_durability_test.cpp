@@ -41,6 +41,11 @@ struct DurabilityFixture : ::testing::Test {
     return harness.reference_ledger().last_commit_hash();
   }
 
+  std::uint64_t snapshot_bytes(std::uint64_t height) const {
+    return std::filesystem::file_size(
+        DurableLedger::snapshot_path(config, height));
+  }
+
   DurabilityConfig config;
   workload::NetworkOptions options;
 };
@@ -175,6 +180,8 @@ TEST_F(DurabilityFixture, RecoverWithoutSnapshotsReplaysFromGenesis) {
   EXPECT_EQ(ledger.height(), 5u);
   EXPECT_EQ(ledger.last_commit_hash(), want);
   EXPECT_GT(state.size(), 0u);
+  // A full replay reads the log's whole valid prefix: here the whole file.
+  EXPECT_EQ(result.bytes_read, std::filesystem::file_size(config.ledger_path));
 }
 
 TEST_F(DurabilityFixture, RecoverUsesNewestSnapshotAndReplaysTheRest) {
@@ -197,6 +204,10 @@ TEST_F(DurabilityFixture, RecoverUsesNewestSnapshotAndReplaysTheRest) {
   EXPECT_EQ(ledger.height(), 7u);
   EXPECT_EQ(ledger.base_height(), 6u);
   EXPECT_EQ(ledger.last_commit_hash(), want);
+  // The snapshot file plus block 6's record, not the blocks below it.
+  const auto offsets =
+      FileBlockStore::recover(config.ledger_path).record_offsets;
+  EXPECT_EQ(result.bytes_read, snapshot_bytes(6) + offsets.back() - offsets[6]);
 
   // The snapshot-seeded state must agree with a full genesis replay.
   Ledger full_ledger;
@@ -252,12 +263,42 @@ TEST_F(DurabilityFixture, SnapshotAboveTornLogIsIgnored) {
   EXPECT_EQ(result.snapshot_height, 3u);  // 6 cannot seed a 5-block log
   EXPECT_EQ(ledger.height(), 5u);
   EXPECT_GT(result.torn_bytes, 0u);
+  // Records 3 and 4 past the snapshot; the torn tail is not read as data.
+  EXPECT_EQ(result.bytes_read, snapshot_bytes(3) + chain.record_offsets[5] -
+                                   chain.record_offsets[3]);
 
   // A reopened DurableLedger agrees: height 5, snapshot age counted from 3.
   DurableLedger durable(config);
   EXPECT_EQ(durable.store().height(), 5u);
   EXPECT_EQ(durable.last_snapshot_height(), 3u);
   EXPECT_EQ(durable.snapshot_age_blocks(), 2u);
+}
+
+TEST_F(DurabilityFixture, CutSnapshotOnDemandSeedsTheNextRecovery) {
+  const crypto::Digest want = commit_durably(5);  // no snapshot on schedule
+  Ledger ledger;
+  StateDb state;
+  ASSERT_TRUE(DurableLedger::recover(config, ledger, state).ok);
+
+  DurableLedger durable(config);
+  ASSERT_EQ(durable.last_snapshot_height(), 0u);
+  // The ledger's tip must be the log's: an empty ledger cuts nothing.
+  EXPECT_FALSE(durable.cut_snapshot(Ledger{}, state));
+  ASSERT_TRUE(durable.cut_snapshot(ledger, state));
+  EXPECT_EQ(durable.last_snapshot_height(), 5u);
+  EXPECT_EQ(durable.snapshots_cut(), 1u);
+
+  Ledger recovered;
+  StateDb recovered_state;
+  const RecoveryResult result =
+      DurableLedger::recover(config, recovered, recovered_state);
+  EXPECT_TRUE(result.ok);
+  EXPECT_TRUE(result.used_snapshot);
+  EXPECT_EQ(result.snapshot_height, 5u);
+  EXPECT_EQ(result.blocks_replayed, 0u);
+  EXPECT_EQ(result.bytes_read, snapshot_bytes(5));
+  EXPECT_EQ(recovered.last_commit_hash(), want);
+  EXPECT_EQ(recovered_state.size(), state.size());
 }
 
 // --- the kill-and-restart drill ---------------------------------------------
