@@ -198,10 +198,10 @@ void ClusterDeployment::restart_peer(int peer) {
   Peer* donor = pick_source(peer);
   if (donor == nullptr) return;  // gossip anti-entropy is the fallback
 
-  // The peer rebuilds from the donor's files exactly as a crashed peer
-  // rebuilds from its own: newest snapshot, then the log past it. A donor
-  // that never cut a snapshot cuts one at its tip first, so the transfer
-  // ships state rather than the whole log.
+  // The peer rebuilds from the donor's files as a crashed peer rebuilds
+  // from its own: newest snapshot, then the log past it. A donor with no
+  // snapshot cuts one at its tip first, so the transfer ships state, not
+  // the whole log (recover's fallback should the cut fail).
   if (donor->durable->last_snapshot_height() == 0)
     donor->durable->cut_snapshot(donor->ledger, donor->db);
   last_transfer_ = fabric::DurableLedger::recover(donor->durable->config(),
