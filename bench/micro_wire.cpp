@@ -1,8 +1,11 @@
 // Microbenchmarks for the wire-format and transaction marshaling paths —
-// the "unmarshaling of many protobufs" bottleneck (§2.3, observation 1).
+// the "unmarshaling of many protobufs" bottleneck (§2.3, observation 1) —
+// and the block log's byte work: the record CRC and the block marshal.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "fabric/block.hpp"
 #include "fabric/transaction.hpp"
 #include "wire/varint.hpp"
 
@@ -77,6 +80,41 @@ void BM_CertificateUnmarshal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertificateUnmarshal);
+
+// A short frame, one 3-tx block-log record (~11 KB) and a large snapshot.
+void BM_Crc32(benchmark::State& state) {
+  const Bytes data = Rng(7).bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(11000)->Arg(1 << 20);
+
+/// The per-byte loop: the fallback without pclmulqdq, and the oracle.
+void BM_Crc32Bytewise(benchmark::State& state) {
+  const Bytes data = Rng(7).bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(detail::crc32_bytewise(0, data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(11000)->Arg(1 << 20);
+
+/// One 150-tx block (the paper's default size) marshaled for the log.
+void BM_BlockMarshal(benchmark::State& state) {
+  static TxFixture fixture;
+  Rng rng(9);
+  fabric::Block block;
+  block.header.number = 42;
+  block.header.prev_hash = rng.bytes(32);
+  block.header.data_hash = rng.bytes(32);
+  block.envelopes.assign(150, fixture.envelope);
+  block.metadata.orderer_cert = fixture.peer1.cert.marshal();
+  block.metadata.orderer_sig = rng.bytes(71);
+  block.metadata.tx_flags.assign(150, 0);
+  const auto size = static_cast<std::int64_t>(block.marshaled_size());
+  for (auto _ : state) benchmark::DoNotOptimize(block.marshal());
+  state.SetBytesProcessed(state.iterations() * size);
+}
+BENCHMARK(BM_BlockMarshal);
 
 }  // namespace
 

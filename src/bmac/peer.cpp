@@ -78,12 +78,17 @@ void BmacPeer::publish_metrics() {
         .set(host_metrics_.blocks_committed);
     registry_
         ->counter("bmac_host_blocks_rejected_total",
-                  "blocks discarded: bad block signature or verdict mismatch")
+                  "blocks discarded: bad block signature, verdict mismatch "
+                  "or out of sequence")
         .set(host_metrics_.blocks_rejected);
     registry_
         ->counter("bmac_host_verdict_mismatches_total",
                   "blocks rejected: verdicts do not cover the host block")
         .set(host_metrics_.verdict_mismatches);
+    registry_
+        ->counter("bmac_host_out_of_sequence_total",
+                  "blocks rejected: number is not the ledger height")
+        .set(host_metrics_.out_of_sequence_blocks);
     registry_
         ->counter("bmac_host_txs_committed_total",
                   "transactions written to the ledger (valid + invalid)")
@@ -374,7 +379,7 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         }
         fabric::Block block = std::move(it->second);
         pending_blocks_.erase(it);
-        check_verdict_coverage(result, block);
+        check_commitable(result, block);
         if (result.block_valid) {
           block.set_tx_flags(result.flags);
           co_await sim_.delay(t.ledger_commit_fixed +
@@ -408,6 +413,14 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
         pending_blocks_.erase(it);
         fallback_pending_.erase(block_num);
         const sim::Time commit_start = sim_.now();
+        if (!extends_ledger(block)) {
+          ResultEntry rejected;
+          rejected.block_num = block_num;
+          rejected.fallback = true;
+          finish_commit(std::move(rejected), commit_start);
+          resolve_block(block_num);
+          continue;
+        }
         co_await sim_.delay(
             degrade_->fallback_fixed +
             degrade_->fallback_per_tx *
@@ -452,12 +465,20 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
   }
 }
 
-void BmacPeer::check_verdict_coverage(ResultEntry& result,
-                                      const fabric::Block& block) {
-  if (!result.block_valid || result.flags.size() == block.envelopes.size())
-    return;
-  ++host_metrics_.verdict_mismatches;
-  result.block_valid = false;
+void BmacPeer::check_commitable(ResultEntry& result,
+                                const fabric::Block& block) {
+  if (!result.block_valid || !extends_ledger(block)) {
+    result.block_valid = false;
+  } else if (result.flags.size() != block.envelopes.size()) {
+    ++host_metrics_.verdict_mismatches;
+    result.block_valid = false;
+  }
+}
+
+bool BmacPeer::extends_ledger(const fabric::Block& block) {
+  if (block.header.number == ledger_.height()) return true;
+  ++host_metrics_.out_of_sequence_blocks;
+  return false;
 }
 
 void BmacPeer::finish_commit(ResultEntry result, sim::Time commit_start) {
@@ -533,7 +554,7 @@ sim::Process BmacPeer::host_commit_proc() {
     fabric::Block block = std::move(it->second);
     pending_blocks_.erase(it);
 
-    check_verdict_coverage(result, block);
+    check_commitable(result, block);
     if (result.block_valid) {
       block.set_tx_flags(result.flags);
       co_await sim_.delay(

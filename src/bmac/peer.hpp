@@ -119,6 +119,9 @@ class BmacPeer {
     /// Rejected because the hardware verdicts do not cover the host block's
     /// envelopes one for one (packets and host block disagree).
     std::uint64_t verdict_mismatches = 0;
+    /// Rejected because the block's number is not the ledger height (an
+    /// earlier block was rejected; re-delivery is not modeled).
+    std::uint64_t out_of_sequence_blocks = 0;
     std::uint64_t transactions_committed = 0;  ///< valid + invalid, in blocks
     std::uint64_t valid_transactions = 0;
   };
@@ -159,8 +162,11 @@ class BmacPeer {
   void arm_watchdog(std::uint64_t block_num);
   std::size_t stream_progress(std::uint64_t block_num) const;
   /// A hardware verdict the host can commit against `block` holds one flag
-  /// per envelope; any other is booked as a rejected block and counted.
-  void check_verdict_coverage(ResultEntry& result, const fabric::Block& block);
+  /// per envelope of a block that extends the ledger; any other is booked
+  /// as a rejected block and counted.
+  void check_commitable(ResultEntry& result, const fabric::Block& block);
+  /// Whether `block` carries the ledger's next number; counts it if not.
+  bool extends_ledger(const fabric::Block& block);
   /// Book one resolved block, whichever engine produced its flags: host
   /// metrics and commit counter, latency histogram, the host_commit (or
   /// host_commit_fallback) span and the results() entry.

@@ -82,7 +82,7 @@ enum : std::uint32_t { kMetaCert = 1, kMetaSig = 2 };
 
 SendResult ProtocolSender::send(const fabric::Block& block) {
   SendResult result;
-  result.gossip_size = block.marshal().size();
+  result.gossip_size = block.marshaled_size();
 
   const std::uint16_t total_sections =
       static_cast<std::uint16_t>(2 + block.envelopes.size());

@@ -1,5 +1,7 @@
 #include "fabric/block.hpp"
 
+#include <array>
+
 #include "wire/proto.hpp"
 
 namespace bm::fabric {
@@ -21,6 +23,28 @@ enum : std::uint32_t {
   kOrdererSig = 2,
   kTxFlags = 3,
 };
+
+/// Marshaled size of a length-delimited field with a `length`-byte value:
+/// one tag byte (every field number here is below 16), the length, the value.
+std::size_t field_size(std::size_t length) {
+  return 1 + wire::varint_size(length) + length;
+}
+
+/// Value lengths of a block's header, data and metadata fields.
+std::array<std::size_t, 3> field_lengths(const Block& block) {
+  const BlockHeader& header = block.header;
+  const BlockMetadata& metadata = block.metadata;
+  std::size_t data = 0;
+  for (const Bytes& envelope : block.envelopes)
+    data += field_size(envelope.size());
+  return {1 + wire::varint_size(header.number) +  // the number's tag + varint
+              field_size(header.prev_hash.size()) +
+              field_size(header.data_hash.size()),
+          data,
+          field_size(metadata.orderer_cert.size()) +
+              field_size(metadata.orderer_sig.size()) +
+              field_size(metadata.tx_flags.size())};
+}
 }  // namespace
 
 const char* tx_validation_code_name(TxValidationCode code) {
@@ -88,21 +112,36 @@ void Block::set_tx_flags(const std::vector<TxValidationCode>& codes) {
     metadata.tx_flags.push_back(static_cast<std::uint8_t>(code));
 }
 
+void Block::marshal_to(const std::function<void(ByteView)>& sink) const {
+  const auto [header_length, data_length, metadata_length] =
+      field_lengths(*this);
+  Bytes run;  // tag/length bytes (and the short header) before the next view
+  run.reserve(header_length + 32);
+  const auto head = [&run](std::uint32_t field, std::size_t length) {
+    wire::put_varint(run, (field << 3) | 2);  // wire type 2: length-delimited
+    wire::put_varint(run, length);
+  };
+  const auto value = [&](std::uint32_t field, ByteView bytes) {
+    head(field, bytes.size());
+    sink(run);
+    run.clear();
+    sink(bytes);
+  };
+  head(kHeader, header_length);
+  append(run, header.marshal());
+  head(kData, data_length);
+  for (const Bytes& envelope : envelopes) value(kEnvelope, envelope);
+  head(kMetadata, metadata_length);
+  value(kOrdererCert, metadata.orderer_cert);
+  value(kOrdererSig, metadata.orderer_sig);
+  value(kTxFlags, metadata.tx_flags);
+}
+
 Bytes Block::marshal() const {
-  wire::ProtoWriter w;
-  w.bytes_field(kHeader, header.marshal());
-
-  wire::ProtoWriter data;
-  for (const Bytes& envelope : envelopes) data.bytes_field(kEnvelope, envelope);
-  w.message_field(kData, data);
-
-  wire::ProtoWriter metadata_writer;
-  metadata_writer.bytes_field(kOrdererCert, metadata.orderer_cert);
-  metadata_writer.bytes_field(kOrdererSig, metadata.orderer_sig);
-  metadata_writer.bytes_field(
-      kTxFlags, ByteView(metadata.tx_flags.data(), metadata.tx_flags.size()));
-  w.message_field(kMetadata, metadata_writer);
-  return w.take();
+  Bytes out;
+  out.reserve(marshaled_size());
+  marshal_to([&out](ByteView piece) { append(out, piece); });
+  return out;
 }
 
 std::optional<Block> Block::unmarshal(ByteView data) {
@@ -129,6 +168,11 @@ std::optional<Block> Block::unmarshal(ByteView data) {
   return block;
 }
 
-std::size_t Block::marshaled_size() const { return marshal().size(); }
+std::size_t Block::marshaled_size() const {
+  std::size_t size = 0;
+  for (const std::size_t length : field_lengths(*this))
+    size += field_size(length);
+  return size;
+}
 
 }  // namespace bm::fabric

@@ -6,6 +6,8 @@
 // like Fabric's TxValidationFlags.
 #pragma once
 
+#include <functional>
+
 #include "fabric/identity.hpp"
 
 namespace bm::fabric {
@@ -64,11 +66,16 @@ struct Block {
   /// What the orderer signs (and block_verify checks).
   crypto::Digest signing_digest() const;
 
+  /// Hands the marshaled bytes to `sink` in order, piece by piece: short
+  /// tag/length runs and views of the envelopes, the orderer cert, the
+  /// orderer signature and the flags. The pieces concatenate to marshal().
+  void marshal_to(const std::function<void(ByteView)>& sink) const;
   Bytes marshal() const;
   static std::optional<Block> unmarshal(ByteView data);
 
   /// Total marshaled size — the Gossip-protocol transmission size that
-  /// Fig. 6a compares against the BMac protocol.
+  /// Fig. 6a compares against the BMac protocol. Summed from the field
+  /// lengths; nothing is marshaled.
   std::size_t marshaled_size() const;
 };
 

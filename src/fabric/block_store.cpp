@@ -122,32 +122,40 @@ void FileBlockStore::append(const CommittedBlock& block) {
         std::to_string(block.block.header.number) + " at height " +
         std::to_string(height_));
 
-  Bytes payload;
-  bm::append(payload, crypto::digest_view(block.commit_hash));
-  bm::append(payload, block.block.marshal());
+  // One buffer holds the frame: the header, its CRC patched in last, then
+  // the payload (commit hash || marshaled block). The checks run on it in
+  // place and the frame goes out in one fwrite.
+  const std::size_t payload_size = 32 + block.block.marshaled_size();
   // A record recovery would stop at must never reach the file: it would
   // orphan itself and every later append.
-  if (payload.size() > kMaxPayload)
+  if (payload_size > kMaxPayload)
     throw std::invalid_argument(
         "block store: block " + std::to_string(block.block.header.number) +
-        " needs a " + std::to_string(payload.size()) +
+        " needs a " + std::to_string(payload_size) +
         "-byte record, over the " + std::to_string(kMaxPayload) +
         "-byte limit");
+  Bytes frame;
+  frame.reserve(kHeaderSize + payload_size);
+  put_u32le(frame, kMagic);
+  put_u32le(frame, static_cast<std::uint32_t>(payload_size));
+  put_u32le(frame, 0);  // the CRC, once the payload is in place
+  bm::append(frame, crypto::digest_view(block.commit_hash));
+  block.block.marshal_to(
+      [&frame](ByteView piece) { bm::append(frame, piece); });
+  const ByteView payload = ByteView(frame).subspan(kHeaderSize);
 
   // The append must extend the recovered tail: its commit hash re-derives
   // from our chain head. Anything else would write a record recovery stops
   // in front of, silently orphaning all of its successors.
   if (chain_commit_hash(crypto::digest_view(tail_commit_hash_),
-                        ByteView(payload).subspan(32)) != block.commit_hash)
+                        payload.subspan(32)) != block.commit_hash)
     throw std::invalid_argument(
         "block store: commit hash does not extend the stored chain at height " +
         std::to_string(height_));
 
-  Bytes frame;
-  put_u32le(frame, kMagic);
-  put_u32le(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(frame, crc32(payload));
-  bm::append(frame, payload);
+  const std::uint32_t crc = crc32(payload);
+  for (int i = 0; i < 4; ++i)
+    frame[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 
   auto* f = static_cast<std::FILE*>(file_);
   if (std::fwrite(frame.data(), 1, frame.size(), f) != frame.size())

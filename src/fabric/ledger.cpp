@@ -31,6 +31,13 @@ crypto::Digest chain_commit_hash(ByteView prev_commit,
   return h.finish();
 }
 
+crypto::Digest chain_commit_hash(ByteView prev_commit, const Block& block) {
+  crypto::Sha256 h;
+  h.update(prev_commit);
+  block.marshal_to([&h](ByteView piece) { h.update(piece); });
+  return h.finish();
+}
+
 bool for_each_valid_write(
     const Block& block,
     const std::function<void(std::string key, Bytes value, Version version)>&
@@ -64,10 +71,9 @@ crypto::Digest Ledger::append(Block block) {
   if (block.metadata.tx_flags.size() != block.envelopes.size())
     throw std::invalid_argument("ledger: tx_flags not filled in");
 
-  const Bytes marshaled = block.marshal();
-  bytes_written_ += marshaled.size();
+  bytes_written_ += block.marshaled_size();
   const crypto::Digest commit_hash =
-      chain_commit_hash(crypto::digest_view(last_commit_hash_), marshaled);
+      chain_commit_hash(crypto::digest_view(last_commit_hash_), block);
 
   last_header_hash_ = block.block_hash();
   blocks_.push_back(CommittedBlock{std::move(block), commit_hash});

@@ -58,9 +58,11 @@ class Ledger {
 
 /// One link of the commit-hash chain: H(prev_commit || marshaled flagged
 /// block). The ledger, the block log's append check and its recovery scan
-/// all derive commit hashes here.
+/// all derive commit hashes here: from the marshaled bytes, or from the
+/// block itself, streamed into the hash without a buffer (same digest).
 crypto::Digest chain_commit_hash(ByteView prev_commit,
                                  ByteView marshaled_block);
+crypto::Digest chain_commit_hash(ByteView prev_commit, const Block& block);
 
 /// The valid-write walk of a flagged block: calls `write` for each write of
 /// each envelope flagged valid, in transaction order, with the key

@@ -320,6 +320,59 @@ TEST(VerdictCoverage, MismatchedHostBlockIsRejectedAndCounted) {
   }
 }
 
+// --- commit sequence ---------------------------------------------------------
+
+TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
+  // Block 0 carries a bad orderer signature, so the host appends nothing;
+  // block 1 is good but no longer extends the ledger. Each commit path
+  // refuses it before touching any state, counts it and keeps running: the
+  // healthy loop, the degraded loop on a hardware verdict, and the degraded
+  // loop's software fallback (block 1's packets are all lost).
+  enum class Mode { kHealthy, kDegraded, kFallback };
+  for (const Mode mode : {Mode::kHealthy, Mode::kDegraded, Mode::kFallback}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    NetworkOptions options;
+    options.block_size = 4;
+    options.seed = 57;
+    FabricNetworkHarness harness(options);
+    sim::Simulation sim;
+    obs::Registry registry;
+    BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+    peer.attach_observability(&registry, nullptr);
+    if (mode != Mode::kHealthy) {
+      BmacPeer::DegradeConfig degrade;
+      degrade.result_budget = 50 * sim::kMillisecond;
+      peer.enable_graceful_degradation(degrade);
+    }
+    peer.start();
+    ProtocolSender sender(harness.msp());
+
+    for (int i = 0; i < 2; ++i) {
+      fabric::Block block = harness.next_block();
+      if (i == 0) block.metadata.orderer_sig.back() ^= 0x01;
+      if (i == 0 || mode != Mode::kFallback)
+        for (auto& packet : sender.send(block).packets)
+          peer.deliver_packet(std::move(packet));
+      peer.deliver_block(std::move(block));
+    }
+    sim.run();
+
+    ASSERT_EQ(peer.results().size(), 2u);
+    EXPECT_FALSE(peer.results()[0].block_valid);
+    EXPECT_FALSE(peer.results()[1].block_valid);
+    EXPECT_EQ(peer.results()[1].fallback, mode == Mode::kFallback);
+    EXPECT_EQ(peer.ledger().height(), 0u);
+    EXPECT_EQ(peer.host_metrics().out_of_sequence_blocks, 1u);
+    EXPECT_EQ(peer.host_metrics().blocks_rejected, 2u);
+    EXPECT_EQ(peer.host_metrics().blocks_committed, 0u);
+    peer.publish_metrics();
+    const auto* counter =
+        registry.find_counter("bmac_host_out_of_sequence_total");
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->value(), 1u);
+  }
+}
+
 // --- the chaos soak -----------------------------------------------------------
 
 ChaosOptions soak_options(const std::string& config_name) {

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 
@@ -122,6 +123,48 @@ TEST(Rng, BytesLength) {
   EXPECT_EQ(rng.bytes(0).size(), 0u);
   EXPECT_EQ(rng.bytes(7).size(), 7u);
   EXPECT_EQ(rng.bytes(64).size(), 64u);
+}
+
+// --- CRC-32: the carry-less-multiply kernel against the bytewise oracle ----
+
+TEST(Crc32, KernelMatchesBytewiseAtEveryLengthAndOffset) {
+  if (!detail::crc32_has_clmul())
+    GTEST_SKIP() << "no pclmulqdq: crc32_update is the bytewise loop";
+  Rng rng(23);
+  const Bytes data = rng.bytes(64 + 4096);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    // The oracle grows one byte at a time; the kernel takes each prefix whole.
+    std::uint32_t want = seed;
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      if (length > 0)
+        want = detail::crc32_bytewise(want, ByteView(data).subspan(
+                                                offset + length - 1, 1));
+      ASSERT_EQ(crc32_update(seed, ByteView(data).subspan(offset, length)),
+                want)
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, KernelMatchesBytewiseOnOneMebibyte) {
+  if (!detail::crc32_has_clmul())
+    GTEST_SKIP() << "no pclmulqdq: crc32_update is the bytewise loop";
+  const Bytes data = Rng(29).bytes(std::size_t{1} << 20);
+  EXPECT_EQ(crc32(data), detail::crc32_bytewise(0, data));
+}
+
+TEST(Crc32, UpdateChainsAtEverySplit) {
+  Rng rng(31);
+  const Bytes data = rng.bytes(1024);
+  const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+  const std::uint32_t whole = detail::crc32_bytewise(seed, data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t head =
+        crc32_update(seed, ByteView(data).subspan(0, split));
+    ASSERT_EQ(crc32_update(head, ByteView(data).subspan(split)), whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/transaction.hpp"
+#include "wire/proto.hpp"
 
 namespace bm::fabric {
 namespace {
@@ -127,6 +128,77 @@ TEST(Block, MarshalRoundTrip) {
   EXPECT_TRUE(equal(back->envelopes[0], block->envelopes[0]));
   EXPECT_EQ(back->metadata, block->metadata);
   EXPECT_EQ(back->block_hash(), block->block_hash());
+}
+
+/// The ProtoWriter-based Block::marshal, nested writers and all: the oracle
+/// for the one-walk marshal.
+Bytes marshal_oracle(const Block& block) {
+  wire::ProtoWriter w;
+  w.bytes_field(1, block.header.marshal());
+  wire::ProtoWriter data;
+  for (const Bytes& envelope : block.envelopes) data.bytes_field(1, envelope);
+  w.message_field(2, data);
+  wire::ProtoWriter metadata;
+  metadata.bytes_field(1, block.metadata.orderer_cert);
+  metadata.bytes_field(2, block.metadata.orderer_sig);
+  metadata.bytes_field(3, block.metadata.tx_flags);
+  w.message_field(3, metadata);
+  return w.take();
+}
+
+/// A block of random bytes with envelopes of the given lengths.
+Block random_block(Rng& rng, std::uint64_t number,
+                   const std::vector<std::size_t>& envelope_lengths) {
+  Block block;
+  block.header.number = number;
+  block.header.prev_hash = rng.bytes(32);
+  block.header.data_hash = rng.bytes(32);
+  for (const std::size_t length : envelope_lengths)
+    block.envelopes.push_back(rng.bytes(length));
+  block.metadata.orderer_cert = rng.bytes(300);
+  block.metadata.orderer_sig = rng.bytes(71);
+  block.metadata.tx_flags = rng.bytes(envelope_lengths.size());
+  return block;
+}
+
+TEST(Block, OneWalkMarshalMatchesTheProtoWriterOracle) {
+  Rng rng(41);
+  std::vector<Block> blocks;
+  blocks.push_back(random_block(rng, 0, {}));
+  blocks.push_back(random_block(rng, 1, {500}));
+  std::vector<std::size_t> many;
+  for (int i = 0; i < 150; ++i) many.push_back(50 + rng.uniform(3000));
+  blocks.push_back(random_block(rng, 127, many));
+  // Envelope and field lengths on both sides of the 2- and 3-byte varints,
+  // and block numbers that need several varint bytes.
+  blocks.push_back(random_block(rng, 128, {127, 128, 129}));
+  blocks.push_back(random_block(rng, 1ull << 40, {16383, 16384, 16385}));
+  blocks.push_back(random_block(rng, 5, {16384 * 8}));
+  Block no_cert = random_block(rng, 6, {10, 20});
+  no_cert.metadata.orderer_cert.clear();
+  blocks.push_back(no_cert);
+  Block no_sig = random_block(rng, 7, {10, 20});
+  no_sig.metadata.orderer_sig.clear();
+  blocks.push_back(no_sig);
+  Block no_flags = random_block(rng, 8, {10, 20});
+  no_flags.metadata.tx_flags.clear();
+  blocks.push_back(no_flags);
+  Block bare;  // every field empty
+  blocks.push_back(bare);
+
+  const Bytes prev_commit = rng.bytes(32);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    SCOPED_TRACE("block " + std::to_string(i));
+    const Block& block = blocks[i];
+    const Bytes marshaled = block.marshal();
+    EXPECT_EQ(marshaled, marshal_oracle(block));
+    EXPECT_EQ(block.marshaled_size(), marshaled.size());
+    EXPECT_EQ(chain_commit_hash(prev_commit, block),
+              chain_commit_hash(prev_commit, marshaled));
+    const auto back = Block::unmarshal(marshaled);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->marshal(), marshaled);
+  }
 }
 
 TEST(Orderer, CutsAtBatchSize) {
