@@ -431,12 +431,10 @@ sim::Process BlockProcessor::tx_mvcc_commit_proc() {
         co_await sim_.delay(t.fifo_read);
         WrsetEntry write = co_await wrset_fifo_.get();
         if (!valid) continue;
-        statedb_.lock(write.key);
         statedb_.write(write.key, std::move(write.value), version);
         co_await sim_.delay(statedb_.last_tier() == AccessTier::kHost
                                 ? t.db_op_host
                                 : t.db_op);
-        statedb_.unlock(write.key);
       }
       result.flags[seq] = tx.code;
       if (valid) ++block_valid_txs;

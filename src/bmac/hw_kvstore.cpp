@@ -6,7 +6,8 @@ void HwKvStore::touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru);
 }
 
-bool HwKvStore::insert_on_chip(const std::string& key, ReadResult value) {
+bool HwKvStore::insert_on_chip(const std::string& key,
+                               fabric::VersionedValue value) {
   if (data_.size() >= capacity_) {
     if (host_ == nullptr) {
       ++overflows_;
@@ -26,41 +27,13 @@ bool HwKvStore::insert_on_chip(const std::string& key, ReadResult value) {
   return true;
 }
 
-HwKvStore::Entry* HwKvStore::fetch_from_host(const std::string& key) {
-  if (host_ == nullptr) return nullptr;
-  ++host_accesses_;
-  last_tier_ = AccessTier::kHost;
-  const auto host_value = host_->get(key);
-  if (!host_value) return nullptr;
-  // Promote the hot entry on-chip (§5: actively accessed data lives in
-  // hardware).
-  if (!insert_on_chip(key, ReadResult{host_value->value, host_value->version}))
-    return nullptr;
-  host_->erase(key);
-  return &data_.find(key)->second;
-}
-
-std::optional<HwKvStore::ReadResult> HwKvStore::read(const std::string& key) {
-  ++reads_;
-  last_tier_ = AccessTier::kHardware;
-  if (locked_.count(key) > 0) return std::nullopt;
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    Entry* fetched = fetch_from_host(key);
-    if (fetched == nullptr) return std::nullopt;
-    return fetched->value;
-  }
-  touch(it->second);
-  return it->second.value;
-}
-
 bool HwKvStore::write(const std::string& key, Bytes value,
                       fabric::Version version) {
   ++writes_;
   last_tier_ = AccessTier::kHardware;
   auto it = data_.find(key);
   if (it != data_.end()) {
-    it->second.value = ReadResult{std::move(value), version};
+    it->second.value = {std::move(value), version};
     touch(it->second);
     return true;
   }
@@ -71,7 +44,7 @@ bool HwKvStore::write(const std::string& key, Bytes value,
     last_tier_ = AccessTier::kHost;
     host_->erase(key);
   }
-  return insert_on_chip(key, ReadResult{std::move(value), version});
+  return insert_on_chip(key, {std::move(value), version});
 }
 
 std::size_t HwKvStore::write_batch(std::vector<BatchWrite>&& writes) {
@@ -97,6 +70,14 @@ bool HwKvStore::version_matches(
       return expected.has_value() && *expected == host_value->version;
   }
   return !expected.has_value();
+}
+
+std::optional<fabric::VersionedValue> HwKvStore::lookup(
+    const std::string& key) const {
+  const auto it = data_.find(key);
+  if (it != data_.end()) return it->second.value;
+  if (host_ != nullptr) return host_->get(key);
+  return std::nullopt;
 }
 
 }  // namespace bm::bmac

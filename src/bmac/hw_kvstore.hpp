@@ -2,23 +2,25 @@
 // host-backed tier proposed in §5.
 //
 // Base mode: fixed capacity (8192 entries in the paper's configuration —
-// limited by FPGA BRAM/URAM), versioned values {value, (block, tx)}, and a
-// per-key lock so a key being written cannot be read mid-update.
+// limited by FPGA BRAM/URAM) of versioned values {value, (block, tx)}. The
+// mvcc stage checks read-set versions (version_matches); the commit stage
+// writes valid transactions' write sets (write, or write_batch for the
+// degraded path's write-through).
 //
 // Tiered mode (§5: "use in-hardware database for small amount of actively
 // accessed data, while keeping a persistent database on the host CPU"):
-// attach_host_store() turns the on-chip table into an LRU cache; capacity
-// overflow evicts the least-recently-used entry to the host store, misses
-// fall through to the host and promote the entry back on-chip. Every access
-// reports which tier served it so the pipeline model can charge the PCIe
-// round-trip for host accesses.
+// attach_host_store() turns the on-chip table into an LRU cache, and
+// capacity overflow evicts the least-recently-used entry to the host store.
+// A version check on a host-resident key is served from the host, and the
+// key stays there; a write lands on-chip and replaces the host copy. Every
+// access reports which tier served it so the pipeline model can charge the
+// PCIe round trip for host accesses.
 #pragma once
 
 #include <list>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "fabric/statedb.hpp"
 
@@ -31,14 +33,6 @@ enum class AccessTier { kHardware, kHost };
 class HwKvStore {
  public:
   explicit HwKvStore(std::size_t capacity) : capacity_(capacity) {}
-
-  struct ReadResult {
-    Bytes value;
-    fabric::Version version;
-  };
-
-  /// Read a key; nullopt when absent (in every tier) or locked for writing.
-  std::optional<ReadResult> read(const std::string& key);
 
   /// Write a key (insert or update). Without a host store, returns false
   /// when the table is full; with one, evicts the LRU entry to the host.
@@ -61,19 +55,16 @@ class HwKvStore {
   bool version_matches(const std::string& key,
                        const std::optional<fabric::Version>& expected);
 
+  /// The key's value and version in whichever tier holds it, or nullopt.
+  /// Touches no counter, LRU position or tier (tests compare state with it).
+  std::optional<fabric::VersionedValue> lookup(const std::string& key) const;
+
   /// §5: attach the host CPU's persistent database as the backing tier.
   void attach_host_store(fabric::StateDb* host) { host_ = host; }
   bool has_host_store() const { return host_ != nullptr; }
 
-  /// Tier that served the most recent read/write/version_matches call.
+  /// Tier that served the most recent write/version_matches call.
   AccessTier last_tier() const { return last_tier_; }
-
-  /// Internal locking used by the commit datapath.
-  void lock(const std::string& key) { locked_.insert(key); }
-  void unlock(const std::string& key) { locked_.erase(key); }
-  bool is_locked(const std::string& key) const {
-    return locked_.count(key) > 0;
-  }
 
   // Counter accessors follow the repo-wide bounded-cache vocabulary
   // (capacity / entries / hits / misses / evictions, docs/OBSERVABILITY.md):
@@ -91,21 +82,18 @@ class HwKvStore {
 
  private:
   struct Entry {
-    ReadResult value;
+    fabric::VersionedValue value;
     std::list<std::string>::iterator lru;
   };
 
   void touch(Entry& entry);
   /// Insert into the on-chip table, evicting to the host if needed.
   /// Returns false on overflow without a host store.
-  bool insert_on_chip(const std::string& key, ReadResult value);
-  /// Fetch from the host tier (if attached) and promote on-chip.
-  Entry* fetch_from_host(const std::string& key);
+  bool insert_on_chip(const std::string& key, fabric::VersionedValue value);
 
   std::size_t capacity_;
   std::unordered_map<std::string, Entry> data_;
   std::list<std::string> lru_;  ///< front = most recently used
-  std::unordered_set<std::string> locked_;
   fabric::StateDb* host_ = nullptr;
 
   AccessTier last_tier_ = AccessTier::kHardware;

@@ -1,7 +1,6 @@
 #include "bmac/peer.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/flight.hpp"
 #include "obs/probes.hpp"
@@ -39,10 +38,8 @@ void BmacPeer::start() {
   if (degrade_) {
     sim_.spawn(stream_release_proc());
     sim_.spawn(reg_map_drain_proc());
-    sim_.spawn(degraded_host_commit_proc());
-  } else {
-    sim_.spawn(host_commit_proc());
   }
+  sim_.spawn(commit_sequencer_proc());
 }
 
 void BmacPeer::attach_observability(obs::Registry* registry,
@@ -72,6 +69,14 @@ void BmacPeer::publish_metrics() {
         ->counter("bmac_packets_processed_total",
                   "BMac packets consumed by the protocol_processor")
         .set(host_metrics_.packets_processed);
+    // Published from the first drop on, so the metrics of a run that never
+    // overflows hold no drop series.
+    if (host_metrics_.rx_queue_dropped != 0) {
+      registry_
+          ->counter("bmac_rx_queue_dropped_total",
+                    "packets dropped at a full rx queue")
+          .set(host_metrics_.rx_queue_dropped);
+    }
     registry_
         ->counter("bmac_host_blocks_committed_total",
                   "blocks appended to the host ledger")
@@ -129,9 +134,7 @@ void BmacPeer::publish_metrics() {
 }
 
 void BmacPeer::deliver_packet(BmacPacket packet) {
-  const bool accepted = rx_queue_.try_put(std::move(packet));
-  assert(accepted && "rx queue overflow");
-  (void)accepted;
+  if (!rx_queue_.try_put(std::move(packet))) ++host_metrics_.rx_queue_dropped;
 }
 
 void BmacPeer::deliver_block(fabric::Block block) {
@@ -163,58 +166,52 @@ sim::Process BmacPeer::protocol_processor_proc() {
     const sim::Time packet_start = sim_.now();
     const std::size_t wire_size = packet.wire_size();
     co_await sim_.delay(t.packet_processing_time(wire_size));
-    if (degrade_) {
-      if (packet.header.section != SectionType::kIdentitySync && base_known_ &&
-          packet.header.block_num < next_release_) {
-        // A straggler for a block already released or resolved (e.g. a
-        // retransmission that raced the fallback): the hardware must not
-        // re-stage records for it.
-        ++degrade_metrics_.late_packets;
-        ++host_metrics_.packets_processed;
-        if (tracer_ != nullptr) {
-          tracer_->complete(protocol_lane_, "packet_late", "protocol",
-                            packet_start, sim_.now(),
-                            {{"bytes", static_cast<std::uint64_t>(wire_size)},
-                             {"block", packet.header.block_num}});
-        }
-        continue;
-      }
-      ProtocolReceiver::Emitted emitted = receiver_.on_packet(packet);
+    if (degrade_ && packet.header.section != SectionType::kIdentitySync &&
+        base_known_ && packet.header.block_num < next_release_) {
+      // A straggler for a block already released or resolved (e.g. a
+      // retransmission that raced the fallback): the hardware must not
+      // re-stage records for it.
+      ++degrade_metrics_.late_packets;
       ++host_metrics_.packets_processed;
       if (tracer_ != nullptr) {
-        tracer_->complete(
-            protocol_lane_, "packet", "protocol", packet_start, sim_.now(),
-            {{"bytes", static_cast<std::uint64_t>(wire_size)},
-             {"ends", static_cast<std::uint64_t>(emitted.ends.size())},
-             {"txs", static_cast<std::uint64_t>(emitted.txs.size())},
-             {"block", emitted.block.has_value()}});
-      }
-      if (emitted.error) {
-        ++degrade_metrics_.malformed_packets;
-      } else {
-        stage_records(packet, std::move(emitted));
+        tracer_->complete(protocol_lane_, "packet_late", "protocol",
+                          packet_start, sim_.now(),
+                          {{"bytes", static_cast<std::uint64_t>(wire_size)},
+                           {"block", packet.header.block_num}});
       }
       continue;
     }
     ProtocolReceiver::Emitted emitted = receiver_.on_packet(packet);
-    // DataWriter: push each record as soon as it is complete. Back-pressure
-    // from full FIFOs stalls the protocol_processor, like real hardware.
-    for (auto& end : emitted.ends) co_await processor_.ends_fifo().put(std::move(end));
-    for (auto& read : emitted.reads)
-      co_await processor_.rdset_fifo().put(std::move(read));
-    for (auto& write : emitted.writes)
-      co_await processor_.wrset_fifo().put(std::move(write));
-    for (auto& tx : emitted.txs) co_await processor_.tx_fifo().put(std::move(tx));
-    if (emitted.block)
-      co_await processor_.block_fifo().put(std::move(*emitted.block));
+    const auto ends = static_cast<std::uint64_t>(emitted.ends.size());
+    const auto txs = static_cast<std::uint64_t>(emitted.txs.size());
+    const bool has_block = emitted.block.has_value();
+    if (!degrade_) {
+      // DataWriter: push each record as soon as it is complete.
+      // Back-pressure from full FIFOs stalls the protocol_processor, like
+      // real hardware.
+      for (auto& end : emitted.ends)
+        co_await processor_.ends_fifo().put(std::move(end));
+      for (auto& read : emitted.reads)
+        co_await processor_.rdset_fifo().put(std::move(read));
+      for (auto& write : emitted.writes)
+        co_await processor_.wrset_fifo().put(std::move(write));
+      for (auto& tx : emitted.txs)
+        co_await processor_.tx_fifo().put(std::move(tx));
+      if (emitted.block)
+        co_await processor_.block_fifo().put(std::move(*emitted.block));
+    } else if (emitted.error) {
+      ++degrade_metrics_.malformed_packets;
+    } else {
+      stage_records(packet, std::move(emitted));
+    }
     ++host_metrics_.packets_processed;
     if (tracer_ != nullptr) {
-      tracer_->complete(
-          protocol_lane_, "packet", "protocol", packet_start, sim_.now(),
-          {{"bytes", static_cast<std::uint64_t>(wire_size)},
-           {"ends", static_cast<std::uint64_t>(emitted.ends.size())},
-           {"txs", static_cast<std::uint64_t>(emitted.txs.size())},
-           {"block", emitted.block.has_value()}});
+      tracer_->complete(protocol_lane_, "packet", "protocol", packet_start,
+                        sim_.now(),
+                        {{"bytes", static_cast<std::uint64_t>(wire_size)},
+                         {"ends", ends},
+                         {"txs", txs},
+                         {"block", has_block}});
     }
   }
 }
@@ -362,16 +359,22 @@ void BmacPeer::on_watchdog(std::uint64_t block_num, std::size_t armed_local,
   commit_kick_->fire(0);
 }
 
-sim::Process BmacPeer::degraded_host_commit_proc() {
+sim::Process BmacPeer::commit_sequencer_proc() {
   const HwTimingModel& t = config_.timing;
+  sim::Time read_at = 0;  // healthy mode: when GetBlockData() returned
   for (;;) {
-    while (base_known_) {
+    for (;;) {
       const std::uint64_t block_num = next_commit_;
       auto hw = hw_results_.find(block_num);
       if (hw != hw_results_.end()) {
         ResultEntry result = std::move(hw->second);
         hw_results_.erase(hw);
-        const sim::Time commit_start = sim_.now();
+        // A healthy commit is timed from its GetBlockData() read, a
+        // degraded one from pick-up.
+        const sim::Time commit_start = degrade_ ? sim_.now() : read_at;
+        // The same block arrives via Gossip/forwarded UDP; normally it is
+        // already here since hardware validation takes far longer than
+        // block delivery. Poll briefly otherwise.
         auto it = pending_blocks_.find(block_num);
         while (it == pending_blocks_.end()) {
           co_await sim_.delay(100 * sim::kMicrosecond);
@@ -387,11 +390,13 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
                                   static_cast<sim::Time>(result.flags.size()));
           // Mirror the valid writes into the shadow state DB, so the
           // fallback validator sees what the hardware store holds.
-          fabric::for_each_valid_write(
-              block, [this](std::string key, Bytes value,
-                            fabric::Version version) {
-                shadow_state_.put(key, std::move(value), version);
-              });
+          if (degrade_) {
+            fabric::for_each_valid_write(
+                block, [this](std::string key, Bytes value,
+                              fabric::Version version) {
+                  shadow_state_.put(key, std::move(value), version);
+                });
+          }
           ledger_.append(std::move(block));
         }
         finish_commit(std::move(result), commit_start);
@@ -461,7 +466,17 @@ sim::Process BmacPeer::degraded_host_commit_proc() {
       }
       break;  // nothing resolvable at next_commit_ yet
     }
-    co_await commit_kick_->wait();
+    if (degrade_) {
+      co_await commit_kick_->wait();
+      continue;
+    }
+    // GetBlockData(): returns when reg_map holds the next verdict. The
+    // healthy host commits in reg_map order.
+    ResultEntry result = co_await processor_.reg_map().get();
+    read_at = sim_.now();
+    co_await sim_.delay(t.host_result_read);
+    next_commit_ = result.block_num;
+    hw_results_.emplace(next_commit_, std::move(result));
   }
 }
 
@@ -529,40 +544,9 @@ void BmacPeer::resolve_block(std::uint64_t block_num) {
     watchdogs_.erase(wd);
   }
   next_commit_ = block_num + 1;
-  if (next_release_ <= block_num) {
+  if (degrade_ && next_release_ <= block_num) {
     next_release_ = block_num + 1;
     release_kick_->fire(0);
-  }
-}
-
-sim::Process BmacPeer::host_commit_proc() {
-  const HwTimingModel& t = config_.timing;
-  for (;;) {
-    // GetBlockData(): returns when reg_map holds the validation result.
-    ResultEntry result = co_await processor_.reg_map().get();
-    const sim::Time commit_start = sim_.now();
-    co_await sim_.delay(t.host_result_read);
-
-    // The same block arrives via Gossip/forwarded UDP; normally it is
-    // already here since hardware validation takes far longer than block
-    // delivery. Poll briefly otherwise.
-    auto it = pending_blocks_.find(result.block_num);
-    while (it == pending_blocks_.end()) {
-      co_await sim_.delay(100 * sim::kMicrosecond);
-      it = pending_blocks_.find(result.block_num);
-    }
-    fabric::Block block = std::move(it->second);
-    pending_blocks_.erase(it);
-
-    check_commitable(result, block);
-    if (result.block_valid) {
-      block.set_tx_flags(result.flags);
-      co_await sim_.delay(
-          t.ledger_commit_fixed +
-          t.ledger_commit_per_tx * static_cast<sim::Time>(result.flags.size()));
-      ledger_.append(std::move(block));
-    }
-    finish_commit(std::move(result), commit_start);
   }
 }
 

@@ -6,7 +6,8 @@
 // receives the block itself (Gossip or forwarded UDP), waits on
 // GetBlockData() for the hardware verdict, merges the transaction flags
 // into the block and commits it to the disk-based ledger — overlapping with
-// hardware validation of the next block.
+// hardware validation of the next block. One commit sequencer does this in
+// both modes; healthy mode commits in reg_map order.
 //
 // Graceful degradation (enable_graceful_degradation(); docs/FAULTS.md):
 // on a degraded network the hardware block stream can stall — GBN gives up
@@ -42,6 +43,18 @@ class FlightRecorder;
 
 namespace bm::bmac {
 
+/// Graceful-degradation settings (BmacPeer::enable_graceful_degradation).
+struct DegradeConfig {
+  /// Host block arrival -> hardware result deadline. Past it, a block whose
+  /// stream is still incomplete is validated in software. Must comfortably
+  /// exceed worst-case hardware latency plus the GBN retransmission budget,
+  /// or healthy-but-slow blocks fall back too.
+  sim::Time result_budget = 250 * sim::kMillisecond;
+  /// Simulated cost of one software fallback validation on the host CPU.
+  sim::Time fallback_fixed = 2 * sim::kMillisecond;
+  sim::Time fallback_per_tx = 400 * sim::kMicrosecond;
+};
+
 class BmacPeer {
  public:
   BmacPeer(sim::Simulation& sim, const fabric::Msp& msp, HwConfig config,
@@ -68,17 +81,6 @@ class BmacPeer {
   void set_flight_recorder(obs::FlightRecorder* flight) { flight_ = flight; }
 
   // --- graceful degradation -------------------------------------------------
-  struct DegradeConfig {
-    /// Host block arrival -> hardware result deadline. Past it, a block
-    /// whose stream is still incomplete is validated in software. Must
-    /// comfortably exceed worst-case hardware latency plus the GBN
-    /// retransmission budget, or healthy-but-slow blocks fall back too.
-    sim::Time result_budget = 250 * sim::kMillisecond;
-    /// Simulated cost of one software fallback validation on the host CPU.
-    sim::Time fallback_fixed = 2 * sim::kMillisecond;
-    sim::Time fallback_per_tx = 400 * sim::kMicrosecond;
-  };
-
   /// Counters for the degraded-mode machinery (all zero while healthy).
   struct DegradeMetrics {
     std::uint64_t fallback_blocks = 0;      ///< committed via SoftwareValidator
@@ -91,15 +93,14 @@ class BmacPeer {
 
   /// Turn on the watchdog + software-fallback path (a sequential
   /// SoftwareValidator). Call before start().
-  void enable_graceful_degradation(DegradeConfig config);
-  void enable_graceful_degradation() {
-    enable_graceful_degradation(DegradeConfig());
-  }
+  void enable_graceful_degradation(DegradeConfig config = {});
 
   const DegradeMetrics& degrade_metrics() const { return degrade_metrics_; }
 
   /// Network ingress: a BMac packet arrives at the FPGA's interface.
-  /// Callable from event context (network delivery callbacks).
+  /// Callable from event context (network delivery callbacks). A packet
+  /// that finds the rx queue full is dropped and counted
+  /// (HostMetrics::rx_queue_dropped); its block never completes.
   void deliver_packet(BmacPacket packet);
 
   /// Host ingress: the marshaled block as received by the peer software
@@ -114,6 +115,7 @@ class BmacPeer {
 
   struct HostMetrics {
     std::uint64_t packets_processed = 0;  ///< consumed by protocol_processor
+    std::uint64_t rx_queue_dropped = 0;   ///< arrived at a full rx queue
     std::uint64_t blocks_committed = 0;
     std::uint64_t blocks_rejected = 0;
     /// Rejected because the hardware verdicts do not cover the host block's
@@ -148,11 +150,13 @@ class BmacPeer {
   };
 
   sim::Process protocol_processor_proc();
-  sim::Process host_commit_proc();          ///< healthy mode (unchanged path)
+  /// The host: commits blocks in order, whichever engine produced the
+  /// flags. Healthy mode reads GetBlockData() itself and commits in reg_map
+  /// order; degraded mode waits for reg_map_drain_proc and the watchdog.
+  sim::Process commit_sequencer_proc();
   // Degraded-mode processes:
   sim::Process stream_release_proc();       ///< ordered release to the FIFOs
   sim::Process reg_map_drain_proc();        ///< GetBlockData -> hw_results_
-  sim::Process degraded_host_commit_proc(); ///< in-order commit sequencer
 
   void note_first_block(std::uint64_t block_num);
   void stage_records(const BmacPacket& packet,
@@ -171,8 +175,9 @@ class BmacPeer {
   /// metrics and commit counter, latency histogram, the host_commit (or
   /// host_commit_fallback) span and the results() entry.
   void finish_commit(ResultEntry result, sim::Time commit_start);
-  /// Sequencer bookkeeping after a degraded-mode commit: advance the
-  /// sequencer, drop leftover stream state, disarm the watchdog.
+  /// Sequencer bookkeeping after a commit: advance the sequencer; in
+  /// degraded mode also drop leftover stream state, disarm the watchdog
+  /// and kick the release gate.
   void resolve_block(std::uint64_t block_num);
 
   sim::Simulation& sim_;
@@ -183,6 +188,8 @@ class BmacPeer {
   BlockProcessor processor_;
 
   std::map<std::uint64_t, fabric::Block> pending_blocks_;
+  std::map<std::uint64_t, ResultEntry> hw_results_;  ///< verdicts read
+  std::uint64_t next_commit_ = 0;  ///< next block the host will commit
   fabric::Ledger ledger_;
   HostMetrics host_metrics_;
   std::vector<ResultEntry> results_;
@@ -193,7 +200,6 @@ class BmacPeer {
   fabric::SoftwareValidator fallback_validator_;  ///< sequential
   fabric::StateDb shadow_state_;
   std::map<std::uint64_t, StreamAssembly> streams_;
-  std::map<std::uint64_t, ResultEntry> hw_results_;
   std::set<std::uint64_t> fallback_pending_;
   std::map<std::uint64_t, sim::EventId> watchdogs_;
   std::uint64_t staged_sections_total_ = 0;  ///< watchdog progress signal
@@ -201,7 +207,6 @@ class BmacPeer {
   bool ingest_busy_ = false;  ///< protocol_processor mid-packet
   bool base_known_ = false;
   std::uint64_t next_release_ = 0;  ///< next block to hand to the hardware
-  std::uint64_t next_commit_ = 0;   ///< next block the host will commit
   std::unique_ptr<sim::Trigger> release_kick_;
   std::unique_ptr<sim::Trigger> commit_kick_;
 

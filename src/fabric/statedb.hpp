@@ -52,8 +52,8 @@ class StateDb {
   /// Write (insert or overwrite) with an explicit version.
   void put(const std::string& key, Bytes value, Version version);
 
-  /// Remove a key (used by the tiered hardware cache when promoting an
-  /// entry back on-chip). No-op if absent.
+  /// Remove a key (used by the tiered hardware cache when a write replaces
+  /// a host-resident copy). No-op if absent.
   void erase(const std::string& key);
 
   /// True iff a read-set entry's expected version matches current state.

@@ -23,15 +23,8 @@ SoftwareValidator::SoftwareValidator(
     const Msp& msp, std::map<std::string, EndorsementPolicy> policies,
     unsigned parallelism)
     : msp_(msp), policies_(std::move(policies)) {
-  set_parallelism(parallelism);
-}
-
-void SoftwareValidator::set_parallelism(unsigned parallelism) {
   const unsigned n = resolve_parallelism(parallelism);
-  if (n > 1)
-    pool_ = std::make_unique<ThreadPool>(n);
-  else
-    pool_.reset();
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
 
 bool SoftwareValidator::verify_block_signature(const Block& block) {

@@ -75,8 +75,6 @@ class SoftwareValidator {
                     std::map<std::string, EndorsementPolicy> policies,
                     unsigned parallelism = 0);
 
-  /// Reconfigure the worker pool; same semantics as the constructor arg.
-  void set_parallelism(unsigned parallelism);
   unsigned parallelism() const { return pool_ ? pool_->concurrency() : 1; }
 
   /// Run the full pipeline on one block, mutating the state DB and ledger.

@@ -52,8 +52,6 @@ class ServeRun {
         session_rng_(options.network.seed ^ 0xD1B54A32D192ED03ull),
         registry_(registry),
         tracer_(tracer) {
-    if (options_.check_equivalence) options_.keep_blocks = true;
-
     if (options_.sessions.enabled) {
       sessions_ = std::make_unique<SessionManager>(sim_, harness_.msp(),
                                                    options_.sessions);
@@ -373,7 +371,7 @@ class ServeRun {
             lane_commit_, "block " + std::to_string(cut.block.header.number),
             "serve", started, sim_.now(),
             {{"valid", result.valid_tx_count}});
-      if (options_.keep_blocks) blocks_.push_back(std::move(cut.block));
+      if (options_.check_equivalence) blocks_.push_back(std::move(cut.block));
 
       commit_busy_ = false;
       update_pressure();
@@ -474,7 +472,7 @@ class ServeRun {
 
     if (options_.check_equivalence) verify_equivalence(report);
     if (registry_ != nullptr) publish_state();
-    if (options_.keep_blocks) report.blocks = std::move(blocks_);
+    if (options_.check_equivalence) report.blocks = std::move(blocks_);
     return report;
   }
 

@@ -77,11 +77,9 @@ struct ServeOptions {
   /// Hard stop for the drain: the run fails (drained = false) if admitted
   /// work is still unresolved this long after the last arrival.
   sim::Time drain_limit = 10 * sim::kSecond;
-  /// Keep the committed blocks in the report (tests; memory-heavy).
-  bool keep_blocks = false;
   /// Replay the committed blocks through an independent software backend
-  /// and compare flags + commit hashes against the harness reference
-  /// (implies keep_blocks).
+  /// and compare flags + commit hashes against the harness reference. The
+  /// report then carries the committed blocks (memory-heavy).
   bool check_equivalence = false;
 };
 
@@ -141,7 +139,7 @@ struct ServeReport {
   workload::Summary commit_ms;
   workload::Summary total_ms;
 
-  std::vector<fabric::Block> blocks;  ///< when ServeOptions::keep_blocks
+  std::vector<fabric::Block> blocks;  ///< when check_equivalence is set
 
   std::uint64_t shed_total() const {
     return shed_queue_full + shed_rate_limited;

@@ -34,7 +34,7 @@ struct ChaosOptions {
 
   bmac::HwConfig hw;
   bmac::GbnSender::Config gbn = default_gbn();
-  bmac::BmacPeer::DegradeConfig degrade;
+  bmac::DegradeConfig degrade;
 
   double link_gbps = 1.0;
   sim::Time block_interval = 20 * sim::kMillisecond;

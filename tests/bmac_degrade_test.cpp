@@ -5,8 +5,12 @@
 // to degraded networks; see docs/FAULTS.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "bmac/peer.hpp"
 #include "bmac/reliable.hpp"
+#include "common/hex.hpp"
 #include "serve/scenario.hpp"
 #include "workload/chaos.hpp"
 
@@ -166,7 +170,7 @@ TEST(GbnWire, CorruptedFramesAndAcksAreRejected) {
 // --- peer watchdog + software fallback ---------------------------------------
 
 struct DegradeRun {
-  explicit DegradeRun(BmacPeer::DegradeConfig degrade) {
+  explicit DegradeRun(DegradeConfig degrade) {
     NetworkOptions options;
     options.block_size = 5;
     options.seed = 77;
@@ -185,7 +189,7 @@ struct DegradeRun {
 };
 
 TEST(Degrade, StalledStreamFallsBackAndHashesMatchReference) {
-  BmacPeer::DegradeConfig degrade;
+  DegradeConfig degrade;
   degrade.result_budget = 50 * sim::kMillisecond;
   DegradeRun run(degrade);
 
@@ -223,7 +227,7 @@ TEST(Degrade, StalledStreamFallsBackAndHashesMatchReference) {
 }
 
 TEST(Degrade, HealthyStreamsNeverFallBackEvenWithTinyBudget) {
-  BmacPeer::DegradeConfig degrade;
+  DegradeConfig degrade;
   degrade.result_budget = 10 * sim::kMicrosecond;  // far below hw latency
   DegradeRun run(degrade);
   for (int i = 0; i < 3; ++i) {
@@ -320,6 +324,40 @@ TEST(VerdictCoverage, MismatchedHostBlockIsRejectedAndCounted) {
   }
 }
 
+// --- rx queue overflow ---------------------------------------------------------
+
+TEST(RxQueue, OverflowIsDroppedAndCountedInEveryBuild) {
+  // The rx queue holds 65,536 packets and an unstarted peer consumes none,
+  // so the 65,537th copy finds it full. The peer drops it and counts the
+  // drop in every build type; the series appears once a drop happened.
+  NetworkOptions options;
+  options.block_size = 1;
+  options.seed = 13;
+  FabricNetworkHarness harness(options);
+  sim::Simulation sim;
+  obs::Registry registry;
+  BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+  peer.attach_observability(&registry, nullptr);
+  ProtocolSender sender(harness.msp());
+  const auto packets = sender.send(harness.next_block()).packets;
+  const BmacPacket& smallest = *std::min_element(
+      packets.begin(), packets.end(), [](const auto& a, const auto& b) {
+        return a.wire_size() < b.wire_size();
+      });
+
+  for (int i = 0; i < 65536; ++i) peer.deliver_packet(smallest);
+  peer.publish_metrics();
+  EXPECT_EQ(peer.host_metrics().rx_queue_dropped, 0u);
+  EXPECT_EQ(registry.find_counter("bmac_rx_queue_dropped_total"), nullptr);
+
+  peer.deliver_packet(smallest);
+  peer.publish_metrics();
+  EXPECT_EQ(peer.host_metrics().rx_queue_dropped, 1u);
+  const auto* counter = registry.find_counter("bmac_rx_queue_dropped_total");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->value(), 1u);
+}
+
 // --- commit sequence ---------------------------------------------------------
 
 TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
@@ -340,7 +378,7 @@ TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
     BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
     peer.attach_observability(&registry, nullptr);
     if (mode != Mode::kHealthy) {
-      BmacPeer::DegradeConfig degrade;
+      DegradeConfig degrade;
       degrade.result_budget = 50 * sim::kMillisecond;
       peer.enable_graceful_degradation(degrade);
     }
@@ -371,6 +409,129 @@ TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
     ASSERT_NE(counter, nullptr);
     EXPECT_EQ(counter->value(), 1u);
   }
+}
+
+// --- simulated timing ----------------------------------------------------------
+
+// The peer's simulated timing, pinned. One seeded chain of twenty 5-tx blocks
+// with the --faults mix (bad creator signatures, missing endorsements, stale
+// reads) runs three ways:
+//   - through a healthy peer, one block per sim.run();
+//   - through a healthy peer with every block delivered before one
+//     sim.run(): the host commits slower than the hardware validates, so
+//     from block 16 on reg_map back-pressure paces validate_start;
+//   - through a degraded peer fed directly (no GBN, no faults), whose
+//     reg_map drain reads ahead of its commits.
+// A change to when any stage runs moves the clock, the event count or a
+// block's times.
+using BlockTimes = std::array<sim::Time, 3>;  // received, validate start/end
+
+struct TimingRun {
+  sim::Time finished_at = 0;
+  std::uint64_t events = 0;
+  std::vector<BlockTimes> blocks;  ///< per result, in commit order
+  std::string tail_hash;
+};
+
+enum class Feed { kOneBlockPerRun, kAllBeforeRun };
+
+TimingRun run_timing_chain(bool degraded, Feed feed) {
+  NetworkOptions options;
+  options.block_size = 5;
+  options.seed = 2024;
+  options.bad_signature_rate = 0.1;
+  options.missing_endorsement_rate = 0.1;
+  options.conflicting_read_rate = 0.15;
+  FabricNetworkHarness harness(options);
+  sim::Simulation sim;
+  BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+  if (degraded) peer.enable_graceful_degradation();
+  peer.start();
+  ProtocolSender sender(harness.msp());
+  constexpr std::uint64_t kBlocks = 20;
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    fabric::Block block = harness.next_block();
+    for (auto& packet : sender.send(block).packets)
+      peer.deliver_packet(std::move(packet));
+    peer.deliver_block(std::move(block));
+    if (feed == Feed::kOneBlockPerRun) sim.run();
+  }
+  sim.run();
+
+  EXPECT_EQ(peer.ledger().height(), kBlocks);
+  EXPECT_EQ(fabric::chain_divergence(peer.ledger(), harness.reference_ledger()),
+            "");
+  TimingRun run;
+  run.finished_at = sim.now();
+  run.events = sim.events_executed();
+  for (const ResultEntry& result : peer.results())
+    run.blocks.push_back({result.stats.received_at,
+                          result.stats.validate_start,
+                          result.stats.validate_end});
+  if (peer.ledger().height() > 0)
+    run.tail_hash =
+        hex_encode(crypto::digest_view(peer.ledger().last().commit_hash));
+  return run;
+}
+
+constexpr const char* kTimingTailHash =
+    "a28cbcc7e839a39b9e3e7554424e60d4aecf07a40da08484e27236b19de49f65";
+
+TEST(PeerTiming, HealthyOneBlockPerRun) {
+  const TimingRun run = run_timing_chain(false, Feed::kOneBlockPerRun);
+  EXPECT_EQ(run.finished_at, 20328500);
+  EXPECT_EQ(run.events, 2142u);
+  EXPECT_EQ(run.tail_hash, kTimingTailHash);
+  const std::vector<BlockTimes> expected{
+      {57600, 202600, 504400},       {1070000, 1215000, 1519200},
+      {2084800, 2229800, 2534700},   {3100300, 3245300, 3548300},
+      {4113900, 4258900, 4563200},   {5128800, 5273800, 5578700},
+      {6144300, 6289300, 6595100},   {7160700, 7305700, 7609200},
+      {8174800, 8319800, 8623700},   {9189300, 9334300, 9638700},
+      {10204300, 10349300, 10653900}, {11219500, 11364500, 11670300},
+      {12235900, 12380900, 12686800}, {13252400, 13397400, 13701400},
+      {14267000, 14412000, 14717300}, {15282900, 15427900, 15732800},
+      {16298400, 16443400, 16749700}, {17315300, 17460300, 17766500},
+      {18332100, 18477100, 18780500}, {19346100, 19491100, 19796500}};
+  EXPECT_EQ(run.blocks, expected);
+}
+
+TEST(PeerTiming, HealthyAllBlocksInFlight) {
+  const TimingRun run = run_timing_chain(false, Feed::kAllBeforeRun);
+  EXPECT_EQ(run.finished_at, 11106400);
+  EXPECT_EQ(run.events, 2100u);
+  EXPECT_EQ(run.tail_hash, kTimingTailHash);
+  const std::vector<BlockTimes> expected{
+      {57600, 202600, 504400},     {202600, 504400, 808600},
+      {347600, 808600, 1113500},   {504400, 1113500, 1416500},
+      {808600, 1416500, 1720800},  {1113500, 1720800, 2025700},
+      {1416500, 2025700, 2331500}, {1720800, 2331500, 2635000},
+      {2025700, 2635000, 2938900}, {2331500, 2938900, 3243300},
+      {2635000, 3243300, 3547900}, {2938900, 3547900, 3853700},
+      {3243300, 3853700, 4159600}, {3547900, 4159600, 4463600},
+      {3853700, 4463600, 4768900}, {4159600, 4768900, 5073800},
+      {4463600, 5276400, 5582700}, {4768900, 5806400, 6112600},
+      {5276400, 6336400, 6639800}, {5806400, 6866400, 7171800}};
+  EXPECT_EQ(run.blocks, expected);
+}
+
+TEST(PeerTiming, DegradedOnACleanDirectLink) {
+  const TimingRun run = run_timing_chain(true, Feed::kAllBeforeRun);
+  EXPECT_EQ(run.finished_at, 10726400);
+  EXPECT_EQ(run.events, 2127u);
+  EXPECT_EQ(run.tail_hash, kTimingTailHash);
+  const std::vector<BlockTimes> expected{
+      {57600, 202600, 504400},     {202600, 504400, 808600},
+      {347600, 808600, 1113500},   {504400, 1113500, 1416500},
+      {808600, 1416500, 1720800},  {1113500, 1720800, 2025700},
+      {1416500, 2025700, 2331500}, {1720800, 2331500, 2635000},
+      {2025700, 2635000, 2938900}, {2331500, 2938900, 3243300},
+      {2635000, 3243300, 3547900}, {2938900, 3547900, 3853700},
+      {3243300, 3853700, 4159600}, {3547900, 4159600, 4463600},
+      {3853700, 4463600, 4768900}, {4159600, 4768900, 5073800},
+      {4463600, 5073800, 5380100}, {4768900, 5380100, 5686300},
+      {5073800, 5686300, 5989700}, {5380100, 5989700, 6295100}};
+  EXPECT_EQ(run.blocks, expected);
 }
 
 // --- the chaos soak -----------------------------------------------------------

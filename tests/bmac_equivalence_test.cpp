@@ -199,7 +199,7 @@ TEST(Equivalence, StrippedFlagsCommitLikeTheWellFormedBlock) {
     sim::Simulation sim;
     BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
     if (degraded) {
-      BmacPeer::DegradeConfig degrade;
+      DegradeConfig degrade;
       degrade.result_budget = 50 * sim::kMillisecond;
       peer.enable_graceful_degradation(degrade);
     }
@@ -296,7 +296,7 @@ TEST(Equivalence, HardwareStateMatchesSoftwareState) {
         const std::string key =
             fabric::StateDb::namespaced(tx->chaincode_id, write.key);
         const auto sw_value = sw_db.get(key);
-        const auto hw_value = peer.processor().statedb().read(key);
+        const auto hw_value = peer.processor().statedb().lookup(key);
         ASSERT_EQ(sw_value.has_value(), hw_value.has_value()) << key;
         if (sw_value) {
           EXPECT_TRUE(equal(sw_value->value, hw_value->value)) << key;

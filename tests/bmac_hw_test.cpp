@@ -14,9 +14,9 @@ using fabric::Version;
 
 TEST(HwKvStore, BasicReadWrite) {
   HwKvStore db(8);
-  EXPECT_FALSE(db.read("k").has_value());
+  EXPECT_FALSE(db.lookup("k").has_value());
   EXPECT_TRUE(db.write("k", to_bytes("v1"), Version{1, 0}));
-  const auto v = db.read("k");
+  const auto v = db.lookup("k");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(to_string(v->value), "v1");
   EXPECT_EQ(v->version, (Version{1, 0}));
@@ -31,16 +31,6 @@ TEST(HwKvStore, CapacityOverflow) {
   // Overwrites of existing keys still succeed at capacity.
   EXPECT_TRUE(db.write("k0", to_bytes("v2"), Version{2, 0}));
   EXPECT_EQ(db.size(), 4u);
-}
-
-TEST(HwKvStore, LockingBlocksReads) {
-  HwKvStore db(8);
-  db.write("k", to_bytes("v"), Version{});
-  db.lock("k");
-  EXPECT_TRUE(db.is_locked("k"));
-  EXPECT_FALSE(db.read("k").has_value());  // read disallowed mid-write
-  db.unlock("k");
-  EXPECT_TRUE(db.read("k").has_value());
 }
 
 TEST(HwKvStore, VersionMatching) {
@@ -248,7 +238,7 @@ TEST(BlockProcessorTest, MvccThroughHardwareDatabase) {
   EXPECT_EQ(result.flags[0], TxValidationCode::kValid);
   EXPECT_EQ(result.flags[1], TxValidationCode::kMvccReadConflict);
   // tx1's write skipped: value and version still from tx0.
-  const auto v = hw.processor.statedb().read("k");
+  const auto v = hw.processor.statedb().lookup("k");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(to_string(v->value), "v0");
   EXPECT_EQ(v->version, (Version{0, 0}));

@@ -1,5 +1,6 @@
 // Tests for the §5 extension: in-hardware KV store backed by a persistent
-// host database (LRU spill / promote).
+// host database (LRU spill; host-resident keys stay on the host until
+// written).
 #include <gtest/gtest.h>
 
 #include "bmac/hw_kvstore.hpp"
@@ -35,27 +36,10 @@ TEST(TieredKvStore, LruOrderRespectsAccesses) {
   db.write("b", to_bytes("2"), Version{1, 1});
   db.write("c", to_bytes("3"), Version{1, 2});
   // Touch "a": it becomes most recently used, so "b" is the next victim.
-  EXPECT_TRUE(db.read("a").has_value());
+  EXPECT_TRUE(db.version_matches("a", Version{1, 0}));
   db.write("d", to_bytes("4"), Version{1, 3});
   EXPECT_FALSE(host.get("a").has_value());
   EXPECT_TRUE(host.get("b").has_value());
-}
-
-TEST(TieredKvStore, ReadMissFetchesAndPromotes) {
-  fabric::StateDb host;
-  host.put("cold", to_bytes("v"), Version{5, 0});
-  HwKvStore db(4);
-  db.attach_host_store(&host);
-
-  const auto value = db.read("cold");
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(db.last_tier(), AccessTier::kHost);
-  EXPECT_EQ(value->version, (Version{5, 0}));
-  EXPECT_EQ(db.host_accesses(), 1u);
-  // Promoted: the host copy is gone, the next read is on-chip.
-  EXPECT_FALSE(host.get("cold").has_value());
-  EXPECT_TRUE(db.read("cold").has_value());
-  EXPECT_EQ(db.last_tier(), AccessTier::kHardware);
 }
 
 TEST(TieredKvStore, VersionCheckConsultsHostTier) {
@@ -67,6 +51,9 @@ TEST(TieredKvStore, VersionCheckConsultsHostTier) {
   EXPECT_EQ(db.last_tier(), AccessTier::kHost);
   EXPECT_FALSE(db.version_matches("k", Version{3, 2}));
   EXPECT_TRUE(db.version_matches("missing-everywhere", std::nullopt));
+  // The checked key stays on the host.
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_TRUE(host.get("k").has_value());
 }
 
 TEST(TieredKvStore, UpdateOfHostResidentKeySupersedesHostCopy) {
@@ -77,7 +64,7 @@ TEST(TieredKvStore, UpdateOfHostResidentKeySupersedesHostCopy) {
   EXPECT_TRUE(db.write("k", to_bytes("new"), Version{2, 0}));
   EXPECT_EQ(db.last_tier(), AccessTier::kHost);  // host copy invalidated
   EXPECT_FALSE(host.get("k").has_value());
-  EXPECT_EQ(to_string(db.read("k")->value), "new");
+  EXPECT_EQ(to_string(db.lookup("k")->value), "new");
 }
 
 TEST(TieredKvStore, WithoutHostStoreStillOverflows) {
@@ -92,8 +79,8 @@ TEST(TieredKvStore, WorkingSetLargerThanCapacityStaysCorrect) {
   fabric::StateDb host;
   HwKvStore db(64);
   db.attach_host_store(&host);
-  // Write 1000 keys (working set >> capacity), then verify every value via
-  // the tiered read path.
+  // Write 1000 keys (working set >> capacity), then check every version via
+  // the tiered mvcc path and every value via the lookup.
   for (int i = 0; i < 1000; ++i)
     ASSERT_TRUE(db.write("k" + std::to_string(i),
                          to_bytes("v" + std::to_string(i)),
@@ -101,11 +88,17 @@ TEST(TieredKvStore, WorkingSetLargerThanCapacityStaysCorrect) {
   EXPECT_EQ(db.size(), 64u);
   EXPECT_EQ(db.evictions(), 1000u - 64u);
   for (int i = 0; i < 1000; ++i) {
-    const auto value = db.read("k" + std::to_string(i));
+    const std::string key = "k" + std::to_string(i);
+    EXPECT_TRUE(db.version_matches(
+        key, Version{0, static_cast<std::uint32_t>(i)}))
+        << i;
+    const auto value = db.lookup(key);
     ASSERT_TRUE(value.has_value()) << i;
     EXPECT_EQ(to_string(value->value), "v" + std::to_string(i));
   }
-  // Total entries conserved across tiers.
+  // Host-resident keys were checked on the host and stayed there.
+  EXPECT_EQ(db.host_accesses(), 1000u - 64u);
+  EXPECT_EQ(db.size(), 64u);
   EXPECT_EQ(db.size() + host.size(), 1000u);
 }
 

@@ -254,7 +254,7 @@ TEST(ServePipeline, ParallelSigningMatchesInlineByteForByte) {
   // wall-clock parallelism: same scenario, same blocks, same bytes.
   ServeOptions inline_options = small_scenario(37);
   inline_options.duration = 100 * sim::kMillisecond;
-  inline_options.keep_blocks = true;
+  inline_options.check_equivalence = true;
   inline_options.endorse.sign_threads = 1;
   ServeOptions parallel_options = inline_options;
   parallel_options.endorse.sign_threads = 4;

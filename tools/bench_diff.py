@@ -18,8 +18,12 @@ neither). Each metric gets one verdict:
 
 A `worse` or `unresolved` metric is flagged, as are a larger share of
 failed oracle checks and a determinism digest that differs between runs.
-The per-layer metrics of the traced runs are printed for information. Exit
-status 1 when anything is flagged, unless --warn-only. Ledgers whose runs
+The per-layer metrics are printed for information: each one's median and
+quartiles over a workload's traced runs. obs.trace_overhead_share is
+labelled `unresolved` when its quartiles straddle zero (tracing's cost is
+inside rep-to-rep noise) and `one sample` when a ledger holds a single
+traced run of the workload. Exit status 1 when anything is flagged, unless
+--warn-only. Ledgers whose runs
 differ in length are refused. --markdown prints instead the table that
 docs/PERFORMANCE.md quotes.
 """
@@ -50,6 +54,22 @@ def untraced(doc):
         if run["trace"] == 0:
             groups.setdefault((run["workload"], run["seed"]), []).append(run)
     return groups
+
+
+def traced(doc):
+    """{workload: [run, ...]} of a ledger's traced runs."""
+    groups = {}
+    for run in doc["runs"]:
+        if run["trace"] == 1:
+            groups.setdefault(run["workload"], []).append(run)
+    return groups
+
+
+def overhead_label(values, q):
+    """Whether a set of trace-overhead shares says what tracing costs."""
+    if len(values) == 1:
+        return "one sample"
+    return "unresolved" if q[0] <= 0 <= q[2] else ""
 
 
 def digest(run):
@@ -168,17 +188,23 @@ def main():
             fmt(row["new"]), row["ratio"], row["wins"], row["pairs"],
             row["verdict"]))
 
-    old_layer = {r["workload"]: r for r in old["runs"] if r["trace"] == 1}
-    new_layer = {r["workload"]: r for r in new["runs"] if r["trace"] == 1}
-    print("per-layer (traced runs):")
+    old_layer, new_layer = traced(old), traced(new)
+    print("per-layer (traced runs): median [Q1, Q3] before and after")
     for workload in sorted(set(old_layer) & set(new_layer)):
-        a = old_layer[workload]["result"]["metrics"]
-        b = new_layer[workload]["result"]["metrics"]
-        for name in sorted(set(a) & set(b)):
-            va, vb = a[name]["value"], b[name]["value"]
-            ratio = "x%.3f" % (vb / va) if va else "-"
-            print("  %-9s %-32s %12.4g %12.4g  %s" % (workload, name, va, vb,
-                                                     ratio))
+        a, b = old_layer[workload], new_layer[workload]
+        names = set.intersection(*(set(r["result"]["metrics"])
+                                   for r in a + b))
+        for name in sorted(names):
+            va = [r["result"]["metrics"][name]["value"] for r in a]
+            vb = [r["result"]["metrics"][name]["value"] for r in b]
+            qa, qb = quartiles(va), quartiles(vb)
+            ratio = "x%.3f" % (qb[1] / qa[1]) if qa[1] > 0 <= qb[1] else "-"
+            cells = [fmt(qa), fmt(qb)]
+            if name == "obs.trace_overhead_share":
+                cells = ["%s %s" % (cell, overhead_label(v, q)) for cell, v, q
+                         in ((cells[0], va, qa), (cells[1], vb, qb))]
+            print("  %-9s %-32s %-30s %-30s %s" % (workload, name, cells[0],
+                                                   cells[1], ratio))
 
     for flag in flags:
         print(("::warning::bench_diff: " if args.warn_only else

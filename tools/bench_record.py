@@ -6,14 +6,15 @@
 
 Every run is `perfbench/run.py` at BENCHMARK.json's run length. Alone, it
 runs each workload at seed 1 once untraced (--trace 0, the end-to-end
-metrics) and once traced (--trace 1, the per-layer metrics) and writes
-BENCH_pr<N>.json at the root of this checkout.
+metrics) and TRACED_RUNS times traced (--trace 1, the per-layer metrics)
+and writes BENCH_pr<N>.json at the root of this checkout.
 
 With --parent, the checkout at that path (the parent commit) is measured
 beside this one. Each workload runs PAIRS untraced pairs at seed 1, the
 two checkouts alternating which goes first, and `commit` runs PAIRS more at
-seed 2; then each side runs every workload once traced. The parent's runs
-go to BENCH_pr<parent-pr>.json, written next to this checkout's ledger.
+seed 2; then each side runs every workload TRACED_RUNS times traced, again
+alternating. The parent's runs go to BENCH_pr<parent-pr>.json, written next
+to this checkout's ledger.
 
 A ledger holds every run made: the lines it printed (its JSON result last),
 its calibration-loop median and, for a pair, the pair's index; and the host
@@ -30,6 +31,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 900  # includes the first run's build
 PAIRS = 10  # the fewest alternating pairs a gain or a no-change may rest on
+# Traced runs per workload and side: one run's obs.trace_overhead_share is
+# rep-to-rep noise, so tools/bench_diff.py reads it from their quartiles.
+TRACED_RUNS = 5
 # `commit`, the paper's validation pipeline, also runs at seed 2, so a
 # result on it is checked on a chain no change was tuned on.
 PAIR_SEEDS = {"commit": (1, 2)}
@@ -87,22 +91,27 @@ def host_of(lines):
     return host
 
 
+def alternating(roots, i):
+    """The order of the sides in the i-th pair."""
+    return range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))
+
+
 def measure_pairs(roots, workloads, seconds):
-    """Alternating untraced pairs, then one traced run per workload and
-    root; one list of runs per root."""
+    """Alternating untraced pairs, then TRACED_RUNS alternating traced runs
+    per workload and root; one list of runs per root."""
     runs = [[] for _ in roots]
     for workload in workloads:
         for seed in PAIR_SEEDS.get(workload, (1,)):
             for i in range(PAIRS):
-                order = range(len(roots)) if i % 2 == 0 else \
-                    reversed(range(len(roots)))
-                for side in order:
+                for side in alternating(roots, i):
                     run = run_perfbench(roots[side], workload, seed, seconds, 0)
                     run["pair"] = i
                     runs[side].append(run)
     for workload in workloads:
-        for side, root in enumerate(roots):
-            runs[side].append(run_perfbench(root, workload, 1, seconds, 1))
+        for i in range(TRACED_RUNS):
+            for side in alternating(roots, i):
+                runs[side].append(
+                    run_perfbench(roots[side], workload, 1, seconds, 1))
     return runs
 
 
@@ -128,7 +137,8 @@ def main():
 
     if args.parent is None:
         write(ROOT, args.pr, [run_perfbench(ROOT, workload, 1, seconds, trace)
-                              for workload in workloads for trace in (0, 1)])
+                              for workload in workloads
+                              for trace in [0] + [1] * TRACED_RUNS])
         return 0
     if args.parent_pr is None:
         parser.error("--parent needs --parent-pr")
