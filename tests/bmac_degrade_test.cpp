@@ -414,8 +414,8 @@ TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
 // --- simulated timing ----------------------------------------------------------
 
 // The peer's simulated timing, pinned. One seeded chain of twenty 5-tx blocks
-// with the --faults mix (bad creator signatures, missing endorsements, stale
-// reads) runs three ways:
+// with the --faults mix (rogue creators, missing endorsements, stale reads)
+// runs three ways:
 //   - through a healthy peer, one block per sim.run();
 //   - through a healthy peer with every block delivered before one
 //     sim.run(): the host commits slower than the hardware validates, so
