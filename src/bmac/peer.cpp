@@ -182,6 +182,7 @@ sim::Process BmacPeer::protocol_processor_proc() {
       continue;
     }
     ProtocolReceiver::Emitted emitted = receiver_.on_packet(packet);
+    // The span's args, read before the records move out.
     const auto ends = static_cast<std::uint64_t>(emitted.ends.size());
     const auto txs = static_cast<std::uint64_t>(emitted.txs.size());
     const bool has_block = emitted.block.has_value();
