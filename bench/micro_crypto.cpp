@@ -1,9 +1,8 @@
 // Microbenchmarks for the crypto substrate (google-benchmark).
 //
 // These measure the host CPU's software implementations — the operations
-// the paper offloads. A software ECDSA verification costs about a hundred
-// microseconds of one core, the §4.3 observation that motivates parallel
-// ecdsa_engines (145 us each in hardware).
+// the paper offloads, whose cost on one core is the §4.3 observation that
+// motivates parallel ecdsa_engines (145 us each in hardware).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -108,7 +107,64 @@ void BM_EcdsaVerifyHotKeys(benchmark::State& state) {
     benchmark::DoNotOptimize(verify(c.key, digest, c.sig));
   }
 }
-BENCHMARK(BM_EcdsaVerifyHotKeys)->Arg(48)->Arg(96)->Arg(180);
+BENCHMARK(BM_EcdsaVerifyHotKeys)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(72)
+    ->Arg(80)
+    ->Arg(88)
+    ->Arg(96)
+    ->Arg(180);
+
+// One crypto::verify call over N signatures by 8 hot keys (tables built
+// outside the loop), timed per signature: /1 is the single call, and from
+// kVerifyBatchMin items on the batch walks its combs in lockstep.
+void BM_EcdsaVerifyBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<VerifyItem> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const PrivateKey key =
+        key_from_seed(to_bytes("batch-" + std::to_string(i % 8)));
+    const Digest digest = sha256(to_bytes("message-" + std::to_string(i)));
+    items.push_back({key.public_key(), digest, sign(key, digest)});
+  }
+  for (int warm = 0; warm < 2; ++warm)
+    benchmark::DoNotOptimize(verify(items));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify(items));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["us_per_sig"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * state.range(0)),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_EcdsaVerifyBatch)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(50)
+    ->Arg(100);
+
+// One crypto::sign call over N digests by 8 keys, timed per signature.
+void BM_EcdsaSignBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<SignItem> items;
+  for (std::size_t i = 0; i < n; ++i)
+    items.push_back(
+        {key_from_seed(to_bytes("batch-" + std::to_string(i % 8))),
+         sha256(to_bytes("message-" + std::to_string(i)))});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sign(items));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["us_per_sig"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * state.range(0)),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_EcdsaSignBatch)->Arg(1)->Arg(8)->Arg(16)->Arg(38)->Arg(76);
 
 void BM_DerRoundTrip(benchmark::State& state) {
   const PrivateKey key = key_from_seed(to_bytes("bench"));

@@ -70,12 +70,18 @@ void BmacPeer::publish_metrics() {
                   "BMac packets consumed by the protocol_processor")
         .set(host_metrics_.packets_processed);
     // Published from the first drop on, so the metrics of a run that never
-    // overflows hold no drop series.
+    // overflows hold no drop series; likewise the duplicate verdicts below.
     if (host_metrics_.rx_queue_dropped != 0) {
       registry_
           ->counter("bmac_rx_queue_dropped_total",
                     "packets dropped at a full rx queue")
           .set(host_metrics_.rx_queue_dropped);
+    }
+    if (host_metrics_.duplicate_verdicts != 0) {
+      registry_
+          ->counter("bmac_host_duplicate_verdicts_total",
+                    "verdicts for blocks already committed, dropped")
+          .set(host_metrics_.duplicate_verdicts);
     }
     registry_
         ->counter("bmac_host_blocks_committed_total",
@@ -476,6 +482,12 @@ sim::Process BmacPeer::commit_sequencer_proc() {
     ResultEntry result = co_await processor_.reg_map().get();
     read_at = sim_.now();
     co_await sim_.delay(t.host_result_read);
+    // Its block is committed and gone from pending_blocks_: waiting for it
+    // would poll forever.
+    if (result.block_num < ledger_.height()) {
+      ++host_metrics_.duplicate_verdicts;
+      continue;
+    }
     next_commit_ = result.block_num;
     hw_results_.emplace(next_commit_, std::move(result));
   }

@@ -126,6 +126,9 @@ class BmacPeer {
     std::uint64_t out_of_sequence_blocks = 0;
     std::uint64_t transactions_committed = 0;  ///< valid + invalid, in blocks
     std::uint64_t valid_transactions = 0;
+    /// Healthy-mode reg_map verdicts for a block already in the ledger (for
+    /// example after its packets arrived twice), read and dropped.
+    std::uint64_t duplicate_verdicts = 0;
   };
   const HostMetrics& host_metrics() const { return host_metrics_; }
 

@@ -13,7 +13,12 @@
 // verifies, ~64 KiB), and every later verification runs the u1*G + u2*Q
 // combine as eight comb lookups per column (four blocks per table) on ONE
 // shared 7-doubling chain — ~5x cheaper than the generic walk. A stream of
-// fresh keys therefore never builds a table or evicts a hot one.
+// fresh keys therefore never builds a table or evicts a hot one. A
+// crypto::verify batch asks for each item's table in item order, exactly
+// as the items verified one by one would, and walks the tables of at least
+// kVerifyBatchMin items in lockstep (crypto/p256.hpp's
+// double_scalar_mult_comb_batch); below that crossover each item runs its
+// own comb walk.
 //
 // Correctness: the combine is algebraically the same sum, so verdicts are
 // bit-identical on either path (differential-tested against the pre-rewrite

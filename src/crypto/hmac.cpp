@@ -4,14 +4,7 @@
 
 namespace bm::crypto {
 
-namespace {
-
-struct PaddedKey {
-  std::array<std::uint8_t, 64> ipad;
-  std::array<std::uint8_t, 64> opad;
-};
-
-PaddedKey pad_key(ByteView key) {
+HmacSha256::HmacSha256(ByteView key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > 64) {
     const Digest d = sha256(key);
@@ -19,31 +12,20 @@ PaddedKey pad_key(ByteView key) {
   } else if (!key.empty()) {
     std::memcpy(block.data(), key.data(), key.size());
   }
-  PaddedKey out;
-  for (std::size_t i = 0; i < 64; ++i) {
-    out.ipad[i] = block[i] ^ 0x36;
-    out.opad[i] = block[i] ^ 0x5c;
-  }
-  return out;
+  std::array<std::uint8_t, 64> pad;
+  for (std::size_t i = 0; i < 64; ++i) pad[i] = block[i] ^ 0x36;
+  inner_.update(ByteView(pad.data(), pad.size()));
+  for (std::size_t i = 0; i < 64; ++i) pad[i] = block[i] ^ 0x5c;
+  outer_.update(ByteView(pad.data(), pad.size()));
 }
 
-}  // namespace
-
-Digest hmac_sha256_parts(ByteView key, std::initializer_list<ByteView> parts) {
-  const PaddedKey pk = pad_key(key);
-  Sha256 inner;
-  inner.update(ByteView(pk.ipad.data(), pk.ipad.size()));
-  for (const auto& p : parts) inner.update(p);
+Digest HmacSha256::mac(std::initializer_list<ByteView> parts) const {
+  Sha256 inner = inner_;
+  for (const ByteView& p : parts) inner.update(p);
   const Digest inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(ByteView(pk.opad.data(), pk.opad.size()));
+  Sha256 outer = outer_;
   outer.update(digest_view(inner_digest));
   return outer.finish();
-}
-
-Digest hmac_sha256(ByteView key, ByteView message) {
-  return hmac_sha256_parts(key, {message});
 }
 
 }  // namespace bm::crypto

@@ -1,14 +1,29 @@
 // HMAC-SHA256 (RFC 2104), used by the deterministic ECDSA nonce derivation.
 #pragma once
 
+#include <initializer_list>
+
 #include "crypto/sha256.hpp"
 
 namespace bm::crypto {
 
-Digest hmac_sha256(ByteView key, ByteView message);
+/// HMAC-SHA256 under one key. The key's ipad and opad blocks are absorbed
+/// once into SHA-256 midstates, and every MAC under the key forks them, so
+/// a MAC costs no key padding and no heap work.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(ByteView key);
 
-/// HMAC over the concatenation of several fragments (avoids copies in the
-/// RFC 6979 inner loop).
-Digest hmac_sha256_parts(ByteView key, std::initializer_list<ByteView> parts);
+  /// The MAC of the concatenation of `parts`.
+  Digest mac(std::initializer_list<ByteView> parts) const;
+
+ private:
+  Sha256 inner_;  ///< midstate after the ipad block
+  Sha256 outer_;  ///< midstate after the opad block
+};
+
+inline Digest hmac_sha256(ByteView key, ByteView message) {
+  return HmacSha256(key).mac({message});
+}
 
 }  // namespace bm::crypto

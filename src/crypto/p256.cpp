@@ -901,6 +901,117 @@ JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
   return acc;
 }
 
+namespace {
+
+/// A lane's pending slope in one step: lambda = num / den, and x2, the
+/// other operand's x (the lane's own x for a doubling).
+struct Slope {
+  U256 num;
+  U256 den;
+  U256 prefix;  ///< product of the earlier live lanes' denominators
+  const U256* x2;
+};
+
+/// One lockstep step over the lanes' affine, Montgomery-domain accumulators:
+/// acc[i] += *add[i] where add[i] is non-null (null leaves the lane), or,
+/// with no `add` at all, acc[i] = 2 acc[i]. The lanes that need a slope
+/// share one field inversion.
+void lockstep_step(std::vector<AffinePoint>& acc,
+                   const PointCombTable::Entry* const* add,
+                   std::vector<Slope>& slopes, std::vector<std::size_t>& live) {
+  live.clear();
+  const auto set_doubling = [&](std::size_t i) {
+    // lambda = (3x^2 + a) / 2y with a = -3; P-256 has no point with y = 0.
+    const U256& x = acc[i].x;
+    const U256 t = fe_mul(fe_sub(x, kPOne), fe_add(x, kPOne));
+    slopes[i].num = fe_add(fe_add(t, t), t);
+    slopes[i].den = fe_add(acc[i].y, acc[i].y);
+    slopes[i].x2 = &x;
+    live.push_back(i);
+  };
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    AffinePoint& a = acc[i];
+    if (add == nullptr) {
+      if (!a.infinity) set_doubling(i);
+      continue;
+    }
+    const PointCombTable::Entry* e = add[i];
+    if (e == nullptr) continue;
+    if (a.infinity) {
+      a = AffinePoint{e->x, e->y, false};
+    } else if (a.x != e->x) {
+      slopes[i].num = fe_sub(e->y, a.y);
+      slopes[i].den = fe_sub(e->x, a.x);
+      slopes[i].x2 = &e->x;
+      live.push_back(i);
+    } else if (a.y == e->y) {
+      set_doubling(i);  // the accumulator meets the entry itself
+    } else {
+      a = AffinePoint{{}, {}, true};  // ... or its negation
+    }
+  }
+  if (live.empty()) return;
+  U256 product = kPOne;
+  for (const std::size_t i : live) {
+    slopes[i].prefix = product;
+    product = fe_mul(product, slopes[i].den);
+  }
+  U256 inv = fp_inv(product);
+  for (std::size_t j = live.size(); j-- > 0;) {
+    const std::size_t i = live[j];
+    Slope& s = slopes[i];
+    const U256 lambda = fe_mul(s.num, fe_mul(inv, s.prefix));
+    inv = fe_mul(inv, s.den);
+    AffinePoint& a = acc[i];
+    const U256 x3 = fe_sub(fe_sub(fe_sqr(lambda), a.x), *s.x2);
+    a.y = fe_sub(fe_mul(lambda, fe_sub(a.x, x3)), a.y);
+    a.x = x3;
+  }
+}
+
+}  // namespace
+
+std::vector<AffinePoint> double_scalar_mult_comb_batch(
+    std::span<const CombLane> lanes) {
+  const std::size_t n = lanes.size();
+  // Scalars reduced as double_scalar_mult_comb reduces them; a zero scalar
+  // selects no entry.
+  std::vector<U256> u1(n), u2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const CombLane& lane = lanes[i];
+    u1[i] = reduce_mod_n(lane.u1);
+    if (lane.q != nullptr && !lane.q->point().infinity)
+      u2[i] = reduce_mod_n(lane.u2);
+  }
+  const PointCombTable& g = base_comb_table();
+  std::vector<AffinePoint> acc(n, AffinePoint{{}, {}, true});
+  std::vector<Slope> slopes(n);
+  std::vector<std::size_t> live;
+  live.reserve(n);
+  std::vector<const PointCombTable::Entry*> add(n);
+  // The same column order as double_scalar_mult_comb: double, then G's
+  // blocks, then Q's.
+  const auto add_block = [&](bool base, int b, int col) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const PointCombTable* t = base ? &g : lanes[i].q;
+      const unsigned d = block_digit((base ? u1 : u2)[i].w[b], col);
+      add[i] = d == 0 ? nullptr : &t->entries_[b * kCombEntries + d - 1];
+    }
+    lockstep_step(acc, add.data(), slopes, live);
+  };
+  for (int col = kCombSpacing - 1; col >= 0; --col) {
+    lockstep_step(acc, nullptr, slopes, live);
+    for (int b = 0; b < kCombBlocks; ++b) add_block(true, b, col);
+    for (int b = 0; b < kCombBlocks; ++b) add_block(false, b, col);
+  }
+  for (AffinePoint& a : acc) {
+    if (a.infinity) continue;
+    a.x = fp_from_mont(a.x);
+    a.y = fp_from_mont(a.y);
+  }
+  return acc;
+}
+
 JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
   if (!p.infinity && p.x == kG.x && p.y == kG.y) return base_mult(k);
   return scalar_mult_wnaf(k, p);

@@ -7,6 +7,7 @@
 // (public keys, curve constants) stay in the ordinary domain.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "crypto/u256.hpp"
@@ -112,6 +113,8 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
 /// r + n < p, (r + n) * Z^2 == X) so no field inversion is needed.
 bool x_equals_mod_n(const JacobianPoint& p, const U256& r);
 
+struct CombLane;
+
 /// Per-point Lim–Lee comb table, the same layout the generator's fixed-base
 /// table uses: one block per 64-bit limb of the scalar, 8 teeth x 8 columns
 /// in each, 4 x 255 affine entries (~64 KiB). Building one costs about 250
@@ -126,6 +129,12 @@ class PointCombTable {
 
   const AffinePoint& point() const { return point_; }
 
+  /// An affine entry, both coordinates in the Montgomery domain.
+  struct Entry {
+    U256 x;
+    U256 y;
+  };
+
   /// k * P via the comb: 7 doublings + <= 32 mixed additions (reduces k
   /// mod n first, like scalar_mult).
   JacobianPoint mult(const U256& k) const;
@@ -133,12 +142,8 @@ class PointCombTable {
  private:
   friend JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                                const PointCombTable& q);
-
-  /// An affine entry, both coordinates in the Montgomery domain.
-  struct Entry {
-    U256 x;
-    U256 y;
-  };
+  friend std::vector<AffinePoint> double_scalar_mult_comb_batch(
+      std::span<const CombLane> lanes);
 
   PointCombTable() = default;
 
@@ -158,6 +163,24 @@ class PointCombTable {
 /// path.
 JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                       const PointCombTable& q);
+
+/// One lane of double_scalar_mult_comb_batch: u1*G + u2*Q, or u1*G alone
+/// when q is null.
+struct CombLane {
+  U256 u1;
+  U256 u2;
+  const PointCombTable* q = nullptr;
+};
+
+/// Every lane's u1*G + u2*Q, the same points double_scalar_mult_comb (or
+/// base_mult, for a null q) gives, returned affine in the ordinary domain.
+/// The lanes walk their combs in lockstep with affine accumulators: each
+/// doubling or addition step inverts all lanes' slope denominators with one
+/// field inversion (Montgomery's trick), which beats the per-lane Jacobian
+/// formulas once enough lanes share it. Lanes whose accumulator is at
+/// infinity or meets plus or minus the entry it adds are handled exactly.
+std::vector<AffinePoint> double_scalar_mult_comb_batch(
+    std::span<const CombLane> lanes);
 
 /// True iff (x, y) satisfies the curve equation and both are < p.
 bool on_curve(const AffinePoint& p);

@@ -25,27 +25,13 @@ crypto::Digest EndorsementDigester::digest(ByteView endorser_cert) const {
   return h.finish();
 }
 
-Bytes build_envelope(const TxProposal& proposal, const Identity& client,
-                     const std::vector<const Identity*>& endorsers) {
-  const Bytes rwset_bytes = proposal.rwset.marshal();
-  const EndorsementDigester digester(proposal.chaincode_id, rwset_bytes);
-  std::vector<Endorsement> ends;
-  ends.reserve(endorsers.size());
-  for (const Identity* endorser : endorsers) {
-    Endorsement e;
-    e.endorser_cert = endorser->cert.marshal();
-    const crypto::Digest digest = digester.digest(e.endorser_cert);
-    e.signature = crypto::der_encode_signature(endorser->sign(digest));
-    ends.push_back(std::move(e));
-  }
-  return build_envelope_with_endorsements(proposal, client, ends);
-}
+namespace {
 
-Bytes build_envelope_with_endorsements(const TxProposal& proposal,
-                                       const Identity& client,
-                                       const std::vector<Endorsement>& ends) {
-  const Bytes rwset_bytes = proposal.rwset.marshal();
-
+/// The Payload a client signs: Header plus TransactionAction, carrying the
+/// endorsers' certificates and signatures in endorsement order.
+Bytes marshal_payload(const TxProposal& proposal, ByteView rwset_bytes,
+                      const Identity& client, std::span<const Bytes> certs,
+                      std::span<const crypto::Signature> sigs) {
   // TransactionAction
   wire::ProtoWriter action;
   action.string_field(kChaincodeId, proposal.chaincode_id);
@@ -67,10 +53,10 @@ Bytes build_envelope_with_endorsements(const TxProposal& proposal,
     response.varint_field(3, 200);  // response status
     action.message_field(kResponsePayload, response);
   }
-  for (const Endorsement& endorsement : ends) {
+  for (std::size_t j = 0; j < certs.size(); ++j) {
     wire::ProtoWriter e;
-    e.bytes_field(kEndorserCert, endorsement.endorser_cert);
-    e.bytes_field(kEndorserSig, endorsement.signature);
+    e.bytes_field(kEndorserCert, certs[j]);
+    e.bytes_field(kEndorserSig, crypto::der_encode_signature(sigs[j]));
     action.message_field(kEndorsement, e);
   }
 
@@ -95,14 +81,58 @@ Bytes build_envelope_with_endorsements(const TxProposal& proposal,
   wire::ProtoWriter payload;
   payload.message_field(kHeader, header);
   payload.message_field(kAction, action);
-  const Bytes payload_bytes = payload.take();
+  return payload.take();
+}
 
-  // Envelope
-  wire::ProtoWriter envelope;
-  envelope.bytes_field(kPayload, payload_bytes);
-  envelope.bytes_field(kSignature, crypto::der_encode_signature(client.sign(
-                                       crypto::sha256(payload_bytes))));
-  return envelope.take();
+}  // namespace
+
+std::vector<Bytes> build_envelopes(std::span<const TxDraft> drafts) {
+  // The endorsers sign first: the batch's endorsements in draft order, each
+  // draft's in endorser order.
+  std::vector<Bytes> rwsets(drafts.size());
+  std::vector<Bytes> certs;
+  std::vector<crypto::SignItem> endorse;
+  for (std::size_t i = 0; i < drafts.size(); ++i) {
+    rwsets[i] = drafts[i].proposal.rwset.marshal();
+    const EndorsementDigester digester(drafts[i].proposal.chaincode_id,
+                                       rwsets[i]);
+    for (const Identity* endorser : drafts[i].endorsers) {
+      certs.push_back(endorser->cert.marshal());
+      endorse.push_back({endorser->key, digester.digest(certs.back())});
+    }
+  }
+  const std::vector<crypto::Signature> endorsement_sigs = crypto::sign(endorse);
+
+  // Then the payloads, and the clients' signatures over them.
+  std::vector<Bytes> payloads(drafts.size());
+  std::vector<crypto::SignItem> clients(drafts.size());
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < drafts.size(); ++i) {
+    const std::size_t count = drafts[i].endorsers.size();
+    payloads[i] = marshal_payload(
+        drafts[i].proposal, rwsets[i], *drafts[i].signer,
+        std::span(certs).subspan(first, count),
+        std::span(endorsement_sigs).subspan(first, count));
+    first += count;
+    clients[i] = {drafts[i].signer->key, crypto::sha256(payloads[i])};
+  }
+  const std::vector<crypto::Signature> client_sigs = crypto::sign(clients);
+
+  std::vector<Bytes> envelopes(drafts.size());
+  for (std::size_t i = 0; i < drafts.size(); ++i) {
+    wire::ProtoWriter envelope;
+    envelope.bytes_field(kPayload, payloads[i]);
+    envelope.bytes_field(kSignature,
+                         crypto::der_encode_signature(client_sigs[i]));
+    envelopes[i] = envelope.take();
+  }
+  return envelopes;
+}
+
+Bytes build_envelope(const TxProposal& proposal, const Identity& client,
+                     const std::vector<const Identity*>& endorsers) {
+  const TxDraft draft{proposal, endorsers, &client};
+  return std::move(build_envelopes(std::span(&draft, 1)).front());
 }
 
 std::optional<ParsedTransaction> parse_envelope(ByteView envelope) {

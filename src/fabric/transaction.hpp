@@ -10,17 +10,12 @@
 // designed to avoid.
 #pragma once
 
+#include <span>
+
 #include "fabric/identity.hpp"
 #include "fabric/rwset.hpp"
 
 namespace bm::fabric {
-
-struct Endorsement {
-  Bytes endorser_cert;  ///< marshaled Certificate
-  Bytes signature;      ///< DER ECDSA over the endorsed-data digest
-
-  friend bool operator==(const Endorsement&, const Endorsement&) = default;
-};
 
 /// What an endorser signs: H(chaincode id || rwset bytes || endorser cert).
 crypto::Digest endorsement_digest(std::string_view chaincode_id,
@@ -51,18 +46,25 @@ struct TxProposal {
   ReadWriteSet rwset;
 };
 
-/// Build a fully endorsed, client-signed envelope. `endorsers` sign the
-/// proposal's rwset (simulating the execution phase having produced it).
+/// A transaction ready to sign: the executed proposal, the endorsers who
+/// sign its rwset and the client who signs the envelope. It points at the
+/// identities, which must outlive it.
+struct TxDraft {
+  TxProposal proposal;
+  std::vector<const Identity*> endorsers;
+  const Identity* signer = nullptr;
+};
+
+/// Build fully endorsed, client-signed envelopes, one per draft. Every
+/// draft's endorsers sign its rwset (simulating the execution phase having
+/// produced it), all of the batch's endorsements as one crypto::sign
+/// batch; then the clients sign the payloads as a second batch. Each
+/// envelope is the same bytes however the drafts are batched.
+std::vector<Bytes> build_envelopes(std::span<const TxDraft> drafts);
+
+/// One envelope: a batch of one.
 Bytes build_envelope(const TxProposal& proposal, const Identity& client,
                      const std::vector<const Identity*>& endorsers);
-
-/// Same, but with pre-signed endorsements (the real endorsement flow: the
-/// client gathers ProposalResponses and assembles the transaction). Each
-/// endorsement's signature must cover endorsement_digest(chaincode id,
-/// marshaled rwset, endorser cert) or validation will reject it.
-Bytes build_envelope_with_endorsements(const TxProposal& proposal,
-                                       const Identity& client,
-                                       const std::vector<Endorsement>& ends);
 
 /// Everything the validator needs, parsed out of a marshaled envelope, with
 /// the raw byte ranges retained for signature verification.

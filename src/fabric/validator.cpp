@@ -1,5 +1,6 @@
 #include "fabric/validator.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "crypto/der.hpp"
@@ -41,44 +42,81 @@ bool SoftwareValidator::verify_block_signature(const Block& block) {
                crypto::digest_view(block.compute_data_hash()));
 }
 
-TxValidationCode SoftwareValidator::validate_transaction(
-    const ParsedTransaction& tx, ValidationStats& stats) const {
+void SoftwareValidator::validate_range(const Block& block, std::size_t begin,
+                                       std::size_t end,
+                                       std::vector<ParsedTransaction>& parsed,
+                                       std::vector<TxValidationCode>& flags,
+                                       ValidationStats& stats) const {
   // Step 2a: transaction verification — creator identity and signature.
   // The creator's key repeats across transactions, which is what
   // crypto::verify's per-key comb tables amortize.
-  if (!msp_.validate(tx.creator)) return TxValidationCode::kBadCreatorSignature;
-  const auto creator_sig = crypto::der_decode_signature(tx.signature);
-  if (!creator_sig) return TxValidationCode::kBadCreatorSignature;
-  ++stats.creator_signature_checks;
-  if (!crypto::verify(tx.creator.public_key, crypto::sha256(tx.payload_bytes),
-                      *creator_sig))
-    return TxValidationCode::kBadCreatorSignature;
+  std::vector<crypto::VerifyItem> creators;
+  std::vector<std::size_t> creator_tx;
+  for (std::size_t i = begin; i < end; ++i) {
+    ++stats.envelopes_parsed;
+    auto tx = parse_envelope(block.envelopes[i]);
+    if (!tx) {
+      flags[i] = TxValidationCode::kBadPayload;
+      continue;
+    }
+    parsed[i] = std::move(*tx);
+    flags[i] = TxValidationCode::kBadCreatorSignature;  // until it verifies
+    if (!msp_.validate(parsed[i].creator)) continue;
+    const auto sig = crypto::der_decode_signature(parsed[i].signature);
+    if (!sig) continue;
+    ++stats.creator_signature_checks;
+    creators.push_back({parsed[i].creator.public_key,
+                        crypto::sha256(parsed[i].payload_bytes), *sig});
+    creator_tx.push_back(i);
+  }
+  const std::vector<bool> creator_ok = crypto::verify(creators);
 
   // Step 2b: vscc — verify endorsements, then evaluate the policy.
-  const auto policy_it = policies_.find(tx.chaincode_id);
-  if (policy_it == policies_.end())
-    return TxValidationCode::kInvalidEndorserTransaction;
-
   // Fabric always verifies all endorsements, irrespective of the policy.
-  // The (chaincode, rwset) digest prefix is shared by every endorsement of
-  // this transaction: hash it once and fork the midstate per certificate.
-  const EndorsementDigester digester(tx.chaincode_id, tx.rwset_bytes);
-  std::vector<EncodedId> valid_endorsers;
-  for (const auto& endorsement : tx.endorsements) {
-    if (!msp_.validate(endorsement.cert)) continue;
-    const auto sig = crypto::der_decode_signature(endorsement.signature);
-    if (!sig) continue;
-    ++stats.endorsement_signature_checks;
-    if (!crypto::verify(endorsement.cert.public_key,
-                        digester.digest(endorsement.cert_bytes), *sig))
+  std::vector<std::pair<std::size_t, const EndorsementPolicy*>> vscc_tx;
+  std::vector<crypto::VerifyItem> endorsements;
+  std::vector<const Certificate*> endorser;  ///< per endorsement item
+  std::vector<std::size_t> endorsement_tx;   ///< per endorsement item
+  for (std::size_t c = 0; c < creators.size(); ++c) {
+    if (!creator_ok[c]) continue;
+    const std::size_t i = creator_tx[c];
+    const ParsedTransaction& tx = parsed[i];
+    const auto policy_it = policies_.find(tx.chaincode_id);
+    if (policy_it == policies_.end()) {
+      flags[i] = TxValidationCode::kInvalidEndorserTransaction;
       continue;
-    if (const auto id = msp_.encode(endorsement.cert))
-      valid_endorsers.push_back(*id);
+    }
+    vscc_tx.emplace_back(i, &policy_it->second);
+    // The (chaincode, rwset) digest prefix is shared by every endorsement
+    // of this transaction: hash it once and fork the midstate per
+    // certificate.
+    const EndorsementDigester digester(tx.chaincode_id, tx.rwset_bytes);
+    for (const auto& endorsement : tx.endorsements) {
+      if (!msp_.validate(endorsement.cert)) continue;
+      const auto sig = crypto::der_decode_signature(endorsement.signature);
+      if (!sig) continue;
+      ++stats.endorsement_signature_checks;
+      endorsements.push_back({endorsement.cert.public_key,
+                              digester.digest(endorsement.cert_bytes), *sig});
+      endorser.push_back(&endorsement.cert);
+      endorsement_tx.push_back(i);
+    }
   }
-  if (!policy_it->second.evaluate_ids(valid_endorsers, msp_))
-    return TxValidationCode::kEndorsementPolicyFailure;
+  const std::vector<bool> endorsement_ok = crypto::verify(endorsements);
 
-  return TxValidationCode::kValid;
+  // The items of each transaction are contiguous and in endorsement order.
+  std::size_t next = 0;
+  for (const auto& [i, policy] : vscc_tx) {
+    std::vector<EncodedId> valid_endorsers;
+    for (; next < endorsement_tx.size() && endorsement_tx[next] == i; ++next) {
+      if (!endorsement_ok[next]) continue;
+      if (const auto id = msp_.encode(*endorser[next]))
+        valid_endorsers.push_back(*id);
+    }
+    flags[i] = policy->evaluate_ids(valid_endorsers, msp_)
+                   ? TxValidationCode::kValid
+                   : TxValidationCode::kEndorsementPolicyFailure;
+  }
 }
 
 BlockValidationResult SoftwareValidator::validate_and_commit(
@@ -93,29 +131,27 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
   if (!result.block_valid) return result;
 
   // Step 2: per-transaction verification + vscc. Transactions are
-  // independent here (no state access until mvcc), so they fan out across
-  // the worker pool when one is configured. Each index writes only its own
-  // flags/parsed/stats slot, making flags and, after the in-order stats
-  // merge below, every observable output identical to the sequential path.
-  std::vector<ParsedTransaction> parsed(block.tx_count());
-  std::vector<ValidationStats> tx_stats(block.tx_count());
-  const auto run_tx = [&](std::size_t i) {
-    ValidationStats& stats = tx_stats[i];
-    ++stats.envelopes_parsed;
-    auto tx = parse_envelope(block.envelopes[i]);
-    if (!tx) {
-      result.flags[i] = TxValidationCode::kBadPayload;
-      return;
-    }
-    parsed[i] = std::move(*tx);
-    result.flags[i] = validate_transaction(parsed[i], stats);
+  // independent here (no state access until mvcc), so with a worker pool
+  // each worker runs step 2 on one contiguous range of the block. A range
+  // writes only its own flags and parsed slots and its own stats, merged in
+  // range order below, so every observable output is identical to the
+  // sequential path.
+  const std::size_t n = block.tx_count();
+  std::vector<ParsedTransaction> parsed(n);
+  const std::size_t ranges =
+      pool_ != nullptr ? std::clamp<std::size_t>(n, 1, pool_->concurrency())
+                       : 1;
+  std::vector<ValidationStats> range_stats(ranges);
+  const auto run_range = [&](std::size_t r) {
+    validate_range(block, n * r / ranges, n * (r + 1) / ranges, parsed,
+                   result.flags, range_stats[r]);
   };
-  if (pool_ != nullptr && block.tx_count() > 1) {
-    pool_->parallel_for(block.tx_count(), run_tx);
+  if (ranges > 1) {
+    pool_->parallel_for(ranges, run_range);
   } else {
-    for (std::size_t i = 0; i < block.tx_count(); ++i) run_tx(i);
+    run_range(0);
   }
-  for (const ValidationStats& stats : tx_stats) stats_ += stats;
+  for (const ValidationStats& stats : range_stats) stats_ += stats;
 
   // Step 3: mvcc, walking transactions sequentially in block order as
   // Fabric does. Reads must match the committed state, and keys written by

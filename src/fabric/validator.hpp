@@ -92,10 +92,16 @@ class SoftwareValidator {
 
  private:
   bool verify_block_signature(const Block& block);
-  /// Pure with respect to the validator: counters accumulate into `stats`
-  /// so the parallel path can aggregate per-transaction deltas in tx order.
-  TxValidationCode validate_transaction(const ParsedTransaction& tx,
-                                        ValidationStats& stats) const;
+  /// Step 2 on the block's transactions [begin, end): parse them, verify
+  /// every creator as one crypto::verify batch, then the endorsements of
+  /// every transaction whose creator passed and whose chaincode has a
+  /// policy as a second batch, then evaluate the policies. Writes only the
+  /// range's `parsed` and `flags` slots; counters accumulate into `stats`,
+  /// so pool workers can run disjoint ranges.
+  void validate_range(const Block& block, std::size_t begin, std::size_t end,
+                      std::vector<ParsedTransaction>& parsed,
+                      std::vector<TxValidationCode>& flags,
+                      ValidationStats& stats) const;
 
   const Msp& msp_;
   std::map<std::string, EndorsementPolicy> policies_;

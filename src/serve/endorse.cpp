@@ -52,9 +52,17 @@ void EndorsementService::pump() {
 
 std::vector<Bytes> EndorsementService::sign_envelopes(
     const std::vector<workload::TxDraft>& drafts) {
-  std::vector<Bytes> envelopes(drafts.size());
-  pool_.parallel_for(drafts.size(), [&](std::size_t i) {
-    envelopes[i] = harness_.sign_envelope(drafts[i]);
+  // Each worker signs one contiguous chunk as one batch.
+  const std::size_t n = drafts.size();
+  const std::size_t chunks =
+      std::clamp<std::size_t>(n, 1, pool_.concurrency());
+  std::vector<Bytes> envelopes(n);
+  pool_.parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t first = n * c / chunks;
+    std::vector<Bytes> signed_chunk = harness_.sign_envelopes(
+        std::span(drafts).subspan(first, n * (c + 1) / chunks - first));
+    std::move(signed_chunk.begin(), signed_chunk.end(),
+              envelopes.begin() + static_cast<std::ptrdiff_t>(first));
   });
   return envelopes;
 }

@@ -9,8 +9,9 @@
 // the chaincode against committed endorsement state (TxDraft, sequential,
 // deterministic) and occupy the lane for a modeled service time; the real
 // ECDSA signing of the resulting envelopes is deferred to block cut and
-// fanned across a common::ThreadPool (sign_envelopes), which is wall-clock
-// parallelism only — per-index output slots keep the bytes deterministic.
+// fanned across a common::ThreadPool (sign_envelopes) in contiguous
+// batches, which is wall-clock parallelism only — deterministic signatures
+// and per-index output slots keep the bytes deterministic.
 #pragma once
 
 #include <functional>
@@ -28,7 +29,8 @@ class EndorsementService {
     int workers = 8;  ///< simulated endorser lanes (chaincode containers)
     /// Modeled service time: base + per_endorsement * endorsers(draft).
     /// Defaults approximate a chaincode execution plus one ECDSA sign per
-    /// endorsement response at the crypto layer's measured ~110 us/sign.
+    /// endorsement response. They are modeled constants, not this host's
+    /// signing cost.
     sim::Time service_base = 150 * sim::kMicrosecond;
     sim::Time per_endorsement = 120 * sim::kMicrosecond;
     /// Queue-to-dispatch deadline; 0 disables cancellation.
@@ -73,7 +75,8 @@ class EndorsementService {
                static_cast<sim::Time>(draft.endorsers.size());
   }
 
-  /// Sign a batch of drafts into envelopes across the thread pool.
+  /// Sign a batch of drafts into envelopes across the thread pool: each
+  /// worker signs one contiguous chunk with harness.sign_envelopes.
   /// Deterministic: slot i holds sign_envelope(drafts[i]).
   std::vector<Bytes> sign_envelopes(
       const std::vector<workload::TxDraft>& drafts);

@@ -90,9 +90,13 @@ TxDraft FabricNetworkHarness::prepare_tx() {
   return draft;
 }
 
+std::vector<Bytes> FabricNetworkHarness::sign_envelopes(
+    std::span<const TxDraft> drafts) const {
+  return fabric::build_envelopes(drafts);
+}
+
 Bytes FabricNetworkHarness::sign_envelope(const TxDraft& draft) const {
-  return fabric::build_envelope(draft.proposal, *draft.signer,
-                                draft.endorsers);
+  return std::move(sign_envelopes(std::span(&draft, 1)).front());
 }
 
 std::optional<fabric::Block> FabricNetworkHarness::submit_envelope(

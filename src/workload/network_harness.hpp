@@ -44,14 +44,10 @@ struct NetworkOptions {
 /// fault-injection knobs may have picked the rogue client or dropped
 /// endorsers). Drafts reference the harness's identities, so they must not
 /// outlive it. Splitting "decide" (prepare_tx, sequential, consumes the
-/// harness rng and reads endorsement state) from "sign" (sign_envelope,
-/// pure ECDSA over the draft) lets the serve layer fan the expensive
-/// signing across a thread pool while keeping the schedule deterministic.
-struct TxDraft {
-  fabric::TxProposal proposal;
-  std::vector<const fabric::Identity*> endorsers;
-  const fabric::Identity* signer = nullptr;
-};
+/// harness rng and reads endorsement state) from "sign" (sign_envelopes,
+/// pure ECDSA over the drafts) lets the serve layer sign a whole batch at
+/// once, across a thread pool, while keeping the schedule deterministic.
+using TxDraft = fabric::TxDraft;
 
 class FabricNetworkHarness {
  public:
@@ -80,9 +76,13 @@ class FabricNetworkHarness {
   /// per-tx fault-injection knobs. Sequential: consumes the harness rng.
   TxDraft prepare_tx();
 
-  /// Client-sign and endorse a draft into a wire envelope. Pure function of
-  /// the draft (deterministic ECDSA) — safe to call from worker threads for
-  /// distinct drafts.
+  /// Client-sign and endorse drafts into wire envelopes
+  /// (fabric::build_envelopes: one signing batch for the endorsements, one
+  /// for the clients). Pure function of the drafts (deterministic ECDSA) —
+  /// safe to call from worker threads for distinct drafts.
+  std::vector<Bytes> sign_envelopes(std::span<const TxDraft> drafts) const;
+
+  /// One draft: a batch of one.
   Bytes sign_envelope(const TxDraft& draft) const;
 
   /// Enqueue an endorsed envelope with the orderer; returns a cut block when

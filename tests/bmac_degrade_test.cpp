@@ -411,6 +411,45 @@ TEST(CommitSequence, BlockAfterARejectedBlockIsRejectedAndCounted) {
   }
 }
 
+TEST(CommitSequence, DuplicateVerdictForACommittedBlockIsDropped) {
+  // A healthy peer receives one 4-tx block's packets twice, so the hardware
+  // validates it twice, but the host block arrives once. The first verdict
+  // commits it; the second names a block already in the ledger and is
+  // dropped and counted instead of being waited on forever. The run is
+  // bounded, so a peer that still waits fails here rather than hanging.
+  NetworkOptions options;
+  options.block_size = 4;
+  options.seed = 63;
+  FabricNetworkHarness harness(options);
+  sim::Simulation sim;
+  obs::Registry registry;
+  BmacPeer peer(sim, harness.msp(), HwConfig{}, harness.policies());
+  peer.attach_observability(&registry, nullptr);
+  peer.start();
+  ProtocolSender sender(harness.msp());
+
+  const fabric::Block block = harness.next_block();
+  peer.publish_metrics();
+  EXPECT_EQ(registry.find_counter("bmac_host_duplicate_verdicts_total"),
+            nullptr);
+  for (int copy = 0; copy < 2; ++copy)
+    for (auto& packet : sender.send(block).packets)
+      peer.deliver_packet(std::move(packet));
+  peer.deliver_block(block);
+  sim.run_until(1 * sim::kSecond);
+
+  EXPECT_FALSE(sim.step()) << "the run has not drained";
+  EXPECT_EQ(peer.ledger().height(), 1u);
+  ASSERT_EQ(peer.results().size(), 1u);
+  EXPECT_TRUE(peer.results()[0].block_valid);
+  EXPECT_EQ(peer.host_metrics().duplicate_verdicts, 1u);
+  peer.publish_metrics();
+  const auto* counter =
+      registry.find_counter("bmac_host_duplicate_verdicts_total");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->value(), 1u);
+}
+
 // --- simulated timing ----------------------------------------------------------
 
 // The peer's simulated timing, pinned. One seeded chain of twenty 5-tx blocks

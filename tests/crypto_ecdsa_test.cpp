@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -609,6 +611,261 @@ TEST(Ecdsa, ConcurrentVerifiesMatchReference) {
   for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+}
+
+// --- batches: one verify or sign call over many items -------------------------
+
+/// The verdicts of verifying `items` one at a time: the single path.
+std::vector<bool> verify_each(const std::vector<VerifyItem>& items) {
+  std::vector<bool> ok;
+  for (const VerifyItem& item : items)
+    ok.push_back(verify(item.key, item.digest, item.sig));
+  return ok;
+}
+
+TEST(EcdsaBatch, VerifyMatchesSinglePathInShuffledBatches) {
+  // Signatures by hot keys and by keys seen in only one group of cases,
+  // with signature_cases' tampered and edge variants, checked under the
+  // signer's key and under another key; every 25th digest is 0 (e = 0,
+  // u1 = 0) and every 25th all ones (e >= n). The cases are shuffled and
+  // cut into batches of 1 to 150, and some batches run right after the
+  // comb cache was cleared, so their keys are first sights (generic
+  // multiply) and second sights (table builds) inside the batch.
+  std::vector<PrivateKey> hot;
+  for (int i = 0; i < 24; ++i)
+    hot.push_back(key_from_seed(to_bytes("batch-hot-" + std::to_string(i))));
+  Rng rng(31);
+  std::vector<VerifyItem> cases;
+  for (int g = 0; g < 1300; ++g) {
+    const PrivateKey key =
+        g % 2 == 0 ? hot[static_cast<std::size_t>(g / 2) % hot.size()]
+                   : key_from_seed(to_bytes("batch-once-" + std::to_string(g)));
+    const PublicKey other = hot[static_cast<std::size_t>(g) % hot.size()]
+                                .public_key();
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    if (g % 25 == 3) d.fill(0);
+    if (g % 25 == 4) d.fill(0xff);
+    for (const auto& [digest, sig] : signature_cases(key, d, rng)) {
+      cases.push_back({key.public_key(), digest, sig});
+      cases.push_back({other, digest, sig});
+    }
+  }
+  ASSERT_GE(cases.size(), 20000u);
+  for (std::size_t i = cases.size(); i > 1; --i)
+    std::swap(cases[i - 1], cases[rng.uniform(i)]);
+
+  const std::vector<bool> expected = verify_each(cases);
+  int accepted = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    accepted += expected[i] ? 1 : 0;
+    if (i % 101 == 0)
+      EXPECT_EQ(expected[i],
+                reference_verify(cases[i].key, cases[i].digest, cases[i].sig))
+          << "case " << i;
+  }
+  // Each group's signature and its (r, n - s) twin, under the signer's key
+  // (and under the other key, when it is the signer).
+  EXPECT_GE(accepted, 2600);
+
+  int batches = 0;
+  for (std::size_t first = 0; first < cases.size(); ++batches) {
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.uniform(150), cases.size() - first);
+    if (batches % 7 == 0) CombCache::shared().clear();
+    const std::vector<bool> ok = verify(std::span(cases).subspan(first, len));
+    for (std::size_t i = 0; i < len; ++i)
+      ASSERT_EQ(ok[i], expected[first + i]) << "case " << first + i;
+    first += len;
+  }
+}
+
+/// A hot key with a comb table: verified twice (first sight, then build).
+void warm(const PrivateKey& key) {
+  const Digest d = sha256(to_bytes("warm"));
+  const Signature sig = sign(key, d);
+  for (int sight = 0; sight < 2; ++sight)
+    ASSERT_TRUE(verify(key.public_key(), d, sig));
+}
+
+TEST(EcdsaBatch, LockstepLanesMeetingPlusAndMinusTheirEntry) {
+  // With e = r and s = r / 2^k, u1 = u2 = 2^k, so G's comb and Q's pick
+  // the same entry position in the same column. For Q = G the accumulator,
+  // which holds G's entry, then adds that same entry (a doubling inside an
+  // addition step); for Q = -G it adds its negation and goes to infinity.
+  // Q = G's r is x(2^(k+1) G) mod n, so those signatures verify.
+  const U256& n = p256_n();
+  U256 n_minus_1 = n;
+  sub(n_minus_1, n_minus_1, U256::from_u64(1));
+  const PrivateKey plus_g{U256::from_u64(1)};
+  const PrivateKey minus_g{n_minus_1};
+  warm(plus_g);
+  warm(minus_g);
+  std::vector<VerifyItem> items;
+  U256 pow2 = U256::from_u64(1);  // 2^k mod n
+  for (int k = 0; k < 256; ++k, pow2 = fn_add(pow2, pow2)) {
+    const U256 r = mod(to_affine(base_mult(fn_add(pow2, pow2))).x, n);
+    const U256 s = fn_mul(r, fn_inv(pow2));
+    Digest d;
+    const Bytes r_bytes = r.to_bytes_be();
+    std::copy(r_bytes.begin(), r_bytes.end(), d.begin());
+    items.push_back({plus_g.public_key(), d, Signature{r, s}});
+    items.push_back({minus_g.public_key(), d, Signature{r, s}});
+  }
+  const std::vector<bool> ok = verify(items);
+  const std::vector<bool> expected = verify_each(items);
+  EXPECT_EQ(ok, expected);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(ok[i], i % 2 == 0) << "item " << i;
+    if (i % 16 < 2)
+      EXPECT_EQ(ok[i], reference_verify(items[i].key, items[i].digest,
+                                        items[i].sig))
+          << "item " << i;
+  }
+}
+
+TEST(EcdsaBatch, CombCacheCountersMatchVerifyingOneByOne) {
+  // More keys than the cache holds tables for, each seen one to four
+  // times: the batch asks the cache once per item in item order, so first
+  // sights, builds, hits and evictions all match the single path's.
+  CombCache& cache = CombCache::shared();
+  Rng rng(32);
+  std::vector<VerifyItem> items;
+  for (int k = 0; k < 90; ++k) {
+    const SignedMessage m = signed_message("counters-" + std::to_string(k));
+    for (std::uint64_t sight = 0; sight <= rng.uniform(4); ++sight)
+      items.push_back({m.key, m.digest, m.sig});
+  }
+  for (std::size_t i = items.size(); i > 1; --i)
+    std::swap(items[i - 1], items[rng.uniform(i)]);
+  const auto run = [&](auto&& verify_all) {
+    cache.clear();
+    const CombCache::Counters before = cache.counters();
+    const std::vector<bool> ok = verify_all(items);
+    const CombCache::Counters after = cache.counters();
+    EXPECT_EQ(ok, std::vector<bool>(items.size(), true));
+    return std::array<std::uint64_t, 4>{
+        after.first_sights - before.first_sights, after.builds - before.builds,
+        after.hits - before.hits, after.evictions - before.evictions};
+  };
+  const auto batched = run([](const std::vector<VerifyItem>& all) {
+    return verify(all);
+  });
+  const auto single = run(verify_each);
+  EXPECT_EQ(batched, single);
+  EXPECT_GT(single[1], 0u);  // builds
+  EXPECT_GT(single[2], 0u);  // hits
+  EXPECT_GT(single[3], 0u);  // evictions
+}
+
+TEST(EcdsaBatch, SignIsByteIdenticalToSingleSign) {
+  // Mixed keys, the RFC 6979 key among them, in batches on both sides of
+  // kSignBatchMin.
+  std::vector<SignItem> items;
+  Rng rng(33);
+  for (int i = 0; i < 160; ++i) {
+    const PrivateKey key =
+        i % 5 == 0 ? PrivateKey{U256::from_hex(kRfcPrivate)}
+                   : key_from_seed(to_bytes("sign-" + std::to_string(i % 37)));
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    if (i % 40 == 7) d.fill(0xff);
+    items.push_back({key, d});
+  }
+  std::vector<Signature> expected;
+  for (const SignItem& item : items)
+    expected.push_back(sign(item.key, item.digest));
+  std::size_t first = 0;
+  for (const std::size_t len :
+       {std::size_t{1}, kSignBatchMin - 1, kSignBatchMin, kSignBatchMin + 1,
+        std::size_t{50}, std::size_t{73}}) {
+    const std::vector<Signature> sigs =
+        sign(std::span(items).subspan(first, len));
+    for (std::size_t i = 0; i < len; ++i)
+      EXPECT_EQ(sigs[i], expected[first + i]) << "item " << first + i;
+    first += len;
+  }
+  EXPECT_EQ(first, items.size());
+  EXPECT_EQ(sign(items), expected);
+}
+
+TEST(EcdsaBatch, ConcurrentBatchesMatchSinglePath) {
+  // Workers verify and sign overlapping batches at once, racing through
+  // the same keys' first sights, table builds and hits.
+  CombCache::shared().clear();
+  std::vector<VerifyItem> verifies;
+  std::vector<SignItem> signs;
+  Rng rng(34);
+  for (int i = 0; i < 96; ++i) {
+    const PrivateKey key =
+        key_from_seed(to_bytes("concurrent-" + std::to_string(i % 6)));
+    Digest d;
+    const Bytes raw = rng.bytes(32);
+    std::copy(raw.begin(), raw.end(), d.begin());
+    Signature sig = sign(key, d);
+    if (i % 3 == 0) sig.s = add_mod(sig.s, U256::from_u64(1), p256_n());
+    verifies.push_back({key.public_key(), d, sig});
+    signs.push_back({key, d});
+  }
+  std::vector<bool> expected_ok;
+  for (const VerifyItem& item : verifies)
+    expected_ok.push_back(
+        reference_verify(item.key, item.digest, item.sig));
+  std::vector<Signature> expected_sigs;
+  for (const SignItem& item : signs)
+    expected_sigs.push_back(sign(item.key, item.digest));
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        const std::size_t first = static_cast<std::size_t>(8 * t + round);
+        const std::size_t len = 40 + 8 * static_cast<std::size_t>(t);
+        const std::vector<bool> ok =
+            verify(std::span(verifies).subspan(first, len));
+        const std::vector<Signature> sigs =
+            sign(std::span(signs).subspan(first, len));
+        for (std::size_t i = 0; i < len; ++i) {
+          if (ok[i] != expected_ok[first + i]) ++mismatches[t];
+          if (sigs[i] != expected_sigs[first + i]) ++mismatches[t];
+        }
+      }
+    });
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+}
+
+TEST(P256Curve, LockstepCombWalkMatchesJacobianWalk) {
+  // Random scalars on hot-key tables and on G alone, plus zero scalars and
+  // a table for the point at infinity, in one lockstep batch.
+  std::vector<PointCombTable> tables;
+  for (int i = 0; i < 3; ++i)
+    tables.push_back(PointCombTable::build(
+        key_from_seed(to_bytes("walk-" + std::to_string(i))).public_key().point));
+  tables.push_back(PointCombTable::build(AffinePoint{{}, {}, true}));
+  Rng rng(35);
+  std::vector<CombLane> lanes;
+  for (int i = 0; i < 60; ++i) {
+    CombLane lane{mod(U256::from_bytes_be(rng.bytes(32)), p256_n()),
+                  U256::from_bytes_be(rng.bytes(32)),
+                  i % 5 == 4 ? nullptr : &tables[static_cast<std::size_t>(i % 4)]};
+    if (i % 11 == 0) lane.u1 = U256{};
+    if (i % 13 == 0) lane.u2 = U256{};
+    lanes.push_back(lane);
+  }
+  const std::vector<AffinePoint> batch = double_scalar_mult_comb_batch(lanes);
+  ASSERT_EQ(batch.size(), lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const CombLane& lane = lanes[i];
+    const JacobianPoint single =
+        lane.q != nullptr ? double_scalar_mult_comb(lane.u1, lane.u2, *lane.q)
+                          : base_mult(lane.u1);
+    EXPECT_EQ(batch[i], to_affine(single)) << "lane " << i;
+  }
 }
 
 TEST(P256Curve, ProjectiveXComparisonCoversBothCandidates) {

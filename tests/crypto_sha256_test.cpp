@@ -150,8 +150,10 @@ TEST(HmacSha256, PartsMatchesConcatenation) {
   Rng rng(9);
   const Bytes key = rng.bytes(32);
   const Bytes a = rng.bytes(10), b = rng.bytes(20), c = rng.bytes(5);
-  EXPECT_EQ(hmac_sha256_parts(key, {a, b, c}),
-            hmac_sha256(key, concat({a, b, c})));
+  const HmacSha256 keyed(key);
+  EXPECT_EQ(keyed.mac({a, b, c}), hmac_sha256(key, concat({a, b, c})));
+  // The midstates are forked, not consumed: a second MAC is the same.
+  EXPECT_EQ(keyed.mac({a, b, c}), keyed.mac({concat({a, b}), c}));
 }
 
 }  // namespace

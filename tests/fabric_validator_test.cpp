@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/hex.hpp"
+
 #include "crypto/der.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/timing_model.hpp"
 #include "fabric/validator.hpp"
+#include "wire/proto.hpp"
 
 namespace bm::fabric {
 namespace {
@@ -322,6 +327,92 @@ TEST_F(ValidatorTest, ParallelVsccAcrossBlocks) {
     ASSERT_EQ(r_par.commit_hash, r_seq.commit_hash) << "block " << b;
   }
   EXPECT_EQ(ledger_par.height(), ledger_seq.height());
+}
+
+TEST_F(ValidatorTest, MixedBlockFlagsAndStatsArePinnedAtOneAndFourThreads) {
+  // One 48-tx block mixing every step-2 outcome, with enough creators and
+  // endorsements for crypto::verify's lockstep batches: rogue creator keys,
+  // flipped creator signatures, malformed creator and endorsement DER,
+  // missing and wrong-role endorsements, an unknown chaincode, garbage and
+  // an mvcc conflict. Flags, stats and the commit hash are pinned; they
+  // were recorded from the one-verify-at-a-time validator.
+  Identity rogue = org1_->issue(Role::kClient, 1, "client1.org1");
+  rogue.key = crypto::key_from_seed(to_bytes("not the cert key"));
+  const Identity client2 = org2_->issue(Role::kClient, 0, "client0.org2");
+  // The DER signature starting at `at` gets a SET tag, which no decoder
+  // accepts; the client re-signs the payload when the change is inside it.
+  const auto malformed = [&](Bytes envelope, bool endorsement) {
+    const auto tx = parse_envelope(envelope);
+    if (!endorsement) {
+      envelope[envelope.size() - tx->signature.size()] = 0x31;
+      return envelope;
+    }
+    Bytes payload = tx->payload_bytes;
+    const Bytes& der = tx->endorsements.back().signature;
+    *std::search(payload.begin(), payload.end(), der.begin(), der.end()) = 0x31;
+    wire::ProtoWriter out;
+    out.bytes_field(txfield::kPayload, payload);
+    out.bytes_field(txfield::kSignature,
+                    crypto::der_encode_signature(
+                        client_.sign(crypto::sha256(payload))));
+    return out.take();
+  };
+  std::vector<Bytes> envs;
+  for (int i = 0; i < 48; ++i) {
+    const std::string id = "mix" + std::to_string(i);
+    TxProposal proposal;
+    proposal.channel_id = "ch";
+    proposal.chaincode_id = "smallbank";
+    proposal.tx_id = id;
+    proposal.rwset.writes.push_back({"k_" + id, to_bytes("v")});
+    ReadWriteSet shared;
+    shared.reads.push_back({"shared", std::nullopt});
+    shared.writes.push_back({"shared", to_bytes(id)});
+    const std::vector<const Identity*> both = {&peer1_, &peer2_};
+    Bytes env;
+    switch (i % 12) {
+      case 0: env = build_envelope(proposal, rogue, both); break;
+      case 1: env = make_tx(id, {&peer1_}); break;  // missing endorsement
+      case 2: env = make_tx(id, {}); break;
+      case 3: env = make_tx(id, both, {}, "unregistered_cc"); break;
+      case 4: env = malformed(make_tx(id, both), false); break;
+      case 5: env = malformed(make_tx(id, both), true); break;
+      case 6:
+        env = make_tx(id, both);
+        env.back() ^= 1;  // a bad creator signature in well-formed DER
+        break;
+      case 7: env = make_tx(id, {&peer1_, &client2}); break;  // wrong role
+      case 8: env = make_tx(id, both, shared); break;  // mvcc after the first
+      case 9: env = to_bytes("garbage " + id); break;
+      default: env = make_tx(id, {&peer2_, &peer1_}); break;
+    }
+    envs.push_back(std::move(env));
+  }
+  const Block block = cut(std::move(envs));
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    SoftwareValidator validator(msp_, policies_, threads);
+    StateDb db;
+    Ledger ledger;
+    const auto result = validator.validate_and_commit(block, db, ledger);
+    std::string flags;
+    for (const TxValidationCode flag : result.flags)
+      flags += std::to_string(static_cast<int>(flag)) + " ";
+    EXPECT_EQ(flags,
+              "4 10 10 5 4 10 4 10 0 1 0 0 4 10 10 5 4 10 4 10 11 1 0 0 "
+              "4 10 10 5 4 10 4 10 11 1 0 0 4 10 10 5 4 10 4 10 11 1 0 0 ");
+    EXPECT_EQ(result.valid_tx_count, 9u);
+    const ValidationStats& stats = validator.stats();
+    EXPECT_EQ(stats.blocks_processed, 1u);
+    EXPECT_EQ(stats.block_signature_checks, 1u);
+    EXPECT_EQ(stats.creator_signature_checks, 40u);
+    EXPECT_EQ(stats.endorsement_signature_checks, 40u);
+    EXPECT_EQ(stats.envelopes_parsed, 48u);
+    EXPECT_EQ(stats.db_reads, 4u);
+    EXPECT_EQ(stats.db_writes, 9u);
+    EXPECT_EQ(hex_encode(crypto::digest_view(result.commit_hash)),
+              "8fbc83907158c375feeaea78f1657bf9485812fecdf53ee83b036ba7ee1211d5");
+  }
 }
 
 TEST(SwTimingModel, MatchesPaperAnchors) {
