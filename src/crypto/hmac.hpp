@@ -22,6 +22,7 @@ class HmacSha256 {
   Sha256 outer_;  ///< midstate after the opad block
 };
 
+/// One MAC under a key that is used once.
 inline Digest hmac_sha256(ByteView key, ByteView message) {
   return HmacSha256(key).mac({message});
 }
