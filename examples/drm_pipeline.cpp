@@ -10,7 +10,6 @@
 
 #include "bmac/peer.hpp"
 #include "fabric/validator.hpp"
-#include "workload/caliper.hpp"
 #include "workload/network_harness.hpp"
 
 int main() {
@@ -86,21 +85,21 @@ int main() {
     }
   }
 
-  // Caliper-style block-level report from the hardware monitor's stats
-  // (the paper reads these from reg_map instead of software timestamps).
-  workload::CaliperReport report("bmac-peer(drm)");
+  // Block-level summary from the hardware monitor's stats (the paper reads
+  // these from reg_map instead of software timestamps).
+  std::size_t txs = 0, valid = 0;
+  sim::Time validation = 0;
   for (const auto& result : peer.results()) {
-    workload::BlockObservation obs;
-    obs.block_num = result.block_num;
-    obs.tx_count = static_cast<std::uint32_t>(result.flags.size());
+    txs += result.flags.size();
     for (const auto flag : result.flags)
-      if (flag == fabric::TxValidationCode::kValid) ++obs.valid_tx_count;
-    obs.received_at = result.stats.received_at;
-    obs.validated_at = result.stats.validate_end;
-    obs.committed_at = result.stats.validate_end;  // ledger commit excluded
-    report.record(obs);
+      if (flag == fabric::TxValidationCode::kValid) ++valid;
+    validation += result.stats.validate_end - result.stats.received_at;
   }
-  std::printf("\n%s", report.render().c_str());
+  std::printf("\nbmac-peer(drm): %zu blocks, %zu txs (%zu valid), mean "
+              "block validation latency %.2f ms\n",
+              peer.results().size(), txs, valid,
+              static_cast<double>(validation) / sim::kMillisecond /
+                  static_cast<double>(peer.results().size()));
 
   std::printf("\nfinal state: %zu assets in the world state, ledger height "
               "%llu, %llu bytes on disk\n",

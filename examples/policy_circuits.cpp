@@ -3,37 +3,33 @@
 // show how short-circuit evaluation changes the number of ECDSA engine
 // invocations — the adaptability story of Figs. 7e/7f.
 //
-// Also demonstrates the YAML configuration flow of §3.5: the same file that
-// describes the network regenerates the evaluator circuits.
+// Also demonstrates the configuration flow of §3.5: the org list and each
+// chaincode's policy regenerate the evaluator circuits. bmac_sim reads the
+// same description, for one chaincode, from a scenario's "bmac" section
+// (configs/bmac_*.json).
 //
 //   $ ./policy_circuits
 #include <cstdio>
+#include <map>
+#include <string>
 
-#include "bmac/config.hpp"
 #include "bmac/policy_circuit.hpp"
+#include "fabric/identity.hpp"
 
 int main() {
   using namespace bm;
 
-  // §3.5: a YAML configuration defines the network and chaincode policies.
-  constexpr const char* kConfig = R"yaml(
-network:
-  orgs: [Org1, Org2, Org3, Org4]
-chaincodes:
-  - name: smallbank
-    policy: "2-outof-3 orgs"
-  - name: drm
-    policy: "(Org1 & Org2) | (Org1 & Org4) | (Org2 & Org3) | (Org2 & Org4) | (Org3 & Org4)"
-hardware:
-  tx_validators: 8
-  engines_per_vscc: 2
-)yaml";
-  const auto parsed = bmac::parse_config(kConfig);
-  const auto& config = std::get<bmac::BmacConfig>(parsed);
-
+  // §3.5: the network's orgs and the chaincode policies.
   fabric::Msp msp;
-  config.populate_msp(msp);
-  const auto policies = config.parse_policies();
+  for (const char* org : {"Org1", "Org2", "Org3", "Org4"}) msp.add_org(org);
+  std::map<std::string, fabric::EndorsementPolicy> policies;
+  policies.emplace("smallbank", fabric::parse_policy_or_throw(
+                                    "2-outof-3 orgs", msp.org_names()));
+  policies.emplace(
+      "drm", fabric::parse_policy_or_throw(
+                 "(Org1 & Org2) | (Org1 & Org4) | (Org2 & Org3) | "
+                 "(Org2 & Org4) | (Org3 & Org4)",
+                 msp.org_names()));
 
   std::printf("== ends_policy_evaluator generation ==\n");
   for (const auto& [chaincode, policy] : policies) {

@@ -222,8 +222,8 @@ class BmacPeer {
   obs::FlightRecorder* flight_ = nullptr;
 };
 
-/// Compile every chaincode policy into its hardware circuit (the YAML-driven
-/// generation step of §3.5).
+/// Compile every chaincode policy into its hardware circuit (the
+/// config-driven generation step of §3.5).
 std::map<std::string, PolicyCircuit> compile_policies(
     const std::map<std::string, fabric::EndorsementPolicy>& policies,
     const fabric::Msp& msp);

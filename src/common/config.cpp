@@ -69,6 +69,23 @@ bool ErrorSink::fail(const std::string& path, std::string_view message) {
 
 // --- Section -----------------------------------------------------------------
 
+namespace {
+
+/// The member `key` of object `node` (the last one when the key repeats),
+/// or null. Marks every member of that name looked up, for Root::finish.
+const json::Value* lookup(const json::Value* node, std::string_view key) {
+  if (node == nullptr) return nullptr;
+  const json::Value* found = nullptr;
+  for (const auto& [k, v] : node->object)
+    if (k == key) {
+      v.looked_up = true;
+      found = &v;
+    }
+  return found;
+}
+
+}  // namespace
+
 std::string Section::key_path(std::string_view key) const {
   if (path_.empty()) return std::string(key);
   return path_ + "." + std::string(key);
@@ -85,8 +102,7 @@ bool Section::fail_key(std::string_view key, std::string_view message) const {
 }
 
 Section Section::member(std::string_view key) const {
-  if (value_ == nullptr) return Section(nullptr, key_path(key), sink_);
-  return Section(value_->find(key), key_path(key), sink_);
+  return Section(lookup(value_, key), key_path(key), sink_);
 }
 
 Section Section::object(std::string_view key) const {
@@ -127,8 +143,7 @@ std::size_t Section::array_size() const {
 
 bool Section::read_number(std::string_view key, double* out,
                           const Range& range) const {
-  if (value_ == nullptr) return true;
-  const json::Value* v = value_->find(key);
+  const json::Value* v = lookup(value_, key);
   if (v == nullptr) return true;  // optional: keep default
   if (!v->is_number())
     return fail_key(key, range.bounded()
@@ -167,8 +182,7 @@ bool Section::read_u64(std::string_view key, std::uint64_t* out,
 }
 
 bool Section::read_bool(std::string_view key, bool* out) const {
-  if (value_ == nullptr) return true;
-  const json::Value* v = value_->find(key);
+  const json::Value* v = lookup(value_, key);
   if (v == nullptr) return true;
   if (v->type == json::Value::Type::kBool) {
     *out = v->boolean;
@@ -184,8 +198,7 @@ bool Section::read_bool(std::string_view key, bool* out) const {
 bool Section::read_string_presence(std::string_view key, std::string* out,
                                    bool* present) const {
   *present = false;
-  if (value_ == nullptr) return true;
-  const json::Value* v = value_->find(key);
+  const json::Value* v = lookup(value_, key);
   if (v == nullptr) return true;
   if (!v->is_string()) return fail_key(key, "expected a string");
   *present = true;
@@ -219,14 +232,14 @@ bool Section::read_time_us(std::string_view key, sim::Time* out,
 
 bool Section::require_number(std::string_view key, double* out,
                              const Range& range) const {
-  if (value_ == nullptr || value_->find(key) == nullptr)
+  if (lookup(value_, key) == nullptr)
     return fail_key(key, "missing required number");
   return read_number(key, out, range);
 }
 
 bool Section::require_string(std::string_view key, std::string* out,
                              bool non_empty) const {
-  if (value_ == nullptr || value_->find(key) == nullptr)
+  if (lookup(value_, key) == nullptr)
     return fail_key(key, "missing required string");
   bool present = false;
   std::string text;
@@ -251,6 +264,36 @@ bool Section::value_number(double* out, const Range& range) const {
 // --- Root --------------------------------------------------------------------
 
 Root::Root() : sink_(std::make_unique<detail::ErrorSink>()) {}
+
+namespace {
+
+/// Finds the first object member below `v` that no reader looked up,
+/// skipping `_`-prefixed comment members, and writes its path relative to
+/// `v` (".serve.rate_tp", "[2].name") into *path. Allocates only on a hit.
+bool find_unread(const json::Value& v, std::string* path) {
+  for (const auto& [key, member] : v.object) {
+    if (!key.empty() && key.front() == '_') continue;
+    if (!member.looked_up || find_unread(member, path)) {
+      path->insert(0, "." + key);
+      return true;
+    }
+  }
+  for (std::size_t i = 0; i < v.array.size(); ++i)
+    if (find_unread(v.array[i], path)) {
+      path->insert(0, "[" + std::to_string(i) + "]");
+      return true;
+    }
+  return false;
+}
+
+}  // namespace
+
+bool Root::finish() const {
+  std::string path;
+  if (ok() && value_ && find_unread(*value_, &path))
+    sink_->fail(root_label_ + path, "unknown key");
+  return ok();
+}
 
 Section Root::section() const {
   if (!value_) return Section(nullptr, root_label_, sink_.get());

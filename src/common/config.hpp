@@ -16,11 +16,14 @@
 //   s.read_number("rate_tps", &options.rate_tps, config::positive());
 //   config::Section traffic = s.object("traffic");
 //   traffic.read_time_ms("period_ms", &config.period);
-//   if (!root.ok()) { *error = root.error(); return std::nullopt; }
+//   if (!root.finish()) { *error = root.error(); return std::nullopt; }
 //
 // Readers on an absent Section are no-ops that keep defaults, so loaders
 // can be written as straight-line code; the first error wins and is checked
-// once at the end.
+// once at the end. Every reader marks the member it looks up, and finish()
+// rejects the first member nobody looked up (`serve.traffic.rate_tp:
+// unknown key`), so a typo cannot silently run at a default. Members whose
+// key starts with `_` are comments (`"_doc": "..."`) and never read.
 #pragma once
 
 #include <cstddef>
@@ -192,6 +195,11 @@ class Root {
 
   bool ok() const { return !sink_->failed; }
   const std::string& error() const { return sink_->error; }
+  /// Call once after every section parser ran: records "<path>: unknown
+  /// key" for the first member no reader looked up (unless an earlier
+  /// error won) and returns ok(). One walk of the tree, allocation-free
+  /// unless it finds one.
+  bool finish() const;
   /// Root object section; absent when parsing failed.
   Section section() const;
 

@@ -26,6 +26,9 @@ class Value {
   std::vector<Value> array;
   /// Insertion-ordered, duplicate keys keep the last value.
   std::vector<std::pair<std::string, Value>> object;
+  /// Set on an object member when a config::Section reader looks it up;
+  /// config::Root::finish reports the members nobody looked up.
+  mutable bool looked_up = false;
 
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }

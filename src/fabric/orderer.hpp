@@ -26,6 +26,8 @@ class Orderer {
   /// Cut whatever is pending into a block (nullopt if nothing is pending).
   std::optional<Block> flush();
 
+  /// Envelopes submitted since the last cut.
+  std::size_t pending() const { return pending_.size(); }
   std::uint64_t next_block_number() const { return next_number_; }
   const Identity& identity() const { return identity_; }
 

@@ -99,7 +99,7 @@ std::optional<SloConfig> load_slo_config(const std::string& path,
                                          std::string* error) {
   const config::Root root = config::Root::load(path, "slo");
   SloConfig config = detail::parse_slo_section(root.section());
-  if (!root.ok()) {
+  if (!root.finish()) {
     if (error != nullptr) *error = root.error();
     return std::nullopt;
   }

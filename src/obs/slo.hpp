@@ -77,8 +77,8 @@ struct SloConfig {
   std::vector<SloRule> rules;
 };
 
-/// Load an SLO config file (--slo-config) from disk. Unknown keys are
-/// ignored; malformed rules fail loudly with an error message.
+/// Load an SLO config file (--slo-config) from disk. Malformed rules and
+/// unknown keys fail loudly with an error message naming their path.
 std::optional<SloConfig> load_slo_config(const std::string& path,
                                          std::string* error = nullptr);
 

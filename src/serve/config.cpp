@@ -66,10 +66,6 @@ void parse_endorse(const config::Section& node,
   node.read_time_us("per_endorsement_us", &config->per_endorsement,
                     config::non_negative());
   node.read_time_ms("deadline_ms", &config->deadline, config::non_negative());
-  int sign_threads = static_cast<int>(config->sign_threads);
-  node.read_int("sign_threads", &sign_threads, config::non_negative());
-  config->sign_threads =
-      sign_threads < 0 ? 0u : static_cast<unsigned>(sign_threads);
 }
 
 void parse_ingress(const config::Section& node, IngressConfig* config) {

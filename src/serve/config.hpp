@@ -1,10 +1,10 @@
 // The "serve" section of a composed scenario (serve/scenario.hpp;
 // configs/serve_*.json and configs/scenario_*.json).
 //
-// Every key is optional and falls back to the ServeOptions default, unknown
-// keys are ignored, and one seed derives the decorrelated per-component
-// seeds (harness rng vs arrival process) so a scenario file plus one
-// integer fully determines the run.
+// Every key is optional and falls back to the ServeOptions default, an
+// unknown key fails with its path (common/config.hpp), and one seed derives
+// the decorrelated per-component seeds (harness rng vs arrival process) so
+// a scenario file plus one integer fully determines the run.
 #pragma once
 
 #include <optional>

@@ -10,9 +10,7 @@ EndorsementService::EndorsementService(sim::Simulation& sim, Config config,
     : sim_(sim),
       config_(config),
       harness_(harness),
-      queue_(queue),
-      pool_(config_.sign_threads == 0 ? std::thread::hardware_concurrency()
-                                      : config_.sign_threads) {
+      queue_(queue) {
   config_.workers = std::max(1, config_.workers);
 }
 
@@ -48,23 +46,6 @@ void EndorsementService::pump() {
       pump();
     });
   }
-}
-
-std::vector<Bytes> EndorsementService::sign_envelopes(
-    const std::vector<workload::TxDraft>& drafts) {
-  // Each worker signs one contiguous chunk as one batch.
-  const std::size_t n = drafts.size();
-  const std::size_t chunks =
-      std::clamp<std::size_t>(n, 1, pool_.concurrency());
-  std::vector<Bytes> envelopes(n);
-  pool_.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t first = n * c / chunks;
-    std::vector<Bytes> signed_chunk = harness_.sign_envelopes(
-        std::span(drafts).subspan(first, n * (c + 1) / chunks - first));
-    std::move(signed_chunk.begin(), signed_chunk.end(),
-              envelopes.begin() + static_cast<std::ptrdiff_t>(first));
-  });
-  return envelopes;
 }
 
 void EndorsementService::publish_metrics(obs::Registry& registry,

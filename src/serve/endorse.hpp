@@ -8,15 +8,13 @@
 // response the client has stopped waiting for. Dispatched requests execute
 // the chaincode against committed endorsement state (TxDraft, sequential,
 // deterministic) and occupy the lane for a modeled service time; the real
-// ECDSA signing of the resulting envelopes is deferred to block cut and
-// fanned across a common::ThreadPool (sign_envelopes) in contiguous
-// batches, which is wall-clock parallelism only — deterministic signatures
-// and per-index output slots keep the bytes deterministic.
+// ECDSA signing of the resulting envelopes is deferred to block cut, where
+// the pipeline signs the whole batch with one
+// FabricNetworkHarness::sign_envelopes call.
 #pragma once
 
 #include <functional>
 
-#include "common/thread_pool.hpp"
 #include "obs/flight.hpp"
 #include "serve/admission.hpp"
 #include "workload/network_harness.hpp"
@@ -35,9 +33,6 @@ class EndorsementService {
     sim::Time per_endorsement = 120 * sim::kMicrosecond;
     /// Queue-to-dispatch deadline; 0 disables cancellation.
     sim::Time deadline = 50 * sim::kMillisecond;
-    /// Thread-pool width for the real signing work; 1 = inline,
-    /// 0 = hardware_concurrency.
-    unsigned sign_threads = 1;
   };
 
   struct Stats {
@@ -75,12 +70,6 @@ class EndorsementService {
                static_cast<sim::Time>(draft.endorsers.size());
   }
 
-  /// Sign a batch of drafts into envelopes across the thread pool: each
-  /// worker signs one contiguous chunk with harness.sign_envelopes.
-  /// Deterministic: slot i holds sign_envelope(drafts[i]).
-  std::vector<Bytes> sign_envelopes(
-      const std::vector<workload::TxDraft>& drafts);
-
   /// Snapshot the counters and the busy-lane count under "<prefix>_..."
   /// (idempotent; the telemetry sampler calls it before every sample).
   void publish_metrics(obs::Registry& registry,
@@ -94,7 +83,6 @@ class EndorsementService {
   Config config_;
   workload::FabricNetworkHarness& harness_;
   AdmissionQueue& queue_;
-  ThreadPool pool_;
   CompletionFn completion_;
   CancelFn cancelled_;
   int busy_ = 0;

@@ -287,10 +287,9 @@ class ServeRun {
     pending_members_.clear();
     pending_drafts_.clear();
 
-    // The real ECDSA work, fanned across the endorsement service's thread
-    // pool (wall clock only — the simulated signing cost was part of the
-    // endorsement service time).
-    std::vector<Bytes> envelopes = endorse_.sign_envelopes(drafts);
+    // The real ECDSA work, one signing batch (wall clock only: the simulated
+    // signing cost was part of the endorsement service time).
+    std::vector<Bytes> envelopes = harness_.sign_envelopes(drafts);
     std::optional<fabric::Block> block;
     for (auto& envelope : envelopes)
       block = harness_.submit_envelope(std::move(envelope));

@@ -60,7 +60,15 @@ std::optional<Scenario> scenario_from_root(const config::Root& root,
       scenario.cluster = cluster::detail::parse_cluster_section(cluster);
   }
 
-  if (!root.ok()) {
+  const config::Section bmac = s.member("bmac");
+  if (bmac.present()) {
+    if (!bmac.is_object())
+      bmac.fail("expected an object");
+    else
+      scenario.bmac = workload::detail::parse_bmac_section(bmac);
+  }
+
+  if (!root.finish()) {
     if (error != nullptr) *error = root.error();
     return std::nullopt;
   }

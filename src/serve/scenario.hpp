@@ -11,14 +11,17 @@
 //     "durability": { ... },   // overrides serve.durability when present
 //     "slo":        { ... },   // schema of --slo-config's file
 //     "faults":     { ... },   // fault schedule (docs/FAULTS.md)
-//     "cluster":    { ... }    // N-org/M-peer topology (docs/CLUSTER.md)
+//     "cluster":    { ... },   // N-org/M-peer topology (docs/CLUSTER.md)
+//     "bmac":       { ... }    // BMac deployment (workload/deployment.hpp)
 //   }
 //
 // Each section has one parser (serve/config.cpp, obs/slo.cpp,
-// net/faults.cpp, cluster/config.cpp via their detail:: hooks), and
-// diagnostics name the file plus full JSON path
-// (`scenario.slo.rules[2].kind: ...`). configs/serve_*.json hold only a
-// "serve" section and configs/faults_*.json only a "faults" section.
+// net/faults.cpp, cluster/config.cpp, workload/deployment.cpp via their
+// detail:: hooks), and diagnostics name the file plus full JSON path
+// (`scenario.slo.rules[2].kind: ...`). A member no parser reads fails as
+// an unknown key; `_`-prefixed members are comments. configs/serve_*.json
+// hold only a "serve" section, configs/faults_*.json only a "faults"
+// section and configs/bmac_*.json only a "bmac" section.
 //
 // The top-level "sessions" / "durability" sections exist so one scenario
 // file can layer a session population or a durable ledger onto a shared
@@ -33,6 +36,7 @@
 #include "net/faults.hpp"
 #include "obs/slo.hpp"
 #include "serve/config.hpp"
+#include "workload/deployment.hpp"
 
 namespace bm::serve {
 
@@ -51,6 +55,10 @@ struct Scenario {
   /// `bmac_sim cluster --scenario` and tests/bench building a
   /// cluster::ClusterDeployment.
   std::optional<cluster::ClusterConfig> cluster;
+  /// BMac deployment (orgs, chaincode, policy, hardware architecture).
+  /// nullopt when the scenario has no "bmac" section; consumed by
+  /// `bmac_sim throughput|resources|validate|protocol|chaos --scenario`.
+  std::optional<workload::Deployment> bmac;
 };
 
 /// Parse a composed scenario from JSON text. Returns nullopt (and sets

@@ -12,10 +12,6 @@ void ProtoWriter::varint_field(std::uint32_t field, std::uint64_t value) {
   put_varint(buf_, value);
 }
 
-void ProtoWriter::sint_field(std::uint32_t field, std::int64_t value) {
-  varint_field(field, zigzag_encode(value));
-}
-
 void ProtoWriter::bool_field(std::uint32_t field, bool value) {
   varint_field(field, value ? 1 : 0);
 }
@@ -34,18 +30,6 @@ void ProtoWriter::string_field(std::uint32_t field, std::string_view value) {
 
 void ProtoWriter::message_field(std::uint32_t field, const ProtoWriter& inner) {
   bytes_field(field, inner.bytes());
-}
-
-void ProtoWriter::fixed32_field(std::uint32_t field, std::uint32_t value) {
-  tag(field, WireType::kFixed32);
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void ProtoWriter::fixed64_field(std::uint32_t field, std::uint64_t value) {
-  tag(field, WireType::kFixed64);
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
 std::optional<ProtoReader::Field> ProtoReader::next() {
@@ -111,15 +95,6 @@ std::optional<ByteView> find_bytes_field(ByteView message,
   while (auto f = reader.next()) {
     if (f->number == field && f->type == WireType::kLengthDelimited)
       return f->bytes;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> find_varint_field(ByteView message,
-                                               std::uint32_t field) {
-  ProtoReader reader(message);
-  while (auto f = reader.next()) {
-    if (f->number == field && f->type == WireType::kVarint) return f->varint;
   }
   return std::nullopt;
 }

@@ -27,13 +27,10 @@ enum class WireType : std::uint8_t {
 class ProtoWriter {
  public:
   void varint_field(std::uint32_t field, std::uint64_t value);
-  void sint_field(std::uint32_t field, std::int64_t value);  ///< zigzag
   void bool_field(std::uint32_t field, bool value);
   void bytes_field(std::uint32_t field, ByteView value);
   void string_field(std::uint32_t field, std::string_view value);
   void message_field(std::uint32_t field, const ProtoWriter& inner);
-  void fixed32_field(std::uint32_t field, std::uint32_t value);
-  void fixed64_field(std::uint32_t field, std::uint64_t value);
 
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
@@ -74,10 +71,6 @@ class ProtoReader {
 /// Find the first occurrence of a length-delimited field in a message.
 /// Returns nullopt if missing or the message is malformed.
 std::optional<ByteView> find_bytes_field(ByteView message, std::uint32_t field);
-
-/// Find the first varint field value.
-std::optional<std::uint64_t> find_varint_field(ByteView message,
-                                               std::uint32_t field);
 
 /// All occurrences of a repeated length-delimited field, in order.
 std::vector<ByteView> find_repeated_bytes(ByteView message,

@@ -34,13 +34,4 @@ std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
-std::uint64_t zigzag_encode(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
 }  // namespace bm::wire

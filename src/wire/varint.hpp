@@ -1,4 +1,4 @@
-// Protocol-buffers base-128 varints and zigzag transform, from scratch.
+// Protocol-buffers base-128 varints, from scratch.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +17,5 @@ std::optional<std::uint64_t> get_varint(ByteView b, std::size_t& pos);
 
 /// Number of bytes put_varint would emit.
 std::size_t varint_size(std::uint64_t v);
-
-std::uint64_t zigzag_encode(std::int64_t v);
-std::int64_t zigzag_decode(std::uint64_t v);
 
 }  // namespace bm::wire

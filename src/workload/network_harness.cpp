@@ -125,8 +125,17 @@ const fabric::BlockValidationResult& FabricNetworkHarness::commit_block(
 }
 
 fabric::Block FabricNetworkHarness::next_block() {
+  // Every draft reads the state the last commit left, so the drafts the
+  // orderer still needs for a cut can all be prepared before any is signed.
+  const std::size_t pending = orderer_->pending();
+  const std::size_t needed =
+      pending < options_.block_size ? options_.block_size - pending : 1;
+  std::vector<TxDraft> drafts;
+  drafts.reserve(needed);
+  while (drafts.size() < needed) drafts.push_back(prepare_tx());
   std::optional<fabric::Block> block;
-  while (!block) block = submit_envelope(sign_envelope(prepare_tx()));
+  for (Bytes& envelope : sign_envelopes(drafts))
+    block = submit_envelope(std::move(envelope));
   commit_block(*block);
   return *block;
 }

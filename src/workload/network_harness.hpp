@@ -45,8 +45,8 @@ struct NetworkOptions {
 /// endorsers). Drafts reference the harness's identities, so they must not
 /// outlive it. Splitting "decide" (prepare_tx, sequential, consumes the
 /// harness rng and reads endorsement state) from "sign" (sign_envelopes,
-/// pure ECDSA over the drafts) lets the serve layer sign a whole batch at
-/// once, across a thread pool, while keeping the schedule deterministic.
+/// pure ECDSA over the drafts) lets next_block and the serve layer sign a
+/// whole batch at once while keeping the schedule deterministic.
 using TxDraft = fabric::TxDraft;
 
 class FabricNetworkHarness {
@@ -68,9 +68,12 @@ class FabricNetworkHarness {
 
   // --- step-wise (submit/collect) path --------------------------------------
   // The open-loop serving front end (src/serve) and next_block() share this
-  // one endorsement-state path: next_block() is exactly
-  // submit_envelope(sign_envelope(prepare_tx())) until a block cuts,
-  // followed by commit_block().
+  // one endorsement-state path: next_block() runs prepare_tx() as many times
+  // as the orderer still needs to cut a block, signs those drafts with one
+  // sign_envelopes() batch, submits them and calls commit_block(). Its block
+  // is byte-identical to submitting submit_envelope(sign_envelope(
+  // prepare_tx())) one at a time: signing draws nothing from the rng, and
+  // its nonces are RFC 6979's.
 
   /// Execute the chaincode against committed endorsement state and apply the
   /// per-tx fault-injection knobs. Sequential: consumes the harness rng.

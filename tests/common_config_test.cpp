@@ -159,6 +159,47 @@ TEST(ConfigSection, BoolAcceptsNumbersForBackCompat) {
   EXPECT_TRUE(c);
 }
 
+TEST(ConfigRoot, FinishRejectsTheFirstMemberNoReaderLookedUp) {
+  config::Root root = config::Root::parse(
+      R"({"_doc": "comment", "a": 1, "b": {"c": 2, "_note": 0, "d": 3},
+          "e": [{"f": 4}]})",
+      "serve", "x.json");
+  const config::Section s = root.section();
+  double v = 0;
+  s.read_number("a", &v);
+  s.object("b").read_number("c", &v);
+  s.array("e").element(0).read_number("f", &v);
+  EXPECT_FALSE(root.finish());
+  EXPECT_EQ(root.error(), "x.json: serve.b.d: unknown key");
+}
+
+TEST(ConfigRoot, FinishWalksArraysAndSkipsComments) {
+  config::Root root = config::Root::parse(
+      R"({"rules": [{"k": 1}, {"k": 2, "typo": 3}], "_doc": {"x": 1}})",
+      "slo");
+  const config::Section rules = root.section().array("rules");
+  double v = 0;
+  for (std::size_t i = 0; i < rules.array_size(); ++i)
+    rules.element(i).read_number("k", &v);
+  EXPECT_FALSE(root.finish());
+  EXPECT_EQ(root.error(), "slo.rules[1].typo: unknown key");
+}
+
+TEST(ConfigRoot, FinishKeepsTheFirstError) {
+  config::Root root =
+      config::Root::parse(R"({"rate": -1, "typo": 1})", "serve");
+  double rate = 0;
+  root.section().read_number("rate", &rate, config::positive());
+  EXPECT_FALSE(root.finish());
+  EXPECT_EQ(root.error(), "serve.rate: expected number > 0");
+
+  // A repeated key counts as read (its last value wins).
+  config::Root twice = config::Root::parse(R"({"a": 1, "a": 2})", "serve");
+  twice.section().read_number("a", &rate);
+  EXPECT_TRUE(twice.finish());
+  EXPECT_EQ(rate, 2);
+}
+
 TEST(ConfigSection, TimeReadersConvertUnits) {
   config::Root root =
       config::Root::parse(R"({"ms": 2.5, "us": 150})", "serve");
@@ -267,6 +308,53 @@ TEST(Scenario, ShippedScenarioConfigsLoad) {
     ASSERT_TRUE(scenario->slo.has_value()) << name;
     EXPECT_FALSE(scenario->slo->rules.empty()) << name;
   }
+  for (const char* name : {"/configs/bmac_smallbank_2org.json",
+                           "/configs/bmac_drm_4org_complex.json"}) {
+    std::string error;
+    auto scenario =
+        serve::load_scenario(std::string(BM_REPO_ROOT) + name, &error);
+    ASSERT_TRUE(scenario.has_value()) << name << ": " << error;
+    ASSERT_TRUE(scenario->bmac.has_value()) << name;
+    EXPECT_EQ(scenario->bmac->hw.name(), "8x2") << name;
+  }
+}
+
+TEST(Scenario, UnknownMembersFailWithTheirPath) {
+  struct Case {
+    const char* json;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {R"({"serve": {"traffic": {"rate_tp": 900}}})",
+       "scenario.serve.traffic.rate_tp: unknown key"},
+      {R"({"sessions": {"enabled": true, "populaton": 10}})",
+       "scenario.sessions.populaton: unknown key"},
+      {R"({"slo": {"rules": [{"name": "r", "kind": "gauge_above",
+                              "metric": "m", "threshold": 3,
+                              "windows_ms": [10], "widow": 1}]}})",
+       "scenario.slo.rules[0].widow: unknown key"},
+      {R"({"faults": {"data": {"loss": {"good": 0.1, "bda": 0.2}}}})",
+       "scenario.faults.data.loss.bda: unknown key"},
+      {R"({"cluster": {"orgs": 2, "peer_per_org": 3}})",
+       "scenario.cluster.peer_per_org: unknown key"},
+      {R"({"serv": {}})", "scenario.serv: unknown key"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(serve::parse_scenario(c.json, &error).has_value()) << c.json;
+    EXPECT_EQ(error, c.diagnostic) << c.json;
+  }
+
+  // `_`-prefixed members are comments at any depth.
+  std::string error;
+  auto scenario = serve::parse_scenario(
+      R"({"_doc": "top", "serve": {"_doc": "x", "traffic": {"_why": 1}},
+          "slo": {"_doc": "y", "rules": [{"_doc": "z", "name": "r",
+                  "kind": "gauge_above", "metric": "m", "threshold": 3,
+                  "windows_ms": [10]}]}})",
+      &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  EXPECT_EQ(scenario->slo->rules.size(), 1u);
 }
 
 TEST(Scenario, ClusterSectionParses) {

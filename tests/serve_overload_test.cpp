@@ -249,28 +249,6 @@ TEST(ServePipeline, AdmittedTxsCommitWithReferenceFlagsUnderFaults) {
   EXPECT_FALSE(report.blocks.empty());
 }
 
-TEST(ServePipeline, ParallelSigningMatchesInlineByteForByte) {
-  // The block-cut ECDSA fan-out (ThreadPool::parallel_for) must be pure
-  // wall-clock parallelism: same scenario, same blocks, same bytes.
-  ServeOptions inline_options = small_scenario(37);
-  inline_options.duration = 100 * sim::kMillisecond;
-  inline_options.check_equivalence = true;
-  inline_options.endorse.sign_threads = 1;
-  ServeOptions parallel_options = inline_options;
-  parallel_options.endorse.sign_threads = 4;
-
-  const ServeReport a = run_serve(inline_options);
-  const ServeReport b = run_serve(parallel_options);
-  ASSERT_EQ(a.blocks.size(), b.blocks.size());
-  ASSERT_FALSE(a.blocks.empty());
-  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
-    EXPECT_EQ(a.blocks[i].header, b.blocks[i].header);
-    EXPECT_EQ(a.blocks[i].envelopes, b.blocks[i].envelopes);
-    EXPECT_EQ(a.blocks[i].metadata, b.blocks[i].metadata);
-  }
-  EXPECT_EQ(a.valid_txs, b.valid_txs);
-}
-
 TEST(ServePipeline, ReportTextIsDeterministicAndComplete) {
   ServeOptions options = small_scenario(41);
   options.duration = 60 * sim::kMillisecond;

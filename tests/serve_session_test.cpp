@@ -362,12 +362,12 @@ TEST(ServeSessions, DisabledSessionsMatchLegacyPipeline) {
 }
 
 TEST(ServeSessions, ConcurrentSigningWithSessionsStaysConsistent) {
-  // The TSan-job half of the suite: endorsement signing fans out across the
-  // worker pool while the session layer authenticates every arrival through
-  // the shared Msp validation cache. Any locking mistake in that pairing
-  // shows up here under -fsanitize=thread.
+  // The TSan-job half of the suite: the session layer authenticates every
+  // arrival through the shared Msp validation cache while the harness
+  // validator's pool (BM_VALIDATOR_THREADS=4 in that job) verifies each
+  // committed block. Any locking mistake in that pairing shows up here under
+  // -fsanitize=thread.
   ServeOptions options = session_options();
-  options.endorse.sign_threads = 4;
   options.check_equivalence = true;
   const ServeReport report = run_serve(options);
   EXPECT_TRUE(report.ok()) << report.mismatch;

@@ -154,8 +154,7 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
                    "bucket_capacity": 33, "classes": 3,
                    "pressure_refill_factor": 0.5 },
     "endorse": { "workers": 3, "service_base_us": 200,
-                 "per_endorsement_us": 90, "deadline_ms": 10,
-                 "sign_threads": 2 },
+                 "per_endorsement_us": 90, "deadline_ms": 10 },
     "ingress": { "max_batch": 40, "batch_timeout_ms": 2,
                  "high_watermark": 9, "low_watermark": 3 },
     "network": { "orgs": 4, "chaincode": "drm",
@@ -189,7 +188,6 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
   EXPECT_EQ(options->endorse.service_base, 200 * sim::kMicrosecond);
   EXPECT_EQ(options->endorse.per_endorsement, 90 * sim::kMicrosecond);
   EXPECT_EQ(options->endorse.deadline, 10 * sim::kMillisecond);
-  EXPECT_EQ(options->endorse.sign_threads, 2u);
 
   EXPECT_EQ(options->ingress.max_batch, 40u);
   EXPECT_EQ(options->ingress.batch_timeout, 2 * sim::kMillisecond);

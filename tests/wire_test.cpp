@@ -48,28 +48,19 @@ TEST(Varint, RejectsTruncatedAndOverlong) {
   EXPECT_FALSE(get_varint(overlong, pos).has_value());
 }
 
-TEST(Varint, ZigzagRoundTrip) {
-  EXPECT_EQ(zigzag_encode(0), 0u);
-  EXPECT_EQ(zigzag_encode(-1), 1u);
-  EXPECT_EQ(zigzag_encode(1), 2u);
-  EXPECT_EQ(zigzag_encode(-2), 3u);
-  Rng rng(2);
-  for (int i = 0; i < 200; ++i) {
-    const auto v = static_cast<std::int64_t>(rng.next_u64());
-    EXPECT_EQ(zigzag_decode(zigzag_encode(v)), v);
-  }
-}
-
 TEST(Proto, FieldRoundTrip) {
   ProtoWriter w;
   w.varint_field(1, 42);
   w.string_field(2, "hello");
   w.bool_field(3, true);
-  w.fixed32_field(4, 0xDEADBEEF);
-  w.fixed64_field(5, 0x0102030405060708ull);
-  w.sint_field(6, -77);
+  // Fabric writes no fixed-width field; the reader still decodes them.
+  Bytes bytes = w.take();
+  const Bytes fixed = {0x25, 0xEF, 0xBE, 0xAD, 0xDE,  // field 4, fixed32
+                       0x29, 0x08, 0x07, 0x06, 0x05,  // field 5, fixed64
+                       0x04, 0x03, 0x02, 0x01};
+  bytes.insert(bytes.end(), fixed.begin(), fixed.end());
 
-  ProtoReader reader(w.bytes());
+  ProtoReader reader(bytes);
   auto f = reader.next();
   ASSERT_TRUE(f);
   EXPECT_EQ(f->number, 1u);
@@ -88,9 +79,6 @@ TEST(Proto, FieldRoundTrip) {
   ASSERT_TRUE(f);
   EXPECT_EQ(f->type, WireType::kFixed64);
   EXPECT_EQ(f->varint, 0x0102030405060708ull);
-  f = reader.next();
-  ASSERT_TRUE(f);
-  EXPECT_EQ(zigzag_decode(f->varint), -77);
   EXPECT_FALSE(reader.next());
   EXPECT_TRUE(reader.ok());
   EXPECT_TRUE(reader.at_end());
@@ -149,7 +137,10 @@ TEST(Proto, UnknownFieldsAreSkippable) {
   w.string_field(2, "target");
   EXPECT_EQ(to_string(*find_bytes_field(w.bytes(), 2)), "target");
   EXPECT_FALSE(find_bytes_field(w.bytes(), 3).has_value());
-  EXPECT_EQ(*find_varint_field(w.bytes(), 99), 5u);
+  const auto unknown = ProtoReader(w.bytes()).next();
+  ASSERT_TRUE(unknown);
+  EXPECT_EQ(unknown->number, 99u);
+  EXPECT_EQ(unknown->varint, 5u);
 }
 
 TEST(Proto, MalformedInputSetsError) {

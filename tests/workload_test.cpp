@@ -142,6 +142,40 @@ TEST(NetworkHarness, DeterministicForSeed) {
   EXPECT_TRUE(equal(a.next_block().marshal(), b.next_block().marshal()));
 }
 
+TEST(NetworkHarness, BatchSignedBlocksMatchOneTxAtATime) {
+  // perfbench's commit mix. next_block signs each block's drafts as one
+  // batch; its blocks must be those of preparing, signing and submitting
+  // one transaction at a time (the rng draws keep their order and the
+  // nonces are RFC 6979's).
+  NetworkOptions options;
+  options.orgs = 2;
+  options.block_size = 50;
+  options.seed = 1;
+  options.bad_signature_rate = 0.1;
+  options.missing_endorsement_rate = 0.1;
+  options.conflicting_read_rate = 0.15;
+  FabricNetworkHarness batched(options), stepwise(options);
+  const auto one_at_a_time = [&stepwise] {
+    std::optional<fabric::Block> block;
+    while (!block)
+      block = stepwise.submit_envelope(
+          stepwise.sign_envelope(stepwise.prepare_tx()));
+    stepwise.commit_block(*block);
+    return *block;
+  };
+
+  for (int b = 0; b < 3; ++b)
+    EXPECT_TRUE(equal(batched.next_block().marshal(),
+                      one_at_a_time().marshal()))
+        << "block " << b;
+  fabric::Block tampered = one_at_a_time();
+  tampered.metadata.orderer_sig.back() ^= 0x01;
+  EXPECT_TRUE(
+      equal(batched.next_tampered_block().marshal(), tampered.marshal()));
+  EXPECT_TRUE(
+      equal(batched.next_block().marshal(), one_at_a_time().marshal()));
+}
+
 // --- Synthetic DES runner: reproduce the paper's headline hardware numbers ---
 
 SyntheticSpec base_spec() {

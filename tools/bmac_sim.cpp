@@ -1,13 +1,13 @@
 // bmac_sim: command-line driver for the Blockchain Machine simulator.
 //
 // Subcommands:
-//   throughput [--config FILE] [--blocks N] [--block-size N] [--vcpus N]
-//       Run the saturating workload on the configured hardware architecture
-//       and print BMac vs software-peer performance.
-//   resources [--config FILE]
-//       FPGA resource estimate (Table 1 style) for the configured
-//       architecture and its compiled policy circuits.
-//   validate [--config FILE] [--blocks N] [--block-size N] [--faults]
+//   throughput [--scenario FILE] [--blocks N] [--block-size N] [--vcpus N]
+//       Run the saturating workload on the deployment's hardware
+//       architecture and print BMac vs software-peer performance.
+//   resources [--scenario FILE]
+//       FPGA resource estimate (Table 1 style) for the deployment's
+//       architecture and its compiled policy circuit.
+//   validate [--scenario FILE] [--blocks N] [--block-size N] [--faults]
 //            [--ledger FILE] [--snapshot-interval N]
 //       Run real endorsed blocks through both validators end to end and
 //       report the §4.1 consistency check. --ledger FILE persists the
@@ -17,21 +17,22 @@
 //       Rebuild ledger + world state from a block log written by a
 //       --ledger run (newest intact snapshot + replay, falling back to a
 //       full replay) and print the recovered chain position.
-//   protocol [--config FILE] [--block-size N]
+//   protocol [--scenario FILE] [--block-size N]
 //       BMac protocol vs Gossip block sizes on real marshaled blocks.
 //   chaos --scenario FILE [--blocks N] [--block-size N] [--tamper]
 //       Drive the degraded-path stack (GBN + fault injection + software
 //       fallback) with a fault schedule and check the committed chain
 //       against the fault-free reference (docs/FAULTS.md). --scenario takes
 //       a composed scenario file (configs/faults_*.json ship one each) and
-//       reads its "faults" (and "slo") sections.
+//       reads its "faults" (and "slo" and "bmac") sections.
 //   serve [--scenario FILE]
 //       Run the open-loop client-serving front end (traffic -> admission ->
 //       endorse -> order -> commit, docs/SERVING.md) and print the SLO
 //       report. --scenario takes a composed scenario file such as
 //       configs/scenario_*.json or configs/serve_*.json (serve + sessions +
 //       durability + slo sections, docs/SERVING.md). Without it, a built-in
-//       steady Poisson scenario is used.
+//       steady Poisson scenario is used. Every run replays its committed
+//       chain through an independent validator ("flags match").
 //   cluster [--scenario FILE] [--blocks N] [--kill-leader] [--data-dir DIR]
 //       Run an N-org/M-peer deployment with a Raft ordering cluster,
 //       payload gossip and peer state transfer (docs/CLUSTER.md), checking
@@ -58,13 +59,18 @@
 // --flight-out FILE arms the per-transaction flight recorder, dumped at the
 // first SLO alert / watchdog fire / fallback activation.
 //
-// Without --config, a built-in two-org smallbank deployment is used.
+// Every command takes one --scenario file (composed JSON, serve/scenario.hpp)
+// and reads the section it needs: "bmac" (the deployment: orgs, chaincode,
+// policy, hardware; configs/bmac_*.json) for throughput, resources, validate
+// and protocol, "faults" for chaos, "cluster" for cluster. A file without
+// that section exits 2. Without --scenario, the built-in two-org smallbank
+// deployment on the default 8x2 architecture is used.
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 
-#include "bmac/config.hpp"
 #include "bmac/peer.hpp"
 #include "bmac/resource_model.hpp"
 #include "cluster/cluster.hpp"
@@ -86,22 +92,8 @@ namespace {
 
 using namespace bm;
 
-constexpr const char* kDefaultConfig = R"yaml(
-network:
-  orgs: [Org1, Org2]
-chaincodes:
-  - name: smallbank
-    policy: "2-outof-2 orgs"
-hardware:
-  tx_validators: 8
-  engines_per_vscc: 2
-  max_block_txs: 256
-  db_capacity: 8192
-)yaml";
-
 struct Options {
   std::string command;
-  std::string config_path;
   int blocks = 40;
   int block_size = 150;
   int vcpus = 8;
@@ -133,7 +125,6 @@ std::string refused_artifacts(const std::string& command,
 
 bool parse_args(int argc, char** argv, Options& options) {
   cli::ArgParser parser;
-  parser.add_string("--config", &options.config_path, "deployment YAML");
   parser.add_int("--blocks", &options.blocks, "blocks to run");
   parser.add_int("--block-size", &options.block_size, "transactions per block");
   parser.add_int("--vcpus", &options.vcpus, "software peer vCPUs");
@@ -141,7 +132,7 @@ bool parse_args(int argc, char** argv, Options& options) {
   parser.add_flag("--faults", &faults_flag, "inject invalid transactions");
   parser.add_flag("--tamper", &tamper_flag, "corrupt the last block's signature");
   parser.add_string("--scenario", &options.scenario_path,
-                    "composed scenario JSON (configs/scenario_*.json)");
+                    "composed scenario JSON (configs/*.json)");
   parser.add_string("--ledger", &options.ledger_path,
                     "on-disk block log (validate writes it, recover reads it)");
   parser.add_size("--snapshot-interval", &options.snapshot_interval,
@@ -174,46 +165,68 @@ bool parse_args(int argc, char** argv, Options& options) {
   return true;
 }
 
-bmac::BmacConfig load_config(const Options& options) {
-  if (!options.config_path.empty())
-    return bmac::load_config_file(options.config_path);
-  auto parsed = bmac::parse_config(kDefaultConfig);
-  return std::get<bmac::BmacConfig>(parsed);
+/// The section of a composed scenario `command` reads when `scenario`
+/// lacks it, else null: a --scenario file without it exits 2.
+const char* missing_section(const std::string& command,
+                            const serve::Scenario& scenario) {
+  if (command == "chaos") return scenario.faults ? nullptr : "faults";
+  if (command == "cluster") return scenario.cluster ? nullptr : "cluster";
+  if (command == "serve" || command == "recover") return nullptr;
+  return scenario.bmac ? nullptr : "bmac";
 }
 
-int cmd_throughput(const Options& options) {
-  const auto config = load_config(options);
-  const auto& [chaincode, policy_text] = *config.chaincode_policies.begin();
+/// The one --scenario loader. Without the flag every command runs on a
+/// default-constructed Scenario. Prints one line and returns nullopt (exit
+/// 2) when the file does not load or lacks the command's section.
+std::optional<serve::Scenario> load_scenario(const Options& options) {
+  if (options.scenario_path.empty()) return serve::Scenario{};
+  std::string error;
+  auto loaded = serve::load_scenario(options.scenario_path, &error);
+  if (!loaded) {
+    std::fprintf(stderr, "cannot load %s: %s\n", options.scenario_path.c_str(),
+                 error.c_str());
+    return std::nullopt;
+  }
+  if (const char* section = missing_section(options.command, *loaded)) {
+    std::fprintf(stderr, "%s: %s needs a \"%s\" section\n",
+                 options.scenario_path.c_str(), options.command.c_str(),
+                 section);
+    return std::nullopt;
+  }
+  return loaded;
+}
+
+int cmd_throughput(const Options& options, const serve::Scenario& scenario) {
+  const auto deployment = scenario.bmac.value_or(workload::Deployment{});
+  // The harness names the orgs and parses the policy as every run does.
+  const workload::FabricNetworkHarness harness(deployment.network);
 
   workload::SyntheticSpec spec;
   spec.blocks = options.blocks;
   spec.block_size = options.block_size;
-  spec.chaincode = chaincode;
-  spec.policy_text = policy_text;
-  spec.org_count = static_cast<int>(config.orgs.size());
-  {
-    // Attach one endorsement per policy principal, like the paper's clients.
-    const auto policy =
-        fabric::parse_policy_or_throw(policy_text, config.orgs);
-    spec.ends_attached = static_cast<int>(policy.principals().size());
-  }
-  spec.hw = config.hw;
+  spec.chaincode = harness.chaincode_name();
+  spec.policy_text = deployment.network.policy_text;
+  spec.org_count = deployment.network.orgs;
+  // Attach one endorsement per policy principal, like the paper's clients.
+  spec.ends_attached = static_cast<int>(
+      harness.policies().at(spec.chaincode).principals().size());
+  spec.hw = deployment.hw;
 
   obs::Registry registry;
   obs::Tracer tracer;
   if (options.flags.wants_obs()) {
-    tracer.begin_process("bmac " + config.hw.name());
+    tracer.begin_process("bmac " + spec.hw.name());
     spec.registry = &registry;
     spec.tracer = &tracer;
   }
   const auto hw = workload::run_hw_workload(spec);
   const auto sw = workload::run_sw_model(spec, options.vcpus);
   std::printf("chaincode '%s', policy \"%s\", block size %d, %d blocks\n",
-              chaincode.c_str(), policy_text.c_str(), options.block_size,
-              options.blocks);
+              spec.chaincode.c_str(), spec.policy_text.c_str(),
+              options.block_size, options.blocks);
   std::printf("BMac peer (%s):   %9.0f tps | block latency %6.2f ms | tx "
               "latency %4.0f us\n",
-              config.hw.name().c_str(), hw.tps, hw.block_latency_ms,
+              spec.hw.name().c_str(), hw.tps, hw.block_latency_ms,
               hw.tx_latency_us);
   std::printf("sw validator (%2d vCPUs): %6.0f tps | block latency %6.1f ms\n",
               options.vcpus, sw.validator_tps, sw.block_latency_ms);
@@ -231,31 +244,30 @@ int cmd_throughput(const Options& options) {
   return 0;
 }
 
-int cmd_resources(const Options& options) {
-  const auto config = load_config(options);
-  fabric::Msp msp;
-  config.populate_msp(msp);
-  const auto circuits = bmac::compile_policies(config.parse_policies(), msp);
+int cmd_resources(const Options&, const serve::Scenario& scenario) {
+  const auto deployment = scenario.bmac.value_or(workload::Deployment{});
+  const workload::FabricNetworkHarness harness(deployment.network);
+  const auto circuits =
+      bmac::compile_policies(harness.policies(), harness.msp());
 
   const bmac::ResourceModel model;
-  const auto usage = model.estimate(config.hw, circuits);
-  std::printf("architecture %s on Alveo U250:\n", config.hw.name().c_str());
+  const auto usage = model.estimate(deployment.hw, circuits);
+  std::printf("architecture %s on Alveo U250:\n",
+              deployment.hw.name().c_str());
   std::printf("  LUT  %6.1f%%   FF  %6.1f%%   BRAM %6.1f%%   URAM %6.1f%%\n",
               usage.lut_pct(), usage.ff_pct(), usage.bram_pct(),
               usage.uram_pct());
   std::printf("module breakdown:\n");
-  for (const auto& module : model.breakdown(config.hw, circuits))
+  for (const auto& module : model.breakdown(deployment.hw, circuits))
     std::printf("  %-66s LUT %8llu  FF %8llu\n", module.name.c_str(),
                 static_cast<unsigned long long>(module.lut),
                 static_cast<unsigned long long>(module.ff));
   return 0;
 }
 
-int cmd_validate(const Options& options) {
-  const auto config = load_config(options);
-  workload::NetworkOptions net_options;
-  net_options.orgs = static_cast<int>(config.orgs.size());
-  net_options.policy_text = config.chaincode_policies.begin()->second;
+int cmd_validate(const Options& options, const serve::Scenario& scenario) {
+  const auto deployment = scenario.bmac.value_or(workload::Deployment{});
+  workload::NetworkOptions net_options = deployment.network;
   net_options.block_size = static_cast<std::size_t>(options.block_size);
   if (options.faults) {
     net_options.bad_signature_rate = 0.1;
@@ -275,11 +287,11 @@ int cmd_validate(const Options& options) {
   fabric::SoftwareValidator sw(harness.msp(), harness.policies());
 
   sim::Simulation sim;
-  bmac::BmacPeer peer(sim, harness.msp(), config.hw, harness.policies());
+  bmac::BmacPeer peer(sim, harness.msp(), deployment.hw, harness.policies());
   obs::Registry registry;
   obs::Tracer tracer;
   if (options.flags.wants_obs()) {
-    tracer.begin_process("bmac_peer " + config.hw.name());
+    tracer.begin_process("bmac_peer " + deployment.hw.name());
     peer.attach_observability(&registry, &tracer);
   }
   peer.start();
@@ -333,11 +345,9 @@ int cmd_validate(const Options& options) {
   return match ? 0 : 1;
 }
 
-int cmd_protocol(const Options& options) {
-  const auto config = load_config(options);
-  workload::NetworkOptions net_options;
-  net_options.orgs = static_cast<int>(config.orgs.size());
-  net_options.policy_text = config.chaincode_policies.begin()->second;
+int cmd_protocol(const Options& options, const serve::Scenario& scenario) {
+  workload::NetworkOptions net_options =
+      scenario.bmac.value_or(workload::Deployment{}).network;
   net_options.block_size = static_cast<std::size_t>(options.block_size);
   workload::FabricNetworkHarness harness(net_options);
   bmac::ProtocolSender sender(harness.msp());
@@ -355,7 +365,7 @@ int cmd_protocol(const Options& options) {
   return 0;
 }
 
-int cmd_recover(const Options& options) {
+int cmd_recover(const Options& options, const serve::Scenario&) {
   if (options.ledger_path.empty()) {
     std::fprintf(stderr, "recover needs --ledger FILE (a block log written "
                          "by `validate --ledger`)\n");
@@ -402,37 +412,25 @@ int cmd_recover(const Options& options) {
   return result.ok ? 0 : 1;
 }
 
-int cmd_chaos(const Options& options) {
-  net::FaultScenario fault_scenario;
-  std::optional<obs::SloConfig> inline_slo;
-  if (!options.scenario_path.empty()) {
-    std::string error;
-    const auto loaded = serve::load_scenario(options.scenario_path, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot load %s: %s\n",
-                   options.scenario_path.c_str(), error.c_str());
-      return 2;
-    }
-    if (!loaded->faults) {
-      std::fprintf(stderr, "%s: chaos needs a \"faults\" section\n",
-                   options.scenario_path.c_str());
-      return 2;
-    }
-    fault_scenario = *loaded->faults;
-    if (fault_scenario.name.empty()) fault_scenario.name = loaded->name;
-    inline_slo = loaded->slo;
-  } else {
+int cmd_chaos(const Options& options, const serve::Scenario& scenario) {
+  if (!scenario.faults) {
     std::fprintf(stderr,
-                 "chaos needs --scenario FILE (see configs/scenario_*.json)\n");
+                 "chaos needs --scenario FILE (see configs/faults_*.json)\n");
     return 2;
   }
+  net::FaultScenario fault_scenario = *scenario.faults;
+  if (fault_scenario.name.empty()) fault_scenario.name = scenario.name;
+  std::optional<obs::SloConfig> inline_slo = scenario.slo;
 
   workload::ChaosOptions chaos;
   chaos.scenario = fault_scenario;
   chaos.blocks = options.blocks;
+  if (scenario.bmac) {
+    chaos.network = scenario.bmac->network;
+    chaos.hw = scenario.bmac->hw;
+  }
   chaos.network.block_size = static_cast<std::size_t>(options.block_size);
   chaos.tamper_last_block = options.tamper;
-  if (!options.config_path.empty()) chaos.hw = load_config(options).hw;
 
   obs::Registry registry;
   obs::Tracer tracer;
@@ -465,23 +463,9 @@ int cmd_chaos(const Options& options) {
   return report.ok() ? 0 : 1;
 }
 
-int cmd_cluster(const Options& options) {
-  cluster::ClusterConfig config;
-  if (!options.scenario_path.empty()) {
-    std::string error;
-    const auto loaded = serve::load_scenario(options.scenario_path, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot load %s: %s\n",
-                   options.scenario_path.c_str(), error.c_str());
-      return 2;
-    }
-    if (!loaded->cluster) {
-      std::fprintf(stderr, "%s: cluster needs a \"cluster\" section\n",
-                   options.scenario_path.c_str());
-      return 2;
-    }
-    config = *loaded->cluster;
-  }
+int cmd_cluster(const Options& options, const serve::Scenario& scenario) {
+  cluster::ClusterConfig config =
+      scenario.cluster.value_or(cluster::ClusterConfig{});
   if (!options.data_dir.empty()) config.data_dir = options.data_dir;
 
   sim::Simulation sim;
@@ -543,26 +527,15 @@ int cmd_cluster(const Options& options) {
   return converged && reached ? 0 : 1;
 }
 
-}  // namespace
-
-int cmd_serve(const Options& options) {
-  serve::ServeOptions serve_options;  // defaults: steady 1000 tps Poisson
-  std::optional<obs::SloConfig> inline_slo;
-  if (!options.scenario_path.empty()) {
-    std::string error;
-    const auto loaded = serve::load_scenario(options.scenario_path, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot load %s: %s\n",
-                   options.scenario_path.c_str(), error.c_str());
-      return 2;
-    }
-    serve_options = loaded->serve;
-    inline_slo = loaded->slo;
-    if (loaded->faults && loaded->faults->data.any())
-      std::fprintf(stderr,
-                   "note: the \"faults\" section is not applied by `serve` "
-                   "(clean-network harness); use `chaos --scenario`\n");
-  }
+int cmd_serve(const Options& options, const serve::Scenario& scenario) {
+  // Without --scenario: the default steady 1000 tps Poisson run.
+  serve::ServeOptions serve_options = scenario.serve;
+  serve_options.check_equivalence = true;
+  std::optional<obs::SloConfig> inline_slo = scenario.slo;
+  if (scenario.faults && scenario.faults->data.any())
+    std::fprintf(stderr,
+                 "note: the \"faults\" section is not applied by `serve` "
+                 "(clean-network harness); use `chaos --scenario`\n");
 
   obs::Registry registry;
   obs::Tracer tracer;
@@ -602,6 +575,8 @@ int cmd_serve(const Options& options) {
   return report.ok() ? 0 : 1;
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
   Options options;
   if (!parse_args(argc, argv, options)) {
@@ -616,19 +591,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", refused.c_str());
     return 2;
   }
+  using Command = int (*)(const Options&, const serve::Scenario&);
+  const std::map<std::string, Command> commands = {
+      {"throughput", cmd_throughput}, {"resources", cmd_resources},
+      {"validate", cmd_validate},     {"protocol", cmd_protocol},
+      {"chaos", cmd_chaos},           {"serve", cmd_serve},
+      {"cluster", cmd_cluster},       {"recover", cmd_recover}};
+  const auto command = commands.find(options.command);
+  if (command == commands.end()) {
+    std::fprintf(stderr, "unknown command: %s\n", options.command.c_str());
+    return 2;
+  }
   try {
-    if (options.command == "throughput") return cmd_throughput(options);
-    if (options.command == "resources") return cmd_resources(options);
-    if (options.command == "validate") return cmd_validate(options);
-    if (options.command == "protocol") return cmd_protocol(options);
-    if (options.command == "chaos") return cmd_chaos(options);
-    if (options.command == "serve") return cmd_serve(options);
-    if (options.command == "cluster") return cmd_cluster(options);
-    if (options.command == "recover") return cmd_recover(options);
+    const std::optional<serve::Scenario> scenario = load_scenario(options);
+    if (!scenario) return 2;
+    return command->second(options, *scenario);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command: %s\n", options.command.c_str());
-  return 2;
 }

@@ -13,7 +13,8 @@
 // by design), a triggered flight dump — and a byte-identical set of files
 // when rerun (docs/OBSERVABILITY.md). Adding --slo-config to that run
 // names the rules twice and must exit 2, and so must a flag asking a
-// subcommand for an artifact it never writes.
+// subcommand for an artifact it never writes, or a --scenario file without
+// the section the subcommand reads.
 //
 // Usage: obs_selfcheck <path-to-bmac_sim> [work-dir]
 #include <sys/wait.h>
@@ -354,6 +355,15 @@ int main(int argc, char** argv) {
         "resources --metrics-out exits 2");
   check(exit_code(cluster + " --metrics-out" + out) == 0,
         "cluster --metrics-out exits 0");
+
+  // --- phase 4: one --scenario loader, one section per command ------------
+  const std::string configs = " --scenario \"" + repo + "/configs/";
+  check(exit_code("resources" + configs + "serve_steady.json\"") == 2,
+        "resources on a scenario without a \"bmac\" section exits 2");
+  check(exit_code("resources" + configs + "bmac_drm_4org_complex.json\"") ==
+            0,
+        "resources on a \"bmac\" deployment exits 0");
+  check(exit_code("validate --config x") == 2, "--config exits 2");
 #else
   std::printf("(phase 2 skipped: BM_REPO_ROOT not defined)\n");
 #endif
