@@ -1,7 +1,7 @@
 // Unit tests for the shared scenario-config facility (common/config.hpp):
-// absent-key no-ops, ranged numerics, required readers, enums, arrays, and
-// the uniform "<file>: <path>: <message>" diagnostic contract every JSON
-// loader in the repo now relies on.
+// absent-key no-ops, ranged numerics, required readers, enums, arrays, the
+// unknown-key rule, and the uniform "<file>: <path>: <message>" diagnostic
+// contract every JSON loader in the repo now relies on.
 #include "common/config.hpp"
 
 #include <gtest/gtest.h>
