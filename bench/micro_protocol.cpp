@@ -1,8 +1,10 @@
 // Microbenchmarks for the BMac protocol hot paths: sender-side block
 // sectioning (DataRemover + AnnotationGenerator) and the receiver-side
-// reconstruction + extraction, plus policy-circuit compilation/evaluation.
+// reconstruction + extraction, one block through a whole BMac peer, plus
+// policy-circuit compilation/evaluation.
 #include <benchmark/benchmark.h>
 
+#include "bmac/peer.hpp"
 #include "bmac/policy_circuit.hpp"
 #include "bmac/protocol.hpp"
 #include "workload/network_harness.hpp"
@@ -12,13 +14,19 @@ namespace {
 using namespace bm;
 
 struct ProtocolFixture {
-  ProtocolFixture() : harness(make_options()), sender(harness.msp()) {
+  explicit ProtocolFixture(bool faults = false)
+      : harness(make_options(faults)), sender(harness.msp()) {
     block = harness.next_block();
     warm = sender.send(block);  // identities cached after this
   }
-  static workload::NetworkOptions make_options() {
+  static workload::NetworkOptions make_options(bool faults) {
     workload::NetworkOptions options;
     options.block_size = 50;
+    if (faults) {  // the `bmac_sim validate --faults` mix
+      options.bad_signature_rate = 0.1;
+      options.missing_endorsement_rate = 0.1;
+      options.conflicting_read_rate = 0.15;
+    }
     return options;
   }
   workload::FabricNetworkHarness harness;
@@ -52,6 +60,26 @@ void BM_ProtocolReceive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50);
 }
 BENCHMARK(BM_ProtocolReceive);
+
+void BM_BmacPeerBlock(benchmark::State& state) {
+  // One faulty 50-tx block through a fresh peer, as perfbench's `commit`
+  // pass runs each block: send, packet and host delivery, the DES drain.
+  static ProtocolFixture fixture(/*faults=*/true);
+  for (auto _ : state) {
+    sim::Simulation sim;
+    bmac::BmacPeer peer(sim, fixture.harness.msp(), bmac::HwConfig{},
+                        fixture.harness.policies());
+    peer.start();
+    bmac::ProtocolSender sender(fixture.harness.msp());
+    for (bmac::BmacPacket& packet : sender.send(fixture.block).packets)
+      peer.deliver_packet(std::move(packet));
+    peer.deliver_block(fixture.block);
+    sim.run();
+    benchmark::DoNotOptimize(peer.results().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 50);  // transactions
+}
+BENCHMARK(BM_BmacPeerBlock);
 
 void BM_PacketEncodeDecode(benchmark::State& state) {
   static ProtocolFixture fixture;

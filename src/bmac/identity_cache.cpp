@@ -1,21 +1,19 @@
 #include "bmac/identity_cache.hpp"
 
-#include "crypto/sha256.hpp"
-
 namespace bm::bmac {
 
 std::optional<SenderIdentityCache::Lookup>
 SenderIdentityCache::lookup_or_insert(ByteView cert_bytes) {
-  const crypto::Digest digest = crypto::sha256(cert_bytes);
-  const std::string key(digest.begin(), digest.end());
-  if (const auto it = by_digest_.find(key); it != by_digest_.end())
+  const std::string_view key(reinterpret_cast<const char*>(cert_bytes.data()),
+                             cert_bytes.size());
+  if (const auto it = by_cert_.find(key); it != by_cert_.end())
     return Lookup{it->second, false};
 
   const auto cert = fabric::Certificate::unmarshal(cert_bytes);
   if (!cert) return std::nullopt;
   const auto id = msp_.encode(*cert);
   if (!id) return std::nullopt;
-  by_digest_[key] = *id;
+  by_cert_.emplace(key, *id);
   return Lookup{*id, true};
 }
 

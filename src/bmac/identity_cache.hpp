@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <string_view>
 
 #include "fabric/identity.hpp"
 
@@ -29,12 +30,12 @@ class SenderIdentityCache {
   /// matching the software peer's rejection).
   std::optional<Lookup> lookup_or_insert(ByteView cert_bytes);
 
-  std::size_t size() const { return by_digest_.size(); }
+  std::size_t size() const { return by_cert_.size(); }
 
  private:
   const fabric::Msp& msp_;
-  /// Keyed by SHA-256 of the marshaled certificate.
-  std::map<std::string, fabric::EncodedId> by_digest_;
+  /// Keyed by the marshaled certificate, found by a view of its bytes.
+  std::map<std::string, fabric::EncodedId, std::less<>> by_cert_;
 };
 
 class HwIdentityCache {

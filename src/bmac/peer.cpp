@@ -543,6 +543,7 @@ void BmacPeer::resolve_block(std::uint64_t block_num) {
   if (it != streams_.end()) {
     if (it->second.state != StreamAssembly::State::kReleased) {
       ++degrade_metrics_.streams_aborted;
+      receiver_.discard(block_num);
       if (flight_ != nullptr)
         flight_->record(obs::FlightStage::kAborted, block_num,
                         "partial_stream");

@@ -80,6 +80,41 @@ enum : std::uint32_t { kMetaCert = 1, kMetaSig = 2 };
 
 }  // namespace
 
+std::size_t VerifyBatch::add(Kind kind, std::uint32_t tx, bool parse_ok,
+                             const crypto::VerifyItem& item) {
+  entries_.push_back({item, kind, tx, parse_ok, std::nullopt});
+  return entries_.size() - 1;
+}
+
+bool VerifyBatch::verdict(std::size_t slot) {
+  Entry& entry = entries_[slot];
+  if (!resolved_[static_cast<int>(entry.kind)]) resolve(entry.kind);
+  if (!entry.ok)  // registered after its batch ran, or left out of it
+    entry.ok = crypto::verify(entry.item.key, entry.item.digest,
+                              entry.item.sig);
+  return *entry.ok;
+}
+
+void VerifyBatch::resolve(Kind kind) {
+  const bool endorsements = kind == Kind::kEndorsement;
+  if (endorsements && !resolved_[0]) resolve(Kind::kCreator);
+  resolved_[static_cast<int>(kind)] = true;
+  // A transaction's entries are contiguous: its creator, then endorsements.
+  std::optional<std::uint32_t> passed_tx;
+  std::vector<crypto::VerifyItem> items;
+  std::vector<Entry*> covered;
+  for (Entry& e : entries_) {
+    if (e.kind == Kind::kCreator && e.ok.value_or(false)) passed_tx = e.tx;
+    if (e.kind != kind || e.ok ||
+        (endorsements && !(e.parse_ok && passed_tx == e.tx)))
+      continue;
+    items.push_back(e.item);
+    covered.push_back(&e);
+  }
+  const std::vector<bool> ok = crypto::verify(items);
+  for (std::size_t i = 0; i < covered.size(); ++i) covered[i]->ok = ok[i];
+}
+
 SendResult ProtocolSender::send(const fabric::Block& block) {
   SendResult result;
   result.gossip_size = block.marshaled_size();
@@ -402,6 +437,16 @@ ProtocolReceiver::Emitted ProtocolReceiver::on_packet(
       tx.parse_ok = payload.has_value() && chaincode.has_value() &&
                     rwset_bytes.has_value() &&
                     find_pointer(FieldId::kCreatorSig).has_value();
+      auto join = [&](VerifyRequest& request, VerifyBatch::Kind kind) {
+        if (!request.well_formed) return;
+        request.slot = pending.batch->add(
+            kind, tx.tx_seq, tx.parse_ok,
+            {request.key, request.digest, request.signature});
+        request.batch = pending.batch;
+      };
+      join(tx.verify, VerifyBatch::Kind::kCreator);
+      for (EndsEntry& end : emitted.ends)
+        join(end.verify, VerifyBatch::Kind::kEndorsement);
       emitted.txs.push_back(std::move(tx));
       break;
     }

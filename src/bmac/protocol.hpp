@@ -71,6 +71,10 @@ class ProtocolReceiver {
 
   Emitted on_packet(const BmacPacket& packet);
 
+  /// Forget a block whose stream was abandoned; its VerifyBatch goes with
+  /// the last record that holds it, unverified.
+  void discard(std::uint64_t block_num) { pending_.erase(block_num); }
+
   /// DataInserter: reconstruct the original section bytes from a modified
   /// payload and its locator annotations. Exposed for the round-trip
   /// property tests.
@@ -81,9 +85,8 @@ class ProtocolReceiver {
   struct PendingBlock {
     std::uint32_t tx_count = 0;
     bool have_header = false;
-    bool have_metadata = false;
     Bytes header_bytes;
-    VerifyRequest block_verify;
+    std::shared_ptr<VerifyBatch> batch = std::make_shared<VerifyBatch>();
   };
 
   HwIdentityCache& cache_;

@@ -3,12 +3,15 @@
 //
 // The protocol_processor writes these records as packets arrive; the
 // block_processor consumes them. Verification requests carry the exact
-// {signature, key, data hash} tuple the paper's ecdsa_engine takes. For
-// synthetic benchmark workloads the expensive verification can be
-// precomputed (`precomputed`), which changes only wall-clock cost of the
-// host running the simulation, never simulated behaviour.
+// {signature, key, data hash} tuple the paper's ecdsa_engine takes. The
+// functional model gets each engine verdict from the block's VerifyBatch,
+// which verifies the block's creators, then its endorsements, in one
+// crypto::verify span each; for synthetic benchmark workloads the verdict
+// can be precomputed (`precomputed`). Either way only the wall-clock cost
+// of the host running the simulation changes, never simulated behaviour.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -19,6 +22,37 @@
 #include "sim/simulation.hpp"
 
 namespace bm::bmac {
+
+/// One block's creator and endorsement signatures, registered by the
+/// ProtocolReceiver and verified in SoftwareValidator's two spans on first
+/// use: every registered creator, then every endorsement of a parsed
+/// transaction whose creator passed (short-circuited ones included). A
+/// slot neither span covered (registered after its span ran, or skipped by
+/// the engines) is verified alone when asked. Nothing is verified before an
+/// engine asks, so a discarded stream costs none. Single-threaded, like the
+/// DES.
+class VerifyBatch {
+ public:
+  enum class Kind : std::uint8_t { kCreator, kEndorsement };
+
+  /// Register one well-formed request; returns its slot.
+  std::size_t add(Kind kind, std::uint32_t tx, bool parse_ok,
+                  const crypto::VerifyItem& item);
+  bool verdict(std::size_t slot);
+
+ private:
+  struct Entry {
+    crypto::VerifyItem item;
+    Kind kind;
+    std::uint32_t tx;
+    bool parse_ok;
+    std::optional<bool> ok;
+  };
+  void resolve(Kind kind);
+
+  std::vector<Entry> entries_;
+  bool resolved_[2] = {false, false};  ///< by Kind
+};
 
 struct VerifyRequest {
   // NOTE: FIFO payload types declare a defaulted constructor so they are
@@ -34,10 +68,15 @@ struct VerifyRequest {
   std::optional<bool> precomputed;
   /// Malformed DER / missing key: the engine rejects without doing math.
   bool well_formed = true;
+  /// The block's batch and this request's slot in it; without one (the
+  /// block signature) the request is verified alone.
+  std::shared_ptr<VerifyBatch> batch;
+  std::size_t slot = 0;
 
   bool execute() const {
     if (!well_formed) return false;
     if (precomputed) return *precomputed;
+    if (batch) return batch->verdict(slot);
     return crypto::verify(key, digest, signature);
   }
 

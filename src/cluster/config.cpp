@@ -1,18 +1,22 @@
 #include "cluster/config.hpp"
 
+#include "workload/deployment.hpp"
+
 namespace bm::cluster::detail {
 
 ClusterConfig parse_cluster_section(const bm::config::Section& root) {
   ClusterConfig config;
   root.read_string("name", &config.name);
 
-  root.read_int("orgs", &config.orgs, config::at_least(1));
+  root.read_int("orgs", &config.orgs, workload::detail::org_count());
   root.read_int("peers_per_org", &config.peers_per_org, config::at_least(1));
   root.read_int("orderers", &config.orderers, config::at_least(1));
 
   root.read_size("block_size", &config.block_size, config::positive());
   root.read_u64("seed", &config.seed);
   root.read_string("policy", &config.policy_text);
+  if (!config.policy_text.empty())  // empty derives "<orgs>-outof-<orgs>"
+    workload::detail::check_policy(root, config.policy_text, config.orgs);
   root.read_time_ms("submit_interval_ms", &config.submit_interval,
                     config::positive());
   root.read_time_us("delivery_delay_us", &config.delivery_delay,

@@ -59,8 +59,8 @@ struct ClusterConfig {
 
 namespace detail {
 /// Parse a "cluster" scenario section onto the defaults above. Shares the
-/// config facility's diagnostics ("scenario.cluster.orgs: expected number
-/// >= 1"); errors land in the section's sink, checked by the caller.
+/// config facility's diagnostics ("scenario.cluster.orgs: expected an
+/// integer in [1, 255]"); errors land in the section's sink for the caller.
 ClusterConfig parse_cluster_section(const bm::config::Section& root);
 }  // namespace detail
 

@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -155,30 +156,54 @@ bool Section::read_number(std::string_view key, double* out,
   return true;
 }
 
+namespace {
+
+/// The integer readers' one body; nothing outside T's range reaches the cast.
+template <typename T>
+bool read_integer(const Section& s, std::string_view key, T* out,
+                  const Range& range) {
+  using Limits = std::numeric_limits<T>;
+  const Section member = s.member(key);
+  if (!member.present()) return true;  // optional: keep default
+  // Anything but a number fails below, as a fraction would.
+  const double v = member.is_number() ? member.raw()->number : 0.5;
+  const double min = static_cast<double>(Limits::min());
+  const double past_max = std::ldexp(1.0, Limits::digits);  // max + 1
+  if (range.contains(v) && v == std::floor(v) && v >= min && v < past_max) {
+    *out = static_cast<T>(v);
+    return true;
+  }
+  // An end of the accepted interval, clipped to T.
+  const auto end = [&](double e) {
+    return e < past_max ? std::to_string(static_cast<T>(std::max(e, min)))
+                        : std::to_string(Limits::max());
+  };
+  return s.fail_key(
+      key,
+      "expected an integer in [" +
+          end(range.min_open ? std::floor(range.min) + 1
+                             : std::ceil(range.min)) +
+          ", " +
+          end(range.max_open ? std::ceil(range.max) - 1
+                             : std::floor(range.max)) +
+          "]");
+}
+
+}  // namespace
+
 bool Section::read_size(std::string_view key, std::size_t* out,
                         const Range& range) const {
-  double value = static_cast<double>(*out);
-  if (!read_number(key, &value, range)) return false;
-  if (value < 0) value = 0;
-  *out = static_cast<std::size_t>(value);
-  return true;
+  return read_integer(*this, key, out, range);
 }
 
 bool Section::read_int(std::string_view key, int* out,
                        const Range& range) const {
-  double value = static_cast<double>(*out);
-  if (!read_number(key, &value, range)) return false;
-  *out = static_cast<int>(value);
-  return true;
+  return read_integer(*this, key, out, range);
 }
 
 bool Section::read_u64(std::string_view key, std::uint64_t* out,
                        const Range& range) const {
-  double value = static_cast<double>(*out);
-  if (!read_number(key, &value, range)) return false;
-  if (value < 0) value = 0;
-  *out = static_cast<std::uint64_t>(value);
-  return true;
+  return read_integer(*this, key, out, range);
 }
 
 bool Section::read_bool(std::string_view key, bool* out) const {

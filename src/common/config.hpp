@@ -111,6 +111,8 @@ class Section {
 
   bool read_number(std::string_view key, double* out,
                    const Range& range = Range{}) const;
+  /// Integer readers: the number must be integral and inside both `range`
+  /// and the target type, else "expected an integer in [lo, hi]".
   bool read_size(std::string_view key, std::size_t* out,
                  const Range& range = Range{}) const;
   bool read_int(std::string_view key, int* out,

@@ -1,6 +1,7 @@
 #include "serve/config.hpp"
 
 #include "common/config.hpp"
+#include "workload/deployment.hpp"
 
 namespace bm::serve {
 
@@ -84,8 +85,9 @@ void parse_network(const config::Section& node,
       "chaincode", &config->chaincode,
       {{"smallbank", workload::ChaincodeKind::kSmallbank},
        {"drm", workload::ChaincodeKind::kDrm}});
+  node.read_int("orgs", &config->orgs, workload::detail::org_count());
   node.read_string("policy", &config->policy_text);
-  node.read_int("orgs", &config->orgs, config::at_least(1));
+  workload::detail::check_policy(node, config->policy_text, config->orgs);
   node.read_number("bad_signature_rate", &config->bad_signature_rate,
                    config::unit_interval());
   node.read_number("missing_endorsement_rate",

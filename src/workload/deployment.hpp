@@ -22,6 +22,7 @@
 
 namespace bm::config {
 class Section;
+struct Range;
 }
 
 namespace bm::workload {
@@ -38,6 +39,15 @@ namespace detail {
 /// config facility's diagnostics ("scenario.bmac.orgs: expected an integer
 /// in [1, 255]"); errors land in the section's sink, checked by the caller.
 Deployment parse_bmac_section(const config::Section& root);
+
+/// The range of every section's "orgs": [1, 255], since an encoded id
+/// carries the org index in 8 bits.
+config::Range org_count();
+
+/// Fail `s`'s "policy" key unless `text` parses against Org1..Org<orgs> and
+/// names no other org ("scenario.cluster.policy: names Org3, outside
+/// Org1..Org2"). The "bmac", "serve.network" and "cluster" sections share it.
+void check_policy(const config::Section& s, const std::string& text, int orgs);
 }  // namespace detail
 
 }  // namespace bm::workload

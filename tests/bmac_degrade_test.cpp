@@ -11,6 +11,7 @@
 #include "bmac/peer.hpp"
 #include "bmac/reliable.hpp"
 #include "common/hex.hpp"
+#include "crypto/comb_cache.hpp"
 #include "serve/scenario.hpp"
 #include "workload/chaos.hpp"
 
@@ -189,40 +190,61 @@ struct DegradeRun {
 };
 
 TEST(Degrade, StalledStreamFallsBackAndHashesMatchReference) {
-  DegradeConfig degrade;
-  degrade.result_budget = 50 * sim::kMillisecond;
-  DegradeRun run(degrade);
-
-  // Blocks 0 and 2 arrive intact; every packet of block 1 is lost. The
-  // watchdog must recover block 1 in software and block 2 — held by the
+  // Blocks 0 and 2 arrive intact. Block 1 loses every packet, or only its
+  // metadata section, so its other records are staged and then discarded.
+  // The watchdog must recover block 1 in software and block 2 — held by the
   // ordered release gate — must then flow through the hardware normally.
-  for (int i = 0; i < 3; ++i) {
-    fabric::Block block = run.harness->next_block();
-    if (i != 1)
-      for (auto& packet : run.sender->send(block).packets)
-        run.peer->deliver_packet(std::move(packet));
-    run.peer->deliver_block(std::move(block));
-  }
-  run.sim.run();
+  for (const bool staged : {false, true}) {
+    SCOPED_TRACE(staged ? "metadata lost" : "every packet lost");
+    DegradeConfig degrade;
+    degrade.result_budget = 50 * sim::kMillisecond;
+    DegradeRun run(degrade);
 
-  const auto& results = run.peer->results();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].fallback);
-  EXPECT_TRUE(results[1].fallback);
-  EXPECT_FALSE(results[2].fallback);
-  EXPECT_EQ(run.peer->degrade_metrics().fallback_blocks, 1u);
-  EXPECT_GE(run.peer->degrade_metrics().watchdog_fires, 1u);
+    // The harness reference-validates each block it makes, so all three
+    // exist before the lookups are counted.
+    std::vector<fabric::Block> blocks;
+    for (int i = 0; i < 3; ++i) blocks.push_back(run.harness->next_block());
+    const auto& cache = crypto::CombCache::shared();
+    const auto before = cache.counters();
+    for (int i = 0; i < 3; ++i) {
+      std::vector<BmacPacket> packets = run.sender->send(blocks[i]).packets;
+      if (i == 1) packets.resize(staged ? packets.size() - 1 : 0);
+      for (auto& packet : packets) run.peer->deliver_packet(std::move(packet));
+      run.peer->deliver_block(blocks[i]);
+    }
+    run.sim.run();
 
-  // Commit order, flags and the hash chain are byte-identical to the
-  // fault-free software reference.
-  const fabric::Ledger& reference = run.harness->reference_ledger();
-  ASSERT_EQ(run.peer->ledger().height(), 3u);
-  ASSERT_EQ(reference.height(), 3u);
-  for (std::uint64_t h = 0; h < 3; ++h) {
-    EXPECT_EQ(run.peer->ledger().at(h).commit_hash,
-              reference.at(h).commit_hash)
-        << h;
-    EXPECT_EQ(results[h].flags, run.harness->reference_result(h).flags) << h;
+    const auto& results = run.peer->results();
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_FALSE(results[0].fallback);
+    EXPECT_TRUE(results[1].fallback);
+    EXPECT_FALSE(results[2].fallback);
+    EXPECT_EQ(run.peer->degrade_metrics().fallback_blocks, 1u);
+    EXPECT_GE(run.peer->degrade_metrics().watchdog_fires, 1u);
+    EXPECT_EQ(run.peer->degrade_metrics().streams_aborted, staged ? 1u : 0u);
+
+    // Real verifications: what the engines executed for blocks 0 and 2,
+    // and the fallback's block signature, creators and two endorsements
+    // per transaction of this clean 2-of-2 chain; none for the discarded
+    // records.
+    const auto after = cache.counters();
+    EXPECT_EQ(after.first_sights + after.builds + after.hits -
+                  (before.first_sights + before.builds + before.hits),
+              run.peer->processor().monitor().ecdsa_executed + 1 +
+                  3 * blocks[1].tx_count());
+
+    // Commit order, flags and the hash chain are byte-identical to the
+    // fault-free software reference.
+    const fabric::Ledger& reference = run.harness->reference_ledger();
+    ASSERT_EQ(run.peer->ledger().height(), 3u);
+    ASSERT_EQ(reference.height(), 3u);
+    for (std::uint64_t h = 0; h < 3; ++h) {
+      EXPECT_EQ(run.peer->ledger().at(h).commit_hash,
+                reference.at(h).commit_hash)
+          << h;
+      EXPECT_EQ(results[h].flags, run.harness->reference_result(h).flags)
+          << h;
+    }
   }
 }
 

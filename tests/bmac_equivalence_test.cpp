@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "bmac/peer.hpp"
+#include "common/hex.hpp"
+#include "crypto/comb_cache.hpp"
 #include "fabric/validator.hpp"
 #include "workload/network_harness.hpp"
 
@@ -27,7 +29,16 @@ struct EquivalenceResult {
   std::uint64_t hw_ecdsa_executed = 0;
   std::uint64_t hw_ecdsa_skipped = 0;
   std::uint64_t sw_ecdsa_executed = 0;
+  /// Comb-cache lookups (first sights, builds and hits) during the BMac
+  /// peer's share of the run: one per real verification past the range
+  /// checks.
+  std::uint64_t hw_lookups = 0;
 };
+
+std::uint64_t comb_lookups() {
+  const auto c = crypto::CombCache::shared().counters();
+  return c.first_sights + c.builds + c.hits;
+}
 
 EquivalenceResult run_equivalence(NetworkOptions options, int blocks,
                                   HwConfig hw_config = {},
@@ -54,6 +65,7 @@ EquivalenceResult run_equivalence(NetworkOptions options, int blocks,
     out.sw_results.push_back(
         sw_validator.validate_and_commit(block, sw_db, sw_ledger));
 
+    const std::uint64_t lookups_before = comb_lookups();
     SendResult send = sender.send(block);
     for (auto& pkt : send.packets) {
       auto decoded = BmacPacket::decode(pkt.encode());
@@ -62,6 +74,7 @@ EquivalenceResult run_equivalence(NetworkOptions options, int blocks,
     }
     peer.deliver_block(std::move(block));
     sim.run();
+    out.hw_lookups += comb_lookups() - lookups_before;
   }
 
   out.hw_results = peer.results();
@@ -121,6 +134,45 @@ TEST(Equivalence, SmallbankWithInjectedFaults) {
   EXPECT_GT(histogram[fabric::TxValidationCode::kBadCreatorSignature], 0);
   EXPECT_GT(histogram[fabric::TxValidationCode::kEndorsementPolicyFailure], 0);
   EXPECT_GT(histogram[fabric::TxValidationCode::kMvccReadConflict], 0);
+}
+
+TEST(Equivalence, CommitShapedFaultyChainPinsTheEngineWork) {
+  // perfbench's `commit` chain: 50-tx smallbank blocks under 2-of-2 with
+  // the `bmac_sim validate --faults` mix. The peer's real verifications
+  // never exceed what its engines execute, and every simulated figure
+  // equals the one recorded when each engine request ran its own verify.
+  NetworkOptions options;
+  options.block_size = 50;
+  options.seed = 1;
+  options.bad_signature_rate = 0.1;
+  options.missing_endorsement_rate = 0.1;
+  options.conflicting_read_rate = 0.15;
+  const auto result = run_equivalence(options, 3);
+  expect_flags_match(result);
+  EXPECT_LE(result.hw_lookups, result.hw_ecdsa_executed);
+  EXPECT_EQ(result.hw_ecdsa_executed, 406u);
+  EXPECT_EQ(result.hw_ecdsa_skipped, 32u);
+
+  std::string figures;
+  for (const ResultEntry& block : result.hw_results) {
+    const BlockStats& s = block.stats;
+    figures += std::to_string(block.block_num) + " " +
+               std::to_string(s.received_at) + " " +
+               std::to_string(s.verify_start) + " " +
+               std::to_string(s.verify_end) + " " +
+               std::to_string(s.validate_start) + " " +
+               std::to_string(s.validate_end) + " " +
+               std::to_string(s.ecdsa_executed) + " " +
+               std::to_string(s.ecdsa_skipped) + " " +
+               std::to_string(s.tx_latency_sum) + " flags";
+    for (const auto flag : block.flags)
+      figures += " " + std::to_string(static_cast<int>(flag));
+    figures += "\n";
+  }
+  // Per block: number, BlockStats in declaration order, then the flags.
+  EXPECT_EQ(hex_encode(crypto::sha256(to_bytes(figures))),
+            "5937508d0ad028ec6955350e2f78f44274993ddb1a3b50ceb39d443309bbbf3f")
+      << figures;
 }
 
 TEST(Equivalence, DrmWorkload) {

@@ -167,21 +167,24 @@ TEST(ProtocolReceiver, EmitsRecordsMatchingGroundTruth) {
   const SendResult result = sender.send(block);
 
   HwIdentityCache cache;
-  ProtocolReceiver receiver(cache);
   std::vector<TxEntry> txs;
   std::vector<EndsEntry> ends;
   std::vector<RdsetEntry> reads;
   std::vector<WrsetEntry> writes;
   std::optional<BlockEntry> block_entry;
-  for (const auto& pkt : result.packets) {
-    auto emitted = receiver.on_packet(pkt);
-    EXPECT_FALSE(emitted.error);
-    for (auto& t : emitted.txs) txs.push_back(std::move(t));
-    for (auto& e : emitted.ends) ends.push_back(std::move(e));
-    for (auto& r : emitted.reads) reads.push_back(std::move(r));
-    for (auto& w : emitted.writes) writes.push_back(std::move(w));
-    if (emitted.block) block_entry = std::move(emitted.block);
-  }
+  {
+    ProtocolReceiver receiver(cache);
+    for (const auto& pkt : result.packets) {
+      auto emitted = receiver.on_packet(pkt);
+      EXPECT_FALSE(emitted.error);
+      for (auto& t : emitted.txs) txs.push_back(std::move(t));
+      for (auto& e : emitted.ends) ends.push_back(std::move(e));
+      for (auto& r : emitted.reads) reads.push_back(std::move(r));
+      for (auto& w : emitted.writes) writes.push_back(std::move(w));
+      if (emitted.block) block_entry = std::move(emitted.block);
+    }
+  }  // The records outlive the receiver: their verdicts come from the
+     // block's VerifyBatch, which they share.
 
   ASSERT_TRUE(block_entry.has_value());
   EXPECT_EQ(block_entry->block_num, block.header.number);
@@ -224,12 +227,18 @@ TEST(ProtocolReceiver, DetectsTamperedSignatures) {
   HwIdentityCache cache;
   ProtocolReceiver receiver(cache);
   std::vector<TxEntry> txs;
+  std::vector<EndsEntry> ends;
   for (const auto& pkt : result.packets) {
     auto emitted = receiver.on_packet(pkt);
     for (auto& t : emitted.txs) txs.push_back(std::move(t));
+    for (auto& e : emitted.ends) ends.push_back(std::move(e));
   }
   ASSERT_EQ(txs.size(), 1u);
   EXPECT_FALSE(txs[0].verify.execute());
+  // The failed creator keeps its endorsements out of the block's batch;
+  // asked anyway, each is verified alone.
+  ASSERT_EQ(ends.size(), 2u);
+  for (const auto& end : ends) EXPECT_TRUE(end.verify.execute());
 }
 
 TEST(ProtocolReceiver, MissingIdentityCacheEntryFails) {

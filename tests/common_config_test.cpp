@@ -216,11 +216,28 @@ TEST(ConfigSection, TimeReadersConvertUnits) {
 // regressions in any one section's wiring show up as a text diff here.
 
 TEST(MigratedLoaders, ServeDiagnosticNamesPath) {
-  std::string error;
-  auto scenario = serve::parse_scenario(
-      R"({"serve": {"traffic": {"rate_tps": -5}}})", &error);
-  EXPECT_FALSE(scenario.has_value());
-  EXPECT_EQ(error, "scenario.serve.traffic.rate_tps: expected number > 0");
+  struct Case {
+    const char* json;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {R"({"serve": {"traffic": {"rate_tps": -5}}})",
+       "scenario.serve.traffic.rate_tps: expected number > 0"},
+      {R"({"serve": {"sessions": {"population": 1e30}}})",
+       "scenario.serve.sessions.population: expected an integer in "
+       "[1, 18446744073709551615]"},
+      {R"({"serve": {"seed": 18446744073709551616}})",
+       "scenario.serve.seed: expected an integer in "
+       "[0, 18446744073709551615]"},
+      {R"({"serve": {"network": {"orgs": 2, "policy": "3-outof-3 orgs"}}})",
+       "scenario.serve.network.policy: does not parse against Org1..Org2: "
+       "policy needs more orgs than the network has at offset 11"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(serve::parse_scenario(c.json, &error).has_value()) << c.json;
+    EXPECT_EQ(error, c.diagnostic) << c.json;
+  }
 }
 
 TEST(MigratedLoaders, SloDiagnosticNamesRuleIndex) {
@@ -426,11 +443,24 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
   };
   const Case cases[] = {
       {R"({"cluster": {"orgs": 0}})",
-       "scenario.cluster.orgs: expected number >= 1"},
+       "scenario.cluster.orgs: expected an integer in [1, 255]"},
+      // An integer key never reaches its cast with a fraction or a number
+      // outside its type.
+      {R"({"cluster": {"orgs": 1e20}})",
+       "scenario.cluster.orgs: expected an integer in [1, 255]"},
+      {R"({"cluster": {"orgs": 2.7}})",
+       "scenario.cluster.orgs: expected an integer in [1, 255]"},
+      {R"({"cluster": {"seed": 18446744073709551616}})",
+       "scenario.cluster.seed: expected an integer in "
+       "[0, 18446744073709551615]"},
       {R"({"cluster": {"block_size": -1}})",
-       "scenario.cluster.block_size: expected number > 0"},
+       "scenario.cluster.block_size: expected an integer in "
+       "[1, 18446744073709551615]"},
+      {R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
+       "scenario.cluster.policy: names Org3, outside Org1..Org2"},
       {R"({"cluster": {"gossip": {"fanout": 0}}})",
-       "scenario.cluster.gossip.fanout: expected number >= 1"},
+       "scenario.cluster.gossip.fanout: expected an integer in "
+       "[1, 2147483647]"},
       {R"({"cluster": {"gossip": {"loss": 1.5}}})",
        "scenario.cluster.gossip.loss: expected number in [0, 1]"},
       {R"({"cluster": {"raft": {"election_timeout_min_ms": 300,
@@ -438,7 +468,8 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
        "scenario.cluster.raft.election_timeout_max_ms: "
        "must be >= election_timeout_min_ms"},
       {R"({"cluster": {"catch_up_threshold": 0}})",
-       "scenario.cluster.catch_up_threshold: expected number >= 1"},
+       "scenario.cluster.catch_up_threshold: expected an integer in "
+       "[1, 18446744073709551615]"},
       {R"({"cluster": []})", "scenario.cluster: expected an object"},
   };
   for (const Case& c : cases) {

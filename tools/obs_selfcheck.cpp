@@ -26,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/json.hpp"
@@ -364,6 +365,27 @@ int main(int argc, char** argv) {
             0,
         "resources on a \"bmac\" deployment exits 0");
   check(exit_code("validate --config x") == 2, "--config exits 2");
+  // A policy its network cannot run fails at load and names its key.
+  const std::string policy_json = dir + "/obs_selfcheck_policy.json";
+  const std::string policy_err = dir + "/obs_selfcheck_policy.err";
+  for (const auto& [command, json, key] :
+       {std::tuple{"serve",
+                   R"({"serve": {"network": {"orgs": 2,
+                                             "policy": "3-outof-3 orgs"}}})",
+                   "scenario.serve.network.policy: "},
+        std::tuple{"cluster",
+                   R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
+                   "scenario.cluster.policy: "}}) {
+    std::ofstream(policy_json) << json;
+    const int status = std::system(("\"" + bmac_sim + "\" " + command +
+                                    " --scenario \"" + policy_json +
+                                    "\" > /dev/null 2> \"" + policy_err +
+                                    "\"").c_str());
+    check(WIFEXITED(status) && WEXITSTATUS(status) == 2 &&
+              read_file(policy_err).find(key) != std::string::npos,
+          std::string(command) + " with an unrunnable policy exits 2 naming " +
+              key);
+  }
 #else
   std::printf("(phase 2 skipped: BM_REPO_ROOT not defined)\n");
 #endif
