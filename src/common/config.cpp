@@ -163,20 +163,20 @@ template <typename T>
 bool read_integer(const Section& s, std::string_view key, T* out,
                   const Range& range) {
   using Limits = std::numeric_limits<T>;
-  const Section member = s.member(key);
-  if (!member.present()) return true;  // optional: keep default
+  const json::Value* value = lookup(s.raw(), key);
+  if (value == nullptr) return true;  // optional: keep default
   // Anything but a number fails below, as a fraction would.
-  const double v = member.is_number() ? member.raw()->number : 0.5;
+  const double v = value->is_number() ? value->number : 0.5;
   const double min = static_cast<double>(Limits::min());
   const double past_max = std::ldexp(1.0, Limits::digits);  // max + 1
   if (range.contains(v) && v == std::floor(v) && v >= min && v < past_max) {
     *out = static_cast<T>(v);
     return true;
   }
-  // An end of the accepted interval, clipped to T.
+  // An end of the accepted interval, clipped to the doubles T holds.
   const auto end = [&](double e) {
-    return e < past_max ? std::to_string(static_cast<T>(std::max(e, min)))
-                        : std::to_string(Limits::max());
+    return std::to_string(static_cast<T>(
+        std::clamp(e, min, std::nextafter(past_max, 0.0))));
   };
   return s.fail_key(
       key,

@@ -225,10 +225,10 @@ TEST(MigratedLoaders, ServeDiagnosticNamesPath) {
        "scenario.serve.traffic.rate_tps: expected number > 0"},
       {R"({"serve": {"sessions": {"population": 1e30}}})",
        "scenario.serve.sessions.population: expected an integer in "
-       "[1, 18446744073709551615]"},
+       "[1, 18446744073709549568]"},
       {R"({"serve": {"seed": 18446744073709551616}})",
        "scenario.serve.seed: expected an integer in "
-       "[0, 18446744073709551615]"},
+       "[0, 18446744073709549568]"},
       {R"({"serve": {"network": {"orgs": 2, "policy": "3-outof-3 orgs"}}})",
        "scenario.serve.network.policy: does not parse against Org1..Org2: "
        "policy needs more orgs than the network has at offset 11"},
@@ -452,10 +452,10 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
        "scenario.cluster.orgs: expected an integer in [1, 255]"},
       {R"({"cluster": {"seed": 18446744073709551616}})",
        "scenario.cluster.seed: expected an integer in "
-       "[0, 18446744073709551615]"},
+       "[0, 18446744073709549568]"},
       {R"({"cluster": {"block_size": -1}})",
        "scenario.cluster.block_size: expected an integer in "
-       "[1, 18446744073709551615]"},
+       "[1, 18446744073709549568]"},
       {R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
        "scenario.cluster.policy: names Org3, outside Org1..Org2"},
       {R"({"cluster": {"gossip": {"fanout": 0}}})",
@@ -469,7 +469,7 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
        "must be >= election_timeout_min_ms"},
       {R"({"cluster": {"catch_up_threshold": 0}})",
        "scenario.cluster.catch_up_threshold: expected an integer in "
-       "[1, 18446744073709551615]"},
+       "[1, 18446744073709549568]"},
       {R"({"cluster": []})", "scenario.cluster: expected an object"},
   };
   for (const Case& c : cases) {
