@@ -84,8 +84,7 @@ obs::SloConfig chaos_rules() {
 // The faults_partition.json scenario, inlined: a data+ack partition from
 // 60 ms to 240 ms plus light background loss.
 constexpr sim::Time kFaultOnset = 60 * sim::kMillisecond;
-constexpr const char* kPartitionScenario = R"({"faults": {
-  "name": "partition",
+constexpr const char* kPartitionScenario = R"({"name": "partition", "faults": {
   "seed": 4004,
   "data": {"loss": {"good": 0.02, "bad": 0.02}, "partitions_ms": [[60, 240]]},
   "ack": {"partitions_ms": [[60, 240]]}

@@ -22,7 +22,10 @@ BmacPeer::BmacPeer(
     : sim_(sim),
       config_(config),
       rx_queue_(sim, 65536, "rx_queue"),
-      receiver_(cache_),
+      receiver_(cache_,
+                config.short_circuit_vscc
+                    ? static_cast<std::size_t>(config.engines_per_vscc)
+                    : static_cast<std::size_t>(-1)),
       processor_(sim, config, compile_policies(policies, msp)),
       fallback_validator_(msp, policies, /*parallelism=*/1) {}
 

@@ -445,8 +445,10 @@ ProtocolReceiver::Emitted ProtocolReceiver::on_packet(
         request.batch = pending.batch;
       };
       join(tx.verify, VerifyBatch::Kind::kCreator);
-      for (EndsEntry& end : emitted.ends)
-        join(end.verify, VerifyBatch::Kind::kEndorsement);
+      const std::size_t batched =
+          std::min(emitted.ends.size(), batched_endorsements_);
+      for (std::size_t i = 0; i < batched; ++i)
+        join(emitted.ends[i].verify, VerifyBatch::Kind::kEndorsement);
       emitted.txs.push_back(std::move(tx));
       break;
     }

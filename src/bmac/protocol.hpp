@@ -57,7 +57,15 @@ class ProtocolSender {
 /// wrapper (hw_protocol_processor) adds timing around this logic.
 class ProtocolReceiver {
  public:
-  explicit ProtocolReceiver(HwIdentityCache& cache) : cache_(cache) {}
+  /// `batched_endorsements` caps how many of each transaction's
+  /// endorsements join the block's VerifyBatch: the engines' first round
+  /// when the ends_scheduler short-circuits, so the batch holds only
+  /// signatures the engines will run. Later ones are verified alone if an
+  /// engine asks.
+  explicit ProtocolReceiver(
+      HwIdentityCache& cache,
+      std::size_t batched_endorsements = static_cast<std::size_t>(-1))
+      : cache_(cache), batched_endorsements_(batched_endorsements) {}
 
   /// Records emitted by one packet, in DataWriter push order.
   struct Emitted {
@@ -90,6 +98,7 @@ class ProtocolReceiver {
   };
 
   HwIdentityCache& cache_;
+  std::size_t batched_endorsements_;
   std::map<std::uint64_t, PendingBlock> pending_;
 };
 

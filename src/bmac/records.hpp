@@ -25,10 +25,12 @@ namespace bm::bmac {
 
 /// One block's creator and endorsement signatures, registered by the
 /// ProtocolReceiver and verified in SoftwareValidator's two spans on first
-/// use: every registered creator, then every endorsement of a parsed
-/// transaction whose creator passed (short-circuited ones included). A
-/// slot neither span covered (registered after its span ran, or skipped by
-/// the engines) is verified alone when asked. Nothing is verified before an
+/// use: every registered creator, then every registered endorsement of a
+/// parsed transaction whose creator passed. When the ends_scheduler
+/// short-circuits, the receiver registers only each transaction's first
+/// round of endorsements; a later round's request has no batch and is
+/// verified alone. A slot its span did not cover (registered after the
+/// span ran) is verified alone when asked. Nothing is verified before an
 /// engine asks, so a discarded stream costs none. Single-threaded, like the
 /// DES.
 class VerifyBatch {

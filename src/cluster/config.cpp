@@ -6,8 +6,6 @@ namespace bm::cluster::detail {
 
 ClusterConfig parse_cluster_section(const bm::config::Section& root) {
   ClusterConfig config;
-  root.read_string("name", &config.name);
-
   root.read_int("orgs", &config.orgs, workload::detail::org_count());
   root.read_int("peers_per_org", &config.peers_per_org, config::at_least(1));
   root.read_int("orderers", &config.orderers, config::at_least(1));
@@ -61,7 +59,6 @@ ClusterConfig parse_cluster_section(const bm::config::Section& root) {
     config.gossip.faults =
         net::FaultConfig::uniform_loss(gossip_loss, config.seed ^ 0xC0551Full);
 
-  root.read_string("data_dir", &config.data_dir);
   root.read_u64("snapshot_interval", &config.snapshot_interval);
   root.read_u64("catch_up_threshold", &config.catch_up_threshold,
                 config::at_least(1));

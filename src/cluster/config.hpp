@@ -2,8 +2,9 @@
 //
 // One struct drives a whole N-org × M-peer deployment: the Raft ordering
 // cluster, the gossip mesh, the per-peer durable ledgers and the catch-up
-// protocol. The same knobs are loadable from the composed `--scenario`
-// file's "cluster" section (detail::parse_cluster_section), so a cluster
+// protocol. The same knobs, all but data_dir (`bmac_sim cluster
+// --data-dir`), are loadable from the composed `--scenario` file's
+// "cluster" section (detail::parse_cluster_section), so a cluster
 // experiment is one JSON document like every other scenario in the repo.
 #pragma once
 
@@ -16,8 +17,6 @@
 namespace bm::cluster {
 
 struct ClusterConfig {
-  std::string name = "cluster";
-
   // --- topology --------------------------------------------------------------
   int orgs = 2;
   int peers_per_org = 2;

@@ -113,8 +113,6 @@ void CommonFlags::register_with(ArgParser& parser) {
                     "write the sampled time series as columnar JSON");
   parser.add_string("--timeseries-csv", &timeseries_csv,
                     "write the sampled time series as CSV");
-  parser.add_string("--slo-config", &slo_config,
-                    "SLO rules JSON (see configs/slo_default.json)");
   parser.add_string("--slo-out", &slo_out,
                     "write the SLO alert log as JSON");
   parser.add_string("--flight-out", &flight_out,

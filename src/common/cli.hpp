@@ -69,7 +69,6 @@ struct CommonFlags {
   double sample_interval_ms = 0;  ///< --sample-interval MS (0 = no sampler)
   std::string timeseries_out;     ///< --timeseries-out FILE (JSON columns)
   std::string timeseries_csv;     ///< --timeseries-csv FILE
-  std::string slo_config;         ///< --slo-config FILE (SLO rules JSON)
   std::string slo_out;            ///< --slo-out FILE (alert log JSON)
   std::string flight_out;         ///< --flight-out FILE (post-mortem dump)
 
@@ -86,8 +85,8 @@ struct CommonFlags {
   /// recorder) should run during the simulation.
   bool wants_telemetry() const {
     return sample_interval_ms > 0 || !timeseries_out.empty() ||
-           !timeseries_csv.empty() || !slo_config.empty() ||
-           !slo_out.empty() || !flight_out.empty();
+           !timeseries_csv.empty() || !slo_out.empty() ||
+           !flight_out.empty();
   }
 };
 

@@ -1,6 +1,6 @@
 #include "common/config.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -70,22 +70,20 @@ bool ErrorSink::fail(const std::string& path, std::string_view message) {
 
 // --- Section -----------------------------------------------------------------
 
-namespace {
-
-/// The member `key` of object `node` (the last one when the key repeats),
-/// or null. Marks every member of that name looked up, for Root::finish.
-const json::Value* lookup(const json::Value* node, std::string_view key) {
-  if (node == nullptr) return nullptr;
+const json::Value* Section::lookup(std::string_view key) const {
+  if (value_ == nullptr) return nullptr;
   const json::Value* found = nullptr;
-  for (const auto& [k, v] : node->object)
-    if (k == key) {
-      v.looked_up = true;
-      found = &v;
+  for (const auto& [k, v] : value_->object) {
+    if (k != key) continue;
+    v.looked_up = true;
+    if (found != nullptr) {
+      fail_key(key, "repeated key");
+      return nullptr;
     }
+    found = &v;
+  }
   return found;
 }
-
-}  // namespace
 
 std::string Section::key_path(std::string_view key) const {
   if (path_.empty()) return std::string(key);
@@ -103,7 +101,7 @@ bool Section::fail_key(std::string_view key, std::string_view message) const {
 }
 
 Section Section::member(std::string_view key) const {
-  return Section(lookup(value_, key), key_path(key), sink_);
+  return Section(lookup(key), key_path(key), sink_);
 }
 
 Section Section::object(std::string_view key) const {
@@ -144,7 +142,7 @@ std::size_t Section::array_size() const {
 
 bool Section::read_number(std::string_view key, double* out,
                           const Range& range) const {
-  const json::Value* v = lookup(value_, key);
+  const json::Value* v = lookup(key);
   if (v == nullptr) return true;  // optional: keep default
   if (!v->is_number())
     return fail_key(key, range.bounded()
@@ -156,74 +154,65 @@ bool Section::read_number(std::string_view key, double* out,
   return true;
 }
 
-namespace {
-
-/// The integer readers' one body; nothing outside T's range reaches the cast.
+/// The integer readers' one body: the literal's text, read exactly into T.
 template <typename T>
-bool read_integer(const Section& s, std::string_view key, T* out,
-                  const Range& range) {
+bool Section::read_integer(std::string_view key, T* out,
+                           const Range& range) const {
   using Limits = std::numeric_limits<T>;
-  const json::Value* value = lookup(s.raw(), key);
+  const json::Value* value = lookup(key);
   if (value == nullptr) return true;  // optional: keep default
-  // Anything but a number fails below, as a fraction would.
-  const double v = value->is_number() ? value->number : 0.5;
-  const double min = static_cast<double>(Limits::min());
-  const double past_max = std::ldexp(1.0, Limits::digits);  // max + 1
-  if (range.contains(v) && v == std::floor(v) && v >= min && v < past_max) {
-    *out = static_cast<T>(v);
+  // The accepted interval: `range` (human-written bounds well inside T)
+  // narrowed to whole numbers, or T's own end where `range` has none.
+  const auto end = [](double edge, T none) {
+    return std::isfinite(edge) ? static_cast<T>(edge) : none;
+  };
+  const T lo = end(range.min_open ? std::floor(range.min) + 1
+                                  : std::ceil(range.min),
+                   Limits::min());
+  const T hi = end(range.max_open ? std::ceil(range.max) - 1
+                                  : std::floor(range.max),
+                   Limits::max());
+  const std::string& text = value->integer;
+  T v{};
+  const auto [last, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec == std::errc{} && last == text.data() + text.size() && v >= lo &&
+      v <= hi) {
+    *out = v;
     return true;
   }
-  // An end of the accepted interval, clipped to the doubles T holds.
-  const auto end = [&](double e) {
-    return std::to_string(static_cast<T>(
-        std::clamp(e, min, std::nextafter(past_max, 0.0))));
-  };
-  return s.fail_key(
-      key,
-      "expected an integer in [" +
-          end(range.min_open ? std::floor(range.min) + 1
-                             : std::ceil(range.min)) +
-          ", " +
-          end(range.max_open ? std::ceil(range.max) - 1
-                             : std::floor(range.max)) +
-          "]");
+  return fail_key(key, "expected an integer in [" + std::to_string(lo) +
+                           ", " + std::to_string(hi) + "]");
 }
-
-}  // namespace
 
 bool Section::read_size(std::string_view key, std::size_t* out,
                         const Range& range) const {
-  return read_integer(*this, key, out, range);
+  return read_integer(key, out, range);
 }
 
 bool Section::read_int(std::string_view key, int* out,
                        const Range& range) const {
-  return read_integer(*this, key, out, range);
+  return read_integer(key, out, range);
 }
 
 bool Section::read_u64(std::string_view key, std::uint64_t* out,
                        const Range& range) const {
-  return read_integer(*this, key, out, range);
+  return read_integer(key, out, range);
 }
 
 bool Section::read_bool(std::string_view key, bool* out) const {
-  const json::Value* v = lookup(value_, key);
+  const json::Value* v = lookup(key);
   if (v == nullptr) return true;
-  if (v->type == json::Value::Type::kBool) {
-    *out = v->boolean;
-    return true;
-  }
-  if (v->is_number()) {  // legacy spelling: 0 / 1
-    *out = v->number != 0.0;
-    return true;
-  }
-  return fail_key(key, "expected a boolean");
+  if (v->type != json::Value::Type::kBool)
+    return fail_key(key, "expected a boolean");
+  *out = v->boolean;
+  return true;
 }
 
 bool Section::read_string_presence(std::string_view key, std::string* out,
                                    bool* present) const {
   *present = false;
-  const json::Value* v = lookup(value_, key);
+  const json::Value* v = lookup(key);
   if (v == nullptr) return true;
   if (!v->is_string()) return fail_key(key, "expected a string");
   *present = true;
@@ -257,14 +246,14 @@ bool Section::read_time_us(std::string_view key, sim::Time* out,
 
 bool Section::require_number(std::string_view key, double* out,
                              const Range& range) const {
-  if (lookup(value_, key) == nullptr)
+  if (lookup(key) == nullptr)
     return fail_key(key, "missing required number");
   return read_number(key, out, range);
 }
 
 bool Section::require_string(std::string_view key, std::string* out,
                              bool non_empty) const {
-  if (lookup(value_, key) == nullptr)
+  if (lookup(key) == nullptr)
     return fail_key(key, "missing required string");
   bool present = false;
   std::string text;

@@ -22,8 +22,10 @@
 // can be written as straight-line code; the first error wins and is checked
 // once at the end. Every reader marks the member it looks up, and finish()
 // rejects the first member nobody looked up (`serve.traffic.rate_tp:
-// unknown key`), so a typo cannot silently run at a default. Members whose
-// key starts with `_` are comments (`"_doc": "..."`) and never read.
+// unknown key`), so a typo cannot silently run at a default. A key written
+// twice in one object fails when a reader looks it up (`serve.seed:
+// repeated key`). Members whose key starts with `_` are comments (`"_doc":
+// "..."`) and never read.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +86,6 @@ class Section {
   bool present() const { return value_ != nullptr; }
   explicit operator bool() const { return present(); }
   const std::string& path() const { return path_; }
-  const json::Value* raw() const { return value_; }
 
   bool is_object() const { return value_ != nullptr && value_->is_object(); }
   bool is_array() const { return value_ != nullptr && value_->is_array(); }
@@ -111,16 +112,15 @@ class Section {
 
   bool read_number(std::string_view key, double* out,
                    const Range& range = Range{}) const;
-  /// Integer readers: the number must be integral and inside both `range`
-  /// and the target type, else "expected an integer in [lo, hi]".
+  /// Integer readers: the value must be an integer literal inside both
+  /// `range` and the target type, read exactly, else "expected an integer
+  /// in [lo, hi]".
   bool read_size(std::string_view key, std::size_t* out,
                  const Range& range = Range{}) const;
   bool read_int(std::string_view key, int* out,
                 const Range& range = Range{}) const;
   bool read_u64(std::string_view key, std::uint64_t* out,
                 const Range& range = Range{}) const;
-  /// Accepts true/false or a number (0 = false) for back-compat with the
-  /// pre-facility loaders that modelled flags as numbers.
   bool read_bool(std::string_view key, bool* out) const;
   bool read_string(std::string_view key, std::string* out) const;
   /// Durations are written in the file as milliseconds / microseconds and
@@ -174,6 +174,11 @@ class Section {
   bool fail_key(std::string_view key, std::string_view message) const;
 
  private:
+  /// The member `key`, or null; marks it looked up for Root::finish and
+  /// fails when the key appears twice.
+  const json::Value* lookup(std::string_view key) const;
+  template <typename T>
+  bool read_integer(std::string_view key, T* out, const Range& range) const;
   bool read_string_presence(std::string_view key, std::string* out,
                             bool* present) const;
   std::string key_path(std::string_view key) const;

@@ -207,20 +207,24 @@ class Parser {
       }
     };
     eat_digits();
+    bool integer = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       eat_digits();
+      integer = false;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
         ++pos_;
       eat_digits();
+      integer = false;
     }
     if (!digits) return fail("expected a value");
     out.type = Value::Type::kNumber;
-    out.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                             nullptr);
+    std::string literal(text_.substr(start, pos_ - start));
+    out.number = std::strtod(literal.c_str(), nullptr);
+    if (integer) out.integer = std::move(literal);
     return true;
   }
 

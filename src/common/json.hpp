@@ -22,9 +22,14 @@ class Value {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0;
+  /// A number written as an integer literal (no fraction, no exponent)
+  /// keeps its text here, so config readers can read it exactly; empty
+  /// for every other value.
+  std::string integer;
   std::string string;
   std::vector<Value> array;
-  /// Insertion-ordered, duplicate keys keep the last value.
+  /// Insertion-ordered; a repeated key keeps every member (config readers
+  /// reject it, find() returns the last).
   std::vector<std::pair<std::string, Value>> object;
   /// Set on an object member when a config::Section reader looks it up;
   /// config::Root::finish reports the members nobody looked up.

@@ -189,7 +189,6 @@ class FaultyChannel {
 /// receiver) direction, `ack` to the reverse. See docs/FAULTS.md for the
 /// schema.
 struct FaultScenario {
-  std::string name;
   FaultConfig data;
   FaultConfig ack;
 };

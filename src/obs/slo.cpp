@@ -20,8 +20,8 @@ std::string_view slo_rule_kind_name(SloRuleKind kind) {
 // --- config parsing ---------------------------------------------------------
 //
 // Built on the shared scenario-config facility (common/config.hpp):
-// diagnostics name the file (when loaded from disk) and the JSON path of
-// the offending key, e.g. `slo.rules[1].burn_rate: expected number > 0`.
+// diagnostics name the file and the JSON path of the offending key, e.g.
+// `scenario.slo.rules[1].burn_rate: expected number > 0`.
 
 namespace {
 
@@ -44,17 +44,13 @@ bool parse_rule(const config::Section& node, SloRule* rule) {
   if (rule->kind == SloRuleKind::kRatio && rule->denominator.empty())
     ok &= node.fail_key("denominator", "ratio rules need a denominator counter");
 
-  // "objective" (ratio) and "threshold" are the same slot; accept either.
-  const config::Range bound = rule->kind == SloRuleKind::kRatio
-                                  ? config::positive()
-                                  : config::Range{};
-  if (node.member("objective").present())
-    ok &= node.read_number("objective", &rule->threshold, bound);
-  else if (node.member("threshold").present())
-    ok &= node.read_number("threshold", &rule->threshold, bound);
+  // A ratio rule bounds the bad fraction (its "objective"); every other
+  // kind compares against a "threshold".
+  if (rule->kind == SloRuleKind::kRatio)
+    ok &= node.require_number("objective", &rule->threshold,
+                              config::positive());
   else
-    ok &= node.fail_key("objective",
-                        "missing required number (or \"threshold\")");
+    ok &= node.require_number("threshold", &rule->threshold);
 
   ok &= node.read_number("quantile", &rule->quantile, config::open_unit());
   ok &= node.read_number("burn_rate", &rule->burn_rate, config::positive());
@@ -94,17 +90,6 @@ SloConfig parse_slo_section(const bm::config::Section& s) {
 }
 
 }  // namespace detail
-
-std::optional<SloConfig> load_slo_config(const std::string& path,
-                                         std::string* error) {
-  const config::Root root = config::Root::load(path, "slo");
-  SloConfig config = detail::parse_slo_section(root.section());
-  if (!root.finish()) {
-    if (error != nullptr) *error = root.error();
-    return std::nullopt;
-  }
-  return config;
-}
 
 // --- monitor ----------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 // Declarative SLO rule engine with multi-window burn-rate alerting,
 // evaluated continuously on simulated time.
 //
-// Rules are JSON-configured (configs/slo_default.json) expressions over
-// metrics in a Registry, evaluated every `evaluation_interval` of sim time
-// (after the run's refresh callback has published current values) against
-// rolling windows of prior samples:
+// Rules come from a scenario's "slo" section (configs/slo_default.json is
+// the default set): expressions over metrics in a Registry, evaluated every
+// `evaluation_interval` of sim time (after the run's refresh callback has
+// published current values) against rolling windows of prior samples:
 //
 //   ratio             bad/total counter-delta ratio, alarmed as an
 //                     error-budget burn rate: burn = (Δbad/Δtotal)/objective.
@@ -77,16 +77,10 @@ struct SloConfig {
   std::vector<SloRule> rules;
 };
 
-/// Load an SLO config file (--slo-config) from disk. Malformed rules and
-/// unknown keys fail loudly with an error message naming their path.
-std::optional<SloConfig> load_slo_config(const std::string& path,
-                                         std::string* error = nullptr);
-
 namespace detail {
-/// Section-level parser shared with the composed --scenario loader: same
-/// schema whether the rules sit in their own slo_*.json file or under a
-/// scenario file's "slo" section. Errors land in the section's sink; the
-/// caller checks its config::Root.
+/// Parser of a composed scenario's "slo" section (serve/scenario.cpp loads
+/// the file). Errors land in the section's sink; the caller checks its
+/// config::Root.
 SloConfig parse_slo_section(const bm::config::Section& root);
 }  // namespace detail
 

@@ -4,22 +4,9 @@
 
 namespace bm::obs {
 
-bool Telemetry::configure(const cli::CommonFlags& flags,
-                          std::optional<SloConfig> scenario_slo,
-                          std::string* error) {
-  enabled_ = false;
-  if (!flags.slo_config.empty() && scenario_slo) {
-    if (error != nullptr)
-      *error = "SLO rules given twice: --slo-config " + flags.slo_config +
-               " and the scenario's \"slo\" section; keep one";
-    return false;
-  }
+void Telemetry::configure(const cli::CommonFlags& flags,
+                          std::optional<SloConfig> scenario_slo) {
   slo_config_ = std::move(scenario_slo);
-  if (!flags.slo_config.empty()) {
-    slo_config_ = load_slo_config(flags.slo_config, error);
-    if (!slo_config_) return false;
-  }
-
   sampler_config_ = TimeSeriesConfig{};
   if (flags.sample_interval_ms > 0)
     sampler_config_.interval = static_cast<sim::Time>(
@@ -29,7 +16,6 @@ bool Telemetry::configure(const cli::CommonFlags& flags,
   slo_out_ = flags.slo_out;
   flight_out_ = flags.flight_out;
   enabled_ = flags.wants_telemetry() || slo_config_.has_value();
-  return true;
 }
 
 void Telemetry::configure(TimeSeriesConfig sampler_config,

@@ -2,8 +2,8 @@
 // sampler, SLO burn-rate monitor and flight recorder into a run.
 //
 // The tool/bench binaries configure a Telemetry from cli::CommonFlags
-// (--sample-interval / --timeseries-out / --slo-config / --slo-out /
-// --flight-out), attach() it to the run's Simulation + Registry before the
+// (--sample-interval / --timeseries-out / --slo-out / --flight-out) and
+// the run's scenario "slo" section, attach() it to the run's Simulation + Registry before the
 // clock starts, finish() it before the Simulation is destroyed (the sampler
 // and monitor hold recurring events on the sim), and write() the artifacts
 // afterwards. Each driver hands attach() the function it calls for its
@@ -36,15 +36,10 @@ class Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
 
   /// Read the telemetry flags plus the SLO rules of the run's composed
-  /// scenario, if it has an "slo" section. The rules come from exactly one
-  /// of --slo-config (loaded from disk) and `scenario_slo`: naming both
-  /// fails rather than letting one silently replace the other. Returns
-  /// false with `error` filled on that conflict or a malformed config.
-  /// With no telemetry flag and no scenario rules the bundle stays
-  /// disabled; attach() is then a no-op.
-  bool configure(const cli::CommonFlags& flags,
-                 std::optional<SloConfig> scenario_slo,
-                 std::string* error = nullptr);
+  /// scenario, if it has an "slo" section. With no telemetry flag and no
+  /// scenario rules the bundle stays disabled; attach() is then a no-op.
+  void configure(const cli::CommonFlags& flags,
+                 std::optional<SloConfig> scenario_slo);
 
   /// Programmatic configuration (benches/tests): enable with an in-memory
   /// SLO config and sampling interval, writing no artifact files. Read the

@@ -24,29 +24,6 @@ void parse_traffic(const config::Section& node, TrafficConfig* config) {
   node.read_time_ms("period_ms", &config->period, config::positive());
 }
 
-void parse_sessions(const config::Section& node, SessionConfig* config) {
-  node.read_bool("enabled", &config->enabled);
-  node.read_size("population", &config->population, config::positive());
-  node.read_size("max_sessions", &config->max_sessions,
-                 config::non_negative());
-  node.read_time_ms("idle_timeout_ms", &config->idle_timeout,
-                    config::positive());
-  node.read_time_ms("grace_ms", &config->grace, config::non_negative());
-  node.read_time_ms("wheel_granularity_ms", &config->wheel_granularity,
-                    config::positive());
-  node.read_int("rate_classes", &config->rate_classes, config::at_least(1));
-  node.read_number("zipf_s", &config->zipf_s, config::non_negative());
-  node.read_number("bad_cert_share", &config->bad_cert_share,
-                   config::unit_interval());
-  node.read_number("duplicate_rate", &config->duplicate_rate,
-                   config::unit_interval());
-  node.read_number("out_of_order_rate", &config->out_of_order_rate,
-                   config::unit_interval());
-  node.read_bool("preconnect", &config->preconnect);
-  node.read_size("cert_pool", &config->cert_pool, config::positive());
-  node.read_u64("seq_limit", &config->seq_limit, config::positive());
-}
-
 void parse_admission(const config::Section& node, AdmissionConfig* config) {
   node.read_size("queue_capacity", &config->queue_capacity,
                  config::non_negative());
@@ -102,23 +79,8 @@ void parse_network(const config::Section& node,
 
 namespace detail {
 
-void parse_serve_durability(const config::Section& node,
-                            fabric::DurabilityConfig* config) {
-  node.read_string("ledger_path", &config->ledger_path);
-  node.read_u64("snapshot_interval_blocks", &config->snapshot_interval,
-                config::non_negative());
-  node.read_size("keep_snapshots", &config->keep_snapshots,
-                 config::non_negative());
-  node.read_bool("fsync_each_block", &config->fsync_each_block);
-}
-
-void parse_serve_sessions(const config::Section& node, SessionConfig* config) {
-  parse_sessions(node, config);
-}
-
-std::optional<ServeOptions> parse_serve_section(const config::Section& root) {
+ServeOptions parse_serve_section(const config::Section& root) {
   ServeOptions options;
-  root.read_string("name", &options.name);
 
   // One top-level seed drives both deterministic streams; the arrival
   // process gets a fixed odd-constant mix so its schedule is independent of
@@ -137,19 +99,45 @@ std::optional<ServeOptions> parse_serve_section(const config::Section& root) {
                    config::unit_interval());
 
   parse_traffic(root.object("traffic"), &options.traffic);
-  parse_sessions(root.object("sessions"), &options.sessions);
   parse_admission(root.object("admission"), &options.admission);
   parse_endorse(root.object("endorse"), &options.endorse);
   parse_ingress(root.object("ingress"), &options.ingress);
   parse_network(root.object("network"), &options.network);
-  parse_serve_durability(root.object("durability"),
-                         &options.network.durability);
-  // The session layer admits per-class; keep the admission queue's class
-  // count in sync so every configured rate class has a cap.
-  if (options.sessions.enabled &&
-      options.admission.classes < options.sessions.rate_classes)
-    options.admission.classes = options.sessions.rate_classes;
   return options;
+}
+
+void parse_sessions_section(const config::Section& node,
+                            SessionConfig* config) {
+  node.read_bool("enabled", &config->enabled);
+  node.read_size("population", &config->population, config::positive());
+  node.read_size("max_sessions", &config->max_sessions,
+                 config::non_negative());
+  node.read_time_ms("idle_timeout_ms", &config->idle_timeout,
+                    config::positive());
+  node.read_time_ms("grace_ms", &config->grace, config::non_negative());
+  node.read_time_ms("wheel_granularity_ms", &config->wheel_granularity,
+                    config::positive());
+  node.read_int("rate_classes", &config->rate_classes, config::at_least(1));
+  node.read_number("zipf_s", &config->zipf_s, config::non_negative());
+  node.read_number("bad_cert_share", &config->bad_cert_share,
+                   config::unit_interval());
+  node.read_number("duplicate_rate", &config->duplicate_rate,
+                   config::unit_interval());
+  node.read_number("out_of_order_rate", &config->out_of_order_rate,
+                   config::unit_interval());
+  node.read_bool("preconnect", &config->preconnect);
+  node.read_size("cert_pool", &config->cert_pool, config::positive());
+  node.read_u64("seq_limit", &config->seq_limit, config::positive());
+}
+
+void parse_durability_section(const config::Section& node,
+                              fabric::DurabilityConfig* config) {
+  node.read_string("ledger_path", &config->ledger_path);
+  node.read_u64("snapshot_interval", &config->snapshot_interval,
+                config::non_negative());
+  node.read_size("keep_snapshots", &config->keep_snapshots,
+                 config::non_negative());
+  node.read_bool("fsync_each_block", &config->fsync_each_block);
 }
 
 }  // namespace detail

@@ -1,15 +1,15 @@
 // One composed scenario file per experiment: every `bmac_sim --scenario`
-// config, and every shipped configs/*.json apart from slo_default.json.
+// config, and every shipped configs/*.json.
 //
 // A scenario file bundles everything a run needs into a single JSON
 // document with one section per subsystem:
 //
 //   {
-//     "name": "steady_sessions",
+//     "name": "steady_sessions",   // labels the serve, chaos or cluster run
 //     "serve":      { ... },   // traffic, admission, ... (SERVING.md)
-//     "sessions":   { ... },   // overrides serve.sessions when present
-//     "durability": { ... },   // overrides serve.durability when present
-//     "slo":        { ... },   // schema of --slo-config's file
+//     "sessions":   { ... },   // client session population (SERVING.md)
+//     "durability": { ... },   // on-disk ledger (docs/DURABILITY.md)
+//     "slo":        { ... },   // SLO rules (docs/OBSERVABILITY.md)
 //     "faults":     { ... },   // fault schedule (docs/FAULTS.md)
 //     "cluster":    { ... },   // N-org/M-peer topology (docs/CLUSTER.md)
 //     "bmac":       { ... }    // BMac deployment (workload/deployment.hpp)
@@ -18,14 +18,13 @@
 // Each section has one parser (serve/config.cpp, obs/slo.cpp,
 // net/faults.cpp, cluster/config.cpp, workload/deployment.cpp via their
 // detail:: hooks), and diagnostics name the file plus full JSON path
-// (`scenario.slo.rules[2].kind: ...`). A member no parser reads fails as
-// an unknown key; `_`-prefixed members are comments. configs/serve_*.json
-// hold only a "serve" section, configs/faults_*.json only a "faults"
-// section and configs/bmac_*.json only a "bmac" section.
-//
-// The top-level "sessions" / "durability" sections exist so one scenario
-// file can layer a session population or a durable ledger onto a shared
-// base "serve" section; they win over the serve-nested equivalents.
+// (`scenario.slo.rules[2].kind: ...`). Every setting has one key path: a
+// member no parser reads fails as an unknown key, a key written twice in
+// one object fails as a repeated key, and `_`-prefixed members are
+// comments. configs/serve_*.json hold only a "serve" section,
+// configs/faults_*.json only a "faults" section, configs/bmac_*.json only
+// a "bmac" section and configs/slo_default.json only an "slo" section, each
+// beside the run's "name".
 #pragma once
 
 #include <optional>
@@ -41,10 +40,11 @@
 namespace bm::serve {
 
 struct Scenario {
+  /// The run label; also copied into serve.name when set.
   std::string name;
   ServeOptions serve;
-  /// SLO rules to evaluate during the run (inline equivalent of
-  /// --slo-config). nullopt when the scenario has no "slo" section.
+  /// SLO rules to evaluate during the run. nullopt when the scenario has no
+  /// "slo" section.
   std::optional<obs::SloConfig> slo;
   /// Network fault schedule. nullopt when the scenario has no "faults"
   /// section; serve runs currently ignore it (the serve harness models a

@@ -1,11 +1,14 @@
 // Unit tests for the shared scenario-config facility (common/config.hpp):
-// absent-key no-ops, ranged numerics, required readers, enums, arrays, the
-// unknown-key rule, and the uniform "<file>: <path>: <message>" diagnostic
-// contract every JSON loader in the repo now relies on.
+// absent-key no-ops, ranged numerics, exact integers, required readers,
+// enums, arrays, the unknown-key and repeated-key rules, and the uniform
+// "<file>: <path>: <message>" diagnostic contract every JSON loader in the
+// repo now relies on.
 #include "common/config.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "net/faults.hpp"
@@ -146,17 +149,38 @@ TEST(ConfigSection, EnumListsAcceptedSpellings) {
             "serve.color: unknown value \"green\" (red | blue)");
 }
 
-TEST(ConfigSection, BoolAcceptsNumbersForBackCompat) {
+TEST(ConfigSection, BoolAcceptsOnlyTrueAndFalse) {
   config::Root root =
-      config::Root::parse(R"({"a": true, "b": 0, "c": 1})", "serve");
+      config::Root::parse(R"({"a": true, "b": false, "c": 1})", "serve");
   config::Section s = root.section();
   bool a = false, b = true, c = false;
   EXPECT_TRUE(s.read_bool("a", &a));
   EXPECT_TRUE(s.read_bool("b", &b));
-  EXPECT_TRUE(s.read_bool("c", &c));
+  EXPECT_FALSE(s.read_bool("c", &c));
   EXPECT_TRUE(a);
   EXPECT_FALSE(b);
-  EXPECT_TRUE(c);
+  EXPECT_FALSE(c);  // a failed read keeps the caller's default
+  EXPECT_EQ(root.error(), "serve.c: expected a boolean");
+}
+
+TEST(ConfigSection, IntegersAreReadExactly) {
+  config::Root root = config::Root::parse(
+      R"({"a": 9007199254740993, "b": 18446744073709551615, "c": -7,
+          "d": 18446744073709551616})",
+      "serve");
+  const config::Section s = root.section();
+  std::uint64_t a = 0, b = 0, d = 5;
+  int c = 0;
+  EXPECT_TRUE(s.read_u64("a", &a));
+  EXPECT_EQ(a, 9007199254740993u);  // 2^53 + 1: no double holds it
+  EXPECT_TRUE(s.read_u64("b", &b));
+  EXPECT_EQ(b, 18446744073709551615u);
+  EXPECT_TRUE(s.read_int("c", &c));
+  EXPECT_EQ(c, -7);
+  EXPECT_FALSE(s.read_u64("d", &d));
+  EXPECT_EQ(d, 5u);
+  EXPECT_EQ(root.error(),
+            "serve.d: expected an integer in [0, 18446744073709551615]");
 }
 
 TEST(ConfigRoot, FinishRejectsTheFirstMemberNoReaderLookedUp) {
@@ -193,11 +217,12 @@ TEST(ConfigRoot, FinishKeepsTheFirstError) {
   EXPECT_FALSE(root.finish());
   EXPECT_EQ(root.error(), "serve.rate: expected number > 0");
 
-  // A repeated key counts as read (its last value wins).
+  // A key written twice fails when read and keeps the caller's default.
   config::Root twice = config::Root::parse(R"({"a": 1, "a": 2})", "serve");
   twice.section().read_number("a", &rate);
-  EXPECT_TRUE(twice.finish());
-  EXPECT_EQ(rate, 2);
+  EXPECT_FALSE(twice.finish());
+  EXPECT_EQ(twice.error(), "serve.a: repeated key");
+  EXPECT_EQ(rate, 0);
 }
 
 TEST(ConfigSection, TimeReadersConvertUnits) {
@@ -223,12 +248,16 @@ TEST(MigratedLoaders, ServeDiagnosticNamesPath) {
   const Case cases[] = {
       {R"({"serve": {"traffic": {"rate_tps": -5}}})",
        "scenario.serve.traffic.rate_tps: expected number > 0"},
-      {R"({"serve": {"sessions": {"population": 1e30}}})",
-       "scenario.serve.sessions.population: expected an integer in "
-       "[1, 18446744073709549568]"},
+      {R"({"sessions": {"population": 1e30}})",
+       "scenario.sessions.population: expected an integer in "
+       "[1, 18446744073709551615]"},
       {R"({"serve": {"seed": 18446744073709551616}})",
        "scenario.serve.seed: expected an integer in "
-       "[0, 18446744073709549568]"},
+       "[0, 18446744073709551615]"},
+      {R"({"sessions": {"enabled": 1}})",
+       "scenario.sessions.enabled: expected a boolean"},
+      {R"({"durability": {"fsync_each_block": 0}})",
+       "scenario.durability.fsync_each_block: expected a boolean"},
       {R"({"serve": {"network": {"orgs": 2, "policy": "3-outof-3 orgs"}}})",
        "scenario.serve.network.policy: does not parse against Org1..Org2: "
        "policy needs more orgs than the network has at offset 11"},
@@ -274,10 +303,11 @@ TEST(Scenario, ComposesSections) {
     "serve": {
       "duration_ms": 500,
       "traffic": {"rate_tps": 1200},
-      "sessions": {"enabled": true, "rate_classes": 2}
+      "admission": {"classes": 2}
     },
-    "sessions": {"rate_classes": 4, "population": 99},
-    "durability": {"ledger_path": "x.log"},
+    "sessions": {"enabled": true, "rate_classes": 4, "population": 99},
+    "durability": {"ledger_path": "x.log", "snapshot_interval": 5,
+                   "fsync_each_block": true},
     "slo": {"rules": [{"name": "r", "kind": "gauge_above",
                        "metric": "m", "threshold": 3, "windows_ms": [10]}]},
     "faults": {"seed": 9, "data": {"loss": {"good": 0.25}}}
@@ -288,13 +318,15 @@ TEST(Scenario, ComposesSections) {
   EXPECT_EQ(scenario->serve.name, "combo");
   EXPECT_EQ(scenario->serve.duration, 500 * sim::kMillisecond);
   EXPECT_EQ(scenario->serve.traffic.rate_tps, 1200);
-  // Top-level "sessions" overrides the serve-nested section...
   EXPECT_TRUE(scenario->serve.sessions.enabled);
   EXPECT_EQ(scenario->serve.sessions.rate_classes, 4);
   EXPECT_EQ(scenario->serve.sessions.population, 99u);
-  // ...and the admission class count is re-synced to cover every class.
-  EXPECT_GE(scenario->serve.admission.classes, 4);
+  // The file's value: the run raises the class count to cover every rate
+  // class when it sizes its admission queue.
+  EXPECT_EQ(scenario->serve.admission.classes, 2);
   EXPECT_EQ(scenario->serve.network.durability.ledger_path, "x.log");
+  EXPECT_EQ(scenario->serve.network.durability.snapshot_interval, 5u);
+  EXPECT_TRUE(scenario->serve.network.durability.fsync_each_block);
   ASSERT_TRUE(scenario->slo.has_value());
   ASSERT_EQ(scenario->slo->rules.size(), 1u);
   EXPECT_EQ(scenario->slo->rules[0].name, "r");
@@ -315,28 +347,40 @@ TEST(Scenario, SectionsAreOptional) {
 }
 
 TEST(Scenario, ShippedScenarioConfigsLoad) {
-  for (const char* name :
-       {"/configs/scenario_steady.json", "/configs/scenario_burst.json"}) {
-    std::string error;
-    auto scenario =
-        serve::load_scenario(std::string(BM_REPO_ROOT) + name, &error);
-    ASSERT_TRUE(scenario.has_value()) << name << ": " << error;
-    EXPECT_TRUE(scenario->serve.sessions.enabled) << name;
-    ASSERT_TRUE(scenario->slo.has_value()) << name;
-    EXPECT_FALSE(scenario->slo->rules.empty()) << name;
+  // Every shipped config and benchmark input, so a deleted spelling one of
+  // them still uses fails here rather than in a benchmark run.
+  namespace fs = std::filesystem;
+  std::size_t loaded = 0;
+  for (const char* dir : {"/configs", "/perfbench/scenarios"}) {
+    for (const auto& entry :
+         fs::directory_iterator(std::string(BM_REPO_ROOT) + dir)) {
+      if (entry.path().extension() != ".json") continue;
+      const std::string path = entry.path().string();
+      std::string error;
+      auto scenario = serve::load_scenario(path, &error);
+      ASSERT_TRUE(scenario.has_value()) << path << ": " << error;
+      ++loaded;
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("scenario_", 0) == 0 && !scenario->cluster) {
+        EXPECT_TRUE(scenario->serve.sessions.enabled) << path;
+        ASSERT_TRUE(scenario->slo.has_value()) << path;
+        EXPECT_FALSE(scenario->slo->rules.empty()) << path;
+      }
+      if (name.rfind("bmac_", 0) == 0) {
+        ASSERT_TRUE(scenario->bmac.has_value()) << path;
+        EXPECT_EQ(scenario->bmac->hw.name(), "8x2") << path;
+      }
+      // Every serve, chaos and cluster input names its run at the top.
+      if (name.rfind("serve_", 0) == 0 || name.rfind("faults_", 0) == 0 ||
+          scenario->cluster) {
+        EXPECT_FALSE(scenario->name.empty()) << path;
+      }
+    }
   }
-  for (const char* name : {"/configs/bmac_smallbank_2org.json",
-                           "/configs/bmac_drm_4org_complex.json"}) {
-    std::string error;
-    auto scenario =
-        serve::load_scenario(std::string(BM_REPO_ROOT) + name, &error);
-    ASSERT_TRUE(scenario.has_value()) << name << ": " << error;
-    ASSERT_TRUE(scenario->bmac.has_value()) << name;
-    EXPECT_EQ(scenario->bmac->hw.name(), "8x2") << name;
-  }
+  EXPECT_GE(loaded, 14u);
 }
 
-TEST(Scenario, UnknownMembersFailWithTheirPath) {
+TEST(Scenario, UnknownAndRepeatedMembersFailWithTheirPath) {
   struct Case {
     const char* json;
     const char* diagnostic;
@@ -355,6 +399,33 @@ TEST(Scenario, UnknownMembersFailWithTheirPath) {
       {R"({"cluster": {"orgs": 2, "peer_per_org": 3}})",
        "scenario.cluster.peer_per_org: unknown key"},
       {R"({"serv": {}})", "scenario.serv: unknown key"},
+      // One key path per setting: the second spellings are unknown keys.
+      {R"({"serve": {"sessions": {"enabled": true}}})",
+       "scenario.serve.sessions: unknown key"},
+      {R"({"serve": {"durability": {"ledger_path": "x.log"}}})",
+       "scenario.serve.durability: unknown key"},
+      {R"({"durability": {"snapshot_interval_blocks": 5}})",
+       "scenario.durability.snapshot_interval_blocks: unknown key"},
+      {R"({"serve": {"name": "x"}})", "scenario.serve.name: unknown key"},
+      {R"({"faults": {"name": "x"}})", "scenario.faults.name: unknown key"},
+      {R"({"cluster": {"name": "x"}})", "scenario.cluster.name: unknown key"},
+      {R"({"cluster": {"data_dir": "/tmp/x"}})",
+       "scenario.cluster.data_dir: unknown key"},
+      {R"({"slo": {"rules": [{"name": "r", "kind": "ratio", "metric": "m",
+                              "denominator": "d", "objective": 0.1,
+                              "threshold": 0.1, "windows_ms": [10]}]}})",
+       "scenario.slo.rules[0].threshold: unknown key"},
+      {R"({"slo": {"rules": [{"name": "r", "kind": "gauge_above",
+                              "metric": "m", "threshold": 3, "objective": 3,
+                              "windows_ms": [10]}]}})",
+       "scenario.slo.rules[0].objective: unknown key"},
+      // A key written twice in one object, at any depth.
+      {R"({"name": "a", "name": "b"})", "scenario.name: repeated key"},
+      {R"({"serve": {"seed": 1, "seed": 2}})",
+       "scenario.serve.seed: repeated key"},
+      {R"({"serve": {}, "serve": {}})", "scenario.serve: repeated key"},
+      {R"({"slo": {"rules": [{"name": "r", "name": "s"}]}})",
+       "scenario.slo.rules[0].name: repeated key"},
   };
   for (const Case& c : cases) {
     std::string error;
@@ -383,7 +454,7 @@ TEST(Scenario, ClusterSectionParses) {
       "peers_per_org": 2,
       "orderers": 5,
       "block_size": 16,
-      "seed": 42,
+      "seed": 9007199254740993,
       "submit_interval_ms": 4,
       "raft": {"election_timeout_min_ms": 100, "election_timeout_max_ms": 250,
                "heartbeat_ms": 40, "message_loss": 0.01},
@@ -403,7 +474,7 @@ TEST(Scenario, ClusterSectionParses) {
   EXPECT_EQ(c.peers_per_org, 2);
   EXPECT_EQ(c.orderers, 5);
   EXPECT_EQ(c.block_size, 16u);
-  EXPECT_EQ(c.seed, 42u);
+  EXPECT_EQ(c.seed, 9007199254740993u);  // 2^53 + 1: read exactly
   EXPECT_EQ(c.submit_interval, 4 * sim::kMillisecond);
   EXPECT_EQ(c.ordering.raft.election_timeout_min, 100 * sim::kMillisecond);
   EXPECT_EQ(c.ordering.raft.election_timeout_max, 250 * sim::kMillisecond);
@@ -413,7 +484,7 @@ TEST(Scenario, ClusterSectionParses) {
   EXPECT_TRUE(c.ordering.faults.any());
   EXPECT_EQ(c.ordering.faults.loss_good, 0.01);
   EXPECT_EQ(c.ordering.faults.loss_bad, 0.01);
-  EXPECT_EQ(c.ordering.faults.seed, 42u ^ 0x7AF71055ull);
+  EXPECT_EQ(c.ordering.faults.seed, 9007199254740993u ^ 0x7AF71055ull);
   EXPECT_EQ(c.gossip.fanout, 3);
   EXPECT_EQ(c.gossip.gbps, 2.5);
   EXPECT_EQ(c.gossip.anti_entropy_interval, 25 * sim::kMillisecond);
@@ -421,7 +492,7 @@ TEST(Scenario, ClusterSectionParses) {
   // decorrelated from the topology seed.
   EXPECT_TRUE(c.gossip.faults.any());
   EXPECT_EQ(c.gossip.faults.loss_good, 0.1);
-  EXPECT_EQ(c.gossip.faults.seed, 42u ^ 0xC0551Full);
+  EXPECT_EQ(c.gossip.faults.seed, 9007199254740993u ^ 0xC0551Full);
   EXPECT_EQ(c.snapshot_interval, 8u);
   EXPECT_EQ(c.catch_up_threshold, 6u);
   EXPECT_EQ(c.transfer_gbps, 10.0);
@@ -452,10 +523,13 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
        "scenario.cluster.orgs: expected an integer in [1, 255]"},
       {R"({"cluster": {"seed": 18446744073709551616}})",
        "scenario.cluster.seed: expected an integer in "
-       "[0, 18446744073709549568]"},
+       "[0, 18446744073709551615]"},
+      {R"({"cluster": {"seed": 2.5}})",
+       "scenario.cluster.seed: expected an integer in "
+       "[0, 18446744073709551615]"},
       {R"({"cluster": {"block_size": -1}})",
        "scenario.cluster.block_size: expected an integer in "
-       "[1, 18446744073709549568]"},
+       "[1, 18446744073709551615]"},
       {R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
        "scenario.cluster.policy: names Org3, outside Org1..Org2"},
       {R"({"cluster": {"gossip": {"fanout": 0}}})",
@@ -469,7 +543,7 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
        "must be >= election_timeout_min_ms"},
       {R"({"cluster": {"catch_up_threshold": 0}})",
        "scenario.cluster.catch_up_threshold: expected an integer in "
-       "[1, 18446744073709549568]"},
+       "[1, 18446744073709551615]"},
       {R"({"cluster": []})", "scenario.cluster: expected an object"},
   };
   for (const Case& c : cases) {
@@ -485,13 +559,12 @@ TEST(Scenario, ShippedClusterScenarioLoads) {
   auto scenario = serve::load_scenario(
       std::string(BM_REPO_ROOT) + "/configs/scenario_cluster.json", &error);
   ASSERT_TRUE(scenario.has_value()) << error;
+  EXPECT_EQ(scenario->name, "cluster_2x2");
   ASSERT_TRUE(scenario->cluster.has_value());
   EXPECT_EQ(scenario->cluster->orgs, 2);
   EXPECT_EQ(scenario->cluster->peers_per_org, 2);
   EXPECT_EQ(scenario->cluster->orderers, 3);
   EXPECT_TRUE(scenario->cluster->gossip.faults.any());
-  EXPECT_TRUE(scenario->cluster->data_dir.empty())
-      << "shipped config must stay path-portable";
 }
 
 }  // namespace

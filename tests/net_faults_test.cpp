@@ -166,8 +166,7 @@ TEST(FaultyChannel, DeliversCorruptsAndDuplicatesDeterministically) {
 }
 
 TEST(FaultScenario, ParsesFullSchema) {
-  const char* text = R"({"faults": {
-    "name": "test",
+  const char* text = R"({"name": "test", "faults": {
     "seed": 99,
     "data": {
       "loss": {"good": 0.01, "bad": 0.5, "p_good_to_bad": 0.02,
@@ -186,8 +185,8 @@ TEST(FaultScenario, ParsesFullSchema) {
   const auto loaded = serve::parse_scenario(text, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ASSERT_TRUE(loaded->faults.has_value());
+  EXPECT_EQ(loaded->name, "test");
   const FaultScenario* scenario = &*loaded->faults;
-  EXPECT_EQ(scenario->name, "test");
   EXPECT_EQ(scenario->data.seed, 99u);
   EXPECT_NE(scenario->ack.seed, 99u);  // decorrelated
   EXPECT_DOUBLE_EQ(scenario->data.loss_good, 0.01);
@@ -233,9 +232,8 @@ TEST(FaultScenario, ShippedConfigsParse) {
     const auto loaded = serve::load_scenario(path, &error);
     ASSERT_TRUE(loaded.has_value()) << path << ": " << error;
     ASSERT_TRUE(loaded->faults.has_value()) << path;
-    const FaultScenario* scenario = &*loaded->faults;
-    EXPECT_FALSE(scenario->name.empty()) << path;
-    EXPECT_TRUE(scenario->data.any()) << path;
+    EXPECT_FALSE(loaded->name.empty()) << path;
+    EXPECT_TRUE(loaded->faults->data.any()) << path;
   }
 }
 

@@ -68,6 +68,17 @@ TEST(SloConfigParse, RejectsMalformedRulesLoudly) {
   EXPECT_FALSE(parse_slo(
       R"({"rules": [{"name": "r", "kind": "rate_above", "metric": "m",
            "threshold": 1, "windows_ms": []}]})", &error));
+  // One key per bound: a ratio rule reads "objective", every other kind
+  // reads "threshold".
+  EXPECT_FALSE(parse_slo(
+      R"({"rules": [{"name": "r", "kind": "ratio", "metric": "m",
+           "denominator": "d", "threshold": 0.1, "windows_ms": [10]}]})",
+      &error));
+  EXPECT_EQ(error, "scenario.slo.rules[0].objective: missing required number");
+  EXPECT_FALSE(parse_slo(
+      R"({"rules": [{"name": "r", "kind": "gauge_above", "metric": "m",
+           "objective": 3, "windows_ms": [10]}]})", &error));
+  EXPECT_EQ(error, "scenario.slo.rules[0].threshold: missing required number");
 }
 
 // --- monitor semantics --------------------------------------------------
@@ -278,8 +289,9 @@ workload::ChaosOptions chaos_options(bool partitioned) {
   workload::ChaosOptions options;
   if (partitioned) {
     std::string error;
-    const auto loaded = serve::parse_scenario(R"({"faults": {
-      "name": "partition", "seed": 4004,
+    const auto loaded = serve::parse_scenario(R"({"name": "partition",
+    "faults": {
+      "seed": 4004,
       "data": {"partitions_ms": [[60, 240]]},
       "ack": {"partitions_ms": [[60, 240]]}
     }})", &error);
@@ -436,53 +448,35 @@ TEST(TelemetryEndToEnd, LastSampleEqualsEndOfRunSnapshot) {
 
 // --- where the SLO rules come from ---------------------------------------
 
-TEST(TelemetryConfig, SloRulesComeFromExactlyOneSource) {
-  const std::string rules_file =
-      std::string(BM_REPO_ROOT) + "/configs/slo_default.json";
-  const auto file_rules = load_slo_config(rules_file);
-  ASSERT_TRUE(file_rules.has_value());
+TEST(TelemetryConfig, SloRulesComeFromTheScenario) {
   const auto rule_names = [](const SloConfig& config) {
     std::vector<std::string> names;
     for (const SloRule& rule : config.rules) names.push_back(rule.name);
     return names;
   };
-  cli::CommonFlags flag_only;
-  flag_only.slo_config = rules_file;
-
-  {  // --slo-config alone: the file's rules run.
+  {  // configs/slo_default.json is a scenario holding the default rules.
+    std::string error;
+    const auto scenario = serve::load_scenario(
+        std::string(BM_REPO_ROOT) + "/configs/slo_default.json", &error);
+    ASSERT_TRUE(scenario.has_value()) << error;
+    ASSERT_TRUE(scenario->slo.has_value());
+    EXPECT_EQ(scenario->slo->name, "bmac-default");
     sim::Simulation sim;
     Registry registry;
     Telemetry telemetry;
-    std::string error;
-    ASSERT_TRUE(telemetry.configure(flag_only, std::nullopt, &error)) << error;
-    telemetry.attach(sim, registry, nullptr, {});
-    ASSERT_NE(telemetry.slo(), nullptr);
-    EXPECT_EQ(rule_names(telemetry.slo()->config()), rule_names(*file_rules));
-    telemetry.finish();
-  }
-  {  // The scenario's "slo" section alone: its rules run, no flag needed.
-    sim::Simulation sim;
-    Registry registry;
-    Telemetry telemetry;
-    std::string error;
-    ASSERT_TRUE(telemetry.configure(cli::CommonFlags{}, watchdog_rule(),
-                                    &error))
-        << error;
+    telemetry.configure(cli::CommonFlags{}, scenario->slo);
     EXPECT_TRUE(telemetry.enabled());
     telemetry.attach(sim, registry, nullptr, {});
     ASSERT_NE(telemetry.slo(), nullptr);
     EXPECT_EQ(rule_names(telemetry.slo()->config()),
-              std::vector<std::string>{"watchdog_activity"});
+              rule_names(*scenario->slo));
+    EXPECT_EQ(telemetry.slo()->config().rules.size(), 6u);
     telemetry.finish();
   }
-  {  // Both: refused, naming both sources, instead of one silently winning.
+  {  // No rules and no telemetry flag: the bundle stays off.
     Telemetry telemetry;
-    std::string error;
-    EXPECT_FALSE(telemetry.configure(flag_only, watchdog_rule(), &error));
+    telemetry.configure(cli::CommonFlags{}, std::nullopt);
     EXPECT_FALSE(telemetry.enabled());
-    EXPECT_NE(error.find("--slo-config " + rules_file), std::string::npos)
-        << error;
-    EXPECT_NE(error.find("\"slo\" section"), std::string::npos) << error;
   }
 }
 

@@ -141,8 +141,7 @@ TEST(TrafficGenerator, DiurnalAverageRateIsMidwayTroughToPeak) {
 }
 
 TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
-  const char* text = R"({"serve": {
-    "name": "knobs",
+  const char* text = R"({"name": "knobs", "serve": {
     "seed": 99,
     "duration_ms": 750,
     "drain_limit_ms": 4000,

@@ -24,23 +24,27 @@
 //       fallback) with a fault schedule and check the committed chain
 //       against the fault-free reference (docs/FAULTS.md). --scenario takes
 //       a composed scenario file (configs/faults_*.json ship one each) and
-//       reads its "faults" (and "slo" and "bmac") sections.
+//       reads its "faults" (and "slo" and "bmac") sections; its top-level
+//       "name" labels the run.
 //   serve [--scenario FILE]
 //       Run the open-loop client-serving front end (traffic -> admission ->
 //       endorse -> order -> commit, docs/SERVING.md) and print the SLO
 //       report. --scenario takes a composed scenario file such as
 //       configs/scenario_*.json or configs/serve_*.json (serve + sessions +
-//       durability + slo sections, docs/SERVING.md). Without it, a built-in
-//       steady Poisson scenario is used. Every run replays its committed
-//       chain through an independent validator ("flags match").
+//       durability + slo sections, docs/SERVING.md); without it, or
+//       without a "serve" section, a built-in steady Poisson scenario is
+//       used (configs/slo_default.json runs the default SLO rules on it).
+//       Every run replays its committed chain through an independent
+//       validator ("flags match").
 //   cluster [--scenario FILE] [--blocks N] [--kill-leader] [--data-dir DIR]
 //       Run an N-org/M-peer deployment with a Raft ordering cluster,
 //       payload gossip and peer state transfer (docs/CLUSTER.md), checking
 //       every peer against the single-peer reference commit-hash chain.
 //       --scenario reads the "cluster" section of a composed scenario file
 //       (configs/scenario_cluster.json); --kill-leader crashes the Raft
-//       leader mid-run; --data-dir enables per-peer durable logs +
-//       snapshot-based catch-up. Exit code 0 iff the cluster converged.
+//       leader mid-run; --data-dir (the only source of the data
+//       directory) enables per-peer durable logs + snapshot-based catch-up.
+//       Exit code 0 iff the cluster converged.
 //
 // Observability: --trace-out FILE writes a Chrome trace-event JSON of the
 // whole run (throughput, validate, chaos, serve); --metrics-out FILE writes
@@ -52,12 +56,11 @@
 //
 // Continuous telemetry (chaos and serve, docs/OBSERVABILITY.md):
 // --sample-interval MS samples every metric on the simulated clock into
-// --timeseries-out / --timeseries-csv; --slo-config FILE evaluates SLO
-// burn-rate rules during the run (--slo-out writes the alert log); a
-// scenario's "slo" section supplies them instead, and giving both is an
-// error (exit 2);
-// --flight-out FILE arms the per-transaction flight recorder, dumped at the
-// first SLO alert / watchdog fire / fallback activation.
+// --timeseries-out / --timeseries-csv; the scenario's "slo" section
+// supplies the SLO burn-rate rules evaluated during the run (--slo-out
+// writes the alert log); --flight-out FILE arms the per-transaction flight
+// recorder, dumped at the first SLO alert / watchdog fire / fallback
+// activation.
 //
 // Every command takes one --scenario file (composed JSON, serve/scenario.hpp)
 // and reads the section it needs: "bmac" (the deployment: orgs, chaincode,
@@ -418,12 +421,8 @@ int cmd_chaos(const Options& options, const serve::Scenario& scenario) {
                  "chaos needs --scenario FILE (see configs/faults_*.json)\n");
     return 2;
   }
-  net::FaultScenario fault_scenario = *scenario.faults;
-  if (fault_scenario.name.empty()) fault_scenario.name = scenario.name;
-  std::optional<obs::SloConfig> inline_slo = scenario.slo;
-
   workload::ChaosOptions chaos;
-  chaos.scenario = fault_scenario;
+  chaos.scenario = *scenario.faults;
   chaos.blocks = options.blocks;
   if (scenario.bmac) {
     chaos.network = scenario.bmac->network;
@@ -436,19 +435,14 @@ int cmd_chaos(const Options& options, const serve::Scenario& scenario) {
   obs::Tracer tracer;
   obs::Telemetry telemetry;
   const bool obs_on = options.flags.wants_obs();
-  std::string telemetry_error;
-  if (!telemetry.configure(options.flags, std::move(inline_slo),
-                           &telemetry_error)) {
-    std::fprintf(stderr, "%s\n", telemetry_error.c_str());
-    return 2;
-  }
-  if (obs_on) tracer.begin_process("chaos " + fault_scenario.name);
+  telemetry.configure(options.flags, scenario.slo);
+  if (obs_on) tracer.begin_process("chaos " + scenario.name);
   const workload::ChaosReport report = workload::run_chaos_scenario(
       chaos, obs_on ? &registry : nullptr, obs_on ? &tracer : nullptr,
       &telemetry);
 
   std::printf("scenario %s, %d blocks of %d txs\n%s",
-              fault_scenario.name.c_str(), options.blocks, options.block_size,
+              scenario.name.c_str(), options.blocks, options.block_size,
               report.to_text().c_str());
   std::printf("equivalence vs fault-free reference: %s\n",
               report.ok() ? "PASS" : "FAIL");
@@ -466,15 +460,16 @@ int cmd_chaos(const Options& options, const serve::Scenario& scenario) {
 int cmd_cluster(const Options& options, const serve::Scenario& scenario) {
   cluster::ClusterConfig config =
       scenario.cluster.value_or(cluster::ClusterConfig{});
-  if (!options.data_dir.empty()) config.data_dir = options.data_dir;
+  config.data_dir = options.data_dir;
 
   sim::Simulation sim;
   cluster::ClusterDeployment deployment(sim, config);
   const std::string data_note =
       config.data_dir.empty() ? "" : ", data dir " + config.data_dir;
   std::printf("cluster %s: %d orgs x %d peers, %d orderers, block size %zu%s\n",
-              config.name.c_str(), config.orgs, config.peers_per_org,
-              config.orderers, config.block_size, data_note.c_str());
+              scenario.name.empty() ? "cluster" : scenario.name.c_str(),
+              config.orgs, config.peers_per_org, config.orderers,
+              config.block_size, data_note.c_str());
 
   const auto target = static_cast<std::uint64_t>(options.blocks);
   const sim::Time deadline = 600 * sim::kSecond;
@@ -531,7 +526,6 @@ int cmd_serve(const Options& options, const serve::Scenario& scenario) {
   // Without --scenario: the default steady 1000 tps Poisson run.
   serve::ServeOptions serve_options = scenario.serve;
   serve_options.check_equivalence = true;
-  std::optional<obs::SloConfig> inline_slo = scenario.slo;
   if (scenario.faults && scenario.faults->data.any())
     std::fprintf(stderr,
                  "note: the \"faults\" section is not applied by `serve` "
@@ -541,12 +535,7 @@ int cmd_serve(const Options& options, const serve::Scenario& scenario) {
   obs::Tracer tracer;
   obs::Telemetry telemetry;
   const bool obs_on = options.flags.wants_obs();
-  std::string telemetry_error;
-  if (!telemetry.configure(options.flags, std::move(inline_slo),
-                           &telemetry_error)) {
-    std::fprintf(stderr, "%s\n", telemetry_error.c_str());
-    return 2;
-  }
+  telemetry.configure(options.flags, scenario.slo);
   const serve::ServeReport report =
       serve::run_serve(serve_options, obs_on ? &registry : nullptr,
                        obs_on ? &tracer : nullptr, &telemetry);

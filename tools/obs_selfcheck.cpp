@@ -11,10 +11,10 @@
 // columns) whose last sample equals the run's --metrics-out snapshot, an
 // SLO alert log with at least one fire (the burst overloads the front end
 // by design), a triggered flight dump — and a byte-identical set of files
-// when rerun (docs/OBSERVABILITY.md). Adding --slo-config to that run
-// names the rules twice and must exit 2, and so must a flag asking a
-// subcommand for an artifact it never writes, or a --scenario file without
-// the section the subcommand reads.
+// when rerun (docs/OBSERVABILITY.md). A flag asking a subcommand for an
+// artifact it never writes must exit 2, and so must a --scenario file
+// without the section the subcommand reads, one that writes a key twice,
+// and the deleted --slo-config flag.
 //
 // Usage: obs_selfcheck <path-to-bmac_sim> [work-dir]
 #include <sys/wait.h>
@@ -178,15 +178,14 @@ int main(int argc, char** argv) {
   const std::string flight_path = dir + "/obs_selfcheck_flight.json";
   const std::string snapshot_path = dir + "/obs_selfcheck_snapshot.json";
 
-  const auto telemetry_cmd = [&](const std::string& suffix,
-                                 const std::string& extra = "") {
+  const auto telemetry_cmd = [&](const std::string& suffix) {
     return "\"" + bmac_sim + "\" serve --scenario \"" + repo +
            "/configs/scenario_burst.json\" --sample-interval 5"
            " --timeseries-out \"" + ts_path + suffix + "\""
            " --timeseries-csv \"" + csv_path + suffix + "\""
            " --slo-out \"" + slo_path + suffix + "\""
            " --flight-out \"" + flight_path + suffix + "\""
-           " --metrics-out \"" + snapshot_path + suffix + "\"" + extra +
+           " --metrics-out \"" + snapshot_path + suffix + "\""
            " > /dev/null 2>&1";
   };
   std::printf("running: %s\n", telemetry_cmd("").c_str());
@@ -328,15 +327,6 @@ int main(int argc, char** argv) {
             "rerun byte-identical: " + p);
   }
 
-  // The scenario already names the rules: --slo-config on top is refused
-  // (exit 2) rather than silently dropped.
-  const int rc4 = std::system(
-      telemetry_cmd(".twice",
-                    " --slo-config \"" + repo + "/configs/slo_default.json\"")
-          .c_str());
-  check(WIFEXITED(rc4) && WEXITSTATUS(rc4) == 2,
-        "--slo-config next to a scenario \"slo\" section exits 2");
-
   // --- phase 3: a flag asking for an artifact the command never writes ----
   const auto exit_code = [&](const std::string& args) {
     const int status = std::system(
@@ -365,26 +355,32 @@ int main(int argc, char** argv) {
             0,
         "resources on a \"bmac\" deployment exits 0");
   check(exit_code("validate --config x") == 2, "--config exits 2");
-  // A policy its network cannot run fails at load and names its key.
-  const std::string policy_json = dir + "/obs_selfcheck_policy.json";
-  const std::string policy_err = dir + "/obs_selfcheck_policy.err";
-  for (const auto& [command, json, key] :
+  check(exit_code("serve --slo-config \"" + repo +
+                  "/configs/slo_default.json\"") == 2,
+        "--slo-config exits 2");
+  // A policy its network cannot run, or a key written twice, fails at load
+  // and names its path.
+  const std::string bad_json = dir + "/obs_selfcheck_bad.json";
+  const std::string bad_err = dir + "/obs_selfcheck_bad.err";
+  for (const auto& [command, json, diagnostic] :
        {std::tuple{"serve",
                    R"({"serve": {"network": {"orgs": 2,
                                              "policy": "3-outof-3 orgs"}}})",
                    "scenario.serve.network.policy: "},
         std::tuple{"cluster",
                    R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
-                   "scenario.cluster.policy: "}}) {
-    std::ofstream(policy_json) << json;
+                   "scenario.cluster.policy: "},
+        std::tuple{"serve", R"({"serve": {"seed": 1, "seed": 2}})",
+                   "scenario.serve.seed: repeated key"}}) {
+    std::ofstream(bad_json) << json;
     const int status = std::system(("\"" + bmac_sim + "\" " + command +
-                                    " --scenario \"" + policy_json +
-                                    "\" > /dev/null 2> \"" + policy_err +
+                                    " --scenario \"" + bad_json +
+                                    "\" > /dev/null 2> \"" + bad_err +
                                     "\"").c_str());
     check(WIFEXITED(status) && WEXITSTATUS(status) == 2 &&
-              read_file(policy_err).find(key) != std::string::npos,
-          std::string(command) + " with an unrunnable policy exits 2 naming " +
-              key);
+              read_file(bad_err).find(diagnostic) != std::string::npos,
+          std::string(command) + " on a bad scenario exits 2 naming \"" +
+              diagnostic + "\"");
   }
 #else
   std::printf("(phase 2 skipped: BM_REPO_ROOT not defined)\n");
