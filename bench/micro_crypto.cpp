@@ -116,9 +116,16 @@ BENCHMARK(BM_EcdsaVerifyHotKeys)
     ->Arg(96)
     ->Arg(180);
 
+/// The lockstep walk's kernel, as a row label for the batch benchmarks.
+const char* lockstep_kernel() {
+  return detail::comb_ifma_kernel() ? "lockstep: avx512ifma"
+                                    : "lockstep: portable";
+}
+
 // One crypto::verify call over N signatures by 8 hot keys (tables built
 // outside the loop), timed per signature: /1 is the single call, and from
-// kVerifyBatchMin items on the batch walks its combs in lockstep.
+// verify_batch_min() items on the batch walks its combs in lockstep, on the
+// kernel the row's label names.
 void BM_EcdsaVerifyBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<VerifyItem> items;
@@ -133,6 +140,7 @@ void BM_EcdsaVerifyBatch(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(verify(items));
   }
+  state.SetLabel(lockstep_kernel());
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["us_per_sig"] = benchmark::Counter(
       static_cast<double>(state.iterations() * state.range(0)),
@@ -147,7 +155,8 @@ BENCHMARK(BM_EcdsaVerifyBatch)
     ->Arg(50)
     ->Arg(100);
 
-// One crypto::sign call over N digests by 8 keys, timed per signature.
+// One crypto::sign call over N digests by 8 keys, timed per signature;
+// from kSignBatchMin items on the kernel the row's label names.
 void BM_EcdsaSignBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<SignItem> items;
@@ -158,6 +167,7 @@ void BM_EcdsaSignBatch(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sign(items));
   }
+  state.SetLabel(lockstep_kernel());
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["us_per_sig"] = benchmark::Counter(
       static_cast<double>(state.iterations() * state.range(0)),
@@ -235,6 +245,30 @@ void BM_FieldSqrThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_FieldSqrThroughput);
+
+// The lockstep walk's eight-lane Montgomery product (one dependent chain
+// of eight lanes through the out-of-line detail::fp8_apply), timed per
+// lane product; only where the walk runs the IFMA kernel.
+void BM_FieldMul8Throughput(benchmark::State& state) {
+  if (!detail::comb_ifma_kernel()) {
+    state.SkipWithError("no avx512ifma: the lockstep walk runs the portable "
+                        "kernel");
+    return;
+  }
+  Rng rng(2);
+  detail::Fp8 a{}, b{};
+  for (int k = 0; k < 8; ++k) {
+    detail::fp8_set(a, k, mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+    detail::fp8_set(b, k, mod(U256::from_bytes_be(rng.bytes(32)), p256_p()));
+  }
+  for (auto _ : state) {
+    a = detail::fp8_apply(detail::Fp8Op::kMul, a, b);
+    benchmark::DoNotOptimize(a);
+  }
+  state.SetLabel(lockstep_kernel());
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_FieldMul8Throughput);
 
 void BM_FieldInv(benchmark::State& state) {
   Rng rng(3);

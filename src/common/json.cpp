@@ -1,6 +1,5 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <cstdlib>
 
 namespace bm::json {
@@ -194,33 +193,36 @@ class Parser {
     return fail("unterminated string");
   }
 
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(Value& out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    bool digits = false;
-    auto eat_digits = [&] {
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
+    const auto at = [&](std::string_view chars) {
+      return pos_ < text_.size() && chars.find(text_[pos_]) != chars.npos;
     };
-    eat_digits();
+    const auto eat_digits = [&] {  // one or more
+      const std::size_t first = pos_;
+      while (at("0123456789")) ++pos_;
+      return pos_ > first;
+    };
+    if (at("-")) ++pos_;
+    if (at("0")) {
+      ++pos_;
+      if (at("0123456789")) return fail("leading zero in number");
+    } else if (!eat_digits()) {
+      return fail("expected a value");
+    }
     bool integer = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    if (at(".")) {
       ++pos_;
-      eat_digits();
+      if (!eat_digits()) return fail("expected a digit after '.'");
       integer = false;
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (at("eE")) {
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-        ++pos_;
-      eat_digits();
+      if (at("+-")) ++pos_;
+      if (!eat_digits()) return fail("expected a digit in the exponent");
       integer = false;
     }
-    if (!digits) return fail("expected a value");
     out.type = Value::Type::kNumber;
     std::string literal(text_.substr(start, pos_ - start));
     out.number = std::strtod(literal.c_str(), nullptr);

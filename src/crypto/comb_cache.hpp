@@ -16,9 +16,9 @@
 // fresh keys therefore never builds a table or evicts a hot one. A
 // crypto::verify batch asks for each item's table in item order, exactly
 // as the items verified one by one would, and walks the tables of at least
-// kVerifyBatchMin items in lockstep (crypto/p256.hpp's
-// double_scalar_mult_comb_batch); below that crossover each item runs its
-// own comb walk.
+// verify_batch_min() items in lockstep (crypto/p256.hpp's
+// double_scalar_mult_comb_batch); below that crossover, which depends on
+// the walk's kernel, each item runs its own comb walk.
 //
 // Correctness: the combine is algebraically the same sum, so verdicts are
 // bit-identical on either path (differential-tested against the pre-rewrite

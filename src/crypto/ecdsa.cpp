@@ -191,7 +191,8 @@ std::vector<Signature> sign(std::span<const SignItem> items) {
 
 std::vector<bool> verify(std::span<const VerifyItem> items) {
   std::vector<bool> ok(items.size(), false);
-  if (items.size() < kVerifyBatchMin) {
+  const std::size_t batch_min = verify_batch_min();
+  if (items.size() < batch_min) {
     for (std::size_t i = 0; i < items.size(); ++i) ok[i] = verify_one(items[i]);
     return ok;
   }
@@ -223,7 +224,7 @@ std::vector<bool> verify(std::span<const VerifyItem> items) {
     lane_item.push_back(live[j]);
     tables.push_back(std::move(table));
   }
-  if (lanes.size() < kVerifyBatchMin) {
+  if (lanes.size() < batch_min) {
     for (std::size_t j = 0; j < lanes.size(); ++j)
       ok[lane_item[j]] = x_equals_mod_n(
           double_scalar_mult_comb(lanes[j].u1, lanes[j].u2, *lanes[j].q),

@@ -71,12 +71,17 @@ struct VerifyItem {
 /// its key's comb table from the key's second sight on, and over the
 /// generic joint-wNAF multiply before that (crypto/comb_cache.hpp); the
 /// cache is asked once per such item, in item order. A batch of at least
-/// kVerifyBatchMin items inverts every s mod n at once and walks its
-/// comb-table items in lockstep when there are kVerifyBatchMin of them;
+/// verify_batch_min() items inverts every s mod n at once and walks its
+/// comb-table items in lockstep when there are verify_batch_min() of them;
 /// fewer run one Jacobian comb walk each. The verdicts are the same on
-/// every path. The crossover was measured like kSignBatchMin's.
-inline constexpr std::size_t kVerifyBatchMin = 20;
+/// every path.
 std::vector<bool> verify(std::span<const VerifyItem> items);
+
+/// verify's crossover, measured like kSignBatchMin's, for the walk kernel:
+/// the IFMA walk wins from 16 items, the portable one only from 20.
+inline std::size_t verify_batch_min() {
+  return detail::comb_ifma_kernel() ? 16 : 20;
+}
 
 /// Verify a signature over a 32-byte message digest: a batch of one.
 inline bool verify(const PublicKey& key, const Digest& digest,

@@ -1,11 +1,13 @@
 #include "crypto/p256.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #if defined(__x86_64__)
 #include <cpuid.h>
-#define BM_P256_ADX 1
+#include <immintrin.h>
+#define BM_P256_X86 1
 #endif
 
 namespace bm::crypto {
@@ -112,7 +114,7 @@ using u64 = std::uint64_t;
   return U512{{x0, x1, x2, x3, x4, x5, x6, x7}};
 }
 
-#ifdef BM_P256_ADX
+#ifdef BM_P256_X86
 
 /// cpuid leaf 7: bmi2 (mulx) and adx (adcx, adox).
 bool cpu_has_bmi2_adx() {
@@ -125,6 +127,22 @@ bool cpu_has_bmi2_adx() {
 /// another static initialiser, before this one has run, merely takes the
 /// portable path.
 const bool kAdx = cpu_has_bmi2_adx();
+
+/// cpuid: AVX512F and AVX512_IFMA (leaf 7), and an OS that saves the opmask
+/// and zmm registers (OSXSAVE in leaf 1, then XCR0 bits 1, 2 and 5 to 7).
+bool cpu_has_avx512_ifma() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & (1u << 27)) == 0)
+    return false;
+  unsigned xcr0 = 0, xcr0_hi = 0;
+  asm("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+  if ((xcr0 & 0xe6) != 0xe6) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & (1u << 16)) != 0 && (ebx & (1u << 21)) != 0;
+}
+
+/// Read once, like kAdx: both lockstep walks return the same points.
+const bool kIfma = cpu_has_avx512_ifma();
 
 // The ADX kernels below compute the 512-bit product or square into x0..x7
 // and reduce it in the same asm block, so no limb leaves a register. They
@@ -295,19 +313,21 @@ const bool kAdx = cpu_has_bmi2_adx();
 #undef BM_ADX_REDUCE_ROUND
 #undef BM_ADX_REDUCE
 
-#endif  // BM_P256_ADX
+#else
+constexpr bool kAdx = false, kIfma = false;
+#endif  // BM_P256_X86
 
 // The field product and square: the ADX kernel when cpuid offers it, else
 // the portable one.
 [[gnu::always_inline]] inline U256 fe_mul(const U256& a, const U256& b) {
-#ifdef BM_P256_ADX
+#ifdef BM_P256_X86
   if (kAdx) return fe_mul_adx(a, b);
 #endif
   return fe_reduce(mul_wide(a, b));
 }
 
 [[gnu::always_inline]] inline U256 fe_sqr(const U256& a) {
-#ifdef BM_P256_ADX
+#ifdef BM_P256_X86
   if (kAdx) return fe_sqr_adx(a);
 #endif
   return fe_reduce(sqr_wide(a));
@@ -550,13 +570,9 @@ U256 fp_mul_portable(const U256& a, const U256& b) {
 
 U256 fp_sqr_portable(const U256& a) { return fe_reduce(sqr_wide(a)); }
 
-bool fp_adx_kernel() {
-#ifdef BM_P256_ADX
-  return kAdx;
-#else
-  return false;
-#endif
-}
+bool fp_adx_kernel() { return kAdx; }
+
+bool comb_ifma_kernel() { return kIfma; }
 
 }  // namespace detail
 
@@ -853,14 +869,17 @@ PointCombTable PointCombTable::build(const AffinePoint& p) {
   return tbl;
 }
 
+const PointCombTable::Entry* PointCombTable::entry(int block,
+                                                    unsigned digit) const {
+  if (digit == 0 || entries_.empty()) return nullptr;
+  return &entries_[static_cast<std::size_t>(block * kCombEntries) + digit - 1];
+}
+
 void PointCombTable::add_column(JacobianPoint& acc, const U256& k,
                                 int col) const {
-  for (int b = 0; b < kCombBlocks; ++b) {
-    const unsigned d = block_digit(k.w[b], col);
-    if (d == 0) continue;
-    const Entry& e = entries_[b * kCombEntries + d - 1];
-    acc = add_mont_affine(acc, e.x, e.y);
-  }
+  for (int b = 0; b < kCombBlocks; ++b)
+    if (const Entry* e = entry(b, block_digit(k.w[b], col)))
+      acc = add_mont_affine(acc, e->x, e->y);
 }
 
 JacobianPoint PointCombTable::mult(const U256& k) const {
@@ -969,13 +988,12 @@ void lockstep_step(std::vector<AffinePoint>& acc,
   }
 }
 
-}  // namespace
-
-std::vector<AffinePoint> double_scalar_mult_comb_batch(
-    std::span<const CombLane> lanes) {
+/// Both walks' schedule, double_scalar_mult_comb's column order on scalars
+/// reduced as there: step(nullptr) doubles every lane, step(add) adds each
+/// lane's entry (null: none) for one block of G's, then of Q's comb.
+template <class Step>
+void comb_schedule(std::span<const CombLane> lanes, Step&& step) {
   const std::size_t n = lanes.size();
-  // Scalars reduced as double_scalar_mult_comb reduces them; a zero scalar
-  // selects no entry.
   std::vector<U256> u1(n), u2(n);
   for (std::size_t i = 0; i < n; ++i) {
     const CombLane& lane = lanes[i];
@@ -984,32 +1002,318 @@ std::vector<AffinePoint> double_scalar_mult_comb_batch(
       u2[i] = reduce_mod_n(lane.u2);
   }
   const PointCombTable& g = base_comb_table();
-  std::vector<AffinePoint> acc(n, AffinePoint{{}, {}, true});
-  std::vector<Slope> slopes(n);
-  std::vector<std::size_t> live;
-  live.reserve(n);
   std::vector<const PointCombTable::Entry*> add(n);
-  // The same column order as double_scalar_mult_comb: double, then G's
-  // blocks, then Q's.
   const auto add_block = [&](bool base, int b, int col) {
+    bool any = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const PointCombTable* t = base ? &g : lanes[i].q;
       const unsigned d = block_digit((base ? u1 : u2)[i].w[b], col);
-      add[i] = d == 0 ? nullptr : &t->entries_[b * kCombEntries + d - 1];
+      add[i] = d == 0 ? nullptr : (base ? g : *lanes[i].q).entry(b, d);
+      any |= add[i] != nullptr;
     }
-    lockstep_step(acc, add.data(), slopes, live);
+    if (any) step(add.data());
   };
   for (int col = kCombSpacing - 1; col >= 0; --col) {
-    lockstep_step(acc, nullptr, slopes, live);
+    step(nullptr);
     for (int b = 0; b < kCombBlocks; ++b) add_block(true, b, col);
     for (int b = 0; b < kCombBlocks; ++b) add_block(false, b, col);
   }
+}
+
+#ifdef BM_P256_X86
+
+// The eight-lane walk: five zmm registers hold eight field elements, one
+// 52-bit limb of every lane each, so one vpmadd52luq or vpmadd52huq serves
+// eight lanes. R is the scalar code's 2^256 and every result is fully
+// reduced, so each lane holds, limb for limb, what the portable walk holds.
+// Only these functions carry the target attribute; kIfma picks the walk.
+
+#define BM_IFMA gnu::target("avx512f,avx512ifma")
+
+/// Eight 64-bit lanes (GCC vector extensions: the operators act lane by
+/// lane and broadcast a scalar operand).
+using V = u64 __attribute__((vector_size(64)));
+using VSigned = std::int64_t __attribute__((vector_size(64)));
+
+/// Eight field elements in registers: limb j of every lane in v[j].
+struct F8 {
+  V v[5];
+};
+
+constexpr u64 kMask52 = (u64{1} << 52) - 1;
+/// p in radix 2^52. Its low 96 bits are ones, so -p^-1 = 1 mod 2^52 and
+/// each Montgomery round's multiplier is the limb it clears.
+constexpr u64 kP52[5] = {kMask52, (u64{1} << 44) - 1, 0, u64{1} << 36,
+                         0xffffffff0000};
+
+[[gnu::always_inline, BM_IFMA]] inline void madd52(V& lo, V& hi, V a, V b) {
+  lo = (V)_mm512_madd52lo_epu64((__m512i)lo, (__m512i)a, (__m512i)b);
+  hi = (V)_mm512_madd52hi_epu64((__m512i)hi, (__m512i)a, (__m512i)b);
+}
+
+[[gnu::always_inline, BM_IFMA]] inline F8 load8(const detail::Fp8& a) {
+  return std::bit_cast<F8>(a);
+}
+
+[[gnu::always_inline, BM_IFMA]] inline void store8(detail::Fp8& a, F8 r) {
+  a = std::bit_cast<detail::Fp8>(r);
+}
+
+/// Lane by lane, b where k is set, else a.
+[[gnu::always_inline, BM_IFMA]] inline F8 blend8(__mmask8 k, F8 a, F8 b) {
+  for (int j = 0; j < 5; ++j)
+    a.v[j] = (V)_mm512_mask_blend_epi64(k, (__m512i)a.v[j], (__m512i)b.v[j]);
+  return a;
+}
+
+[[gnu::always_inline, BM_IFMA]] inline __mmask8 eq8(const F8& a, const F8& b) {
+  __mmask8 k = 0xff;
+  for (int j = 0; j < 5; ++j)
+    k = _mm512_mask_cmpeq_epu64_mask(k, (__m512i)a.v[j], (__m512i)b.v[j]);
+  return k;
+}
+
+/// Carries signed limb excesses upward, leaving 52-bit limbs; returns the
+/// carry out of limb 4, all ones in a lane whose value went negative.
+[[gnu::always_inline, BM_IFMA]] inline V carry52(F8& r) {
+  V c{};
+  for (int j = 0; j < 5; ++j) {
+    r.v[j] += c;
+    c = (V)((VSigned)r.v[j] >> 52);
+    r.v[j] &= kMask52;
+  }
+  return c;
+}
+
+/// r - p where that is not negative, else r; r < 2p in 52-bit limbs.
+[[gnu::always_inline, BM_IFMA]] inline F8 sub_p_once(const F8& r) {
+  F8 d = r;
+  for (int j = 0; j < 5; ++j) d.v[j] -= kP52[j];
+  const V below = carry52(d);
+  for (int j = 0; j < 5; ++j) d.v[j] = (d.v[j] & ~below) | (r.v[j] & below);
+  return d;
+}
+
+[[gnu::always_inline, BM_IFMA]] inline F8 add8(F8 a, const F8& b) {
+  for (int j = 0; j < 5; ++j) a.v[j] += b.v[j];
+  carry52(a);
+  return sub_p_once(a);
+}
+
+[[gnu::always_inline, BM_IFMA]] inline F8 sub8(F8 a, const F8& b) {
+  for (int j = 0; j < 5; ++j) a.v[j] -= b.v[j];
+  // A negative lane holds a - b + 2^260; adding p carries out of limb 4.
+  const V negative = carry52(a);
+  for (int j = 0; j < 5; ++j) a.v[j] += negative & kP52[j];
+  carry52(a);
+  return a;
+}
+
+/// t 2^-256 mod p for the ten-limb t < p 2^256 (limbs below 2^57): four
+/// 52-bit Montgomery rounds and one 48-bit round, as R = 2^208 2^48.
+[[gnu::always_inline, BM_IFMA]] inline F8 redc8(V (&t)[10]) {
+  for (int i = 0; i < 5; ++i) {
+    // q p = q (2^96 - 1) + q 2^192 + q p4 2^208 added at limb i: the -q
+    // clears limb i's low bits, and rounds 0 to 3 carry the rest up.
+    const V q = t[i] & (i < 4 ? kMask52 : kMask52 >> 4);
+    if (i < 4)
+      t[i + 1] += t[i] >> 52;
+    else
+      t[i] -= q;
+    t[i + 1] += q << 44 & kMask52;
+    t[i + 2] += q >> 8;
+    t[i + 3] += q << 36 & kMask52;
+    t[i + 4] += q >> 16;
+    madd52(t[i + 4], t[i + 5], q, V{} + kP52[4]);
+  }
+  // The result, below 2p, is limbs 4 to 9 shifted right by 48 bits.
+  for (int j = 4; j < 9; ++j) {
+    t[j + 1] += t[j] >> 52;
+    t[j] &= kMask52;
+  }
+  F8 r;
+  for (int j = 0; j < 5; ++j)
+    r.v[j] = t[4 + j] >> 48 | (t[5 + j] << 4 & kMask52);
+  return sub_p_once(r);
+}
+
+[[gnu::always_inline, BM_IFMA]] inline F8 mul8(const F8& a, const F8& b) {
+  V t[10] = {};
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 5; ++j) madd52(t[i + j], t[i + j + 1], a.v[i], b.v[j]);
+  return redc8(t);
+}
+
+/// The U256 at byte `offset` of each entry (x at 0, y at 32) whose address
+/// the lanes in `has` hold, as 52-bit limbs; zero in the other lanes.
+[[gnu::always_inline, BM_IFMA]] inline F8 gather8(V where, __mmask8 has,
+                                                  int offset) {
+  V w[4];
+  for (int i = 0; i < 4; ++i)
+    w[i] = (V)_mm512_mask_i64gather_epi64(
+        _mm512_setzero_si512(), has,
+        (__m512i)(where + static_cast<u64>(offset + 8 * i)), nullptr, 1);
+  return F8{{w[0] & kMask52, (w[0] >> 52 | w[1] << 12) & kMask52,
+             (w[1] >> 40 | w[2] << 24) & kMask52,
+             (w[2] >> 28 | w[3] << 36) & kMask52, w[3] >> 16}};
+}
+
+[[BM_IFMA]] detail::Fp8 fp8_apply_ifma(detail::Fp8Op op,
+                                        const detail::Fp8& a,
+                                        const detail::Fp8& b) {
+  using Op = detail::Fp8Op;
+  const F8 x = load8(a), y = load8(b);
+  detail::Fp8 out;
+  store8(out, op == Op::kMul   ? mul8(x, y)
+              : op == Op::kSqr ? mul8(x, x)
+              : op == Op::kAdd ? add8(x, y)
+                               : sub8(x, y));
+  return out;
+}
+
+/// Eight lanes of the walk: affine, Montgomery-domain accumulators and the
+/// slope each live lane takes in the current step, as Slope holds it.
+struct LaneGroup {
+  detail::Fp8 x{}, y{}, num{}, den{}, x2{}, prefix{};
+  std::uint8_t infinity = 0xff;  ///< bit k: lane k's accumulator
+  std::uint8_t live = 0;         ///< bit k: lane k takes a slope this step
+};
+
+/// lockstep_step over groups of eight of the n lanes, with the same outcome
+/// per lane: Montgomery's trick runs as eight chains, one per lane position,
+/// whose totals share the one field inversion.
+[[BM_IFMA]] void lockstep_step8(std::vector<LaneGroup>& groups,
+                                const PointCombTable::Entry* const* add,
+                                std::size_t n) {
+  detail::Fp8 lanes;
+  for (int k = 0; k < 8; ++k) detail::fp8_set(lanes, k, kPOne);
+  const F8 one = load8(lanes);
+  F8 chain = one;
+  bool any = false;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    LaneGroup& lg = groups[g];
+    F8 x = load8(lg.x), y = load8(lg.y), num = x, den = y, x2 = x;
+    __mmask8 inf = lg.infinity;
+    __mmask8 dbl = static_cast<__mmask8>(~inf), live = dbl;
+    if (add != nullptr) {
+      V where{};
+      for (std::size_t k = 0; k < 8 && 8 * g + k < n; ++k)
+        where[k] = reinterpret_cast<std::uintptr_t>(add[8 * g + k]);
+      const __mmask8 has =
+          _mm512_test_epi64_mask((__m512i)where, (__m512i)where);
+      const F8 ex = gather8(where, has, 0), ey = gather8(where, has, 32);
+      const __mmask8 set = has & inf;  // an accumulator at infinity takes it
+      const __mmask8 fin = has & ~inf;
+      x = blend8(set, x, ex);
+      y = blend8(set, y, ey);
+      const __mmask8 eqx = eq8(x, ex) & fin;
+      dbl = eqx & eq8(y, ey);              // meets the entry itself ...
+      inf = (inf & ~set) | (eqx & ~dbl);  // ... or its negation
+      live = (fin & ~eqx) | dbl;
+      num = sub8(ey, y);
+      den = sub8(ex, x);
+      x2 = ex;
+    }
+    if (dbl != 0) {  // lambda = (3x^2 + a) / 2y with a = -3
+      const F8 t = mul8(sub8(x, one), add8(x, one));
+      num = blend8(dbl, num, add8(add8(t, t), t));
+      den = blend8(dbl, den, add8(y, y));
+      x2 = blend8(dbl, x2, x);
+    }
+    den = blend8(live, one, den);  // a lane without a slope multiplies in one
+    store8(lg.prefix, chain);
+    chain = mul8(chain, den);
+    store8(lg.x, x);
+    store8(lg.y, y);
+    store8(lg.num, num);
+    store8(lg.den, den);
+    store8(lg.x2, x2);
+    lg.infinity = inf;
+    lg.live = live;
+    any |= live != 0;
+  }
+  if (!any) return;
+  store8(lanes, chain);
+  U256 prefix[8];
+  U256 product = kPOne;
+  for (int k = 0; k < 8; ++k) {
+    prefix[k] = product;
+    product = fe_mul(product, detail::fp8_get(lanes, k));
+  }
+  U256 inv = fp_inv(product);
+  for (int k = 8; k-- > 0;) {
+    const U256 total = detail::fp8_get(lanes, k);
+    detail::fp8_set(lanes, k, fe_mul(inv, prefix[k]));
+    inv = fe_mul(inv, total);
+  }
+  chain = load8(lanes);
+  for (std::size_t g = groups.size(); g-- > 0;) {
+    LaneGroup& lg = groups[g];
+    if (lg.live == 0) continue;  // its denominators are all one
+    const F8 lambda = mul8(load8(lg.num), mul8(chain, load8(lg.prefix)));
+    chain = mul8(chain, load8(lg.den));
+    const F8 x = load8(lg.x), y = load8(lg.y);
+    const F8 x3 = sub8(sub8(mul8(lambda, lambda), x), load8(lg.x2));
+    store8(lg.y, blend8(lg.live, y, sub8(mul8(lambda, sub8(x, x3)), y)));
+    store8(lg.x, blend8(lg.live, x, x3));
+  }
+}
+
+#undef BM_IFMA
+
+#endif  // BM_P256_X86
+
+}  // namespace
+
+namespace detail {
+
+std::vector<AffinePoint> double_scalar_mult_comb_batch_portable(
+    std::span<const CombLane> lanes) {
+  std::vector<AffinePoint> acc(lanes.size(), AffinePoint{{}, {}, true});
+  std::vector<Slope> slopes(lanes.size());
+  std::vector<std::size_t> live;
+  live.reserve(lanes.size());
+  comb_schedule(lanes, [&](const PointCombTable::Entry* const* add) {
+    lockstep_step(acc, add, slopes, live);
+  });
   for (AffinePoint& a : acc) {
     if (a.infinity) continue;
     a.x = fp_from_mont(a.x);
     a.y = fp_from_mont(a.y);
   }
   return acc;
+}
+
+Fp8 fp8_apply([[maybe_unused]] Fp8Op op, [[maybe_unused]] const Fp8& a,
+              [[maybe_unused]] const Fp8& b) {
+#ifdef BM_P256_X86
+  if (kIfma) return fp8_apply_ifma(op, a, b);
+#endif
+  std::abort();  // only where comb_ifma_kernel() is true
+}
+
+}  // namespace detail
+
+std::vector<AffinePoint> double_scalar_mult_comb_batch(
+    std::span<const CombLane> lanes) {
+#ifdef BM_P256_X86
+  if (kIfma) {
+    const std::size_t n = lanes.size();
+    std::vector<LaneGroup> groups((n + 7) / 8);
+    comb_schedule(lanes, [&](const PointCombTable::Entry* const* add) {
+      lockstep_step8(groups, add, n);
+    });
+    std::vector<AffinePoint> out(n, AffinePoint{{}, {}, true});
+    for (std::size_t i = 0; i < n; ++i) {
+      const LaneGroup& lg = groups[i / 8];
+      const int k = static_cast<int>(i % 8);
+      if ((lg.infinity >> k & 1) == 0)
+        out[i] = {fp_from_mont(detail::fp8_get(lg.x, k)),
+                  fp_from_mont(detail::fp8_get(lg.y, k)), false};
+    }
+    return out;
+  }
+#endif
+  return detail::double_scalar_mult_comb_batch_portable(lanes);
 }
 
 JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {

@@ -7,6 +7,7 @@
 // (public keys, curve constants) stay in the ordinary domain.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -113,8 +114,6 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
 /// r + n < p, (r + n) * Z^2 == X) so no field inversion is needed.
 bool x_equals_mod_n(const JacobianPoint& p, const U256& r);
 
-struct CombLane;
-
 /// Per-point Lim–Lee comb table, the same layout the generator's fixed-base
 /// table uses: one block per 64-bit limb of the scalar, 8 teeth x 8 columns
 /// in each, 4 x 255 affine entries (~64 KiB). Building one costs about 250
@@ -135,6 +134,10 @@ class PointCombTable {
     U256 y;
   };
 
+  /// The entry comb digit `digit` (0..255) of block `block` (0..3) adds;
+  /// null for digit 0, and for every digit of an infinity table.
+  const Entry* entry(int block, unsigned digit) const;
+
   /// k * P via the comb: 7 doublings + <= 32 mixed additions (reduces k
   /// mod n first, like scalar_mult).
   JacobianPoint mult(const U256& k) const;
@@ -142,8 +145,6 @@ class PointCombTable {
  private:
   friend JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
                                                const PointCombTable& q);
-  friend std::vector<AffinePoint> double_scalar_mult_comb_batch(
-      std::span<const CombLane> lanes);
 
   PointCombTable() = default;
 
@@ -179,8 +180,46 @@ struct CombLane {
 /// field inversion (Montgomery's trick), which beats the per-lane Jacobian
 /// formulas once enough lanes share it. Lanes whose accumulator is at
 /// infinity or meets plus or minus the entry it adds are handled exactly.
+/// Eight lanes per AVX-512 IFMA instruction where cpuid and the OS allow
+/// it, else the portable walk; both hold the same values at every step.
 std::vector<AffinePoint> double_scalar_mult_comb_batch(
     std::span<const CombLane> lanes);
+
+namespace detail {
+/// The portable walk behind double_scalar_mult_comb_batch: its fallback
+/// and the tests' oracle.
+std::vector<AffinePoint> double_scalar_mult_comb_batch_portable(
+    std::span<const CombLane> lanes);
+/// True when double_scalar_mult_comb_batch runs the eight-lane IFMA walk.
+bool comb_ifma_kernel();
+
+/// Eight field elements as the IFMA walk holds them: limb j (radix 2^52,
+/// least significant first) of lane k at limb[j][k].
+struct alignas(64) Fp8 {
+  std::uint64_t limb[5][8];
+};
+
+inline void fp8_set(Fp8& a, int k, const U256& v) {
+  constexpr std::uint64_t m = (std::uint64_t{1} << 52) - 1;
+  a.limb[0][k] = v.w[0] & m;
+  a.limb[1][k] = (v.w[0] >> 52 | v.w[1] << 12) & m;
+  a.limb[2][k] = (v.w[1] >> 40 | v.w[2] << 24) & m;
+  a.limb[3][k] = (v.w[2] >> 28 | v.w[3] << 36) & m;
+  a.limb[4][k] = v.w[3] >> 16;
+}
+
+inline U256 fp8_get(const Fp8& a, int k) {
+  const auto l = [&a, k](int j) { return a.limb[j][k]; };
+  return {{l(0) | l(1) << 52, l(1) >> 12 | l(2) << 40, l(2) >> 24 | l(3) << 28,
+           l(3) >> 36 | l(4) << 16}};
+}
+
+enum class Fp8Op { kMul, kSqr, kAdd, kSub };
+/// Lane by lane, fp_mul(a, b), fp_sqr(a), fp_add(a, b) or fp_sub(a, b) in
+/// the IFMA walk's field arithmetic, for its tests and benchmark. Only
+/// where comb_ifma_kernel() is true (else it aborts); inputs must be < p.
+Fp8 fp8_apply(Fp8Op op, const Fp8& a, const Fp8& b);
+}  // namespace detail
 
 /// True iff (x, y) satisfies the curve equation and both are < p.
 bool on_curve(const AffinePoint& p);

@@ -182,10 +182,6 @@ void DurableLedger::publish_recovery_metrics(obs::Registry& registry,
                                              const std::string& prefix,
                                              const RecoveryResult& result) {
   registry
-      .gauge(prefix + "_recovery_duration_ms",
-             "wall-clock time of the last recovery")
-      .set(result.duration_s * 1e3);
-  registry
       .gauge(prefix + "_recovery_blocks_replayed",
              "log records re-applied by the last recovery")
       .set(static_cast<double>(result.blocks_replayed));

@@ -106,7 +106,8 @@ class DurableLedger {
   /// Log/snapshot counters and gauges under "<prefix>_..." (idempotent).
   void publish_metrics(obs::Registry& registry, const std::string& prefix) const;
 
-  /// Publish one recovery's outcome (duration, replay size, snapshot use).
+  /// Publish one recovery's outcome (replay size, snapshot use, torn bytes;
+  /// no wall-clock time, so the same recovery publishes the same values).
   static void publish_recovery_metrics(obs::Registry& registry,
                                        const std::string& prefix,
                                        const RecoveryResult& result);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "net/faults.hpp"
 #include "obs/slo.hpp"
@@ -26,6 +27,23 @@ TEST(ConfigRoot, RejectsInvalidJsonWithRootLabel) {
   EXPECT_NE(root.error().find("serve"), std::string::npos);
   EXPECT_NE(root.error().find("invalid JSON"), std::string::npos);
   EXPECT_FALSE(root.section().present());
+  // Numerals RFC 8259 forbids fail where they go wrong; its numerals load.
+  const std::pair<const char*, const char*> bad_numbers[] = {
+      {R"({"a": +1})", "expected a value at offset 6"},
+      {R"({"a": 0300})", "leading zero in number at offset 7"},
+      {R"({"a": -01})", "leading zero in number at offset 8"},
+      {R"({"a": 1.})", "expected a digit after '.' at offset 8"},
+      {R"({"a": .5})", "expected a value at offset 6"},
+      {R"({"a": -.5})", "expected a value at offset 7"},
+      {R"({"a": 1e})", "expected a digit in the exponent at offset 8"},
+      {R"({"a": 1e+})", "expected a digit in the exponent at offset 9"},
+  };
+  for (const auto& [text, why] : bad_numbers)
+    EXPECT_EQ(config::Root::parse(text, "serve").error(),
+              std::string("serve: invalid JSON: ") + why);
+  for (const char* text : {R"({"a": 0})", R"({"a": -0})", R"({"a": 10.25})",
+                           R"({"a": -0.5e-3})", R"({"a": 1E+2})"})
+    EXPECT_EQ(config::Root::parse(text, "serve").error(), "") << text;
 }
 
 TEST(ConfigRoot, RejectsNonObjectRoot) {

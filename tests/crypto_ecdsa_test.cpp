@@ -689,6 +689,15 @@ void warm(const PrivateKey& key) {
     ASSERT_TRUE(verify(key.public_key(), d, sig));
 }
 
+/// The batch sizes the lockstep walks are checked at: every size up to two
+/// groups of eight and one more, and around 64.
+std::vector<std::size_t> lockstep_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t len = 1; len <= 17; ++len) sizes.push_back(len);
+  for (const std::size_t len : {63, 64, 65, 100}) sizes.push_back(len);
+  return sizes;
+}
+
 TEST(EcdsaBatch, LockstepLanesMeetingPlusAndMinusTheirEntry) {
   // With e = r and s = r / 2^k, u1 = u2 = 2^k, so G's comb and Q's pick
   // the same entry position in the same column. For Q = G the accumulator,
@@ -716,6 +725,17 @@ TEST(EcdsaBatch, LockstepLanesMeetingPlusAndMinusTheirEntry) {
   const std::vector<bool> ok = verify(items);
   const std::vector<bool> expected = verify_each(items);
   EXPECT_EQ(ok, expected);
+  // Consecutive batches of every lockstep_sizes() length, then the rest.
+  std::size_t first = 0;
+  const auto check_batch = [&](std::size_t len) {
+    const std::vector<bool> part = verify(std::span(items).subspan(first, len));
+    for (std::size_t i = 0; i < len; ++i)
+      EXPECT_EQ(part[i], expected[first + i]) << "item " << first + i;
+    first += len;
+  };
+  for (const std::size_t len : lockstep_sizes()) check_batch(len);
+  ASSERT_GE(items.size(), first + verify_batch_min());
+  check_batch(items.size() - first);
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(ok[i], i % 2 == 0) << "item " << i;
     if (i % 16 < 2)
@@ -840,31 +860,59 @@ TEST(EcdsaBatch, ConcurrentBatchesMatchSinglePath) {
 }
 
 TEST(P256Curve, LockstepCombWalkMatchesJacobianWalk) {
-  // Random scalars on hot-key tables and on G alone, plus zero scalars and
-  // a table for the point at infinity, in one lockstep batch.
+  // Random scalars on hot-key tables and on G alone, zero scalars, a table
+  // for the point at infinity, and lanes on the tables of G and -G with
+  // u1 = u2 = 2^k, whose accumulator meets plus or minus the entry it adds
+  // (see LockstepLanesMeetingPlusAndMinusTheirEntry). Batches of every
+  // lockstep_sizes() length run through the dispatched walk (the IFMA one
+  // where cpuid offers it) and the portable one.
   std::vector<PointCombTable> tables;
   for (int i = 0; i < 3; ++i)
     tables.push_back(PointCombTable::build(
         key_from_seed(to_bytes("walk-" + std::to_string(i))).public_key().point));
   tables.push_back(PointCombTable::build(AffinePoint{{}, {}, true}));
+  U256 n_minus_1 = p256_n();
+  sub(n_minus_1, n_minus_1, U256::from_u64(1));
+  tables.push_back(PointCombTable::build(p256_generator()));
+  tables.push_back(PointCombTable::build(
+      PrivateKey{n_minus_1}.public_key().point));  // -G
   Rng rng(35);
   std::vector<CombLane> lanes;
-  for (int i = 0; i < 60; ++i) {
+  for (int i = 0; i < 120; ++i) {
     CombLane lane{mod(U256::from_bytes_be(rng.bytes(32)), p256_n()),
                   U256::from_bytes_be(rng.bytes(32)),
                   i % 5 == 4 ? nullptr : &tables[static_cast<std::size_t>(i % 4)]};
     if (i % 11 == 0) lane.u1 = U256{};
     if (i % 13 == 0) lane.u2 = U256{};
+    if (i % 7 == 3) {
+      const int k = static_cast<int>(rng.uniform(256));
+      U256 pow2;
+      pow2.w[static_cast<std::size_t>(k / 64)] = std::uint64_t{1} << (k % 64);
+      lane = CombLane{pow2, pow2, &tables[4 + static_cast<std::size_t>(i % 2)]};
+    }
     lanes.push_back(lane);
   }
-  const std::vector<AffinePoint> batch = double_scalar_mult_comb_batch(lanes);
-  ASSERT_EQ(batch.size(), lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const CombLane& lane = lanes[i];
-    const JacobianPoint single =
+  std::vector<AffinePoint> expected;
+  for (const CombLane& lane : lanes)
+    expected.push_back(to_affine(
         lane.q != nullptr ? double_scalar_mult_comb(lane.u1, lane.u2, *lane.q)
-                          : base_mult(lane.u1);
-    EXPECT_EQ(batch[i], to_affine(single)) << "lane " << i;
+                          : base_mult(lane.u1)));
+  const std::vector<std::size_t> sizes = lockstep_sizes();
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    const std::size_t first = 13 * s % (lanes.size() - sizes[s] + 1);
+    const auto batch = std::span(lanes).subspan(first, sizes[s]);
+    const std::vector<AffinePoint> walked =
+        double_scalar_mult_comb_batch(batch);
+    const std::vector<AffinePoint> portable =
+        detail::double_scalar_mult_comb_batch_portable(batch);
+    ASSERT_EQ(walked.size(), batch.size());
+    ASSERT_EQ(portable.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(walked[i], expected[first + i])
+          << "size " << sizes[s] << ", lane " << first + i;
+      EXPECT_EQ(portable[i], expected[first + i])
+          << "size " << sizes[s] << ", lane " << first + i;
+    }
   }
 }
 

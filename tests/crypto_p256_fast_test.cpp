@@ -4,6 +4,9 @@
 // paths produce byte-identical signatures to the pre-optimization code.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/ecdsa.hpp"
@@ -175,6 +178,62 @@ TEST(P256Fast, MixedAdditionMatchesGeneral) {
   AffinePoint neg = pa;
   neg.y = sub_mod(U256{}, neg.y, p256_p());
   EXPECT_TRUE(point_add_affine(p, neg).is_infinity());
+}
+
+TEST(P256Fast, EightLaneFieldOpsMatchScalar) {
+  if (!detail::comb_ifma_kernel())
+    GTEST_SKIP() << "no avx512ifma: the lockstep walk runs the portable kernel";
+  // Edge values crossed with each other, then 10^5 seeded random pairs, in
+  // batches of eight lanes: each lane must hold exactly what fp_mul,
+  // fp_sqr, fp_add and fp_sub return.
+  const U256& p = p256_p();
+  std::vector<U256> edges = {U256{}, U256::from_u64(1)};
+  U256 v;
+  sub(v, p, U256::from_u64(1));
+  edges.push_back(v);  // p - 1
+  sub(v, p, U256::from_u64(2));
+  edges.push_back(v);  // p - 2
+  for (int j = 0; j < 5; ++j) {  // one 52-bit limb all ones
+    U256 limb;
+    for (int bit = 52 * j; bit < 52 * j + 52 && bit < 256; ++bit)
+      limb.w[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    edges.push_back(mod(limb, p));
+  }
+  const std::uint64_t ones = ~std::uint64_t{0};
+  edges.push_back(U256{{ones, ones, ones, 0xffff}});  // limbs 0..3 all ones
+  edges.push_back(mod(U256{{ones, ones, ones, ones}}, p));
+  std::vector<std::pair<U256, U256>> pairs;
+  for (const U256& a : edges)
+    for (const U256& b : edges) pairs.push_back({a, b});
+  Rng rng(16);
+  for (int i = 0; i < 100000; ++i)
+    pairs.push_back({mod(random_scalar(rng), p), mod(random_scalar(rng), p)});
+  while (pairs.size() % 8 != 0) pairs.push_back({U256{}, U256{}});
+  int mismatches = 0;
+  for (std::size_t first = 0; first < pairs.size(); first += 8) {
+    detail::Fp8 a{}, b{};
+    for (int k = 0; k < 8; ++k) {
+      detail::fp8_set(a, k, pairs[first + k].first);
+      detail::fp8_set(b, k, pairs[first + k].second);
+    }
+    const detail::Fp8 mul = detail::fp8_apply(detail::Fp8Op::kMul, a, b);
+    const detail::Fp8 sqr = detail::fp8_apply(detail::Fp8Op::kSqr, a, b);
+    const detail::Fp8 sum = detail::fp8_apply(detail::Fp8Op::kAdd, a, b);
+    const detail::Fp8 diff = detail::fp8_apply(detail::Fp8Op::kSub, a, b);
+    for (int k = 0; k < 8; ++k) {
+      const auto& [x, y] = pairs[first + k];
+      mismatches += detail::fp8_get(mul, k) != fp_mul(x, y);
+      mismatches += detail::fp8_get(sqr, k) != fp_sqr(x);
+      mismatches += detail::fp8_get(sum, k) != fp_add(x, y);
+      mismatches += detail::fp8_get(diff, k) != fp_sub(x, y);
+      if (first < edges.size() * edges.size()) {
+        EXPECT_EQ(detail::fp8_get(mul, k), fp_mul(x, y))
+            << hex_encode(x.to_bytes_be()) << " * "
+            << hex_encode(y.to_bytes_be());
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // Signatures produced by the pre-optimization (naive double-and-add)
