@@ -864,8 +864,8 @@ TEST(P256Curve, LockstepCombWalkMatchesJacobianWalk) {
   // for the point at infinity, and lanes on the tables of G and -G with
   // u1 = u2 = 2^k, whose accumulator meets plus or minus the entry it adds
   // (see LockstepLanesMeetingPlusAndMinusTheirEntry). Batches of every
-  // lockstep_sizes() length run through the dispatched walk (the IFMA one
-  // where cpuid offers it) and the portable one.
+  // lockstep_sizes() length, and the whole pool, run through the dispatched
+  // walk (the IFMA one where cpuid offers it) and the portable one.
   std::vector<PointCombTable> tables;
   for (int i = 0; i < 3; ++i)
     tables.push_back(PointCombTable::build(
@@ -897,7 +897,8 @@ TEST(P256Curve, LockstepCombWalkMatchesJacobianWalk) {
     expected.push_back(to_affine(
         lane.q != nullptr ? double_scalar_mult_comb(lane.u1, lane.u2, *lane.q)
                           : base_mult(lane.u1)));
-  const std::vector<std::size_t> sizes = lockstep_sizes();
+  std::vector<std::size_t> sizes = lockstep_sizes();
+  sizes.push_back(lanes.size());  // and the whole pool in one batch
   for (std::size_t s = 0; s < sizes.size(); ++s) {
     const std::size_t first = 13 * s % (lanes.size() - sizes[s] + 1);
     const auto batch = std::span(lanes).subspan(first, sizes[s]);
