@@ -9,17 +9,19 @@
 
 namespace bm::cluster {
 
+namespace {
+/// Leader-orderer -> org-lead-peer delivery latency.
+constexpr sim::Time kDeliveryDelay = 300 * sim::kMicrosecond;
+}  // namespace
+
 ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
     : sim_(sim), config_(std::move(config)) {
   workload::NetworkOptions options;
   options.orgs = config_.orgs;
   options.block_size = config_.block_size;
   options.seed = config_.seed;
-  options.policy_text =
-      config_.policy_text.empty()
-          ? std::to_string(config_.orgs) + "-outof-" +
-                std::to_string(config_.orgs) + " orgs"
-          : config_.policy_text;
+  options.policy_text = std::to_string(config_.orgs) + "-outof-" +
+                        std::to_string(config_.orgs) + " orgs";
   harness_ = std::make_unique<workload::FabricNetworkHarness>(options);
 
   // Ordering-cluster identities: round-robin across the orgs' CAs, with
@@ -29,7 +31,7 @@ ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
   for (int i = 0; i < config_.orderers; ++i) {
     const int org = i % config_.orgs + 1;
     const int seq = 1 + i / config_.orgs;
-    if (seq > 15)
+    if (seq > kMaxOrderersPerOrg)
       throw std::invalid_argument(
           "ClusterDeployment: too many orderers per org (sequence is 4 bits)");
     const fabric::CertificateAuthority* ca =
@@ -119,7 +121,7 @@ void ClusterDeployment::on_block_emitted(fabric::Block block) {
   // the marshaled bytes into the mesh (§2.2's Gossip dissemination).
   for (int org = 0; org < config_.orgs; ++org) {
     const int lead = org * config_.peers_per_org;
-    sim_.schedule(config_.delivery_delay, [this, lead, number, payload] {
+    sim_.schedule(kDeliveryDelay, [this, lead, number, payload] {
       gossip_->publish(lead, number, payload);
     });
   }

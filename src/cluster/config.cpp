@@ -8,17 +8,14 @@ ClusterConfig parse_cluster_section(const bm::config::Section& root) {
   ClusterConfig config;
   root.read_int("orgs", &config.orgs, workload::detail::org_count());
   root.read_int("peers_per_org", &config.peers_per_org, config::at_least(1));
-  root.read_int("orderers", &config.orderers, config::at_least(1));
+  root.read_int(
+      "orderers", &config.orderers,
+      config::Range{1, static_cast<double>(kMaxOrderersPerOrg * config.orgs)});
 
   root.read_size("block_size", &config.block_size, config::positive());
   root.read_u64("seed", &config.seed);
-  root.read_string("policy", &config.policy_text);
-  if (!config.policy_text.empty())  // empty derives "<orgs>-outof-<orgs>"
-    workload::detail::check_policy(root, config.policy_text, config.orgs);
   root.read_time_ms("submit_interval_ms", &config.submit_interval,
                     config::positive());
-  root.read_time_us("delivery_delay_us", &config.delivery_delay,
-                    config::non_negative());
 
   const config::Section raft = root.object("raft");
   raft.read_time_ms("election_timeout_min_ms",
@@ -29,10 +26,6 @@ ClusterConfig parse_cluster_section(const bm::config::Section& root) {
                     config::positive());
   raft.read_time_ms("heartbeat_ms", &config.ordering.raft.heartbeat_interval,
                     config::positive());
-  raft.read_time_us("message_delay_us", &config.ordering.message_delay,
-                    config::non_negative());
-  raft.read_time_us("message_jitter_us", &config.ordering.message_jitter,
-                    config::non_negative());
   double raft_loss = 0.0;
   raft.read_number("message_loss", &raft_loss, config::unit_interval());
   if (raft_loss > 0.0)
@@ -47,10 +40,6 @@ ClusterConfig parse_cluster_section(const bm::config::Section& root) {
   const config::Section gossip = root.object("gossip");
   gossip.read_int("fanout", &config.gossip.fanout, config::at_least(1));
   gossip.read_number("gbps", &config.gossip.gbps, config::positive());
-  gossip.read_time_us("hop_delay_us", &config.gossip.hop_delay,
-                      config::non_negative());
-  gossip.read_time_us("hop_jitter_us", &config.gossip.hop_jitter,
-                      config::non_negative());
   gossip.read_time_ms("anti_entropy_ms", &config.gossip.anti_entropy_interval,
                       config::positive());
   double gossip_loss = 0.0;

@@ -6,6 +6,7 @@
 // --data-dir`), are loadable from the composed `--scenario` file's
 // "cluster" section (detail::parse_cluster_section), so a cluster
 // experiment is one JSON document like every other scenario in the repo.
+// Every cluster endorses under "<orgs>-outof-<orgs> orgs".
 #pragma once
 
 #include <string>
@@ -16,17 +17,19 @@
 
 namespace bm::cluster {
 
+/// Orderer identities number 1..15 within each org: an encoded id carries
+/// the sequence in 4 bits, and sequence 0 is the harness's own orderer.
+constexpr int kMaxOrderersPerOrg = 15;
+
 struct ClusterConfig {
   // --- topology --------------------------------------------------------------
   int orgs = 2;
   int peers_per_org = 2;
-  int orderers = 3;  ///< Raft ordering-cluster size
+  int orderers = 3;  ///< Raft ordering-cluster size, <= 15 * orgs
 
   // --- workload --------------------------------------------------------------
   std::size_t block_size = 8;  ///< transactions per cut block
   std::uint64_t seed = 7;
-  /// Endorsement policy; empty derives "<orgs>-outof-<orgs> orgs".
-  std::string policy_text;
   /// Open-loop client cadence: one endorsed envelope per tick.
   sim::Time submit_interval = 2 * sim::kMillisecond;
 
@@ -36,8 +39,6 @@ struct ClusterConfig {
   fabric::RaftOrderingService::Config ordering;
   /// Gossip mesh across all orgs*peers_per_org peers; seed is derived.
   net::GossipNetwork::Config gossip;
-  /// Leader-orderer -> org-lead-peer delivery latency.
-  sim::Time delivery_delay = 300 * sim::kMicrosecond;
 
   // --- durability + state transfer -------------------------------------------
   /// Directory for per-peer block logs and snapshots; empty runs every peer

@@ -15,7 +15,7 @@
 //   config::Section s = root.section();
 //   s.read_number("rate_tps", &options.rate_tps, config::positive());
 //   config::Section traffic = s.object("traffic");
-//   traffic.read_time_ms("period_ms", &config.period);
+//   traffic.read_number("burst_rate_tps", &config.burst_rate_tps);
 //   if (!root.finish()) { *error = root.error(); return std::nullopt; }
 //
 // Readers on an absent Section are no-ops that keep defaults, so loaders

@@ -5,6 +5,14 @@
 
 namespace bm::fabric {
 
+namespace {
+constexpr std::size_t kMaxEntriesPerAppend = 16;
+/// Orderer-to-orderer network latency: a fixed delay plus a uniform jitter
+/// in [0, kMessageJitter).
+constexpr sim::Time kMessageDelay = 500 * sim::kMicrosecond;
+constexpr sim::Time kMessageJitter = 200 * sim::kMicrosecond;
+}  // namespace
+
 RaftNode::RaftNode(sim::Simulation& sim, int id, int cluster_size,
                    Config config, RaftSendFn send, std::uint64_t seed)
     : sim_(sim),
@@ -126,7 +134,7 @@ void RaftNode::replicate_to(int peer) {
   const std::uint64_t from = next_index_[peer_index];
   const std::uint64_t to =
       std::min<std::uint64_t>(last_log_index(),
-                              from + config_.max_entries_per_append - 1);
+                              from + kMaxEntriesPerAppend - 1);
   for (std::uint64_t i = from; i <= to; ++i)
     append.entries.push_back(log_[i - 1]);
   append.leader_commit = commit_index_;
@@ -348,10 +356,10 @@ void RaftOrderingService::deliver(int from, int to, RaftMessage message) {
     if (verdict.dropped()) return;
     fault_delay = verdict.extra_delay;
   }
-  sim::Time delay = config_.message_delay + fault_delay;
-  if (config_.message_jitter > 0)
-    delay += static_cast<sim::Time>(
-        net_rng_.uniform(static_cast<std::uint64_t>(config_.message_jitter)));
+  const sim::Time delay =
+      kMessageDelay + fault_delay +
+      static_cast<sim::Time>(
+          net_rng_.uniform(static_cast<std::uint64_t>(kMessageJitter)));
   sim_.schedule(delay, [this, from, to, message = std::move(message)] {
     nodes_[static_cast<std::size_t>(to)]->on_message(from, message);
   });

@@ -71,7 +71,6 @@ class RaftNode {
     sim::Time election_timeout_min = 150 * sim::kMillisecond;
     sim::Time election_timeout_max = 300 * sim::kMillisecond;
     sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-    std::size_t max_entries_per_append = 16;
   };
 
   RaftNode(sim::Simulation& sim, int id, int cluster_size, Config config,
@@ -183,8 +182,6 @@ class RaftOrderingService {
   struct Config {
     int nodes = 3;
     std::size_t max_tx_per_block = 100;
-    sim::Time message_delay = 500 * sim::kMicrosecond;
-    sim::Time message_jitter = 200 * sim::kMicrosecond;
     /// Transport-level fault schedule (Gilbert–Elliott burst loss, extra
     /// delay) applied to every node-to-node message, on its own RNG stream:
     /// enabling it never reshuffles the jitter draws. Uniform i.i.d. loss is

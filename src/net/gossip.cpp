@@ -5,6 +5,15 @@
 
 namespace bm::net {
 
+namespace {
+/// Per-hop propagation + stack latency, plus a uniform jitter in
+/// [0, kHopJitter).
+constexpr sim::Time kHopDelay = 300 * sim::kMicrosecond;
+constexpr sim::Time kHopJitter = 200 * sim::kMicrosecond;
+/// A peer's local processing before it forwards a newly learned block.
+constexpr sim::Time kForwardProcessing = 200 * sim::kMicrosecond;
+}  // namespace
+
 GossipNetwork::GossipNetwork(sim::Simulation& sim, int peers, Config config)
     : sim_(sim),
       config_(config),
@@ -64,10 +73,10 @@ void GossipNetwork::push_to(int from, int to, std::uint64_t block_num,
   }
   const auto serialization = static_cast<sim::Time>(
       static_cast<double>(bytes) * 8.0 / (config_.gbps * 1e9) * sim::kSecond);
-  sim::Time delay = serialization + config_.hop_delay + fault_delay;
-  if (config_.hop_jitter > 0)
-    delay += static_cast<sim::Time>(
-        rng_.uniform(static_cast<std::uint64_t>(config_.hop_jitter)));
+  const sim::Time delay =
+      serialization + kHopDelay + fault_delay +
+      static_cast<sim::Time>(
+          rng_.uniform(static_cast<std::uint64_t>(kHopJitter)));
   sim_.schedule(delay, [this, to, block_num, bytes, is_repair] {
     if (is_repair &&
         peers_[static_cast<std::size_t>(to)].known.count(block_num) == 0 &&
@@ -108,8 +117,7 @@ void GossipNetwork::receive(int peer, std::uint64_t block_num,
     if (target != peer) targets.insert(target);
   }
   for (const int target : targets) {
-    sim_.schedule(config_.forward_processing, [this, peer, target, block_num,
-                                               bytes] {
+    sim_.schedule(kForwardProcessing, [this, peer, target, block_num, bytes] {
       push_to(peer, target, block_num, bytes, /*is_repair=*/false);
     });
   }

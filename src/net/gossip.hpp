@@ -31,9 +31,6 @@ class GossipNetwork {
   struct Config {
     int fanout = 2;
     double gbps = 1.0;  ///< per-hop link rate (serialization delay)
-    sim::Time hop_delay = 300 * sim::kMicrosecond;  ///< propagation + stack
-    sim::Time hop_jitter = 200 * sim::kMicrosecond;
-    sim::Time forward_processing = 200 * sim::kMicrosecond;
     /// Hop-level fault schedule (drop/delay decisions; corruption and
     /// duplication do not apply to gossip messages). Uniform i.i.d. loss is
     /// FaultConfig::uniform_loss(p, seed); its own seed keeps the topology

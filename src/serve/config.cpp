@@ -10,8 +10,7 @@ namespace {
 void parse_traffic(const config::Section& node, TrafficConfig* config) {
   node.read_enum<ArrivalProcess>("process", &config->process,
                                  {{"poisson", ArrivalProcess::kPoisson},
-                                  {"mmpp", ArrivalProcess::kMmpp},
-                                  {"diurnal", ArrivalProcess::kDiurnal}});
+                                  {"mmpp", ArrivalProcess::kMmpp}});
   node.read_number("rate_tps", &config->rate_tps, config::positive());
   node.read_number("burst_rate_tps", &config->burst_rate_tps,
                    config::positive());
@@ -19,9 +18,6 @@ void parse_traffic(const config::Section& node, TrafficConfig* config) {
                    config::unit_interval());
   node.read_number("p_exit_burst", &config->p_exit_burst,
                    config::unit_interval());
-  node.read_number("peak_rate_tps", &config->peak_rate_tps,
-                   config::positive());
-  node.read_time_ms("period_ms", &config->period, config::positive());
 }
 
 void parse_admission(const config::Section& node, AdmissionConfig* config) {
@@ -65,12 +61,6 @@ void parse_network(const config::Section& node,
   node.read_int("orgs", &config->orgs, workload::detail::org_count());
   node.read_string("policy", &config->policy_text);
   workload::detail::check_policy(node, config->policy_text, config->orgs);
-  node.read_number("bad_signature_rate", &config->bad_signature_rate,
-                   config::unit_interval());
-  node.read_number("missing_endorsement_rate",
-                   &config->missing_endorsement_rate, config::unit_interval());
-  node.read_number("conflicting_read_rate", &config->conflicting_read_rate,
-                   config::unit_interval());
   node.read_number("zipf_s", &config->smallbank.zipf_s,
                    config::non_negative());
 }

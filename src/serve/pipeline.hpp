@@ -5,7 +5,7 @@
 // run_serve() drives the existing FabricNetworkHarness endorsers and
 // orderer through the step-wise submit/collect API as a request pipeline:
 //
-//   TrafficGenerator        open-loop arrivals (Poisson / MMPP / diurnal)
+//   TrafficGenerator        open-loop arrivals (Poisson / MMPP)
 //     -> AdmissionQueue     bounded, token-bucket, per-class; sheds with
 //                           kOverloaded + retry-after instead of queueing
 //     -> EndorsementService worker lanes, deadlines, cancellation

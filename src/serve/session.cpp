@@ -53,6 +53,7 @@ SessionManager::OpenResult SessionManager::open(
       rate_class < 0 ? 0 : (rate_class >= classes ? classes - 1 : rate_class));
   s.next_seq = 0;
   s.last_active = sim_.now();
+  s.opener = key_fingerprint(cert);
   ++active_count_;
   ++stats_.opened;
   touch(slot);
@@ -66,6 +67,10 @@ SessionVerdict SessionManager::resume(SessionId id,
   if (s == nullptr) {
     ++stats_.unknown_session;
     return SessionVerdict::kUnknownSession;
+  }
+  if (key_fingerprint(cert) != s->opener) {
+    ++stats_.rejected_bad_cert;
+    return SessionVerdict::kBadCert;
   }
   if (s->state == State::kActive) return SessionVerdict::kOk;  // no-op
   if (!msp_.validate(cert)) {

@@ -43,7 +43,7 @@ constexpr SessionId kNoSession = 0;
 
 enum class SessionVerdict : std::uint8_t {
   kOk = 0,
-  kBadCert,         ///< handshake failed MSP validation
+  kBadCert,         ///< failed MSP validation, or resumed with another key
   kCapacity,        ///< session table full
   kUnknownSession,  ///< stale id: never opened, or purged after grace
   kIdleEvicted,     ///< session is in the grace window; resume() first
@@ -112,7 +112,9 @@ class SessionManager {
   OpenResult open(const fabric::Certificate& cert, int rate_class);
 
   /// Reconnect an evicted session within its grace window; sequence state
-  /// resumes. kUnknownSession once the grace window has expired.
+  /// resumes. kUnknownSession once the grace window has expired. kBadCert
+  /// unless `cert` carries the public key that opened the session and, to
+  /// leave the grace window, validates against the MSP.
   SessionVerdict resume(SessionId id, const fabric::Certificate& cert);
 
   /// Submit a request with an explicit sequence number; kOk advances the
@@ -148,12 +150,18 @@ class SessionManager {
     std::uint8_t rate_class = 0;
     std::uint64_t next_seq = 0;
     sim::Time last_active = 0;
+    std::uint64_t opener = 0;  ///< key_fingerprint of the opening cert
   };
 
   Slot* resolve(SessionId id);
   const Slot* resolve(SessionId id) const;
   static std::uint32_t slot_of(SessionId id) {
     return static_cast<std::uint32_t>(id & 0xFFFFFFFFull);
+  }
+  /// 64 bits of the certificate's public key: names the identity that
+  /// opened a session without hashing anything per handshake.
+  static std::uint64_t key_fingerprint(const fabric::Certificate& cert) {
+    return cert.public_key.point.x.w[0];
   }
   void touch(std::uint32_t slot);
   void on_expire(std::uint32_t slot);

@@ -4,18 +4,11 @@
 
 namespace bm::serve {
 
-namespace {
-constexpr double kPi = 3.14159265358979323846;
-}  // namespace
-
 TrafficGenerator::TrafficGenerator(const TrafficConfig& config)
     : config_(config), rng_(config.seed) {
   if (config_.rate_tps <= 0) config_.rate_tps = 1.0;
   if (config_.burst_rate_tps <= 0)
     config_.burst_rate_tps = 4.0 * config_.rate_tps;
-  if (config_.peak_rate_tps <= 0)
-    config_.peak_rate_tps = 2.0 * config_.rate_tps;
-  if (config_.period <= 0) config_.period = sim::kSecond;
 }
 
 sim::Time TrafficGenerator::exponential(double rate_tps) {
@@ -24,17 +17,6 @@ sim::Time TrafficGenerator::exponential(double rate_tps) {
   const double u = rng_.uniform_double();
   const double seconds = -std::log(1.0 - u) / rate_tps;
   return static_cast<sim::Time>(seconds * static_cast<double>(sim::kSecond));
-}
-
-double TrafficGenerator::diurnal_rate(sim::Time t) const {
-  // Raised cosine between trough (rate_tps) and peak (peak_rate_tps):
-  // trough at t = 0, peak at t = period/2.
-  const double phase = 2.0 * kPi *
-                       (static_cast<double>(t % config_.period) /
-                        static_cast<double>(config_.period));
-  const double blend = 0.5 * (1.0 - std::cos(phase));
-  return config_.rate_tps +
-         (config_.peak_rate_tps - config_.rate_tps) * blend;
 }
 
 sim::Time TrafficGenerator::next_arrival() {
@@ -51,17 +33,6 @@ sim::Time TrafficGenerator::next_arrival() {
       if (burst_ ? flip < config_.p_exit_burst
                  : flip < config_.p_enter_burst)
         burst_ = !burst_;
-      break;
-    }
-    case ArrivalProcess::kDiurnal: {
-      // Lewis–Shedler thinning against the constant majorant peak_rate_tps:
-      // every candidate draws exactly two uniforms (gap + acceptance), so
-      // the schedule is a pure function of (config, seed).
-      for (;;) {
-        now_ += exponential(config_.peak_rate_tps);
-        const double accept = rng_.uniform_double();
-        if (accept < diurnal_rate(now_) / config_.peak_rate_tps) break;
-      }
       break;
     }
   }

@@ -7,15 +7,14 @@
 // clients do not wait — requests arrive on their own clock whether or not
 // the peer keeps up, which is what exposes the throughput-vs-latency
 // hockey stick and the overload behaviour the bottleneck studies (Wang &
-// Chu) measure. Three processes cover the load shapes that matter:
+// Chu) measure. Two processes cover the load shapes the shipped scenarios
+// run:
 //
 //   - Poisson: memoryless steady load, the M in M/M/c — exponential
 //     interarrivals at a fixed rate;
 //   - MMPP: a two-phase Markov-modulated Poisson process — calm/burst
 //     alternation with per-arrival phase switching, the classic model of
-//     correlated client bursts (flash crowds, retry storms);
-//   - diurnal: a non-homogeneous Poisson ramp (Lewis–Shedler thinning
-//     against a raised-cosine rate curve) for slow load swings.
+//     correlated client bursts (flash crowds, retry storms).
 //
 // Deterministic like net/faults: the schedule is a pure function of
 // (config, seed) — two generators with the same config emit byte-identical
@@ -30,13 +29,13 @@
 
 namespace bm::serve {
 
-enum class ArrivalProcess { kPoisson, kMmpp, kDiurnal };
+enum class ArrivalProcess { kPoisson, kMmpp };
 
 struct TrafficConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
 
-  /// Poisson: the rate. MMPP: the calm-phase rate. Diurnal: the trough of
-  /// the ramp. Transactions per second of simulated time.
+  /// Poisson: the rate. MMPP: the calm-phase rate. Transactions per second
+  /// of simulated time.
   double rate_tps = 1000.0;
 
   // --- MMPP ----------------------------------------------------------------
@@ -46,12 +45,6 @@ struct TrafficConfig {
   /// stationary burst occupancy is p_enter / (p_enter + p_exit).
   double p_enter_burst = 0.05;
   double p_exit_burst = 0.25;
-
-  // --- diurnal -------------------------------------------------------------
-  /// Peak of the raised-cosine ramp; 0 defaults to 2x rate_tps.
-  double peak_rate_tps = 0.0;
-  /// Ramp period (one "day").
-  sim::Time period = sim::kSecond;
 
   std::uint64_t seed = 1;
 };
@@ -77,8 +70,6 @@ class TrafficGenerator {
  private:
   /// One exponential interarrival gap at `rate_tps`, in simulated ns.
   sim::Time exponential(double rate_tps);
-  /// Instantaneous diurnal rate at time t.
-  double diurnal_rate(sim::Time t) const;
 
   TrafficConfig config_;
   Rng rng_;

@@ -25,7 +25,6 @@ Bytes amount_bytes(std::int64_t amount) {
 
 ChaincodeResult SmallbankChaincode::execute(
     Rng& rng, const fabric::StateDb& state) const {
-  if (config_.split_payment_accounts > 0) return split_payment(rng, state);
   switch (rng.uniform(6)) {
     case 0: return create_account(rng, state);
     case 1: return transact_savings(rng, state);
@@ -37,16 +36,11 @@ ChaincodeResult SmallbankChaincode::execute(
 }
 
 double SmallbankChaincode::avg_reads() const {
-  if (config_.split_payment_accounts > 0)
-    // 1 source + n destinations read before update.
-    return 1.0 + config_.split_payment_accounts;
   // create(0r) savings(1r) deposit(1r) payment(2r) amalgamate(2r) check(1r)
   return (0 + 1 + 1 + 2 + 2 + 1) / 6.0;
 }
 
 double SmallbankChaincode::avg_writes() const {
-  if (config_.split_payment_accounts > 0)
-    return 1.0 + config_.split_payment_accounts;
   // create(2w) savings(1w) deposit(1w) payment(2w) amalgamate(2w) check(1w)
   return (2 + 1 + 1 + 2 + 2 + 1) / 6.0;
 }
@@ -135,26 +129,6 @@ ChaincodeResult SmallbankChaincode::write_check(
   read_key(state, result.rwset, fabric::StateDb::namespaced(kName, key), key);
   result.rwset.writes.push_back(
       {key, amount_bytes(rng.uniform_range(-100, 100))});
-  return result;
-}
-
-ChaincodeResult SmallbankChaincode::split_payment(
-    Rng& rng, const fabric::StateDb& state) const {
-  const std::uint64_t src = pick_account(rng);
-  const std::string src_key = account_key("checking", src);
-  ChaincodeResult result{"split_payment", {}};
-  read_key(state, result.rwset, fabric::StateDb::namespaced(kName, src_key),
-           src_key);
-  result.rwset.writes.push_back({src_key, amount_bytes(0)});
-  for (std::uint32_t i = 0; i < config_.split_payment_accounts; ++i) {
-    const std::uint64_t dst =
-        (src + 1 + rng.uniform(config_.accounts - 1)) % config_.accounts;
-    const std::string dst_key =
-        account_key("checking", dst) + "_s" + std::to_string(i);
-    read_key(state, result.rwset, fabric::StateDb::namespaced(kName, dst_key),
-             dst_key);
-    result.rwset.writes.push_back({dst_key, amount_bytes(10)});
-  }
   return result;
 }
 

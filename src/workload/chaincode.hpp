@@ -7,8 +7,6 @@
 // validate. The smallbank model implements the classic banking operations
 // (create account, deposit, withdraw, send payment, amalgamate); drm models
 // digital-asset management (create asset, update asset, transfer rights).
-// The modified smallbank "split payment to n accounts" of Fig. 7g is
-// exposed through SmallbankChaincode::Config::split_payment_accounts.
 #pragma once
 
 #include "common/rng.hpp"
@@ -26,10 +24,6 @@ class SmallbankChaincode {
  public:
   struct Config {
     std::uint32_t accounts = 2000;
-    /// 0 = standard smallbank. Otherwise every op is a split payment that
-    /// debits one account and credits `split_payment_accounts` accounts
-    /// (Fig. 7g's variable database-request workload).
-    std::uint32_t split_payment_accounts = 0;
     /// Zipf exponent over account ids (hot-key skew); 0 keeps the classic
     /// uniform pick and is draw-for-draw identical to the pre-knob model.
     double zipf_s = 0.0;
@@ -56,7 +50,6 @@ class SmallbankChaincode {
   ChaincodeResult send_payment(Rng& rng, const fabric::StateDb& s) const;
   ChaincodeResult amalgamate(Rng& rng, const fabric::StateDb& s) const;
   ChaincodeResult write_check(Rng& rng, const fabric::StateDb& s) const;
-  ChaincodeResult split_payment(Rng& rng, const fabric::StateDb& s) const;
 
   /// Account id draw: Zipf(zipf_s) over [0, accounts); uniform at s = 0.
   std::uint64_t pick_account(Rng& rng) const;

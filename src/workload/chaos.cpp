@@ -1,13 +1,21 @@
 #include "workload/chaos.hpp"
 
-#include <algorithm>
-#include <filesystem>
 #include <sstream>
 
-#include "common/rng.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bm::workload {
+
+namespace {
+/// Blocks go onto the wire this far apart, over 1 Gbps links.
+constexpr sim::Time kBlockInterval = 20 * sim::kMillisecond;
+/// Hard stop: a partitioned run that cannot finish ends here.
+constexpr sim::Time kTimeLimit = 30 * sim::kSecond;
+/// Give up on a window after 6 consecutive timeouts (2+4+8+16+32+64 ms of
+/// backoff) instead of retrying forever, so a partition turns into a
+/// fallback instead of a stall.
+constexpr std::size_t kRetransmitCap = 6;
+}  // namespace
 
 std::string ChaosReport::to_text() const {
   std::ostringstream out;
@@ -50,16 +58,14 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
 
   sim::Simulation sim;
   bmac::BmacPeer peer(sim, harness.msp(), options.hw, harness.policies());
-  peer.enable_graceful_degradation(options.degrade);
+  peer.enable_graceful_degradation();
   if (registry != nullptr || tracer != nullptr)
     peer.attach_observability(registry, tracer);
 
   // Fault-free links: every impairment belongs to the injectors, where it
   // is scriptable, counted and deterministic.
-  net::Link::Config link_config;
-  link_config.gbps = options.link_gbps;
-  net::Link data_link(sim, link_config);
-  net::Link ack_link(sim, link_config);
+  net::Link data_link(sim, net::Link::Config{});
+  net::Link ack_link(sim, net::Link::Config{});
   net::FaultyChannel data(sim, data_link, options.scenario.data);
   net::FaultyChannel ack(sim, ack_link, options.scenario.ack);
 
@@ -76,8 +82,10 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   ack.set_receiver([&](Bytes wire) {
     if (const auto next = bmac::decode_ack(wire)) gbn->on_ack(*next);
   });
+  bmac::GbnSender::Config gbn_config;
+  gbn_config.retransmit_cap = kRetransmitCap;
   gbn = std::make_unique<bmac::GbnSender>(
-      sim, options.gbn,
+      sim, gbn_config,
       [&](const bmac::SequencedFrame& frame) { data.send(frame.encode()); });
   gbn->set_failure_callback(
       [&](std::uint64_t, std::uint64_t) { ++report.gbn_failures; });
@@ -124,7 +132,7 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   }
   report.blocks_produced = produced.size();
   for (std::size_t i = 0; i < produced.size(); ++i) {
-    sim.schedule(static_cast<sim::Time>(i) * options.block_interval, [&, i] {
+    sim.schedule(static_cast<sim::Time>(i) * kBlockInterval, [&, i] {
       for (auto& packet : sender.send(produced[i]).packets)
         gbn->send(packet.encode());
       peer.deliver_block(produced[i]);
@@ -135,7 +143,7 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   // limit trips. A plain sim.run() would not return: the GBN timer re-arms
   // forever while its last SYNC frame is blackholed by a partition.
   const sim::Time step = 10 * sim::kMillisecond;
-  while (sim.now() < options.time_limit &&
+  while (sim.now() < kTimeLimit &&
          peer.results().size() < produced.size())
     sim.run_until(sim.now() + step);
   report.complete = peer.results().size() == produced.size();
@@ -186,143 +194,6 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   // The sampler/monitor hold recurring events on `sim`, which dies with this
   // frame — settle them (final sample + evaluation) before returning.
   if (telemetry != nullptr) telemetry->finish();
-  return report;
-}
-
-// --- kill-and-restart: the durable-ledger crash drill ----------------------
-
-std::string CrashRecoveryReport::to_text() const {
-  // recovery.duration_s is wall clock — deliberately absent, the text must
-  // be byte-identical across reruns.
-  std::ostringstream out;
-  out << "crashed_mid_record " << crashed_mid_record << "\n"
-      << "recovered " << recovered << "\n"
-      << "hashes_match " << hashes_match << "\n"
-      << "resumed " << resumed << "\n"
-      << "final_chain_matches " << final_chain_matches << "\n"
-      << "crash_offset " << crash_offset << "\n"
-      << "torn_bytes " << recovery.torn_bytes << "\n"
-      << "used_snapshot " << recovery.used_snapshot << "\n"
-      << "snapshot_height " << recovery.snapshot_height << "\n"
-      << "blocks_replayed " << recovery.blocks_replayed << "\n"
-      << "recovered_height " << recovered_height << "\n"
-      << "final_height " << final_height << "\n";
-  if (!mismatch.empty()) out << "mismatch " << mismatch << "\n";
-  return out.str();
-}
-
-CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
-                                       obs::Registry* registry) {
-  CrashRecoveryReport report;
-  NetworkOptions net = options.network;
-  net.durability = options.durability;
-  const std::string& path = options.durability.ledger_path;
-  // Need a committed block *before* the torn one so the survivor prefix is
-  // non-empty and the reopened store has a real chain head to defend.
-  const int before = std::max(2, options.blocks_before_crash);
-  const int total = before + std::max(0, options.blocks_after);
-
-  // Start from a clean slate: a stale log or snapshot left behind by an
-  // earlier run would poison the equivalence check.
-  fabric::DurableLedger::remove_files(options.durability);
-
-  // --- 1. commit durably, then "kill -9" ---------------------------------
-  {
-    FabricNetworkHarness harness(net);
-    for (int i = 0; i < before; ++i) harness.next_block();
-    harness.durable()->sync();
-  }  // dropped on the floor: no orderly shutdown, the file just closes
-
-  // --- 2. tear the tail: truncate mid-record at a random byte ------------
-  {
-    const auto chain = fabric::FileBlockStore::recover(path);
-    if (chain.blocks.size() != static_cast<std::size_t>(before)) {
-      report.mismatch = "pre-crash log holds " +
-                        std::to_string(chain.blocks.size()) + " blocks, want " +
-                        std::to_string(before);
-      return report;
-    }
-    const std::uint64_t last_start =
-        chain.record_offsets[chain.blocks.size() - 1];
-    const std::uint64_t end = chain.record_offsets.back();
-    Rng rng(options.crash_seed);
-    const std::uint64_t cut = last_start + 1 + rng.uniform(end - last_start - 1);
-    std::filesystem::resize_file(path, cut);
-    report.crash_offset = cut;
-    report.crashed_mid_record = cut > last_start && cut < end;
-  }
-
-  // --- 3. recover from disk ----------------------------------------------
-  fabric::Ledger recovered_ledger;
-  fabric::StateDb recovered_state;
-  report.recovery = fabric::DurableLedger::recover(options.durability,
-                                                   recovered_ledger,
-                                                   recovered_state);
-  report.recovered = report.recovery.ok &&
-                     recovered_ledger.height() ==
-                         static_cast<std::uint64_t>(before) - 1;
-  report.recovered_height = recovered_ledger.height();
-  if (!report.recovered && report.mismatch.empty())
-    report.mismatch = report.recovery.ok
-                          ? "recovered height " +
-                                std::to_string(recovered_ledger.height()) +
-                                ", want " + std::to_string(before - 1)
-                          : "recovery failed: " + report.recovery.error;
-
-  // --- 4. restart over the same log, commit at full speed ----------------
-  // Same seed => the harness regenerates the identical block stream; the
-  // reopened store must seed its head from the surviving prefix, skip the
-  // already-durable replay, re-append the torn-away block and then extend.
-  std::uint64_t store_height = 0;
-  fabric::Ledger reference;
-  {
-    FabricNetworkHarness harness(net);
-    for (int i = 0; i < total; ++i) harness.next_block();
-    harness.durable()->sync();
-    store_height = harness.durable()->store().height();
-    if (registry != nullptr)
-      harness.durable()->publish_metrics(*registry, "chaos_durable");
-    reference = harness.reference_ledger();
-  }
-  report.resumed = store_height == static_cast<std::uint64_t>(total);
-  if (!report.resumed && report.mismatch.empty())
-    report.mismatch = "store height " + std::to_string(store_height) +
-                      " after restart, want " + std::to_string(total);
-
-  // --- the §4.1 oracle: byte-for-byte commit-hash equality ----------------
-  const std::string diverged =
-      fabric::chain_divergence(recovered_ledger, reference);
-  report.hashes_match = report.recovered && diverged.empty();
-  if (report.recovered && !report.hashes_match && report.mismatch.empty())
-    report.mismatch = "recovered commit hash diverged at " + diverged;
-
-  // --- 5. recover once more: the whole chain must reproduce --------------
-  fabric::Ledger final_ledger;
-  fabric::StateDb final_state;
-  const fabric::RecoveryResult final_recovery =
-      fabric::DurableLedger::recover(options.durability, final_ledger,
-                                     final_state);
-  report.final_height = final_ledger.height();
-  const std::string final_diverged =
-      fabric::chain_divergence(final_ledger, reference);
-  report.final_chain_matches = final_recovery.ok &&
-                               final_ledger.height() == reference.height() &&
-                               final_diverged.empty();
-  if (!report.final_chain_matches && report.mismatch.empty()) {
-    if (!final_recovery.ok)
-      report.mismatch = "final recovery failed: " + final_recovery.error;
-    else if (!final_diverged.empty())
-      report.mismatch = "final chain diverged at " + final_diverged;
-    else
-      report.mismatch = "final height " +
-                        std::to_string(final_ledger.height()) + ", want " +
-                        std::to_string(reference.height());
-  }
-
-  if (registry != nullptr)
-    fabric::DurableLedger::publish_recovery_metrics(*registry,
-                                                    "chaos_recovery",
-                                                    report.recovery);
   return report;
 }
 

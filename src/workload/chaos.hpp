@@ -31,28 +31,11 @@ struct ChaosOptions {
   net::FaultScenario scenario;   ///< per-direction fault schedule
   int blocks = 12;
   bool tamper_last_block = false;
-
   bmac::HwConfig hw;
-  bmac::GbnSender::Config gbn = default_gbn();
-  bmac::DegradeConfig degrade;
-
-  double link_gbps = 1.0;
-  sim::Time block_interval = 20 * sim::kMillisecond;
-  /// Hard stop: a partitioned run that cannot finish ends here.
-  sim::Time time_limit = 30 * sim::kSecond;
-
-  /// Chaos defaults: give up on a window after 6 consecutive timeouts
-  /// (2+4+8+16+32+64 ms of backoff) instead of retrying forever, so a
-  /// partition turns into a fallback instead of a stall.
-  static bmac::GbnSender::Config default_gbn() {
-    bmac::GbnSender::Config config;
-    config.retransmit_cap = 6;
-    return config;
-  }
 };
 
 struct ChaosReport {
-  bool complete = false;      ///< every block resolved within time_limit
+  bool complete = false;      ///< every block resolved within 30 s
   bool hashes_match = false;  ///< commit-hash chain == reference ledger
   bool flags_match = false;   ///< per-tx flags == reference results
   std::string mismatch;       ///< first divergence, empty when none
@@ -85,61 +68,5 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
                                obs::Registry* registry = nullptr,
                                obs::Tracer* tracer = nullptr,
                                obs::Telemetry* telemetry = nullptr);
-
-// --- kill-and-restart: the durable-ledger crash drill ----------------------
-
-struct CrashRecoveryOptions {
-  /// Workload shape; `network.durability` is overwritten from `durability`.
-  NetworkOptions network;
-  /// Must be enabled(); the log + snapshots land at durability.ledger_path.
-  fabric::DurabilityConfig durability;
-  int blocks_before_crash = 24;  ///< committed durably, then the kill
-  int blocks_after = 8;          ///< committed after restart + recovery
-  /// Seeds the torn-byte draw (a random cut strictly inside the last log
-  /// record). Same options => same cut => same report.
-  std::uint64_t crash_seed = 7;
-};
-
-struct CrashRecoveryReport {
-  bool crashed_mid_record = false;  ///< the cut actually tore the tail
-  bool recovered = false;           ///< post-crash recovery succeeded
-  bool hashes_match = false;        ///< recovered chain == reference prefix
-  bool resumed = false;             ///< restart re-appended + extended the log
-  bool final_chain_matches = false; ///< final recovery == full reference
-  std::string mismatch;             ///< first divergence, empty when none
-
-  std::uint64_t crash_offset = 0;     ///< file size after the cut
-  std::uint64_t recovered_height = 0; ///< chain height right after the crash
-  std::uint64_t final_height = 0;     ///< chain height after the full run
-  fabric::RecoveryResult recovery;    ///< the post-crash recovery
-
-  bool ok() const {
-    return crashed_mid_record && recovered && hashes_match && resumed &&
-           final_chain_matches;
-  }
-
-  /// Deterministic human-readable summary (one value per line).
-  std::string to_text() const;
-};
-
-/// Kill-and-restart drill for the durable ledger (docs/DURABILITY.md):
-///
-///   1. commit `blocks_before_crash` blocks through a durability-enabled
-///      harness, then drop it ("kill -9");
-///   2. truncate the log at a random byte strictly inside the last record
-///      (a torn append — the crash the reopened-store bug silently ate);
-///   3. recover ledger + state from disk (snapshot + replay when the config
-///      cuts snapshots) and check commit hashes byte for byte against the
-///      reference chain;
-///   4. restart a same-seed harness over the same log — the reopened store
-///      must seed its chain head from the surviving prefix — and commit at
-///      full speed through `blocks_after` extra blocks;
-///   5. recover once more and check the *entire* chain, pre-crash and
-///      post-restart blocks alike, against the reference.
-///
-/// When `registry` is given, recovery outcome and final store counters are
-/// published under "chaos_recovery_..." / "chaos_durable_...".
-CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
-                                       obs::Registry* registry = nullptr);
 
 }  // namespace bm::workload

@@ -45,8 +45,8 @@ Deployment parse_bmac_section(const config::Section& root);
 config::Range org_count();
 
 /// Fail `s`'s "policy" key unless `text` parses against Org1..Org<orgs> and
-/// names no other org ("scenario.cluster.policy: names Org3, outside
-/// Org1..Org2"). The "bmac", "serve.network" and "cluster" sections share it.
+/// names no other org ("scenario.bmac.policy: names Org3, outside
+/// Org1..Org2"). The "bmac" and "serve.network" sections share it.
 void check_policy(const config::Section& s, const std::string& text, int orgs);
 }  // namespace detail
 

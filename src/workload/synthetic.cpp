@@ -144,10 +144,9 @@ HwRunResult run_hw_workload(const SyntheticSpec& spec) {
   policies.emplace(spec.chaincode,
                    fabric::parse_policy_or_throw(spec.policy_text, org_names));
 
-  std::vector<std::uint8_t> orgs = spec.endorser_orgs;
-  if (orgs.empty())
-    for (int i = 0; i < spec.ends_attached; ++i)
-      orgs.push_back(static_cast<std::uint8_t>(1 + i % spec.org_count));
+  std::vector<std::uint8_t> orgs;
+  for (int i = 0; i < spec.ends_attached; ++i)
+    orgs.push_back(static_cast<std::uint8_t>(1 + i % spec.org_count));
 
   sim::Simulation sim;
   BlockProcessor processor(sim, spec.hw,

@@ -22,10 +22,9 @@ struct SyntheticSpec {
   int blocks = 40;
   int block_size = 150;
 
-  /// Endorsements attached per transaction; org of each endorsement slot is
-  /// endorser_orgs[i] (1-based org index). Defaults to orgs 1..n in order.
+  /// Endorsements attached per transaction; endorsement slot i comes from
+  /// org 1 + i % org_count.
   int ends_attached = 2;
-  std::vector<std::uint8_t> endorser_orgs;
 
   std::string chaincode = "smallbank";
   std::string policy_text = "2-outof-2 orgs";

@@ -429,6 +429,32 @@ TEST(Scenario, UnknownAndRepeatedMembersFailWithTheirPath) {
       {R"({"cluster": {"name": "x"}})", "scenario.cluster.name: unknown key"},
       {R"({"cluster": {"data_dir": "/tmp/x"}})",
        "scenario.cluster.data_dir: unknown key"},
+      // Settings no shipped workload set are constants now.
+      {R"({"serve": {"traffic": {"peak_rate_tps": 3000}}})",
+       "scenario.serve.traffic.peak_rate_tps: unknown key"},
+      {R"({"serve": {"traffic": {"period_ms": 1000}}})",
+       "scenario.serve.traffic.period_ms: unknown key"},
+      {R"({"serve": {"traffic": {"process": "diurnal"}}})",
+       "scenario.serve.traffic.process: unknown value \"diurnal\" "
+       "(poisson | mmpp)"},
+      {R"({"serve": {"network": {"bad_signature_rate": 0.1}}})",
+       "scenario.serve.network.bad_signature_rate: unknown key"},
+      {R"({"serve": {"network": {"missing_endorsement_rate": 0.1}}})",
+       "scenario.serve.network.missing_endorsement_rate: unknown key"},
+      {R"({"serve": {"network": {"conflicting_read_rate": 0.1}}})",
+       "scenario.serve.network.conflicting_read_rate: unknown key"},
+      {R"({"cluster": {"policy": "2-outof-2 orgs"}})",
+       "scenario.cluster.policy: unknown key"},
+      {R"({"cluster": {"delivery_delay_us": 300}})",
+       "scenario.cluster.delivery_delay_us: unknown key"},
+      {R"({"cluster": {"raft": {"message_delay_us": 500}}})",
+       "scenario.cluster.raft.message_delay_us: unknown key"},
+      {R"({"cluster": {"raft": {"message_jitter_us": 200}}})",
+       "scenario.cluster.raft.message_jitter_us: unknown key"},
+      {R"({"cluster": {"gossip": {"hop_delay_us": 300}}})",
+       "scenario.cluster.gossip.hop_delay_us: unknown key"},
+      {R"({"cluster": {"gossip": {"hop_jitter_us": 200}}})",
+       "scenario.cluster.gossip.hop_jitter_us: unknown key"},
       {R"({"slo": {"rules": [{"name": "r", "kind": "ratio", "metric": "m",
                               "denominator": "d", "objective": 0.1,
                               "threshold": 0.1, "windows_ms": [10]}]}})",
@@ -548,8 +574,11 @@ TEST(Scenario, ClusterDiagnosticsNameTheKeyPath) {
       {R"({"cluster": {"block_size": -1}})",
        "scenario.cluster.block_size: expected an integer in "
        "[1, 18446744073709551615]"},
-      {R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
-       "scenario.cluster.policy: names Org3, outside Org1..Org2"},
+      // Orderer identities number 1..15 within each org.
+      {R"({"cluster": {"orgs": 1, "orderers": 16}})",
+       "scenario.cluster.orderers: expected an integer in [1, 15]"},
+      {R"({"cluster": {"orgs": 2, "orderers": 31}})",
+       "scenario.cluster.orderers: expected an integer in [1, 30]"},
       {R"({"cluster": {"gossip": {"fanout": 0}}})",
        "scenario.cluster.gossip.fanout: expected an integer in "
        "[1, 2147483647]"},

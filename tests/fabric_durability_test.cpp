@@ -6,12 +6,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "common/hex.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "fabric/durability.hpp"
 #include "obs/metrics.hpp"
-#include "workload/chaos.hpp"
 #include "workload/network_harness.hpp"
 
 namespace bm::fabric {
@@ -303,40 +304,93 @@ TEST_F(DurabilityFixture, CutSnapshotOnDemandSeedsTheNextRecovery) {
 
 // --- the kill-and-restart drill ---------------------------------------------
 
+/// What one drill observed; two runs of the same drill must agree.
+struct DrillOutcome {
+  std::uint64_t cut = 0;         ///< log size after the torn append
+  RecoveryResult recovery;       ///< the post-crash recovery
+  std::uint64_t final_height = 0;
+
+  auto key() const {
+    return std::tuple(cut, recovery.torn_bytes, recovery.used_snapshot,
+                      recovery.snapshot_height, recovery.blocks_replayed,
+                      final_height);
+  }
+};
+
+/// The kill-and-restart drill (docs/DURABILITY.md): commit `before` blocks
+/// durably and drop the harness ("kill -9"); truncate the log at a seeded
+/// random byte strictly inside the last record (a torn append); recover and
+/// match the reference chain byte for byte; restart a same-seed harness over
+/// the same log, whose reopened store must seed its chain head from the
+/// surviving prefix, re-append the torn block and commit `after` more; then
+/// recover once more and match the whole chain.
+void crash_drill(DurabilityFixture& f, int before, int after,
+                 DrillOutcome* outcome) {
+  DurableLedger::remove_files(f.config);
+  f.commit_durably(before);
+
+  const auto chain = FileBlockStore::recover(f.config.ledger_path);
+  ASSERT_EQ(chain.blocks.size(), static_cast<std::size_t>(before));
+  const std::uint64_t last_start = chain.record_offsets[before - 1];
+  const std::uint64_t end = chain.record_offsets.back();
+  Rng rng(7);
+  outcome->cut = last_start + 1 + rng.uniform(end - last_start - 1);
+  ASSERT_GT(outcome->cut, last_start);
+  ASSERT_LT(outcome->cut, end);
+  std::filesystem::resize_file(f.config.ledger_path, outcome->cut);
+
+  Ledger recovered;
+  StateDb recovered_state;
+  outcome->recovery = DurableLedger::recover(f.config, recovered,
+                                             recovered_state);
+  ASSERT_TRUE(outcome->recovery.ok) << outcome->recovery.error;
+  EXPECT_GT(outcome->recovery.torn_bytes, 0u);
+  ASSERT_EQ(recovered.height(), static_cast<std::uint64_t>(before - 1));
+
+  const int total = before + after;
+  Ledger reference;
+  {
+    workload::NetworkOptions net = f.options;
+    net.durability = f.config;
+    workload::FabricNetworkHarness harness(net);
+    for (int i = 0; i < total; ++i) harness.next_block();
+    harness.durable()->sync();
+    EXPECT_EQ(harness.durable()->store().height(),
+              static_cast<std::uint64_t>(total));
+    reference = harness.reference_ledger();
+  }
+  EXPECT_EQ(chain_divergence(recovered, reference), "");
+
+  Ledger final_ledger;
+  StateDb final_state;
+  const RecoveryResult final_recovery =
+      DurableLedger::recover(f.config, final_ledger, final_state);
+  ASSERT_TRUE(final_recovery.ok) << final_recovery.error;
+  EXPECT_EQ(final_ledger.height(), reference.height());
+  EXPECT_EQ(chain_divergence(final_ledger, reference), "");
+  outcome->final_height = final_ledger.height();
+}
+
 TEST_F(DurabilityFixture, CrashRecoveryScenarioPasses) {
-  workload::CrashRecoveryOptions crash;
-  crash.network = options;
-  crash.durability = config;
-  crash.durability.snapshot_interval = 3;
-  crash.blocks_before_crash = 8;
-  crash.blocks_after = 4;
+  config.snapshot_interval = 3;
+  DrillOutcome first;
+  crash_drill(*this, 8, 4, &first);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(first.final_height, 12u);
 
-  obs::Registry registry;
-  const workload::CrashRecoveryReport report =
-      workload::run_crash_recovery(crash, &registry);
-  EXPECT_TRUE(report.ok()) << report.mismatch << "\n" << report.to_text();
-  EXPECT_TRUE(report.crashed_mid_record);
-  EXPECT_GT(report.recovery.torn_bytes, 0u);
-  EXPECT_EQ(report.recovered_height, 7u);
-  EXPECT_EQ(report.final_height, 12u);
-
-  // Deterministic: the whole drill reproduces byte for byte.
-  const workload::CrashRecoveryReport again =
-      workload::run_crash_recovery(crash);
-  EXPECT_EQ(report.to_text(), again.to_text());
+  // Deterministic: the whole drill reproduces exactly.
+  DrillOutcome again;
+  crash_drill(*this, 8, 4, &again);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(first.key(), again.key());
 }
 
 TEST_F(DurabilityFixture, CrashRecoveryWithoutSnapshotsStillPasses) {
-  workload::CrashRecoveryOptions crash;
-  crash.network = options;
-  crash.durability = config;  // snapshot_interval = 0: full replay only
-  crash.blocks_before_crash = 5;
-  crash.blocks_after = 3;
-
-  const workload::CrashRecoveryReport report =
-      workload::run_crash_recovery(crash);
-  EXPECT_TRUE(report.ok()) << report.mismatch << "\n" << report.to_text();
-  EXPECT_FALSE(report.recovery.used_snapshot);
+  DrillOutcome outcome;  // snapshot_interval = 0: full replay only
+  crash_drill(*this, 5, 3, &outcome);
+  if (HasFatalFailure()) return;
+  EXPECT_FALSE(outcome.recovery.used_snapshot);
+  EXPECT_EQ(outcome.final_height, 8u);
 }
 
 // --- wiring: harness-level durability ---------------------------------------

@@ -137,6 +137,34 @@ TEST(SessionManager, IdleEvictionAndGraceReconnect) {
   EXPECT_EQ(manager.resume(id, f.rogue_cert), SessionVerdict::kBadCert);
 }
 
+TEST(SessionManager, ResumeNeedsTheOpenersCertificate) {
+  SessionFixture f;
+  const fabric::Certificate mallory =
+      f.msp.find_org("Org1")
+          ->issue(fabric::Role::kClient, 1, "mallory.test")
+          .cert;
+  ASSERT_TRUE(f.msp.validate(mallory));
+  SessionManager manager(f.sim, f.msp, f.config());
+  const SessionId id = manager.open(f.good_cert, 0).id;
+  EXPECT_EQ(manager.submit(id, 0), SessionVerdict::kOk);
+  EXPECT_EQ(manager.submit(id, 1), SessionVerdict::kOk);
+  // Another valid identity cannot take over a live session either.
+  EXPECT_EQ(manager.resume(id, mallory), SessionVerdict::kBadCert);
+
+  // Idle into the grace window (eviction at 50ms, purge at 70ms).
+  f.sim.run_until(60 * sim::kMillisecond);
+  ASSERT_EQ(manager.grace_count(), 1u);
+  EXPECT_EQ(manager.resume(id, mallory), SessionVerdict::kBadCert);
+  EXPECT_FALSE(manager.is_active(id));
+  EXPECT_EQ(manager.stats().reconnected, 0u);
+  EXPECT_EQ(manager.stats().rejected_bad_cert, 2u);
+
+  // The opener still resumes at its own sequence number.
+  EXPECT_EQ(manager.resume(id, f.good_cert), SessionVerdict::kOk);
+  EXPECT_EQ(manager.expected_seq(id), 2u);
+  EXPECT_EQ(manager.submit(id, 2), SessionVerdict::kOk);
+}
+
 TEST(SessionManager, GraceExpiryPurgesAndBumpsGeneration) {
   SessionFixture f;
   SessionManager manager(f.sim, f.msp, f.config());

@@ -1,7 +1,7 @@
 // The open-loop arrival processes (serve/traffic.hpp) and the scenario
 // loader's "serve" section (serve/config.hpp): seed determinism (byte-identical
-// schedules), Poisson moment checks, MMPP burst-phase occupancy, the
-// diurnal ramp's average rate, and the shipped configs/serve_*.json files.
+// schedules), Poisson moment checks, MMPP burst-phase occupancy, and the
+// shipped configs/serve_*.json files.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,8 +24,7 @@ TrafficConfig poisson(double rate_tps, std::uint64_t seed = 7) {
 
 TEST(TrafficGenerator, DeterministicScheduleForSeedAndConfig) {
   for (const ArrivalProcess process :
-       {ArrivalProcess::kPoisson, ArrivalProcess::kMmpp,
-        ArrivalProcess::kDiurnal}) {
+       {ArrivalProcess::kPoisson, ArrivalProcess::kMmpp}) {
     TrafficConfig config = poisson(2000);
     config.process = process;
 
@@ -113,33 +112,6 @@ TEST(TrafficGenerator, MmppBurstsArriveFasterThanCalm) {
   EXPECT_LT(rate, 4500.0);
 }
 
-TEST(TrafficGenerator, DiurnalAverageRateIsMidwayTroughToPeak) {
-  TrafficConfig config = poisson(500, 9);
-  config.process = ArrivalProcess::kDiurnal;
-  config.peak_rate_tps = 1500;
-  config.period = sim::kSecond;
-
-  // Over whole periods the raised cosine averages (trough + peak) / 2.
-  TrafficGenerator gen(config);
-  const std::vector<sim::Time> arrivals = gen.schedule(20 * sim::kSecond);
-  const double rate = static_cast<double>(arrivals.size()) / 20.0;
-  EXPECT_NEAR(rate, 1000.0, 60.0);
-
-  // And the ramp is visible: the peak half-period sees substantially more
-  // arrivals than the trough half-period (theoretical ratio for this
-  // raised cosine: (500 + 1000*(0.5 + 1/pi)) / (500 + 1000*(0.5 - 1/pi))
-  // ~= 1.93).
-  std::uint64_t trough = 0, peak = 0;
-  for (const sim::Time at : arrivals) {
-    const sim::Time phase = at % sim::kSecond;
-    if (phase < sim::kSecond / 4 || phase >= 3 * (sim::kSecond / 4))
-      trough += 1;
-    else
-      peak += 1;
-  }
-  EXPECT_GT(static_cast<double>(peak), static_cast<double>(trough) * 1.7);
-}
-
 TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
   const char* text = R"({"name": "knobs", "serve": {
     "seed": 99,
@@ -148,7 +120,7 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
     "validate_vcpus": 4,
     "high_priority_share": 0.3,
     "traffic": { "process": "mmpp", "rate_tps": 1234, "burst_rate_tps": 5000,
-                 "p_enter_burst": 0.1, "p_exit_burst": 0.4, "period_ms": 250 },
+                 "p_enter_burst": 0.1, "p_exit_burst": 0.4 },
     "admission": { "queue_capacity": 77, "token_rate_tps": 800,
                    "bucket_capacity": 33, "classes": 3,
                    "pressure_refill_factor": 0.5 },
@@ -157,7 +129,7 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
     "ingress": { "max_batch": 40, "batch_timeout_ms": 2,
                  "high_watermark": 9, "low_watermark": 3 },
     "network": { "orgs": 4, "chaincode": "drm",
-                 "policy": "3-outof-4 orgs", "conflicting_read_rate": 0.05 }
+                 "policy": "3-outof-4 orgs", "zipf_s": 0.8 }
   }})";
   std::string error;
   const auto scenario = parse_scenario(text, &error);
@@ -175,7 +147,6 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
   EXPECT_DOUBLE_EQ(options->traffic.burst_rate_tps, 5000);
   EXPECT_DOUBLE_EQ(options->traffic.p_enter_burst, 0.1);
   EXPECT_DOUBLE_EQ(options->traffic.p_exit_burst, 0.4);
-  EXPECT_EQ(options->traffic.period, 250 * sim::kMillisecond);
 
   EXPECT_EQ(options->admission.queue_capacity, 77u);
   EXPECT_DOUBLE_EQ(options->admission.token_rate_tps, 800);
@@ -196,7 +167,7 @@ TEST(ServeConfig, ParsesEveryKnobAndDerivesSeeds) {
   EXPECT_EQ(options->network.orgs, 4);
   EXPECT_EQ(options->network.chaincode, workload::ChaincodeKind::kDrm);
   EXPECT_EQ(options->network.policy_text, "3-outof-4 orgs");
-  EXPECT_DOUBLE_EQ(options->network.conflicting_read_rate, 0.05);
+  EXPECT_DOUBLE_EQ(options->network.smallbank.zipf_s, 0.8);
 
   // One top-level seed, two decorrelated streams.
   EXPECT_EQ(options->network.seed, 99u);

@@ -76,17 +76,6 @@ TEST(Smallbank, ReadsObserveCommittedVersions) {
   EXPECT_TRUE(saw_versioned_read);
 }
 
-TEST(Smallbank, SplitPaymentScalesDbAccesses) {
-  SmallbankChaincode split({.accounts = 100, .split_payment_accounts = 5});
-  fabric::StateDb state;
-  Rng rng(3);
-  const ChaincodeResult result = split.execute(rng, state);
-  EXPECT_EQ(result.op, "split_payment");
-  EXPECT_EQ(result.rwset.reads.size(), 6u);   // 1 source + 5 destinations
-  EXPECT_EQ(result.rwset.writes.size(), 6u);
-  EXPECT_DOUBLE_EQ(split.avg_reads(), 6.0);
-}
-
 TEST(Drm, FewerDbAccessesThanSmallbank) {
   // Fig. 8: drm has fewer database requests than smallbank.
   DrmChaincode drm({.assets = 100});

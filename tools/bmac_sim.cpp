@@ -544,10 +544,7 @@ int cmd_serve(const Options& options, const serve::Scenario& scenario) {
               serve_options.name.c_str(),
               serve_options.traffic.process == serve::ArrivalProcess::kPoisson
                   ? "poisson"
-                  : serve_options.traffic.process ==
-                            serve::ArrivalProcess::kMmpp
-                        ? "mmpp"
-                        : "diurnal",
+                  : "mmpp",
               serve_options.traffic.rate_tps,
               static_cast<double>(serve_options.duration) / sim::kMillisecond,
               report.to_text().c_str());

@@ -358,8 +358,8 @@ int main(int argc, char** argv) {
   check(exit_code("serve --slo-config \"" + repo +
                   "/configs/slo_default.json\"") == 2,
         "--slo-config exits 2");
-  // A policy its network cannot run, or a key written twice, fails at load
-  // and names its path.
+  // A policy its network cannot run, a key no parser reads, or a key
+  // written twice fails at load and names its path.
   const std::string bad_json = dir + "/obs_selfcheck_bad.json";
   const std::string bad_err = dir + "/obs_selfcheck_bad.err";
   for (const auto& [command, json, diagnostic] :
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
                    "scenario.serve.network.policy: "},
         std::tuple{"cluster",
                    R"({"cluster": {"orgs": 2, "policy": "Org1 & Org3"}})",
-                   "scenario.cluster.policy: "},
+                   "scenario.cluster.policy: unknown key"},
         std::tuple{"serve", R"({"serve": {"seed": 1, "seed": 2}})",
                    "scenario.serve.seed: repeated key"}}) {
     std::ofstream(bad_json) << json;
